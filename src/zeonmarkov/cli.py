@@ -222,6 +222,8 @@ def cmd_verify(args) -> int:
         raise CliError(f"matrix is {m.rows}x{m.cols}, not square")
     if m.rows < 2:
         raise CliError("need at least 2 states for degree-2 identities")
+    if args.trials < 1:
+        raise CliError("--trials must be at least 1")
     check = IDENTITY_CHECKS[args.identity]
     rng = random.Random(args.seed)
     failures = []
@@ -283,6 +285,8 @@ def cmd_witness(args) -> int:
 
 
 def cmd_harness(args) -> int:
+    if args.samples < 1:
+        raise CliError("--samples must be at least 1")
     try:
         report = markov.equivalence_harness(args.n, args.samples, args.seed)
     except ValueError as exc:

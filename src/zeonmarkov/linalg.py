@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -66,6 +67,215 @@ def wielandt_bound(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     return n * n - 2 * n + 2
+
+
+# -- integer determinants ---------------------------------------------
+
+# The primes of the modular stages of integer_det: 2^31 - 1 and the next
+# three primes below it. Their product recovers a cofactor det/D of up to
+# about 120 bits; a larger one is left to exact elimination.
+PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
+
+
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of a square integer matrix, by p-adic lifting.
+
+    Dixon's method, used for determinants as by Abbott, Bronstein and
+    Mulders: factor the matrix M mod p = 2^31 - 1, lift the solution of
+    M x = b for a fixed b p-adically until p^K > 2 * Nb * H (H bounds
+    |det M| and Nb the numerators of x, both by Hadamard's inequality),
+    and reconstruct x rationally, accumulating D, the lcm of its
+    denominators. D divides det M, so the cofactor det M / D is recovered
+    from det M mod p and, while 2H/D needs it, mod further primes by CRT.
+    Every step is exact and deterministic: a matrix singular mod p, or a
+    cofactor too large for ``PRIMES``, goes to Bareiss elimination.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    p = PRIMES[0]
+    cols = list(zip(*rows))
+    b = [(7 * i) % 11 - 5 for i in range(n)]
+    # Residuals of the lifting stay within max(|b|, the largest row sum
+    # of |M|); ``bias``, a multiple of p above that, keeps packed slots
+    # nonnegative without changing them mod p.
+    bias = p * (max(max(map(abs, b)), max(sum(map(abs, row)) for row in rows)) // p + 1)
+    width = (max(n * p * p, 2 * bias).bit_length() + 9) // 8
+    # LU of the transpose: M = U^T L^T P, solved by two sweeps over rows.
+    det_p, factors = _lu_mod(cols, p, width)
+    if det_p == 0:
+        return _bareiss_det([list(row) for row in rows])
+
+    col_norms = [sum(e * e for e in col) for col in cols]
+    col_bound = math.prod(col_norms)
+    h = math.isqrt(min(col_bound, math.prod(sum(e * e for e in row) for row in rows))) + 1
+    # Cramer: each numerator of x is a determinant with one column of M
+    # replaced by b, so Nb = |b| * (column Hadamard bound) / (shortest column).
+    nb = math.isqrt(col_bound * sum(e * e for e in b) // min(col_norms)) + 1
+    modulus, steps = p, 1
+    while modulus <= 2 * nb * h:
+        modulus *= p
+        steps += 1
+
+    offset = _pack([bias] * n, width)
+    m_cols = [_pack([e + bias for e in col], width) - offset for col in cols]
+    residual = _pack([e + bias for e in b], width) - offset
+    digits = []
+    for _ in range(steps):
+        x = _solve_mod(factors, residual + offset, p, width)
+        digits.append(x)
+        residual = (residual - sum(map(mul, x, m_cols))) // p
+    solution = [0] * n
+    for x in reversed(digits):
+        solution = [s * p + d for s, d in zip(solution, x)]
+
+    denom = 1
+    for s in solution:
+        u = denom * s % modulus
+        if min(u, modulus - u) > nb:
+            denom *= _reconstruct_denominator(u, modulus, nb, h)
+
+    # det = cofactor * denom with |cofactor| <= H / denom.
+    cofactor, base = det_p * pow(denom, -1, p) % p, p
+    for q in PRIMES[1:]:
+        if base * denom > 2 * h:
+            break
+        if denom % q:
+            det_q, _ = _lu_mod(rows, q, width)
+            c_q = det_q * pow(denom, -1, q) % q
+            cofactor += base * ((c_q - cofactor) * pow(base, -1, q) % q)
+            base *= q
+    if base * denom <= 2 * h:
+        return _bareiss_det([list(row) for row in rows])
+    if cofactor > base // 2:
+        cofactor -= base
+    return cofactor * denom
+
+
+def _pack(values: Sequence[int], width: int) -> int:
+    """Nonnegative values below 256**width as the slots of one int, so
+    that adding multiples of packed vectors updates every slot at once."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+
+
+def _unpack(packed: int, width: int, count: int) -> list:
+    raw = packed.to_bytes(width * count, "little")
+    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, width * count, width)]
+
+
+def _lu_mod(rows: Sequence[Sequence[int]], p: int, width: int) -> tuple:
+    """Determinant mod p of a square integer matrix and, when it is
+    nonzero, LU factors for ``_solve_mod``; slots are ``width`` bytes.
+
+    Gaussian elimination with each row packed into one int, so a row
+    update is one big-int multiply-add. A row is reduced mod p only when
+    it becomes the pivot row; until then it takes fewer than n updates of
+    less than p^2 per slot, so slots of n * p^2 never carry into each other.
+    """
+    n = len(rows)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    packed = [_pack([e % p for e in row], width) for row in rows]
+    multipliers = [[] for _ in range(n)]
+    perm = list(range(n))
+    pivot_inverses = []
+    det = 1
+    for k in range(n):
+        shift = bits * k
+        pivot_row = next((i for i in range(k, n) if (packed[i] >> shift & mask) % p), None)
+        if pivot_row is None:
+            return 0, None
+        if pivot_row != k:
+            for seq in (packed, multipliers, perm):
+                seq[k], seq[pivot_row] = seq[pivot_row], seq[k]
+            det = -det
+        values = [v % p for v in _unpack(packed[k] >> shift, width, n - k)]
+        det = det * values[0] % p
+        inverse = pow(values[0], -1, p)
+        pivot_inverses.append(inverse)
+        row = _pack(values, width) << shift
+        packed[k] = row
+        for i in range(k + 1, n):
+            f = (packed[i] >> shift & mask) * inverse % p
+            multipliers[i].append(f)
+            if f:
+                packed[i] += (p - f) * row
+    return det % p, (perm, packed, pivot_inverses, [_pack(m, width) for m in multipliers])
+
+
+def _solve_mod(factors: tuple, rhs: int, p: int, width: int) -> list:
+    """Solve M x = r mod p from the LU factors of M's transpose,
+    P M^T = L U, that is M = U^T L^T P. ``rhs`` packs r with slots that are
+    nonnegative, congruent to r mod p and below 256**width - n * p^2.
+    Both sweeps go column by column over packed rows of U and of L."""
+    perm, u_rows, pivot_inverses, l_rows = factors
+    n = len(perm)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    v = rhs
+    w = []
+    for k in range(n):
+        wk = (v >> bits * k & mask) * pivot_inverses[k] % p
+        w.append(wk)
+        if wk:
+            v += (p - wk) * u_rows[k]
+    v = _pack(w, width)
+    x = [0] * n
+    for j in range(n - 1, -1, -1):
+        zj = (v >> bits * j & mask) % p
+        x[perm[j]] = zj
+        if zj:
+            v += (p - zj) * l_rows[j]
+    return x
+
+
+def _reconstruct_denominator(u: int, modulus: int, num_bound: int, den_bound: int) -> int:
+    """Denominator d of the unique n/d = u mod modulus with |n| <= num_bound
+    and 0 < d <= den_bound (Wang's rational reconstruction; the caller
+    guarantees modulus > 2 * num_bound * den_bound)."""
+    r0, r1, t0, t1 = modulus, u, 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    d = abs(t1)
+    if not 0 < d <= den_bound or math.gcd(r1, d) != 1:
+        raise ArithmeticError("rational reconstruction failed: a lifting bound is wrong")
+    return d
+
+
+def _bareiss_det(m: list) -> int:
+    """Exact determinant of a square integer matrix, given as a list of
+    row lists that this overwrites, by fraction-free (Bareiss) elimination
+    with the usual bound on intermediate growth. Pivoting is
+    deterministic: first nonzero entry in column order."""
+    n = len(m)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        mk = m[k]
+        pivot = mk[k]
+        tail = mk[k + 1:]
+        for i in range(k + 1, n):
+            mi = m[i]
+            factor = mi[k]
+            if factor:
+                mi[k + 1:] = [(a * pivot - factor * c) // prev for a, c in zip(mi[k + 1:], tail)]
+            else:
+                mi[k + 1:] = [a * pivot // prev for a in mi[k + 1:]]
+            mi[k] = 0
+        prev = pivot
+    return sign * m[n - 1][n - 1]
 
 
 class Matrix:
@@ -261,40 +471,19 @@ class Matrix:
         """
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        scale = 1
-        m: list[list[int]] = []
-        for i in range(n):
+        numerators, scales = self.integer_rows()
+        return exact_div(_bareiss_det(numerators), math.prod(scales))
+
+    def integer_rows(self) -> tuple[list, list]:
+        """Each row as integer numerators over the lcm of its denominators:
+        the numerator rows and those lcms, in row order."""
+        numerators, scales = [], []
+        for i in range(self.rows):
             row = self.row(i)
-            lcm = 1
-            for e in row:
-                if isinstance(e, Fraction):
-                    lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-            scale *= lcm
-            m.append([
-                e.numerator * (lcm // e.denominator) if isinstance(e, Fraction) else e * lcm
-                for e in row
-            ])
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            if pivot_row != k:
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-                sign = -sign
-            pivot = m[k][k]
-            for i in range(k + 1, n):
-                mi, mk = m[i], m[k]
-                factor = mi[k]
-                for j in range(k + 1, n):
-                    mi[j] = (mi[j] * pivot - factor * mk[j]) // prev
-                mi[k] = 0
-            prev = pivot
-        return exact_div(sign * m[n - 1][n - 1], scale)
+            d = math.lcm(*(e.denominator for e in row))
+            numerators.append([e.numerator * (d // e.denominator) for e in row])
+            scales.append(d)
+        return numerators, scales
 
     # -- elimination --------------------------------------------------
 

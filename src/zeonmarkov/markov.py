@@ -21,10 +21,11 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .degree2 import DegreeTwoVector, right_action
-from .linalg import Matrix, Scalar, exact_div, scalar_str, wielandt_bound
+from .linalg import Matrix, Scalar, exact_div, integer_det, scalar_str, wielandt_bound
 from .zeon import zeon_power
 
 
@@ -352,9 +353,27 @@ class ErgodicityReport:
 
 
 def criterion_determinant(a: StochasticMatrix) -> Scalar:
-    """det(I - Psi2(A)), computed exactly."""
-    psi = zeon_power(a.matrix, 2)
-    return (Matrix.identity(psi.rows) - psi).det()
+    """det(I - Psi2(A)), computed exactly from integers alone.
+
+    Row i of A is N_i / d_i, with d_i the lcm of the row's denominators.
+    Psi2 is homogeneous of degree 2, so row (i1, i2) of I - Psi2(A) scaled
+    by d_i1 * d_i2 is the integer row d_i1 * d_i2 * e_(i1,i2) minus the
+    Psi2 row of N_i1 and N_i2; no Fraction and no compound is built. The
+    determinant of that integer matrix comes from ``integer_det`` (p-adic
+    lifting, with Bareiss elimination as its exact fallback) and the row
+    scales are divided back out. A 1-state chain has no pairs: the
+    determinant is the empty one, 1.
+    """
+    numerators, scales = a.matrix.integer_rows()
+    pairs = list(combinations(range(a.n), 2))
+    rows = []
+    for r, (i1, i2) in enumerate(pairs):
+        n1, n2 = numerators[i1], numerators[i2]
+        row = [-(n1[j1] * n2[j2] + n1[j2] * n2[j1]) for j1, j2 in pairs]
+        row[r] += scales[i1] * scales[i2]
+        rows.append(row)
+    # each d_i scales the n - 1 rows whose pair holds state i
+    return exact_div(integer_det(rows), math.prod(scales) ** (a.n - 1))
 
 
 def _nonnegative_fixed_vector(a: StochasticMatrix) -> Optional[DegreeTwoVector]:

@@ -13,7 +13,6 @@ lexicographic order.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, permutations, product
@@ -282,7 +281,3 @@ def permutation_permanent_oracle(m: Matrix) -> Scalar:
             prod *= m[i, j]
         total += prod
     return as_scalar(total)
-
-
-def binomial(n: int, k: int) -> int:
-    return math.comb(n, k)

@@ -107,6 +107,18 @@ def test_analyze_uniform_is_ergodic(tmp_path, capsys):
     assert payload["report"]["invariant_distribution"] == ["1/2", "1/2"]
 
 
+def test_analyze_one_state_chain_is_ergodic(tmp_path, capsys):
+    path = tmp_path / "one.json"
+    path.write_text('{"rows": [["1"]]}')
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    report = json.loads(out)["report"]
+    assert report["det_value"] == "1"
+    assert report["criterion_verdict"] == "ergodic"
+    code, out, _ = run(capsys, "analyze", str(path), "--pretty")
+    assert code == 0 and "ergodic" in out
+
+
 def test_analyze_rejects_non_stochastic(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("1/2,1/3\n0,1\n")
@@ -227,6 +239,14 @@ def test_verify_unknown_identity_lists_names(capsys):
         assert name in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_verify_rejects_trials_below_one(capsys, trials):
+    code, out, err = run(capsys, "verify", fixture_path("example1.json"),
+                         "--identity", "integration-by-parts", "--trials", trials)
+    assert code == 3 and out == ""
+    assert "--trials" in err
+
+
 # -- witness -------------------------------------------------------------------
 
 
@@ -269,6 +289,13 @@ def test_harness_command(capsys):
     payload = json.loads(out)
     assert payload["all_consistent"] and payload["counterexamples"] == []
     assert payload["counts"]["checked"] == 40
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_harness_rejects_samples_below_one(capsys, samples):
+    code, out, err = run(capsys, "harness", "-n", "3", "--samples", samples)
+    assert code == 3 and out == ""
+    assert "--samples" in err
 
 
 # -- report round trip -----------------------------------------------------------

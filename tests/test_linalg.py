@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cofactor_det
-from zeonmarkov.linalg import BoolMatrix, Matrix, as_scalar, exact_div, wielandt_bound
+from zeonmarkov import linalg
+from zeonmarkov.linalg import (BoolMatrix, Matrix, PRIMES, as_scalar, exact_div, integer_det,
+                               wielandt_bound)
 
 F = Fraction
 
@@ -127,6 +129,65 @@ def test_det_multiplicative_int_matrices(xs, ys):
 def test_det_singular():
     m = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert m.det() == 0
+
+
+# -- integer determinants ------------------------------------------------
+
+
+def test_integer_det_matches_bareiss_on_seeded_matrices():
+    rng = random.Random(31)
+    for trial in range(300):
+        n = trial % 9
+        bound = rng.choice([1, 3, 50, 10**6, 10**30])
+        rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+        if n >= 2 and trial % 5 == 0:
+            rows[-1] = [3 * e for e in rows[0]]  # singular
+        assert integer_det(rows) == Matrix(n, n, [e for row in rows for e in row]).det()
+    assert integer_det([]) == 1
+    assert integer_det([[-7]]) == -7
+    assert integer_det([[0]]) == 0
+
+
+def test_integer_det_rejects_non_square():
+    with pytest.raises(ValueError):
+        integer_det([[1, 2]])
+
+
+def _count_routes(monkeypatch):
+    calls = {"bareiss": 0, "primes": []}
+    bareiss, lu_mod = linalg._bareiss_det, linalg._lu_mod
+
+    def counting_bareiss(m):
+        calls["bareiss"] += 1
+        return bareiss(m)
+
+    def counting_lu_mod(rows, p, width):
+        calls["primes"].append(p)
+        return lu_mod(rows, p, width)
+
+    monkeypatch.setattr(linalg, "_bareiss_det", counting_bareiss)
+    monkeypatch.setattr(linalg, "_lu_mod", counting_lu_mod)
+    return calls
+
+
+def test_integer_det_prime_dividing_det_falls_back(monkeypatch):
+    calls = _count_routes(monkeypatch)
+    p = PRIMES[0]
+    assert integer_det([[p, 0], [0, 1]]) == p
+    assert calls == {"bareiss": 1, "primes": [p]}
+
+
+def test_integer_det_large_cofactor_uses_more_primes(monkeypatch):
+    # x = b / 2, so D = 2 and the cofactor 2^39 needs a second prime
+    calls = _count_routes(monkeypatch)
+    assert integer_det([[2 if i == j else 0 for j in range(40)] for i in range(40)]) == 2**40
+    assert calls == {"bareiss": 0, "primes": list(PRIMES[:2])}
+
+
+def test_integer_det_cofactor_beyond_the_primes_falls_back(monkeypatch):
+    calls = _count_routes(monkeypatch)
+    assert integer_det([[2 if i == j else 0 for j in range(150)] for i in range(150)]) == 2**150
+    assert calls == {"bareiss": 1, "primes": list(PRIMES)}
 
 
 # -- null spaces ----------------------------------------------------------

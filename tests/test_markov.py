@@ -249,6 +249,25 @@ def test_criterion_uniform_is_ergodic():
     assert report.limit_matrix == UNIFORM2
 
 
+def test_criterion_one_state_chain_is_ergodic():
+    a = StochasticMatrix(Matrix.from_rows([[1]]))
+    report = zeon_criterion(a)
+    assert report.criterion_verdict is Verdict.ERGODIC
+    assert report.det_value == 1
+    assert report.witness is None
+    chk = check_equivalence(a)
+    assert chk.det_value == 1 and chk.consistent and chk.classical_ergodic
+
+
+def test_criterion_determinant_matches_bareiss_on_the_compound():
+    rng = random.Random(33)
+    for n in range(2, 10):
+        for density in (0.2, 0.5, 0.9):
+            a = random_stochastic(rng, n, density)
+            psi = zeon_power(a.matrix, 2)
+            assert criterion_determinant(a) == (Matrix.identity(psi.rows) - psi).det()
+
+
 def test_ergodic_projection_products():
     rng = random.Random(23)
     found = 0
