@@ -7,8 +7,9 @@ witness (nonnegative fixed vector of the degree-2 compound), harness
 
 Exit codes: analyze maps its verdict to 0 (ergodic), 1 (not ergodic) or
 2 (criterion inapplicable); other commands use 0/1 for pass/fail. Any
-usage, parse or validation error exits 3. All rationals are printed as
-exact strings.
+usage, parse or validation error exits 3, and an internal error, which is
+a bug, exits 4 so that it never reads as a verdict. All rationals are
+printed as exact strings.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .linalg import Matrix, scalar_str
 from .zeon import subset_basis, zeon_power
 
 USAGE_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 class CliError(Exception):
@@ -363,6 +365,13 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"zeonmarkov: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        import traceback  # imported only on this path: it slows every start
+
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        message = f"{type(exc).__name__}: {exc} ({frame.filename}:{frame.lineno})"
+        print("zeonmarkov: internal error: " + " ".join(message.split()), file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

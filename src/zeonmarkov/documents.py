@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .degree2 import DegreeTwoVector
@@ -53,8 +52,8 @@ def _entry(value, i: int, j: int):
 
 def _parse_json(text: str) -> MatrixDocument:
     try:
-        doc = json.loads(text, parse_float=Fraction)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_float=as_scalar)
+    except ValueError as exc:  # a JSONDecodeError, or a number as_scalar refuses
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "rows" not in doc:
         raise MatrixFormatError('JSON matrix needs a "rows" key')

@@ -14,6 +14,7 @@ the test suite.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -28,7 +29,9 @@ def as_scalar(value: ScalarLike) -> Scalar:
     Accepts ints, Fractions and strings ("7", "-3/4", "0.25"); decimal
     strings are parsed exactly ("0.25" becomes 1/4, never a float).
     Floats are rejected: they would silently smuggle binary rounding
-    error into an exact computation.
+    error into an exact computation. A decimal exponent larger than the
+    interpreter's digit limit for int/str conversion is rejected before
+    it is expanded, as a literal with that many digits would be.
     """
     if isinstance(value, bool):
         return int(value)
@@ -37,8 +40,15 @@ def as_scalar(value: ScalarLike) -> Scalar:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, str):
+        text = value.strip()
+        if "e" in text or "E" in text:
+            digits = text.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+            budget = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+            if budget and digits.isdecimal() and (
+                    len(digits) > len(str(budget)) or int(digits) > budget):
+                raise ValueError(f"decimal exponent exceeds the {budget}-digit limit")
         try:
-            frac = Fraction(value.strip())
+            frac = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not an exact rational literal: {value!r}") from exc
         return frac.numerator if frac.denominator == 1 else frac

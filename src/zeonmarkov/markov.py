@@ -24,9 +24,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .degree2 import DegreeTwoVector, right_action
+from .degree2 import DegreeTwoVector
 from .linalg import Matrix, Scalar, exact_div, integer_det, scalar_str, wielandt_bound
-from .zeon import zeon_power
 
 
 class NotStochasticError(ValueError):
@@ -106,12 +105,6 @@ class ChainStructure:
     @property
     def is_aperiodic(self) -> bool:
         return self.period == 1
-
-    def class_of(self, state: int) -> int:
-        for idx, c in enumerate(self.classes):
-            if state in c:
-                return idx
-        raise ValueError(f"state {state} out of range 1..{self.n}")
 
 
 def _strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list:
@@ -252,33 +245,38 @@ class InvariantVectors:
 
 
 def invariant_distributions(a: StochasticMatrix) -> InvariantVectors:
-    m = a.matrix
-    basis = (m - Matrix.identity(a.n)).left_null_space()
     structure = chain_structure(a)
-    has_positive = structure.all_closed
+    return _invariant_vectors(structure, _class_distributions(a.matrix, structure))
+
+
+def _class_distributions(m: Matrix, structure: ChainStructure) -> list:
+    """Stationary distribution of each closed class, in class order, as
+    {state: mass}. It is the unique fixed vector of the class and has no
+    zero entry, so any k - 1 columns of (A_cc - I)^T are independent: one
+    rref pivots on all but the last column and reads the vector off it."""
+    pis = []
+    for states in structure.closed_classes:
+        k = len(states)
+        reduced, pivots = Matrix(k, k, [m[j - 1, i - 1] - (1 if i == j else 0)
+                                        for i in states for j in states]).rref()
+        if pivots != tuple(range(k - 1)):
+            raise RuntimeError("closed class must carry a unique invariant vector")
+        v = [-reduced[r, k - 1] for r in range(k - 1)] + [1]
+        total = sum(v)
+        pis.append({s: exact_div(x, total) for s, x in zip(states, v)})
+    return pis
+
+
+def _invariant_vectors(structure: ChainStructure, pis: list) -> InvariantVectors:
+    """The fixed space of v A = v: the closed classes' distributions, each
+    scaled to 1 at its class's smallest state, are its echelon basis."""
+    states = range(1, structure.n + 1)
+    basis = tuple(Matrix.row_vector([exact_div(pi[s], pi[c[0]]) if s in pi else 0 for s in states])
+                  for c, pi in zip(structure.closed_classes, pis))
     distribution = None
-    if len(basis) == 1:
-        row = basis[0]
-        total = sum(row.data)
-        distribution = row * exact_div(1, total)
-    return InvariantVectors(tuple(basis), has_positive, distribution)
-
-
-def _restrict(m: Matrix, states: Sequence[int]) -> Matrix:
-    """Submatrix on the given 1-based states (rows and columns)."""
-    return Matrix(len(states), len(states),
-                  [m[i - 1, j - 1] for i in states for j in states])
-
-
-def _class_distribution(m: Matrix, states: Sequence[int]) -> dict:
-    """Stationary distribution of one closed class, as {state: mass}."""
-    sub = _restrict(m, states)
-    basis = (sub - Matrix.identity(len(states))).left_null_space()
-    if len(basis) != 1:
-        raise RuntimeError("closed class must carry a unique invariant vector")
-    row = basis[0]
-    total = sum(row.data)
-    return {s: exact_div(v, total) for s, v in zip(states, row.data)}
+    if len(pis) == 1:
+        distribution = Matrix.row_vector([pis[0].get(s, 0) for s in states])
+    return InvariantVectors(basis, structure.all_closed, distribution)
 
 
 def ergodic_limit(a: StochasticMatrix) -> Optional[Matrix]:
@@ -293,14 +291,14 @@ def ergodic_limit(a: StochasticMatrix) -> Optional[Matrix]:
     equal to the invariant distribution.
     """
     structure = chain_structure(a)
-    for period, flag in zip(structure.periods, structure.closed):
-        if flag and period != 1:
-            return None
-    m = a.matrix
-    n = a.n
-    closed = structure.closed_classes
-    pis = [_class_distribution(m, c) for c in closed]
+    return _limit(a.matrix, structure, _class_distributions(a.matrix, structure))
 
+
+def _limit(m: Matrix, structure: ChainStructure, pis: list) -> Optional[Matrix]:
+    if not structure.is_aperiodic:
+        return None
+    n = structure.n
+    closed = structure.closed_classes
     rows = [[0] * n for _ in range(n)]
     for c, pi in zip(closed, pis):
         for i in c:
@@ -353,17 +351,20 @@ class ErgodicityReport:
 
 
 def criterion_determinant(a: StochasticMatrix) -> Scalar:
-    """det(I - Psi2(A)), computed exactly from integers alone.
+    """det(I - Psi2(A)), exactly: ``integer_det`` (p-adic lifting, with a
+    Bareiss fallback) of the integer rows of ``_criterion_rows`` over det D.
+    A 1-state chain has no pairs: the determinant is the empty one, 1."""
+    rows, det_d = _criterion_rows(a)
+    return exact_div(integer_det(rows), det_d)
 
-    Row i of A is N_i / d_i, with d_i the lcm of the row's denominators.
-    Psi2 is homogeneous of degree 2, so row (i1, i2) of I - Psi2(A) scaled
-    by d_i1 * d_i2 is the integer row d_i1 * d_i2 * e_(i1,i2) minus the
-    Psi2 row of N_i1 and N_i2; no Fraction and no compound is built. The
-    determinant of that integer matrix comes from ``integer_det`` (p-adic
-    lifting, with Bareiss elimination as its exact fallback) and the row
-    scales are divided back out. A 1-state chain has no pairs: the
-    determinant is the empty one, 1.
-    """
+
+def _criterion_rows(a: StochasticMatrix) -> tuple[list, int]:
+    """D * (I - Psi2(A)) as integer rows, and det D. Row i of A is N_i / d_i,
+    d_i the lcm of its denominators. Psi2 is homogeneous of degree 2, so row
+    (i1, i2) of I - Psi2(A) times d_i1 * d_i2 is d_i1 * d_i2 * e_(i1,i2) minus
+    the Psi2 row of N_i1 and N_i2: integers, with no Fraction and no compound.
+    D is a positive diagonal, so the rows' right null space is the fixed
+    space of Psi2(A)."""
     numerators, scales = a.matrix.integer_rows()
     pairs = list(combinations(range(a.n), 2))
     rows = []
@@ -373,21 +374,20 @@ def criterion_determinant(a: StochasticMatrix) -> Scalar:
         row[r] += scales[i1] * scales[i2]
         rows.append(row)
     # each d_i scales the n - 1 rows whose pair holds state i
-    return exact_div(integer_det(rows), math.prod(scales) ** (a.n - 1))
+    return rows, math.prod(scales) ** (a.n - 1)
 
 
-def _nonnegative_fixed_vector(a: StochasticMatrix) -> Optional[DegreeTwoVector]:
-    """Scan the fixed space of Psi2(A) for a nonnegative nonzero vector."""
-    psi = zeon_power(a.matrix, 2)
-    for col in (psi - Matrix.identity(psi.rows)).right_null_space():
-        vec = DegreeTwoVector.from_column(col, a.n)
-        if vec.is_zero():
-            continue
+def _nonnegative_fixed_vector(rows: list, n: int) -> Optional[DegreeTwoVector]:
+    """A nonnegative fixed vector of Psi2(A) from the rows of
+    ``_criterion_rows``, or None. Only the vectors of the reduced echelon
+    basis of the fixed space are tried (each leads with 1, so no negation
+    is nonnegative): None does not rule out a nonnegative combination.
+    """
+    size = len(rows)
+    for col in Matrix(size, size, [e for row in rows for e in row]).right_null_space():
+        vec = DegreeTwoVector.from_column(col, n)
         if vec.is_nonnegative():
             return vec
-        negated = -1 * vec
-        if negated.is_nonnegative():
-            return negated
     return None
 
 
@@ -402,16 +402,16 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
     decides nothing there.
     """
     structure = chain_structure(a)
-    invariants = invariant_distributions(a)
-    det_value = criterion_determinant(a)
-    quasi = is_quasi_positive(a)
-    limit = ergodic_limit(a)
+    pis = _class_distributions(a.matrix, structure)
+    invariants = _invariant_vectors(structure, pis)
+    rows, det_d = _criterion_rows(a)
+    det_value = exact_div(integer_det(rows), det_d)
 
     witness = None
-    if not invariants.has_positive:
+    if not structure.all_closed:
         verdict = Verdict.INAPPLICABLE
         if det_value == 0:
-            witness = _nonnegative_fixed_vector(a)
+            witness = _nonnegative_fixed_vector(rows, a.n)
     elif det_value != 0:
         verdict = Verdict.ERGODIC
     else:
@@ -420,19 +420,19 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
             witness = witness_reducible(structure)
         else:
             witness = witness_periodic(structure)
-        if right_action(a.matrix, witness) != witness:
+        if any(sum(e * x for e, x in zip(row, witness.coords)) for row in rows):
             raise RuntimeError("constructed witness is not fixed by the compound")
 
     return ErgodicityReport(
         is_irreducible=structure.is_irreducible,
         is_aperiodic=structure.is_aperiodic,
-        quasi_positive_exponent=quasi,
+        quasi_positive_exponent=is_quasi_positive(a),
         has_positive_invariant=invariants.has_positive,
         det_value=det_value,
         criterion_verdict=verdict,
         witness=witness,
         invariant_distribution=invariants.distribution,
-        limit_matrix=limit,
+        limit_matrix=_limit(a.matrix, structure, pis),
     )
 
 

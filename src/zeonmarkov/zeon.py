@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
 from .linalg import Matrix, Scalar, as_scalar
@@ -185,8 +185,10 @@ def zeon_power(w: Matrix, k: int) -> Matrix:
     Entry (I, J), over the lexicographic k-subset basis, is the permanent
     of w restricted to rows I and columns J. For k = 1 this is w itself.
 
-    Memoized: matrices are immutable and several analyses of one chain
-    need the same compound.
+    Memoized: matrices are immutable, and the degree-2 identities and the
+    CLI apply the same compound of one matrix many times (once per action
+    on a vector). The Markov analysis never builds it: it works on the
+    integer rows of D * (I - Psi2(A)).
     """
     if not w.is_square:
         raise ValueError("zeon power needs a square matrix")
@@ -264,20 +266,3 @@ def apply_second_quantized_function(f: FunctionMap, subset: Sequence[int]) -> Op
         return None
     return tuple(sorted(images))
 
-
-def permutation_permanent_oracle(m: Matrix) -> Scalar:
-    """Brute-force permanent as the sum over all permutations.
-
-    Independent O(k!) oracle for cross-checking the production permanent;
-    keep to small orders.
-    """
-    if not m.is_square:
-        raise ValueError("permanent needs a square matrix")
-    n = m.rows
-    total = Fraction(0)
-    for perm in permutations(range(n)):
-        prod = Fraction(1)
-        for i, j in enumerate(perm):
-            prod *= m[i, j]
-        total += prod
-    return as_scalar(total)

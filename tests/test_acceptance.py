@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 
 from conftest import cofactor_det
+from oracles import permutation_permanent_oracle
 from zeonmarkov.degree2 import (
     DegreeTwoVector,
     diag_correction_minus,
@@ -44,7 +45,6 @@ from zeonmarkov.zeon import (
     function_matrix,
     is_zeon_homomorphic_pair,
     permanent,
-    permutation_permanent_oracle,
     subset_basis,
     zeon_power,
 )

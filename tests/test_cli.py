@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from zeonmarkov import markov
 from zeonmarkov.cli import main
 from zeonmarkov.documents import (
     AnalysisReportDocument,
@@ -125,6 +126,29 @@ def test_analyze_rejects_non_stochastic(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(path))
     assert code == 3
     assert "row 1 sums to 5/6" in err
+
+
+@pytest.mark.parametrize("literal", ["1e5000000", "1e-5000000"])
+@pytest.mark.parametrize("template", ['{{"rows": [["{0}", "0"], ["0", "1"]]}}',
+                                      '{{"rows": [[{0}, 0], [0, 1]]}}',
+                                      "{0},0\n0,1\n"])
+def test_analyze_rejects_oversized_exponents(tmp_path, capsys, literal, template):
+    path = tmp_path / "big.txt"
+    path.write_text(template.format(literal))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3 and out == ""
+    assert "exponent" in err
+
+
+def test_internal_error_exits_four(monkeypatch, capsys):
+    def crash(chain):
+        raise ValueError("boom\nsecond line")
+
+    monkeypatch.setattr(markov, "zeon_criterion", crash)
+    code, out, err = run(capsys, "analyze", fixture_path("example4.json"))
+    assert code == 4 and out == ""
+    assert err.startswith("zeonmarkov: internal error: ValueError: boom second line")
+    assert err.count("\n") == 1
 
 
 def test_analyze_pretty(capsys):

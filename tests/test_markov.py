@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from zeonmarkov import markov, zeon
 from zeonmarkov.degree2 import (
     DegreeTwoVector,
     diag_correction_minus,
@@ -156,6 +157,17 @@ def test_invariants_fixture_five(chains):
         assert v * chains[5].matrix == v
 
 
+def test_invariant_basis_matches_the_whole_matrix_left_null_space():
+    # reference: the canonical basis of {v : v A = v} from one elimination
+    # of A - I, the route the per-class distributions replace
+    rng = random.Random(34)
+    for n in range(2, 9):
+        for density in (0.15, 0.4, 0.8):
+            a = random_stochastic(rng, n, density)
+            reference = (a.matrix - Matrix.identity(n)).left_null_space()
+            assert list(invariant_distributions(a).basis) == reference
+
+
 # -- limits -----------------------------------------------------------------------
 
 
@@ -266,6 +278,72 @@ def test_criterion_determinant_matches_bareiss_on_the_compound():
             a = random_stochastic(rng, n, density)
             psi = zeon_power(a.matrix, 2)
             assert criterion_determinant(a) == (Matrix.identity(psi.rows) - psi).det()
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_criterion_is_one_pass(chains, monkeypatch):
+    ergodic = random_stochastic(random.Random(35), 6, density=1.0)
+    cases = [(ergodic, Verdict.ERGODIC), (chains[3], Verdict.NOT_ERGODIC),
+             (chains[4], Verdict.NOT_ERGODIC), (chains[2], Verdict.INAPPLICABLE)]
+    for a, verdict in cases:
+        with monkeypatch.context() as patch:
+            structures = _counting(patch, markov, "chain_structure")
+            compounds = _counting(patch, zeon, "_zeon_power_cached")
+            left_null_spaces = _counting(patch, Matrix, "left_null_space")
+            report = zeon_criterion(a)
+        assert report.criterion_verdict is verdict
+        assert len(structures) == 1
+        assert compounds == [] and left_null_spaces == []
+
+
+def _scan_fixed_space_of_the_compound(a):
+    # reference: the first vector of the canonical basis of the fixed
+    # space of the Fraction compound that is nonnegative up to sign
+    psi = zeon_power(a.matrix, 2)
+    for col in (psi - Matrix.identity(psi.rows)).right_null_space():
+        x = DegreeTwoVector.from_column(col, a.n)
+        for candidate in (x, -1 * x):
+            if not x.is_zero() and candidate.is_nonnegative():
+                return candidate
+    return None
+
+
+def test_transient_witness_matches_the_scan_of_the_compound():
+    rng = random.Random(36)
+    found = 0
+    for n in range(3, 8):
+        for _ in range(30):
+            a = random_stochastic(rng, n, rng.uniform(0.2, 0.6))
+            if chain_structure(a).all_closed:
+                continue
+            expected = _scan_fixed_space_of_the_compound(a)
+            report = zeon_criterion(a)
+            assert report.criterion_verdict is Verdict.INAPPLICABLE
+            assert report.witness == expected
+            found += expected is not None
+    assert found >= 20, found
+
+
+@pytest.mark.parametrize("index, construction",
+                         [(3, "witness_reducible"), (4, "witness_periodic")])
+def test_a_witness_that_is_not_fixed_is_an_error(chains, monkeypatch, index, construction):
+    a = chains[index]
+    wrong = DegreeTwoVector.from_pairs(a.n, {(1, 2): 1})
+    assert right_action(a.matrix, wrong) != wrong
+    monkeypatch.setattr(markov, construction, lambda structure: wrong)
+    with pytest.raises(RuntimeError, match="not fixed"):
+        zeon_criterion(a)
 
 
 def test_ergodic_projection_products():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import permutation_permanent_oracle
 from zeonmarkov.linalg import Matrix
 from zeonmarkov.zeon import (
     FunctionMap,
@@ -17,7 +18,6 @@ from zeonmarkov.zeon import (
     function_matrix,
     is_zeon_homomorphic_pair,
     permanent,
-    permutation_permanent_oracle,
     subset_basis,
     zeon_power,
 )
