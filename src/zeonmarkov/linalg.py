@@ -1,14 +1,14 @@
 """Exact rational scalars and dense matrices.
 
 Every value in this module is an exact rational number: a Python ``int``
-or a ``fractions.Fraction`` in lowest terms. There is no floating point
-anywhere; equality of results is always bit-exact, so downstream code can
-decide genuine dichotomies (a determinant is zero or it is not).
+or a ``fractions.Fraction`` in lowest terms, integral values always as
+``int`` so that 0/1-heavy matrices compute on machine integers. There is
+no floating point; equality of results is always bit-exact, so downstream
+code can decide genuine dichotomies (a determinant is zero or it is not).
 
-Scalars are canonicalized so that integral values are stored as plain
-``int`` -- arithmetic on 0/1-heavy matrices then runs on machine integers
-instead of Fraction objects, which matters for the exhaustive sweeps in
-the test suite.
+Every exact elimination (determinants, reduced row-echelon forms, null
+spaces, solves) runs on integer rows through one fraction-free (Bareiss)
+routine, ``_bareiss``; a ``Fraction`` is built only for an output entry.
 """
 
 from __future__ import annotations
@@ -60,8 +60,17 @@ def as_scalar(value: ScalarLike) -> Scalar:
 
 
 def scalar_str(value: Scalar) -> str:
-    """Render a scalar as an exact literal ("7", "-3/4"), never a decimal."""
-    return str(value)
+    """Render a scalar as an exact literal ("7", "-3/4"), never a decimal; an
+    integer past the int/str digit limit is split in two by a power of ten."""
+    if isinstance(value, Fraction) and value.denominator != 1:
+        return f"{scalar_str(value.numerator)}/{scalar_str(value.denominator)}"
+    try:
+        return str(value)
+    except ValueError:
+        sign, value = "-" if value < 0 else "", abs(int(value))
+        half = value.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
+        high, low = divmod(value, 10 ** half)
+        return sign + scalar_str(high) + scalar_str(low).zfill(half)
 
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:
@@ -256,36 +265,49 @@ def _reconstruct_denominator(u: int, modulus: int, num_bound: int, den_bound: in
     return d
 
 
+def _bareiss(m: list, reduce: bool) -> tuple[list, int, int]:
+    """Fraction-free (Bareiss) elimination of integer rows in place, the one
+    exact elimination here: returns the pivot columns, the sign of the row
+    swaps and the last pivot (1 if none). Pivots are first nonzero entries in
+    column order; entries stay minors of the input, so every division by the
+    previous pivot is exact. Without ``reduce`` it clears below the pivots and
+    stops at a column with none (all a determinant needs); with it, it clears
+    above them too and skips such columns: rows end as last pivot x RREF."""
+    height = len(m)
+    pivots, sign, prev = [], 1, 1
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, height) if m[i][c]), None)
+        if pivot_row is None:
+            if reduce:
+                continue
+            break
+        if pivot_row != r:
+            m[r], m[pivot_row] = m[pivot_row], m[r]
+            sign = -sign
+        mr = m[r]
+        pivot = mr[c]
+        tail = mr[c:]
+        for mi in m[r + 1:]:
+            f = mi[c]
+            if f:
+                mi[c:] = [(a * pivot - f * b) // prev for a, b in zip(mi[c:], tail)]
+            elif pivot != prev:
+                mi[c:] = [a * pivot // prev for a in mi[c:]]
+        if reduce:  # a row above is zero left of its own pivot, not of c
+            for mi, lo in zip(m, pivots):
+                f = mi[c]
+                mi[lo:] = [(a * pivot - f * b) // prev for a, b in zip(mi[lo:], mr[lo:])]
+        pivots.append(c)
+        prev = pivot
+    return pivots, sign, prev
+
+
 def _bareiss_det(m: list) -> int:
     """Exact determinant of a square integer matrix, given as a list of
-    row lists that this overwrites, by fraction-free (Bareiss) elimination
-    with the usual bound on intermediate growth. Pivoting is
-    deterministic: first nonzero entry in column order."""
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        pivot_row = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        mk = m[k]
-        pivot = mk[k]
-        tail = mk[k + 1:]
-        for i in range(k + 1, n):
-            mi = m[i]
-            factor = mi[k]
-            if factor:
-                mi[k + 1:] = [(a * pivot - factor * c) // prev for a, c in zip(mi[k + 1:], tail)]
-            else:
-                mi[k + 1:] = [a * pivot // prev for a in mi[k + 1:]]
-            mi[k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    row lists that this overwrites, by ``_bareiss`` elimination."""
+    pivots, sign, pivot = _bareiss(m, reduce=False)
+    return sign * pivot if len(pivots) == len(m) else 0
 
 
 class Matrix:
@@ -472,13 +494,8 @@ class Matrix:
         return self.is_square and self.is_nonnegative() and all(s == 1 for s in self.row_sums())
 
     def det(self) -> Scalar:
-        """Exact determinant by fraction-free (Bareiss) elimination.
-
-        Rows are first scaled to integers (determinant divided back out at
-        the end), so the elimination runs entirely on machine integers with
-        the usual Bareiss bound on intermediate growth. Pivoting is
-        deterministic: first nonzero entry in column order.
-        """
+        """Exact determinant: the rows scaled to integers, eliminated by
+        ``_bareiss`` and the scales divided back out."""
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
         numerators, scales = self.integer_rows()
@@ -498,32 +515,14 @@ class Matrix:
     # -- elimination --------------------------------------------------
 
     def rref(self) -> tuple["Matrix", tuple]:
-        """Reduced row-echelon form and the tuple of pivot columns.
-
-        Gauss-Jordan with deterministic pivoting (first nonzero below the
-        working row). The RREF of a matrix is unique, so this doubles as a
-        canonical form for fixture comparisons.
-        """
-        m = [list(self.row(i)) for i in range(self.rows)]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pivot_row = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            pivot = m[r][c]
-            if pivot != 1:
-                m[r] = [exact_div(e, pivot) for e in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-        return Matrix(self.rows, self.cols, [e for row in m for e in row]), tuple(pivots)
+        """Reduced row-echelon form and the tuple of pivot columns: the
+        integer rows (row scaling leaves the form alone) reduced by
+        ``_bareiss``, one Fraction per output entry. The form is unique, so
+        it doubles as a canonical form for fixture comparisons."""
+        m, _ = self.integer_rows()
+        pivots, _, scale = _bareiss(m, reduce=True)
+        return (Matrix(self.rows, self.cols, [Fraction(e, scale) for row in m for e in row]),
+                tuple(pivots))
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -566,7 +565,7 @@ class Matrix:
         augmented = Matrix(n, n + rhs.cols,
                            [e for i in range(n) for e in (*self.row(i), *rhs.row(i))])
         reduced, pivots = augmented.rref()
-        if tuple(pivots[:n]) != tuple(range(n)) or len(pivots) != n:
+        if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
         return Matrix(n, rhs.cols, [reduced[i, n + j] for i in range(n) for j in range(rhs.cols)])
 

@@ -399,7 +399,9 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
     that same situation (with a nonnegative fixed-vector witness
     attached); criterion-inapplicable when transient states preclude a
     positive invariant vector -- the determinant is still reported, but it
-    decides nothing there.
+    decides nothing there. With every class closed, a determinant verdict
+    that differs from irreducible-and-aperiodic raises RuntimeError: it is
+    a bug or a counterexample to the theorem, never a report.
     """
     structure = chain_structure(a)
     pis = _class_distributions(a.matrix, structure)
@@ -408,10 +410,15 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
     det_value = exact_div(integer_det(rows), det_d)
 
     witness = None
+    classical = structure.is_irreducible and structure.is_aperiodic
     if not structure.all_closed:
         verdict = Verdict.INAPPLICABLE
         if det_value == 0:
             witness = _nonnegative_fixed_vector(rows, a.n)
+    elif (det_value != 0) != classical:
+        says = (Verdict.NOT_ERGODIC.value, Verdict.ERGODIC.value)
+        raise RuntimeError(f"the determinant says {says[det_value != 0]} but the classical "
+                           f"oracles say {says[classical]}: the two routes disagree")
     elif det_value != 0:
         verdict = Verdict.ERGODIC
     else:

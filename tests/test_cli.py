@@ -151,6 +151,36 @@ def test_internal_error_exits_four(monkeypatch, capsys):
     assert err.count("\n") == 1
 
 
+def test_analyze_prints_numbers_beyond_the_digit_limit(tmp_path, capsys):
+    # det(I - Psi2(A)) = (p + q - 2) / (p q), a denominator of 4400 digits
+    p, q = 10**2200 + 7, 10**2199 + 3
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"rows": [[f"{p - 1}/{p}", f"1/{p}"], [f"1/{q}", f"{q - 1}/{q}"]]}))
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    numerator, denominator = json.loads(out)["report"]["det_value"].split("/")
+    assert int(numerator) == p + q - 2
+    assert len(denominator) == 4400  # beyond the 4300 digits that str() and int() take
+    assert int(denominator[:2200]) * 10**2200 + int(denominator[2200:]) == p * q
+    with pytest.raises(ValueError, match="exact rational"):
+        report_from_dict(json.loads(out)["report"])  # over the literal budget on the way back in
+
+
+def test_analyze_formats_an_oversized_row_sum(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text("1e4300,0\n0,1\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3 and out == ""
+    assert f"row 1 sums to 1{'0' * 4300}, expected 1" in err
+
+
+def test_a_determinant_contradicting_the_classical_verdict_exits_four(monkeypatch, capsys):
+    monkeypatch.setattr(markov, "integer_det", lambda rows: 1)
+    code, out, err = run(capsys, "analyze", fixture_path("example3.json"))
+    assert code == 4 and out == ""
+    assert err.startswith("zeonmarkov: internal error: RuntimeError: the determinant says ergodic")
+
+
 def test_analyze_pretty(capsys):
     code, out, _ = run(capsys, "analyze", fixture_path("example3.json"), "--pretty")
     assert code == 1

@@ -6,9 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cofactor_det
+from oracles import rref_oracle
 from zeonmarkov import linalg
 from zeonmarkov.linalg import (BoolMatrix, Matrix, PRIMES, as_scalar, exact_div, integer_det,
-                               wielandt_bound)
+                               scalar_str, wielandt_bound)
 
 F = Fraction
 
@@ -244,6 +245,64 @@ def test_solve_right_roundtrip():
 def test_solve_right_singular():
     with pytest.raises(ValueError, match="singular"):
         Matrix.zeros(2, 2).solve_right(Matrix.identity(2))
+
+
+def test_scalar_str_beyond_the_int_str_digit_limit():
+    big = 10**5000 + 12345
+    tail = "0" * 4995 + "12345"
+    assert scalar_str(big) == "1" + tail
+    assert scalar_str(-big) == "-1" + tail
+    assert scalar_str(F(-7, big)) == "-7/1" + tail
+    assert scalar_str(F(big, 1)) == "1" + tail
+    assert scalar_str(F(6, 3)) == "2" and scalar_str(F(-3, 4)) == "-3/4"
+
+
+# -- the fraction-free elimination against the Fraction Gauss-Jordan --------
+
+
+def _elimination_results(m, rhs):
+    reduced, pivots = m.rref()
+    try:
+        solved = m.solve_right(rhs) if m.is_square else None
+    except ValueError as exc:
+        solved = str(exc)
+    return ([type(e) for e in reduced.data], reduced, pivots, m.rank(),
+            m.right_null_space(), m.left_null_space(), solved)
+
+
+def _elimination_cases():
+    rng = random.Random(43)
+    shapes = [(3, 7), (7, 3), (5, 5), (1, 6), (6, 1), (1, 1), (4, 4), (2, 9)]
+    for trial in range(160):
+        rows, cols = shapes[trial % len(shapes)]
+        bound, den = rng.choice([(3, 1), (3, 12), (10**30, 1), (10**30, 10**30), (50, 7)])
+        entries = [[F(rng.randint(-bound, bound), rng.randint(1, den))
+                    if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(rows)]
+        if rows >= 3 and trial % 3 == 0:  # rank-deficient
+            entries[-1] = [2 * a - b * F(1, 3) for a, b in zip(entries[0], entries[1])]
+        yield Matrix.from_rows(entries), random_matrix(rng, rows, 2)
+    for rows, cols in [(3, 4), (1, 1), (1, 5), (5, 1), (4, 4)]:
+        yield Matrix.zeros(rows, cols), Matrix.ones(rows, 1)
+
+
+def test_elimination_matches_the_fraction_gauss_jordan(monkeypatch):
+    solved = 0
+    for m, rhs in _elimination_cases():
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "rref", rref_oracle)
+            expected = _elimination_results(m, rhs)
+        assert _elimination_results(m, rhs) == expected
+        solved += isinstance(expected[-1], Matrix)
+    assert solved >= 20
+
+
+def test_bareiss_reduce_leaves_the_last_pivot_times_the_rref():
+    m = [[0, 2, 4, 1], [3, 1, 1, 0], [3, 3, 5, 1]]
+    reduced, _ = rref_oracle(Matrix.from_rows(m))
+    pivots, _, scale = linalg._bareiss(m, reduce=True)
+    assert pivots == [0, 1]
+    assert Matrix.from_rows(m) == reduced * scale
+    assert linalg._bareiss([[0, 1], [0, 2]], reduce=False) == ([], 1, 1)
 
 
 # -- powers ---------------------------------------------------------------

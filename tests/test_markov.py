@@ -1,4 +1,7 @@
+import importlib.util
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -32,6 +35,7 @@ from zeonmarkov.markov import (
     zeon_criterion,
 )
 from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_power
+from oracles import rref_oracle
 
 F = Fraction
 
@@ -333,6 +337,40 @@ def test_transient_witness_matches_the_scan_of_the_compound():
             assert report.witness == expected
             found += expected is not None
     assert found >= 20, found
+
+
+def _bench_families():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "families.py")
+    spec = importlib.util.spec_from_file_location("bench_families", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # for dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_transient_witness_is_unchanged_on_the_bench_family(monkeypatch):
+    families = _bench_families()
+    found = 0
+    for n in range(6, 11):
+        for seed in range(3):
+            chain = families.make(random.Random(seed), families.TRANSIENT, n)
+            a = validate_stochastic(Matrix.from_rows([list(row) for row in chain.rows]))
+            with monkeypatch.context() as patch:
+                patch.setattr(Matrix, "rref", rref_oracle)
+                expected = zeon_criterion(a)
+            report = zeon_criterion(a)
+            assert report.criterion_verdict is Verdict.INAPPLICABLE
+            assert report == expected
+            found += report.witness is not None
+    assert found >= 10, found
+
+
+@pytest.mark.parametrize("det, chain", [(1, "reducible"), (0, "ergodic")])
+def test_a_determinant_that_contradicts_the_classical_verdict_is_an_error(
+        chains, monkeypatch, det, chain):
+    a = chains[3] if chain == "reducible" else validate_stochastic(UNIFORM2)
+    monkeypatch.setattr(markov, "integer_det", lambda rows: det)
+    with pytest.raises(RuntimeError, match="disagree"):
+        zeon_criterion(a)
 
 
 @pytest.mark.parametrize("index, construction",
