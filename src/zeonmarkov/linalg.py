@@ -9,6 +9,9 @@ code can decide genuine dichotomies (a determinant is zero or it is not).
 Every exact elimination (determinants, reduced row-echelon forms, null
 spaces, solves) runs on integer rows through one fraction-free (Bareiss)
 routine, ``_bareiss``; a ``Fraction`` is built only for an output entry.
+The determinant and the right kernel of a square integer matrix are
+computed mod p and lifted p-adically first (``integer_det``,
+``_integer_kernel``), each result checked exactly or falling back to it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import sys
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, str]
@@ -101,13 +104,16 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
 
     Dixon's method, used for determinants as by Abbott, Bronstein and
     Mulders: factor the matrix M mod p = 2^31 - 1, lift the solution of
-    M x = b for a fixed b p-adically until p^K > 2 * Nb * H (H bounds
-    |det M| and Nb the numerators of x, both by Hadamard's inequality),
-    and reconstruct x rationally, accumulating D, the lcm of its
-    denominators. D divides det M, so the cofactor det M / D is recovered
-    from det M mod p and, while 2H/D needs it, mod further primes by CRT.
-    Every step is exact and deterministic: a matrix singular mod p, or a
-    cofactor too large for ``PRIMES``, goes to Bareiss elimination.
+    M x = b for a fixed b p-adically (``_lift``) and reconstruct x
+    rationally, accumulating D, the lcm of its denominators. D divides
+    det M, so the cofactor det M / D is recovered from det M mod p and,
+    while 2H/D needs it (H the Hadamard bound on |det M|), mod further
+    primes by CRT. A matrix singular mod p is proven singular by a nonzero
+    integer kernel vector, lifted from the same factors and checked
+    exactly against every row (``_kernel_vector``). Every step is exact
+    and deterministic: a failed check (M has a larger rank over Q than
+    mod p, as when p divides a nonzero det M), or a cofactor too large
+    for ``PRIMES``, goes to Bareiss elimination.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -115,47 +121,18 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
     if n == 0:
         return 1
     p = PRIMES[0]
+    width, bias = _slots(rows, p)
     cols = list(zip(*rows))
-    b = [(7 * i) % 11 - 5 for i in range(n)]
-    # Residuals of the lifting stay within max(|b|, the largest row sum
-    # of |M|); ``bias``, a multiple of p above that, keeps packed slots
-    # nonnegative without changing them mod p.
-    bias = p * (max(max(map(abs, b)), max(sum(map(abs, row)) for row in rows)) // p + 1)
-    width = (max(n * p * p, 2 * bias).bit_length() + 9) // 8
     # LU of the transpose: M = U^T L^T P, solved by two sweeps over rows.
     det_p, factors = _lu_mod(cols, p, width)
     if det_p == 0:
-        return _bareiss_det([list(row) for row in rows])
+        free = _free_columns(factors)[0]
+        if _kernel_vector(rows, cols, factors, free, p, width, bias) is None:
+            return _bareiss_det([list(row) for row in rows])
+        return 0
 
-    col_norms = [sum(e * e for e in col) for col in cols]
-    col_bound = math.prod(col_norms)
-    h = math.isqrt(min(col_bound, math.prod(sum(e * e for e in row) for row in rows))) + 1
-    # Cramer: each numerator of x is a determinant with one column of M
-    # replaced by b, so Nb = |b| * (column Hadamard bound) / (shortest column).
-    nb = math.isqrt(col_bound * sum(e * e for e in b) // min(col_norms)) + 1
-    modulus, steps = p, 1
-    while modulus <= 2 * nb * h:
-        modulus *= p
-        steps += 1
-
-    offset = _pack([bias] * n, width)
-    m_cols = [_pack([e + bias for e in col], width) - offset for col in cols]
-    residual = _pack([e + bias for e in b], width) - offset
-    digits = []
-    for _ in range(steps):
-        x = _solve_mod(factors, residual + offset, p, width)
-        digits.append(x)
-        residual = (residual - sum(map(mul, x, m_cols))) // p
-    solution = [0] * n
-    for x in reversed(digits):
-        solution = [s * p + d for s, d in zip(solution, x)]
-
-    denom = 1
-    for s in solution:
-        u = denom * s % modulus
-        if min(u, modulus - u) > nb:
-            denom *= _reconstruct_denominator(u, modulus, nb, h)
-
+    b = [(7 * i) % 11 - 5 for i in range(n)]
+    denom, _, h = _lift(rows, cols, factors, b, p, width, bias)
     # det = cofactor * denom with |cofactor| <= H / denom.
     cofactor, base = det_p * pow(denom, -1, p) % p, p
     for q in PRIMES[1:]:
@@ -173,6 +150,124 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
     return cofactor * denom
 
 
+def _integer_kernel(rows: Sequence[Sequence[int]]) -> Optional[list]:
+    """A basis of the right kernel of a square integer matrix M over Q, as
+    integer vectors, or None when a check fails.
+
+    One LU of M mod p gives its rank r mod p; each of the N - r free
+    columns f gives the kernel vector of ``_kernel_vector``, checked
+    exactly. The rank mod p is at most the rank over Q, so the kernel over
+    Q has at most N - r dimensions, and the checked vectors are independent
+    (each is nonzero at its own free column and zero at the others): they
+    are a basis. None (a vector failed its check: the rank mod p fell
+    below the rank over Q) leaves the kernel to exact elimination.
+    """
+    p = PRIMES[0]
+    width, bias = _slots(rows, p)
+    cols = list(zip(*rows))
+    _, factors = _lu_mod(cols, p, width)
+    basis = []
+    for f in _free_columns(factors):
+        v = _kernel_vector(rows, cols, factors, f, p, width, bias)
+        if v is None:
+            return None
+        basis.append(v)
+    return basis
+
+
+def _slots(rows: Sequence[Sequence[int]], p: int) -> tuple[int, int]:
+    """The slot width in bytes of the packed vectors of ``_lu_mod`` and
+    ``_lift`` for the square matrix ``rows``, and the bias of ``_lift``.
+
+    Residuals of the lifting stay within the largest row sum of |M| when
+    the right-hand side does; ``bias``, a multiple of p above that, keeps
+    packed slots nonnegative without changing them mod p. A slot holds a
+    biased residual plus fewer than N updates of less than p^2.
+    """
+    bias = p * (max(sum(map(abs, row)) for row in rows) // p + 1)
+    return (max(len(rows) * p * p, 2 * bias).bit_length() + 9) // 8, bias
+
+
+def _free_columns(factors: tuple) -> list:
+    """The columns of M outside the pivot columns C of ``_lu_mod``'s
+    factors of M's transpose (see ``_lift``), in increasing order."""
+    perm, *_, pivot_rows = factors
+    return sorted(perm[len(pivot_rows):])
+
+
+def _kernel_vector(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors: tuple,
+                   free: int, p: int, width: int, bias: int) -> Optional[list]:
+    """The integer vector v with v[free] = D, v[C] = D * y for the solution
+    y of M[R, C] y = -M[R, free] (``_lift``; D the lcm of the denominators
+    of y) and 0 elsewhere, if M v = 0 holds exactly on every row; else
+    None. ``free`` is a column of M outside the pivot columns C; ``cols``
+    are M's columns."""
+    denom, numerators, _ = _lift(rows, cols, factors, [-e for e in cols[free]], p, width, bias)
+    v = [0] * len(rows)
+    for j, e in zip(factors[0], numerators):
+        v[j] = e
+    v[free] = denom
+    return None if any(sum(map(mul, row, v)) for row in rows) else v
+
+
+def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors: tuple,
+          b: Sequence[int], p: int, width: int, bias: int) -> tuple[int, Iterator, int]:
+    """Solve M[R, C] y = b[R] exactly, where M has ``rows`` and ``cols``
+    and ``factors`` are ``_lu_mod``'s of M's transpose: their pivot columns
+    are the rows R of M and their first r permuted rows the columns C, so
+    M[R, C] is invertible mod p (R and C are all of M when M is regular
+    mod p). Entries of b are at most ``bias`` in size.
+
+    Dixon lifting: each step solves for one p-adic digit of y mod p and
+    updates the residual exactly, until p^K > 2 * Nb * H. H bounds
+    |det M[R, C]| and Nb the numerators of y (by Cramer's rule), both by
+    Hadamard's inequality. Rational reconstruction of the entries of y
+    accumulates D, the lcm of their denominators, which divides
+    det M[R, C]. Returns D; the integers D * y (|D * y| <= Nb) in the
+    order of C, as an iterator, so that a caller that needs only D does
+    not pay for them; and H.
+    """
+    perm, _, _, _, pivot_rows = factors
+    n, rank = len(rows), len(pivot_rows)
+    if rank < n:  # M[R, C] and b[R], zero in the rows outside R
+        kept = set(pivot_rows)
+        b = [e if i in kept else 0 for i, e in enumerate(b)]
+        cols = list(zip(*(row if i in kept else (0,) * n for i, row in enumerate(rows))))
+    cols = [cols[j] for j in perm[:rank]]
+
+    col_norms = [sum(e * e for e in col) for col in cols]
+    col_bound = math.prod(col_norms)
+    # the norms of whole rows of M bound those of the rows of M[R, C]
+    h = math.isqrt(min(col_bound, math.prod(sum(e * e for e in rows[i]) for i in pivot_rows))) + 1
+    # Cramer: each numerator of y is a determinant with one column of
+    # M[R, C] replaced by b, so Nb = |b| * (column Hadamard bound) / (shortest column).
+    nb = math.isqrt(col_bound * sum(e * e for e in b) // min(col_norms, default=1)) + 1
+    modulus, steps = p, 1
+    while modulus <= 2 * nb * h:
+        modulus *= p
+        steps += 1
+
+    offset = _pack([bias] * n, width)
+    m_cols = [_pack([e + bias for e in col], width) - offset for col in cols]
+    residual = _pack([e + bias for e in b], width) - offset
+    digits = []
+    for _ in range(steps):
+        y = _solve_mod(factors, residual + offset, p, width)
+        digits.append(y)
+        residual = (residual - sum(map(mul, y, m_cols))) // p
+    solution = [0] * rank
+    for y in reversed(digits):
+        solution = [s * p + d for s, d in zip(solution, y)]
+
+    denom = 1
+    for s in solution:
+        u = denom * s % modulus
+        if min(u, modulus - u) > nb:
+            denom *= _reconstruct_denominator(u, modulus, nb, h)
+    numerators, half = (denom * s % modulus for s in solution), modulus // 2
+    return denom, (u - modulus if u > half else u for u in numerators), h
+
+
 def _pack(values: Sequence[int], width: int) -> int:
     """Nonnegative values below 256**width as the slots of one int, so
     that adding multiples of packed vectors updates every slot at once."""
@@ -185,13 +280,19 @@ def _unpack(packed: int, width: int, count: int) -> list:
 
 
 def _lu_mod(rows: Sequence[Sequence[int]], p: int, width: int) -> tuple:
-    """Determinant mod p of a square integer matrix and, when it is
-    nonzero, LU factors for ``_solve_mod``; slots are ``width`` bytes.
+    """Determinant mod p of a square integer matrix, and LU factors mod p
+    with its rank profile for ``_solve_mod``; slots are ``width`` bytes.
 
     Gaussian elimination with each row packed into one int, so a row
     update is one big-int multiply-add. A row is reduced mod p only when
     it becomes the pivot row; until then it takes fewer than n updates of
     less than p^2 per slot, so slots of n * p^2 never carry into each other.
+    A column with no pivot mod p is skipped, as ``_bareiss(reduce=True)``
+    skips it, and the determinant is then 0. The factors are the row
+    permutation, the r pivot rows of U, the inverses of the pivots, the
+    packed multiplier rows of L and the r pivot columns, r the rank mod p:
+    the first r rows of the permutation and the pivot columns meet in a
+    submatrix that is invertible mod p.
     """
     n = len(rows)
     bits = 8 * width
@@ -199,55 +300,59 @@ def _lu_mod(rows: Sequence[Sequence[int]], p: int, width: int) -> tuple:
     packed = [_pack([e % p for e in row], width) for row in rows]
     multipliers = [[] for _ in range(n)]
     perm = list(range(n))
-    pivot_inverses = []
+    pivot_inverses, pivot_cols = [], []
     det = 1
     for k in range(n):
+        r = len(pivot_cols)
         shift = bits * k
-        pivot_row = next((i for i in range(k, n) if (packed[i] >> shift & mask) % p), None)
+        pivot_row = next((i for i in range(r, n) if (packed[i] >> shift & mask) % p), None)
         if pivot_row is None:
-            return 0, None
-        if pivot_row != k:
+            det = 0
+            continue
+        if pivot_row != r:
             for seq in (packed, multipliers, perm):
-                seq[k], seq[pivot_row] = seq[pivot_row], seq[k]
+                seq[r], seq[pivot_row] = seq[pivot_row], seq[r]
             det = -det
-        values = [v % p for v in _unpack(packed[k] >> shift, width, n - k)]
+        values = [v % p for v in _unpack(packed[r] >> shift, width, n - k)]
         det = det * values[0] % p
         inverse = pow(values[0], -1, p)
         pivot_inverses.append(inverse)
+        pivot_cols.append(k)
         row = _pack(values, width) << shift
-        packed[k] = row
-        for i in range(k + 1, n):
+        packed[r] = row
+        for i in range(r + 1, n):
             f = (packed[i] >> shift & mask) * inverse % p
             multipliers[i].append(f)
             if f:
                 packed[i] += (p - f) * row
-    return det % p, (perm, packed, pivot_inverses, [_pack(m, width) for m in multipliers])
+    r = len(pivot_cols)
+    return det % p, (perm, packed[:r], pivot_inverses,
+                     [_pack(m, width) for m in multipliers[:r]], pivot_cols)
 
 
 def _solve_mod(factors: tuple, rhs: int, p: int, width: int) -> list:
-    """Solve M x = r mod p from the LU factors of M's transpose,
-    P M^T = L U, that is M = U^T L^T P. ``rhs`` packs r with slots that are
-    nonnegative, congruent to r mod p and below 256**width - n * p^2.
-    Both sweeps go column by column over packed rows of U and of L."""
-    perm, u_rows, pivot_inverses, l_rows = factors
-    n = len(perm)
+    """Solve M[R, C] y = r[R] mod p from ``_lu_mod``'s factors of M's
+    transpose (see ``_lift``), P M^T = L U, that is M = U^T L^T P, and
+    return y in the order of C. ``rhs`` packs r with slots that are
+    nonnegative, congruent to r mod p and below 256**width - n * p^2; its
+    slots outside R are never read. Both sweeps go column by column over
+    packed rows of U and of L."""
+    _, u_rows, pivot_inverses, l_rows, pivot_cols = factors
     bits = 8 * width
     mask = (1 << bits) - 1
     v = rhs
     w = []
-    for k in range(n):
-        wk = (v >> bits * k & mask) * pivot_inverses[k] % p
+    for k, u, inverse in zip(pivot_cols, u_rows, pivot_inverses):
+        wk = (v >> bits * k & mask) * inverse % p
         w.append(wk)
         if wk:
-            v += (p - wk) * u_rows[k]
+            v += (p - wk) * u
     v = _pack(w, width)
-    x = [0] * n
-    for j in range(n - 1, -1, -1):
-        zj = (v >> bits * j & mask) % p
-        x[perm[j]] = zj
+    for j in range(len(w) - 1, -1, -1):
+        w[j] = zj = (v >> bits * j & mask) % p
         if zj:
             v += (p - zj) * l_rows[j]
-    return x
+    return w
 
 
 def _reconstruct_denominator(u: int, modulus: int, num_bound: int, den_bound: int) -> int:

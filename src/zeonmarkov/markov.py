@@ -25,7 +25,8 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .degree2 import DegreeTwoVector
-from .linalg import Matrix, Scalar, exact_div, integer_det, scalar_str, wielandt_bound
+from .linalg import (Matrix, Scalar, _integer_kernel, exact_div, integer_det, scalar_str,
+                     wielandt_bound)
 
 
 class NotStochasticError(ValueError):
@@ -379,12 +380,22 @@ def _criterion_rows(a: StochasticMatrix) -> tuple[list, int]:
 
 def _nonnegative_fixed_vector(rows: list, n: int) -> Optional[DegreeTwoVector]:
     """A nonnegative fixed vector of Psi2(A) from the rows of
-    ``_criterion_rows``, or None. Only the vectors of the reduced echelon
-    basis of the fixed space are tried (each leads with 1, so no negation
-    is nonnegative): None does not rule out a nonnegative combination.
+    ``_criterion_rows``, or None. The fixed space is the rows' right
+    kernel: ``linalg._integer_kernel`` gives a basis of integer vectors,
+    each checked exactly, and the rref of that basis is the space's
+    reduced echelon basis (the rows' exact null space when a check fails).
+    Only the vectors of that basis are tried (each leads with 1, so no
+    negation is nonnegative): None does not rule out a nonnegative
+    combination.
     """
     size = len(rows)
-    for col in Matrix(size, size, [e for row in rows for e in row]).right_null_space():
+    kernel = _integer_kernel(rows)
+    if kernel is None:
+        basis = Matrix(size, size, [e for row in rows for e in row]).right_null_space()
+    else:
+        reduced, _ = Matrix(len(kernel), size, [e for v in kernel for e in v]).rref()
+        basis = [reduced.row_matrix(i).T for i in range(reduced.rows)]
+    for col in basis:
         vec = DegreeTwoVector.from_column(col, n)
         if vec.is_nonnegative():
             return vec

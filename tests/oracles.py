@@ -4,7 +4,8 @@ library against."""
 from fractions import Fraction
 from itertools import permutations
 
-from zeonmarkov.linalg import Matrix, Scalar, as_scalar
+from zeonmarkov.degree2 import DegreeTwoVector
+from zeonmarkov.linalg import Matrix, Scalar, _bareiss_det, as_scalar
 
 
 def permutation_permanent_oracle(m: Matrix) -> Scalar:
@@ -49,3 +50,39 @@ def rref_oracle(m: Matrix) -> tuple:
         pivots.append(c)
         r += 1
     return Matrix(m.rows, m.cols, [e for row in rows for e in row]), tuple(pivots)
+
+
+def null_space_oracle(m: Matrix) -> list:
+    """Basis of {v : m v = 0} as rows in reduced echelon form, read off
+    ``rref_oracle``: one vector per free column, canonicalized by a second
+    ``rref_oracle``."""
+    reduced, pivots = rref_oracle(m)
+    basis = []
+    for f in sorted(set(range(m.cols)) - set(pivots)):
+        v = [0] * m.cols
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -reduced[r, f]
+        basis.append(v)
+    if not basis:
+        return []
+    canon, _ = rref_oracle(Matrix.from_rows(basis))
+    return [canon.row(i) for i in range(canon.rows)]
+
+
+def determinant_oracle(rows: list) -> int:
+    """Determinant of integer rows by fraction-free elimination alone,
+    with no modular stage: the route ``integer_det`` falls back to."""
+    return _bareiss_det([list(row) for row in rows])
+
+
+def fixed_vector_oracle(rows: list, n: int):
+    """The first nonnegative vector of the reduced echelon basis of the
+    right null space of the criterion rows (``null_space_oracle``) as a
+    degree-2 vector over n states, or None."""
+    size = len(rows)
+    for coords in null_space_oracle(Matrix(size, size, [e for row in rows for e in row])):
+        vec = DegreeTwoVector(n, coords)
+        if vec.is_nonnegative():
+            return vec
+    return None

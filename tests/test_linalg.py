@@ -191,6 +191,70 @@ def test_integer_det_cofactor_beyond_the_primes_falls_back(monkeypatch):
     assert calls == {"bareiss": 1, "primes": list(PRIMES)}
 
 
+def _singular_matrix(rng, n, nullity, bound):
+    """An n x n integer matrix of rank at most n - nullity: random rows and
+    small integer combinations of them, shuffled."""
+    rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n - nullity)]
+    for _ in range(nullity):
+        coefficients = [rng.randint(-3, 3) for _ in rows]
+        rows.append([sum(c * row[j] for c, row in zip(coefficients, rows)) for j in range(n)])
+    rng.shuffle(rows)
+    return rows
+
+
+def _kernel_cases():
+    rng = random.Random(47)
+    for trial in range(120):
+        nullity = 1 + trial % 3
+        n = nullity + 1 + trial % 7
+        yield _singular_matrix(rng, n, nullity, rng.choice([1, 3, 50, 10**6, 10**30]))
+    for n in range(1, 5):
+        yield [[0] * n for _ in range(n)]
+    yield from ([[0]], [[5]], [[-10**30]], [[1, 2], [2, 4]], [[0, 1], [0, 0]], [[0, 0], [1, 0]],
+                [[3, 7], [-2, 5]])
+    row, other = [rng.randint(-10**30, 10**30) for _ in range(6)], [1, 0, 2, 0, 3, 0]
+    yield [row, other, row, [2, 0, 4, 0, 6, 0], [-5 * e for e in row], [1, 1, 1, 1, 1, 1]]
+    yield [row, [7 * e for e in row], other, [0, 1, 0, 1, 0, 1], row, [1, 2, 3, 4, 5, 6]]
+
+
+def test_integer_kernel_matches_the_fraction_null_space(monkeypatch):
+    nullities = set()
+    for rows in _kernel_cases():
+        n = len(rows)
+        m = Matrix(n, n, [e for row in rows for e in row])
+        with monkeypatch.context() as patch:
+            patch.setattr(Matrix, "rref", rref_oracle)
+            expected = m.right_null_space()
+        kernel = linalg._integer_kernel(rows)
+        assert all(isinstance(e, int) for v in kernel for e in v)
+        assert all(not any(sum(a * b for a, b in zip(row, v)) for row in rows) for v in kernel)
+        canonical = Matrix.from_rows(kernel).rref()[0] if kernel else Matrix.zeros(1, n)
+        assert [canonical.row_matrix(i).T for i in range(len(kernel))] == expected
+        nullities.add(len(kernel))
+    assert nullities >= {0, 1, 2, 3, 4}
+
+
+def test_integer_kernel_check_fails_when_the_rank_drops_mod_p(monkeypatch):
+    # [[p, 0], [0, 0]] has rank 1 over Q but 0 mod p; diag(p, 1) is singular
+    # mod p only: a kernel vector read off mod p fails its exact check
+    p = PRIMES[0]
+    assert linalg._integer_kernel([[p, 0], [0, 0]]) is None
+    assert linalg._integer_kernel([[p, 0], [0, 1]]) is None
+    calls = _count_routes(monkeypatch)
+    assert integer_det([[p, 0], [0, 0]]) == 0
+    assert calls == {"bareiss": 1, "primes": [p]}
+
+
+def test_integer_det_proves_a_zero_with_a_checked_kernel_vector(monkeypatch):
+    calls = _count_routes(monkeypatch)
+    rng = random.Random(53)
+    for nullity in (1, 2, 3):
+        assert integer_det(_singular_matrix(rng, 9, nullity, 10**30)) == 0
+    assert integer_det([[1, 2], [2, 4]]) == 0
+    assert integer_det([[0]]) == 0
+    assert calls == {"bareiss": 0, "primes": [PRIMES[0]] * 5}
+
+
 # -- null spaces ----------------------------------------------------------
 
 

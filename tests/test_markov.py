@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from zeonmarkov import markov, zeon
+from zeonmarkov import linalg, markov, zeon
 from zeonmarkov.degree2 import (
     DegreeTwoVector,
     diag_correction_minus,
@@ -35,7 +35,8 @@ from zeonmarkov.markov import (
     zeon_criterion,
 )
 from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_power
-from oracles import rref_oracle
+from zeonmarkov.documents import report_to_dict
+from oracles import determinant_oracle, fixed_vector_oracle, rref_oracle
 
 F = Fraction
 
@@ -362,6 +363,50 @@ def test_transient_witness_is_unchanged_on_the_bench_family(monkeypatch):
             assert report == expected
             found += report.witness is not None
     assert found >= 10, found
+
+
+def _bench_chain(families, family, n, seed):
+    chain = families.make(random.Random(seed), family, n)
+    return validate_stochastic(Matrix.from_rows([list(row) for row in chain.rows]))
+
+
+def test_report_matches_the_bareiss_and_fraction_null_space_route(monkeypatch):
+    families = _bench_families()
+    found = 0
+    for family in (families.REDUCIBLE, families.PERIODIC, families.TRANSIENT):
+        for n in range(4, 13):
+            for seed in range(2):
+                a = _bench_chain(families, family, n, seed)
+                with monkeypatch.context() as patch:
+                    patch.setattr(markov, "integer_det", determinant_oracle)
+                    patch.setattr(markov, "_nonnegative_fixed_vector", fixed_vector_oracle)
+                    expected = zeon_criterion(a)
+                report = zeon_criterion(a)
+                assert report.det_value == 0
+                assert report == expected
+                assert report_to_dict(report) == report_to_dict(expected)
+                found += report.witness is not None
+    assert found >= 40, found
+
+
+def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
+    # one LU mod p proves det = 0 (two with the transient witness search):
+    # no Bareiss determinant and no N x N null space
+    families = _bench_families()
+    for family in (families.REDUCIBLE, families.PERIODIC, families.TRANSIENT):
+        for n in range(6, 11):
+            a = _bench_chain(families, family, n, 0)
+            rows, _ = markov._criterion_rows(a)
+            with monkeypatch.context() as patch:
+                lu = _counting(patch, linalg, "_lu_mod")
+                bareiss = _counting(patch, linalg, "_bareiss_det")
+                null_spaces = _counting(patch, Matrix, "right_null_space")
+                assert linalg.integer_det(rows) == 0
+                assert (len(lu), len(bareiss)) == (1, 0)
+                report = zeon_criterion(a)
+            assert len(lu) == (3 if family == families.TRANSIENT else 2)
+            assert bareiss == [] and null_spaces == []
+            assert report.witness is not None
 
 
 @pytest.mark.parametrize("det, chain", [(1, "reducible"), (0, "ergodic")])
