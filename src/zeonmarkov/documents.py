@@ -55,6 +55,8 @@ def _parse_json(text: str) -> MatrixDocument:
         doc = json.loads(text, parse_float=as_scalar)
     except ValueError as exc:  # a JSONDecodeError, or a number as_scalar refuses
         raise MatrixFormatError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MatrixFormatError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict) or "rows" not in doc:
         raise MatrixFormatError('JSON matrix needs a "rows" key')
     raw_rows = doc["rows"]
@@ -95,7 +97,11 @@ def _parse_csv(text: str) -> MatrixDocument:
 
 def load_matrix(path: str) -> MatrixDocument:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_matrix_text(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise MatrixFormatError(f"not UTF-8 text: {exc}") from exc
+    return parse_matrix_text(text)
 
 
 def matrix_to_rows(m: Matrix) -> list:

@@ -9,9 +9,10 @@ code can decide genuine dichotomies (a determinant is zero or it is not).
 Every exact elimination (determinants, reduced row-echelon forms, null
 spaces, solves) runs on integer rows through one fraction-free (Bareiss)
 routine, ``_bareiss``; a ``Fraction`` is built only for an output entry.
-The determinant and the right kernel of a square integer matrix are
-computed mod p and lifted p-adically first (``integer_det``,
-``_integer_kernel``), each result checked exactly or falling back to it.
+The determinant of a square integer matrix and, when it is 0, the right
+kernel vectors that prove it come from one LU mod p, lifted p-adically
+(``_criterion_certificate``, and ``integer_det`` for the determinant
+alone); each result is checked exactly or falls back to that routine.
 """
 
 from __future__ import annotations
@@ -93,86 +94,80 @@ def wielandt_bound(n: int) -> int:
 
 # -- integer determinants ---------------------------------------------
 
-# The primes of the modular stages of integer_det: 2^31 - 1 and the next
-# three primes below it. Their product recovers a cofactor det/D of up to
-# about 120 bits; a larger one is left to exact elimination.
+# The primes of the modular stages of _criterion_certificate: 2^31 - 1 and
+# the next three primes below it. Their product recovers a cofactor det/D of
+# up to about 120 bits; a larger one is left to exact elimination.
 PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix, by p-adic lifting.
+    """Exact determinant of a square integer matrix: the determinant of
+    ``_criterion_certificate``, whose one LU mod p also proves a zero."""
+    return _criterion_certificate(rows, False)[0]
+
+
+def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool) -> tuple[int, list]:
+    """The exact determinant of a square integer matrix M and, when it is 0,
+    vectors of M's right kernel that prove it, all from one LU of M mod
+    p = 2^31 - 1; the kernel is [] when the determinant is not 0.
 
     Dixon's method, used for determinants as by Abbott, Bronstein and
-    Mulders: factor the matrix M mod p = 2^31 - 1, lift the solution of
-    M x = b for a fixed b p-adically (``_lift``) and reconstruct x
-    rationally, accumulating D, the lcm of its denominators. D divides
-    det M, so the cofactor det M / D is recovered from det M mod p and,
-    while 2H/D needs it (H the Hadamard bound on |det M|), mod further
-    primes by CRT. A matrix singular mod p is proven singular by a nonzero
-    integer kernel vector, lifted from the same factors and checked
-    exactly against every row (``_kernel_vector``). Every step is exact
-    and deterministic: a failed check (M has a larger rank over Q than
-    mod p, as when p divides a nonzero det M), or a cofactor too large
-    for ``PRIMES``, goes to Bareiss elimination.
+    Mulders, gives a nonzero det M: lift the solution of M x = b for a fixed
+    b p-adically (``_lift``) and reconstruct x rationally, accumulating D,
+    the lcm of its denominators. D divides det M, so the cofactor det M / D
+    is recovered from det M mod p and, while 2H/D needs it (H the Hadamard
+    bound on |det M|), mod further primes by CRT.
+
+    A matrix of rank r < N mod p has N - r free columns, the columns of M
+    outside the pivot columns C of the factors (see ``_lift``). The first
+    one's integer kernel vector (``_kernel_vector``), lifted from the same
+    factors and checked exactly against every row, proves det M = 0.
+    ``whole_kernel`` asks for the vectors of every free column: the rank mod
+    p is at most the rank over Q, so the kernel over Q has at most N - r
+    dimensions, and these checked vectors (each nonzero at its own free
+    column and zero at the others) are a basis of it.
+
+    Every step is exact and deterministic. A failed check (M has a larger
+    rank over Q than mod p, as when p divides a nonzero det M) or a cofactor
+    too large for ``PRIMES`` falls back to exact elimination: ``_bareiss_det``
+    for the determinant and, when it is 0, ``Matrix.right_null_space`` for
+    the kernel (its reduced echelon basis, or that basis's first vector).
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
     if n == 0:
-        return 1
+        return 1, []
     p = PRIMES[0]
     width, bias = _slots(rows, p)
     cols = list(zip(*rows))
     # LU of the transpose: M = U^T L^T P, solved by two sweeps over rows.
     det_p, factors = _lu_mod(cols, p, width)
     if det_p == 0:
-        free = _free_columns(factors)[0]
-        if _kernel_vector(rows, cols, factors, free, p, width, bias) is None:
-            return _bareiss_det([list(row) for row in rows])
-        return 0
-
-    b = [(7 * i) % 11 - 5 for i in range(n)]
-    denom, _, h = _lift(rows, cols, factors, b, p, width, bias)
-    # det = cofactor * denom with |cofactor| <= H / denom.
-    cofactor, base = det_p * pow(denom, -1, p) % p, p
-    for q in PRIMES[1:]:
+        perm, *_, pivot_rows = factors
+        free = sorted(perm[len(pivot_rows):])
+        kernel = [_kernel_vector(rows, cols, factors, f, p, width, bias)
+                  for f in (free if whole_kernel else free[:1])]
+        if None not in kernel:
+            return 0, kernel
+    else:
+        b = [(7 * i) % 11 - 5 for i in range(n)]
+        denom, _, h = _lift(rows, cols, factors, b, p, width, bias)
+        # det = cofactor * denom with |cofactor| <= H / denom.
+        cofactor, base = det_p * pow(denom, -1, p) % p, p
+        for q in PRIMES[1:]:
+            if base * denom > 2 * h:
+                break
+            if denom % q:
+                det_q, _ = _lu_mod(rows, q, width)
+                c_q = det_q * pow(denom, -1, q) % q
+                cofactor += base * ((c_q - cofactor) * pow(base, -1, q) % q)
+                base *= q
         if base * denom > 2 * h:
-            break
-        if denom % q:
-            det_q, _ = _lu_mod(rows, q, width)
-            c_q = det_q * pow(denom, -1, q) % q
-            cofactor += base * ((c_q - cofactor) * pow(base, -1, q) % q)
-            base *= q
-    if base * denom <= 2 * h:
-        return _bareiss_det([list(row) for row in rows])
-    if cofactor > base // 2:
-        cofactor -= base
-    return cofactor * denom
-
-
-def _integer_kernel(rows: Sequence[Sequence[int]]) -> Optional[list]:
-    """A basis of the right kernel of a square integer matrix M over Q, as
-    integer vectors, or None when a check fails.
-
-    One LU of M mod p gives its rank r mod p; each of the N - r free
-    columns f gives the kernel vector of ``_kernel_vector``, checked
-    exactly. The rank mod p is at most the rank over Q, so the kernel over
-    Q has at most N - r dimensions, and the checked vectors are independent
-    (each is nonzero at its own free column and zero at the others): they
-    are a basis. None (a vector failed its check: the rank mod p fell
-    below the rank over Q) leaves the kernel to exact elimination.
-    """
-    p = PRIMES[0]
-    width, bias = _slots(rows, p)
-    cols = list(zip(*rows))
-    _, factors = _lu_mod(cols, p, width)
-    basis = []
-    for f in _free_columns(factors):
-        v = _kernel_vector(rows, cols, factors, f, p, width, bias)
-        if v is None:
-            return None
-        basis.append(v)
-    return basis
+            return (cofactor - base if cofactor > base // 2 else cofactor) * denom, []
+    det = _bareiss_det([list(row) for row in rows])
+    basis = Matrix(n, n, [e for row in rows for e in row]).right_null_space() if det == 0 else []
+    return det, [v.data for v in (basis if whole_kernel else basis[:1])]
 
 
 def _slots(rows: Sequence[Sequence[int]], p: int) -> tuple[int, int]:
@@ -186,13 +181,6 @@ def _slots(rows: Sequence[Sequence[int]], p: int) -> tuple[int, int]:
     """
     bias = p * (max(sum(map(abs, row)) for row in rows) // p + 1)
     return (max(len(rows) * p * p, 2 * bias).bit_length() + 9) // 8, bias
-
-
-def _free_columns(factors: tuple) -> list:
-    """The columns of M outside the pivot columns C of ``_lu_mod``'s
-    factors of M's transpose (see ``_lift``), in increasing order."""
-    perm, *_, pivot_rows = factors
-    return sorted(perm[len(pivot_rows):])
 
 
 def _kernel_vector(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors: tuple,

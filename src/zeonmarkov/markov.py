@@ -25,7 +25,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .degree2 import DegreeTwoVector
-from .linalg import (Matrix, Scalar, _integer_kernel, exact_div, integer_det, scalar_str,
+from .linalg import (Matrix, Scalar, _criterion_certificate, exact_div, integer_det, scalar_str,
                      wielandt_bound)
 
 
@@ -378,25 +378,17 @@ def _criterion_rows(a: StochasticMatrix) -> tuple[list, int]:
     return rows, math.prod(scales) ** (a.n - 1)
 
 
-def _nonnegative_fixed_vector(rows: list, n: int) -> Optional[DegreeTwoVector]:
-    """A nonnegative fixed vector of Psi2(A) from the rows of
-    ``_criterion_rows``, or None. The fixed space is the rows' right
-    kernel: ``linalg._integer_kernel`` gives a basis of integer vectors,
-    each checked exactly, and the rref of that basis is the space's
-    reduced echelon basis (the rows' exact null space when a check fails).
-    Only the vectors of that basis are tried (each leads with 1, so no
-    negation is nonnegative): None does not rule out a nonnegative
-    combination.
+def _nonnegative_fixed_vector(kernel: list, n: int) -> Optional[DegreeTwoVector]:
+    """A nonnegative fixed vector of Psi2(A), or None, from ``kernel``, a
+    basis of the right kernel of ``_criterion_rows`` (the fixed space) that
+    ``linalg._criterion_certificate`` read off the LU that proved det = 0.
+    The rref of the stacked basis is the space's reduced echelon basis.
+    Only its vectors are tried (each leads with 1, so no negation is
+    nonnegative): None does not rule out a nonnegative combination.
     """
-    size = len(rows)
-    kernel = _integer_kernel(rows)
-    if kernel is None:
-        basis = Matrix(size, size, [e for row in rows for e in row]).right_null_space()
-    else:
-        reduced, _ = Matrix(len(kernel), size, [e for v in kernel for e in v]).rref()
-        basis = [reduced.row_matrix(i).T for i in range(reduced.rows)]
-    for col in basis:
-        vec = DegreeTwoVector.from_column(col, n)
+    reduced, _ = Matrix.from_rows(kernel).rref()
+    for i in range(reduced.rows):
+        vec = DegreeTwoVector(n, reduced.row(i))
         if vec.is_nonnegative():
             return vec
     return None
@@ -418,14 +410,16 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
     pis = _class_distributions(a.matrix, structure)
     invariants = _invariant_vectors(structure, pis)
     rows, det_d = _criterion_rows(a)
-    det_value = exact_div(integer_det(rows), det_d)
+    # the transient witness search needs the whole fixed space, a closed chain none of it
+    det, kernel = _criterion_certificate(rows, not structure.all_closed)
+    det_value = exact_div(det, det_d)
 
     witness = None
     classical = structure.is_irreducible and structure.is_aperiodic
     if not structure.all_closed:
         verdict = Verdict.INAPPLICABLE
         if det_value == 0:
-            witness = _nonnegative_fixed_vector(rows, a.n)
+            witness = _nonnegative_fixed_vector(kernel, a.n)
     elif (det_value != 0) != classical:
         says = (Verdict.NOT_ERGODIC.value, Verdict.ERGODIC.value)
         raise RuntimeError(f"the determinant says {says[det_value != 0]} but the classical "

@@ -76,13 +76,26 @@ def determinant_oracle(rows: list) -> int:
     return _bareiss_det([list(row) for row in rows])
 
 
-def fixed_vector_oracle(rows: list, n: int):
-    """The first nonnegative vector of the reduced echelon basis of the
-    right null space of the criterion rows (``null_space_oracle``) as a
-    degree-2 vector over n states, or None."""
+def certificate_oracle(rows: list, whole_kernel: bool) -> tuple:
+    """``_criterion_certificate`` with no modular stage, as the analysis
+    reads it: the ``determinant_oracle`` and, when it is 0 and
+    ``whole_kernel`` asks for it, the ``null_space_oracle`` basis of the
+    rows' right kernel. Without ``whole_kernel`` (a chain with every class
+    closed) the analysis reads no kernel, so none is computed."""
+    det = determinant_oracle(rows)
+    if det or not whole_kernel:
+        return det, []
     size = len(rows)
-    for coords in null_space_oracle(Matrix(size, size, [e for row in rows for e in row])):
-        vec = DegreeTwoVector(n, coords)
+    return det, null_space_oracle(Matrix(size, size, [e for row in rows for e in row]))
+
+
+def fixed_vector_oracle(kernel: list, n: int):
+    """The first nonnegative vector of the reduced echelon basis of the
+    span of ``kernel`` (``rref_oracle``) as a degree-2 vector over n
+    states, or None."""
+    reduced, _ = rref_oracle(Matrix.from_rows(kernel))
+    for i in range(reduced.rows):
+        vec = DegreeTwoVector(n, reduced.row(i))
         if vec.is_nonnegative():
             return vec
     return None

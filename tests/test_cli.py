@@ -140,6 +140,24 @@ def test_analyze_rejects_oversized_exponents(tmp_path, capsys, literal, template
     assert "exponent" in err
 
 
+def test_analyze_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"rows": [["1"]]}')
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("zeonmarkov: error: cannot parse matrix: not UTF-8 text: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("template", ['{{"rows": {0}}}', '{{"note": {0}, "rows": [["1"]]}}'])
+def test_analyze_rejects_json_nested_past_the_recursion_limit(tmp_path, capsys, template):
+    path = tmp_path / "deep.json"
+    path.write_text(template.format("[" * 100000 + "]" * 100000))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3 and out == ""
+    assert err == "zeonmarkov: error: cannot parse matrix: invalid JSON: nested too deeply\n"
+
+
 def test_internal_error_exits_four(monkeypatch, capsys):
     def crash(chain):
         raise ValueError("boom\nsecond line")
@@ -175,7 +193,7 @@ def test_analyze_formats_an_oversized_row_sum(tmp_path, capsys):
 
 
 def test_a_determinant_contradicting_the_classical_verdict_exits_four(monkeypatch, capsys):
-    monkeypatch.setattr(markov, "integer_det", lambda rows: 1)
+    monkeypatch.setattr(markov, "_criterion_certificate", lambda rows, whole_kernel: (1, []))
     code, out, err = run(capsys, "analyze", fixture_path("example3.json"))
     assert code == 4 and out == ""
     assert err.startswith("zeonmarkov: internal error: RuntimeError: the determinant says ergodic")

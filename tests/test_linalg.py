@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cofactor_det
-from oracles import rref_oracle
+from oracles import null_space_oracle, rref_oracle
 from zeonmarkov import linalg
 from zeonmarkov.linalg import (BoolMatrix, Matrix, PRIMES, as_scalar, exact_div, integer_det,
                                scalar_str, wielandt_bound)
@@ -217,7 +217,7 @@ def _kernel_cases():
     yield [row, [7 * e for e in row], other, [0, 1, 0, 1, 0, 1], row, [1, 2, 3, 4, 5, 6]]
 
 
-def test_integer_kernel_matches_the_fraction_null_space(monkeypatch):
+def test_certificate_kernel_matches_the_fraction_null_space(monkeypatch):
     nullities = set()
     for rows in _kernel_cases():
         n = len(rows)
@@ -225,7 +225,8 @@ def test_integer_kernel_matches_the_fraction_null_space(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(Matrix, "rref", rref_oracle)
             expected = m.right_null_space()
-        kernel = linalg._integer_kernel(rows)
+        det, kernel = linalg._criterion_certificate(rows, True)
+        assert (det == 0) == bool(kernel)
         assert all(isinstance(e, int) for v in kernel for e in v)
         assert all(not any(sum(a * b for a, b in zip(row, v)) for row in rows) for v in kernel)
         canonical = Matrix.from_rows(kernel).rref()[0] if kernel else Matrix.zeros(1, n)
@@ -234,15 +235,21 @@ def test_integer_kernel_matches_the_fraction_null_space(monkeypatch):
     assert nullities >= {0, 1, 2, 3, 4}
 
 
-def test_integer_kernel_check_fails_when_the_rank_drops_mod_p(monkeypatch):
+def test_certificate_check_fails_when_the_rank_drops_mod_p(monkeypatch):
     # [[p, 0], [0, 0]] has rank 1 over Q but 0 mod p; diag(p, 1) is singular
-    # mod p only: a kernel vector read off mod p fails its exact check
+    # mod p only: a kernel vector read off mod p fails its exact check, and
+    # the fallback's kernel is the exact null space
     p = PRIMES[0]
-    assert linalg._integer_kernel([[p, 0], [0, 0]]) is None
-    assert linalg._integer_kernel([[p, 0], [0, 1]]) is None
     calls = _count_routes(monkeypatch)
+    for singular in ([[p, 0], [0, 0]], [[p, 0, 0], [0, 0, 0], [0, 0, 0]]):
+        expected = null_space_oracle(Matrix.from_rows(singular))
+        assert linalg._criterion_certificate(singular, True) == (0, expected)
+        assert linalg._criterion_certificate(singular, False) == (0, expected[:1])
+    assert len(expected) == 2
+    assert linalg._criterion_certificate([[p, 0], [0, 1]], True) == (p, [])
+    assert calls == {"bareiss": 5, "primes": [p] * 5}
     assert integer_det([[p, 0], [0, 0]]) == 0
-    assert calls == {"bareiss": 1, "primes": [p]}
+    assert calls == {"bareiss": 6, "primes": [p] * 6}
 
 
 def test_integer_det_proves_a_zero_with_a_checked_kernel_vector(monkeypatch):

@@ -36,7 +36,7 @@ from zeonmarkov.markov import (
 )
 from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_power
 from zeonmarkov.documents import report_to_dict
-from oracles import determinant_oracle, fixed_vector_oracle, rref_oracle
+from oracles import certificate_oracle, fixed_vector_oracle, rref_oracle
 
 F = Fraction
 
@@ -378,9 +378,11 @@ def test_report_matches_the_bareiss_and_fraction_null_space_route(monkeypatch):
             for seed in range(2):
                 a = _bench_chain(families, family, n, seed)
                 with monkeypatch.context() as patch:
-                    patch.setattr(markov, "integer_det", determinant_oracle)
+                    patch.setattr(markov, "_criterion_certificate", certificate_oracle)
                     patch.setattr(markov, "_nonnegative_fixed_vector", fixed_vector_oracle)
+                    lu = _counting(patch, linalg, "_lu_mod")
                     expected = zeon_criterion(a)
+                assert lu == []
                 report = zeon_criterion(a)
                 assert report.det_value == 0
                 assert report == expected
@@ -390,21 +392,25 @@ def test_report_matches_the_bareiss_and_fraction_null_space_route(monkeypatch):
 
 
 def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
-    # one LU mod p proves det = 0 (two with the transient witness search):
-    # no Bareiss determinant and no N x N null space
+    # one LU mod p proves det = 0 and, on a transient chain, gives the whole
+    # fixed space for the witness search: one lift per kernel vector, no
+    # Bareiss determinant and no N x N null space
     families = _bench_families()
     for family in (families.REDUCIBLE, families.PERIODIC, families.TRANSIENT):
         for n in range(6, 11):
             a = _bench_chain(families, family, n, 0)
             rows, _ = markov._criterion_rows(a)
+            nullity = len(rows) - Matrix.from_rows(rows).rank()
             with monkeypatch.context() as patch:
                 lu = _counting(patch, linalg, "_lu_mod")
                 bareiss = _counting(patch, linalg, "_bareiss_det")
                 null_spaces = _counting(patch, Matrix, "right_null_space")
                 assert linalg.integer_det(rows) == 0
                 assert (len(lu), len(bareiss)) == (1, 0)
+                lifts = _counting(patch, linalg, "_lift")
                 report = zeon_criterion(a)
-            assert len(lu) == (3 if family == families.TRANSIENT else 2)
+            assert len(lu) == 2
+            assert len(lifts) == (nullity if family == families.TRANSIENT else 1)
             assert bareiss == [] and null_spaces == []
             assert report.witness is not None
 
@@ -413,7 +419,7 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
 def test_a_determinant_that_contradicts_the_classical_verdict_is_an_error(
         chains, monkeypatch, det, chain):
     a = chains[3] if chain == "reducible" else validate_stochastic(UNIFORM2)
-    monkeypatch.setattr(markov, "integer_det", lambda rows: det)
+    monkeypatch.setattr(markov, "_criterion_certificate", lambda rows, whole_kernel: (det, []))
     with pytest.raises(RuntimeError, match="disagree"):
         zeon_criterion(a)
 
