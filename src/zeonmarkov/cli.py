@@ -30,7 +30,7 @@ from .documents import (
     load_matrix,
     matrix_digest,
     matrix_to_rows,
-    parse_matrix_text,
+    read_matrix,
     vector_to_dict,
 )
 from .degree2 import DegreeTwoVector, mat_embed
@@ -54,7 +54,7 @@ class _Parser(argparse.ArgumentParser):
 def _read_matrix(path: str) -> MatrixDocument:
     try:
         if path == "-":
-            return parse_matrix_text(sys.stdin.read())
+            return read_matrix(sys.stdin.buffer)
         return load_matrix(path)
     except MatrixFormatError as exc:
         raise CliError(f"cannot parse matrix: {exc}") from exc

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import BinaryIO, Optional
 
 from .degree2 import DegreeTwoVector
 from .linalg import Matrix, as_scalar, scalar_str
@@ -95,13 +95,18 @@ def _parse_csv(text: str) -> MatrixDocument:
     return MatrixDocument(Matrix.from_rows(rows))
 
 
-def load_matrix(path: str) -> MatrixDocument:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise MatrixFormatError(f"not UTF-8 text: {exc}") from exc
+def read_matrix(handle: BinaryIO) -> MatrixDocument:
+    """Parse a binary stream's bytes as UTF-8, a leading byte-order mark dropped."""
+    try:
+        text = handle.read().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"not UTF-8 text: {exc}") from exc
     return parse_matrix_text(text)
+
+
+def load_matrix(path: str) -> MatrixDocument:
+    with open(path, "rb") as handle:
+        return read_matrix(handle)
 
 
 def matrix_to_rows(m: Matrix) -> list:

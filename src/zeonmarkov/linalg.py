@@ -412,7 +412,7 @@ class Matrix:
     multi-indices use 1-based labels and translate.
     """
 
-    __slots__ = ("rows", "cols", "data", "_hash")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[ScalarLike]):
         data = tuple(as_scalar(e) for e in entries)
@@ -423,7 +423,6 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = data
-        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -555,9 +554,7 @@ class Matrix:
 
     def __hash__(self) -> int:
         # safe on canonical entries: hash(Fraction(k)) == hash(k) for ints k
-        if self._hash is None:
-            self._hash = hash((self.rows, self.cols, self.data))
-        return self._hash
+        return hash((self.rows, self.cols, self.data))
 
     def __repr__(self) -> str:
         rows = [" ".join(scalar_str(e) for e in self.row(i)) for i in range(self.rows)]

@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 from .degree2 import DegreeTwoVector
 from .linalg import (Matrix, Scalar, _criterion_certificate, exact_div, integer_det, scalar_str,
                      wielandt_bound)
+from .zeon import _psi2_rows
 
 
 class NotStochasticError(ValueError):
@@ -108,79 +109,54 @@ class ChainStructure:
         return self.period == 1
 
 
-def _strongly_connected_components(adjacency: Sequence[Sequence[int]]) -> list:
-    """Tarjan's algorithm, iterative; components as lists of 0-based nodes."""
-    n = len(adjacency)
-    index: list = [None] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list = []
-    components = []
-    counter = 0
-    for root in range(n):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, next_child = work[-1]
-            if next_child == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            neighbours = adjacency[v]
-            for i in range(next_child, len(neighbours)):
-                w = neighbours[i]
-                if index[w] is None:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    descended = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                components.append(component)
-    return components
+def _states(mask: int):
+    """The 0-based states in a bitmask, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def chain_structure(a: StochasticMatrix) -> ChainStructure:
-    """Classes, closedness, periods and cyclic classes of the diagram."""
-    m = a.matrix
+    """Classes, closedness, periods and cyclic classes of the diagram.
+
+    Each state's reach (every state it leads to, itself included) is a
+    bitmask grown one step at a time from the rows of ``Matrix.pattern``.
+    Two states share a class when each reaches the other, and a class is
+    closed when its reach is the class itself.
+    """
     n = a.n
-    adjacency = [[j for j in range(n) if m[i, j] > 0] for i in range(n)]
-    components = _strongly_connected_components(adjacency)
-    components.sort(key=min)
+    succ = a.matrix.pattern().row_bits
+    reach = []
+    for i in range(n):
+        seen = frontier = 1 << i
+        while frontier:
+            step = 0
+            for v in _states(frontier):
+                step |= succ[v]
+            frontier = step & ~seen
+            seen |= step
+        reach.append(seen)
 
     classes = []
     closed_flags = []
     periods = []
     cyclics = []
-    for component in components:
-        members = set(component)
-        closed = all(w in members for v in component for w in adjacency[v])
-        period, levels = _period_and_levels(sorted(component), adjacency, members)
+    assigned = 0
+    for i in range(n):
+        if assigned >> i & 1:
+            continue
+        members = sum(1 << j for j in _states(reach[i]) if reach[j] >> i & 1)
+        assigned |= members
+        closed = reach[i] == members
+        period, levels = _period_and_levels(i, succ, members)
         cyclic = None
-        if closed:
-            p = period if period is not None else 1
-            groups = [[] for _ in range(p)]
-            for v in sorted(members):
-                groups[levels[v] % p].append(v + 1)
+        if closed:  # every state has an edge, and a closed class keeps them: a cycle
+            groups = [[] for _ in range(period)]
+            for v in _states(members):
+                groups[levels[v] % period].append(v + 1)
             cyclic = tuple(tuple(g) for g in groups)
-        classes.append(tuple(sorted(v + 1 for v in component)))
+        classes.append(tuple(v + 1 for v in _states(members)))
         closed_flags.append(closed)
         periods.append(period)
         cyclics.append(cyclic)
@@ -193,30 +169,26 @@ def chain_structure(a: StochasticMatrix) -> ChainStructure:
     )
 
 
-def _period_and_levels(component: list, adjacency, members: set) -> tuple:
-    """Period of one strongly connected class via breadth-first levels.
+def _period_and_levels(start: int, succ: Sequence[int], members: int) -> tuple:
+    """Period of the class ``members`` (a bitmask holding ``start``) via
+    breadth-first levels from ``start`` over its internal edges.
 
     The gcd of (level(u) + 1 - level(v)) over internal edges u -> v equals
-    the gcd of all cycle lengths, without enumerating cycles. Classes with
-    no internal edge (a transient singleton) have no cycle: period None.
+    the gcd of all cycle lengths, without enumerating cycles. Its terms sum
+    to a cycle's length round any cycle, so it is 0 only for a class with
+    no internal edge (a transient singleton): no cycle, period None.
     """
-    start = component[0]
     levels = {start: 0}
     queue = deque([start])
+    g = 0
     while queue:
         u = queue.popleft()
-        for w in adjacency[u]:
-            if w in members and w not in levels:
+        for w in _states(succ[u] & members):
+            if w not in levels:
                 levels[w] = levels[u] + 1
                 queue.append(w)
-    g = 0
-    has_edge = False
-    for u in component:
-        for w in adjacency[u]:
-            if w in members:
-                has_edge = True
-                g = math.gcd(g, levels[u] + 1 - levels[w])
-    return (g if has_edge else None), levels
+            g = math.gcd(g, levels[u] + 1 - levels[w])
+    return g or None, levels
 
 
 def is_quasi_positive(a: StochasticMatrix) -> Optional[int]:
@@ -363,17 +335,13 @@ def _criterion_rows(a: StochasticMatrix) -> tuple[list, int]:
     """D * (I - Psi2(A)) as integer rows, and det D. Row i of A is N_i / d_i,
     d_i the lcm of its denominators. Psi2 is homogeneous of degree 2, so row
     (i1, i2) of I - Psi2(A) times d_i1 * d_i2 is d_i1 * d_i2 * e_(i1,i2) minus
-    the Psi2 row of N_i1 and N_i2: integers, with no Fraction and no compound.
-    D is a positive diagonal, so the rows' right null space is the fixed
-    space of Psi2(A)."""
+    row (i1, i2) of ``_psi2_rows`` of the N_i: integers, with no Fraction and
+    no compound. D is a positive diagonal, so the rows' right null space is
+    the fixed space of Psi2(A)."""
     numerators, scales = a.matrix.integer_rows()
-    pairs = list(combinations(range(a.n), 2))
-    rows = []
-    for r, (i1, i2) in enumerate(pairs):
-        n1, n2 = numerators[i1], numerators[i2]
-        row = [-(n1[j1] * n2[j2] + n1[j2] * n2[j1]) for j1, j2 in pairs]
-        row[r] += scales[i1] * scales[i2]
-        rows.append(row)
+    rows = [[-e for e in row] for row in _psi2_rows(numerators)]
+    for r, (d1, d2) in enumerate(combinations(scales, 2)):
+        rows[r][r] += d1 * d2
     # each d_i scales the n - 1 rows whose pair holds state i
     return rows, math.prod(scales) ** (a.n - 1)
 

@@ -1,11 +1,13 @@
 """Independent reference implementations that the tests compare the
 library against."""
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
 from zeonmarkov.degree2 import DegreeTwoVector
 from zeonmarkov.linalg import Matrix, Scalar, _bareiss_det, as_scalar
+from zeonmarkov.markov import ChainStructure
 
 
 def permutation_permanent_oracle(m: Matrix) -> Scalar:
@@ -99,3 +101,56 @@ def fixed_vector_oracle(kernel: list, n: int):
         if vec.is_nonnegative():
             return vec
     return None
+
+
+def _bool_product(x: list, y: list) -> list:
+    size = len(x)
+    return [[any(x[i][k] and y[k][j] for k in range(size)) for j in range(size)]
+            for i in range(size)]
+
+
+def chain_structure_oracle(m: Matrix) -> ChainStructure:
+    """Classes, closedness, periods and cyclic classes of a chain's diagram
+    from boolean matrices alone. Reach is the reflexive transitive closure
+    by Warshall's algorithm. The period of a class of k states is the gcd
+    of the lengths t <= 3k of closed walks at its smallest state s, read
+    off boolean powers of the class's own block: a walk from s to any
+    simple cycle and back, with and without one turn round it, is at most
+    3k long. A state of a closed class of period p lies in cyclic class
+    t mod p, t the length of its shortest walk from s."""
+    n = m.rows
+    edge = [[m[i, j] > 0 for j in range(n)] for i in range(n)]
+    reach = [[i == j or edge[i][j] for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    classes = sorted({tuple(j for j in range(n) if reach[i][j] and reach[j][i])
+                      for i in range(n)})
+    closed_flags, periods, cyclics = [], [], []
+    for c in classes:
+        closed = all(j in c for i in c for j in range(n) if reach[i][j])
+        k = len(c)
+        block = [[edge[i][j] for j in c] for i in c]
+        power = [[a == b for b in range(k)] for a in range(k)]
+        shortest = {0: 0}
+        g = 0
+        for t in range(1, 3 * k + 1):
+            power = _bool_product(power, block)
+            if power[0][0]:
+                g = math.gcd(g, t)
+            for b in range(k):
+                if power[0][b]:
+                    shortest.setdefault(b, t)
+        period = g or None
+        cyclic = None
+        if closed:
+            p = period or 1
+            cyclic = tuple(tuple(c[b] + 1 for b in range(k) if shortest[b] % p == phase)
+                           for phase in range(p))
+        closed_flags.append(closed)
+        periods.append(period)
+        cyclics.append(cyclic)
+    return ChainStructure(n=n, classes=tuple(tuple(s + 1 for s in c) for c in classes),
+                          closed=tuple(closed_flags), periods=tuple(periods),
+                          cyclic_classes=tuple(cyclics))

@@ -1,4 +1,8 @@
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -147,6 +151,62 @@ def test_analyze_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
     assert code == 3 and out == ""
     assert err.startswith("zeonmarkov: error: cannot parse matrix: not UTF-8 text: ")
     assert err.count("\n") == 1
+
+
+BOM = b"\xef\xbb\xbf"
+CSV_CHAIN = b"1/2,1/2,0\n0,0,1\n1/4,3/4,0\n"
+
+
+def _stdin(monkeypatch, data: bytes) -> None:
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
+def _analysis(out: str) -> dict:
+    payload = json.loads(out)
+    del payload["elapsed_ms"]
+    return payload
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("suffix", ["json", "csv"])
+def test_analyze_reads_a_byte_order_mark_as_if_it_were_absent(
+        tmp_path, monkeypatch, capsys, source, suffix):
+    if suffix == "json":
+        with open(fixture_path("example4.json"), "rb") as handle:
+            data = handle.read()
+    else:
+        data = CSV_CHAIN
+
+    def analyze(raw: bytes, *flags):
+        if source == "stdin":
+            _stdin(monkeypatch, raw)
+            return run(capsys, "analyze", "-", *flags)
+        path = tmp_path / f"chain.{suffix}"
+        path.write_bytes(raw)
+        return run(capsys, "analyze", str(path), *flags)
+
+    plain, marked = analyze(data), analyze(BOM + data)
+    assert plain[0] == marked[0] == (1 if suffix == "json" else 0)
+    assert plain[2] == marked[2] == ""
+    assert _analysis(marked[1]) == _analysis(plain[1])
+    assert analyze(BOM + data, "--pretty") == analyze(data, "--pretty")
+
+
+def test_analyze_rejects_stdin_that_is_not_utf8(monkeypatch, capsys):
+    _stdin(monkeypatch, b'\xff{"rows": [["1"]]}')
+    code, out, err = run(capsys, "analyze", "-")
+    assert code == 3 and out == ""
+    assert err.startswith("zeonmarkov: error: cannot parse matrix: not UTF-8 text: ")
+
+
+def test_the_console_rejects_stdin_that_is_not_utf8_under_strict_decoding():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "zeonmarkov.cli", "analyze", "-"],
+                          input=b"\xff", capture_output=True, env=env, timeout=60)
+    assert done.returncode == 3 and done.stdout == b""
+    assert done.stderr.startswith(b"zeonmarkov: error: cannot parse matrix: not UTF-8 text: ")
 
 
 @pytest.mark.parametrize("template", ['{{"rows": {0}}}', '{{"note": {0}, "rows": [["1"]]}}'])

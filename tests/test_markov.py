@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from zeonmarkov import linalg, markov, zeon
+from zeonmarkov import degree2, linalg, markov, zeon
 from zeonmarkov.degree2 import (
     DegreeTwoVector,
     diag_correction_minus,
@@ -36,7 +36,7 @@ from zeonmarkov.markov import (
 )
 from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_power
 from zeonmarkov.documents import report_to_dict
-from oracles import certificate_oracle, fixed_vector_oracle, rref_oracle
+from oracles import certificate_oracle, chain_structure_oracle, fixed_vector_oracle, rref_oracle
 
 F = Fraction
 
@@ -103,6 +103,42 @@ def test_transients_fixture_one_and_two(chains):
     assert s2.closed_classes == ((2,), (4,))
     # a transient singleton with no self-loop has no cycle at all
     assert s2.periods[s2.classes.index((3,))] is None
+
+
+def _function_chain(rng, n):
+    # one edge out of each state: cycles of every length with trees hanging on them
+    return validate_stochastic(function_matrix(zeon.FunctionMap([rng.randint(1, n)
+                                                                 for _ in range(n)])))
+
+
+def _cyclic_chain(rng, n):
+    # states dealt into p groups, each stepping only into the next group
+    p = rng.randint(1, n)
+    group = list(range(p)) + [rng.randrange(p) for _ in range(n - p)]
+    rng.shuffle(group)
+    rows = []
+    for i in range(n):
+        targets = [j for j in range(n) if group[j] == (group[i] + 1) % p]
+        chosen = rng.sample(targets, rng.randint(1, len(targets)))
+        weights = [rng.randint(1, 5) if j in chosen else 0 for j in range(n)]
+        rows.append([F(w, sum(weights)) for w in weights])
+    return validate_stochastic(Matrix.from_rows(rows))
+
+
+def test_structure_matches_the_boolean_closure_oracle():
+    rng = random.Random(37)
+    seen = {"periodic": 0, "open": 0, "reducible": 0}
+    for n in range(1, 10):
+        samples = [random_stochastic(rng, n, rng.uniform(0.05, 0.9)) for _ in range(14)]
+        samples += [_function_chain(rng, n) for _ in range(10)]
+        samples += [_cyclic_chain(rng, n) for _ in range(10)]
+        for a in samples:
+            s = chain_structure(a)
+            assert s == chain_structure_oracle(a.matrix)
+            seen["periodic"] += any(p is not None and p > 1 for p in s.periods)
+            seen["open"] += not s.all_closed
+            seen["reducible"] += not s.is_irreducible
+    assert min(seen.values()) >= 60, seen
 
 
 # -- quasi-positivity --------------------------------------------------------------
@@ -285,7 +321,9 @@ def test_criterion_determinant_matches_bareiss_on_the_compound():
             assert criterion_determinant(a) == (Matrix.identity(psi.rows) - psi).det()
 
 
-def _counting(monkeypatch, owner, name):
+def _counting(monkeypatch, owner, name, *also_bound_in):
+    """Count the calls of ``owner.name``, through every module in
+    ``also_bound_in`` that imported it by name as well."""
     calls = []
     original = getattr(owner, name)
 
@@ -293,7 +331,9 @@ def _counting(monkeypatch, owner, name):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, counted)
+    for module in (owner, *also_bound_in):
+        assert getattr(module, name) is original
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -304,11 +344,12 @@ def test_criterion_is_one_pass(chains, monkeypatch):
     for a, verdict in cases:
         with monkeypatch.context() as patch:
             structures = _counting(patch, markov, "chain_structure")
-            compounds = _counting(patch, zeon, "_zeon_power_cached")
+            compounds = _counting(patch, zeon, "zeon_power", degree2)
+            psi2_rows = _counting(patch, zeon, "_psi2_rows", markov)
             left_null_spaces = _counting(patch, Matrix, "left_null_space")
             report = zeon_criterion(a)
         assert report.criterion_verdict is verdict
-        assert len(structures) == 1
+        assert len(structures) == 1 and len(psi2_rows) == 1
         assert compounds == [] and left_null_spaces == []
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import permutation_permanent_oracle
 from zeonmarkov.linalg import Matrix
+from zeonmarkov.markov import random_stochastic
 from zeonmarkov.zeon import (
     FunctionMap,
     SubsetBasis,
@@ -211,6 +213,40 @@ def test_zeon_power_generic_agrees_with_permanent_definition():
             for b, cols_idx in enumerate(basis.subsets):
                 sub = Matrix(k, k, [w[i - 1, j - 1] for i in rows_idx for j in cols_idx])
                 assert compound[a, b] == permutation_permanent_oracle(sub)
+
+
+def test_zeon_power_two_agrees_with_the_permanent_definition_on_wide_denominators():
+    # rows over unequal lcms, negative entries, denominators up to 10^30
+    rng = random.Random(43)
+    for n in range(2, 7):
+        for _ in range(3):
+            w = Matrix(n, n, [F(rng.randint(-10**6, 10**6),
+                                rng.choice((1, 7, 10**30, rng.randint(1, 10**30))))
+                              for _ in range(n * n)])
+            scales = w.integer_rows()[1]
+            assert len(set(scales)) > 1 and min(w.data) < 0
+            compound = zeon_power(w, 2)
+            basis = subset_basis(n, 2)
+            for a, rows_idx in enumerate(basis.subsets):
+                for b, cols_idx in enumerate(basis.subsets):
+                    sub = Matrix(2, 2, [w[i - 1, j - 1] for i in rows_idx for j in cols_idx])
+                    assert compound[a, b] == permutation_permanent_oracle(sub)
+
+
+def test_a_dropped_compound_leaves_no_memory_held():
+    rng = random.Random(44)
+    matrices = [random_stochastic(rng, 12).matrix for _ in range(20)]
+    subset_basis(12, 2)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for w in matrices:
+            zeon_power(w, 2)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # each compound holds about 0.27 MB: keeping the 20 would hold 5.5 MB
+    assert held - before < 1 << 20, held - before
 
 
 def test_row_sums_give_substochastic_compound():
