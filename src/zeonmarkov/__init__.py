@@ -7,7 +7,7 @@ matrix without iterating its powers, cross-validated against the
 classical irreducibility/aperiodicity/quasi-positivity oracles.
 """
 
-from .linalg import BoolMatrix, Matrix, as_scalar, scalar_str, wielandt_bound
+from .linalg import Matrix, as_scalar, scalar_str
 from .zeon import (
     FunctionMap,
     SubsetBasis,
@@ -59,6 +59,7 @@ from .markov import (
     random_recurrent_stochastic,
     random_stochastic,
     validate_stochastic,
+    wielandt_bound,
     witness_periodic,
     witness_reducible,
     zeon_criterion,

@@ -7,15 +7,17 @@ witness (nonnegative fixed vector of the degree-2 compound), harness
 
 Exit codes: analyze maps its verdict to 0 (ergodic), 1 (not ergodic) or
 2 (criterion inapplicable); other commands use 0/1 for pass/fail. Any
-usage, parse or validation error exits 3, and an internal error, which is
-a bug, exits 4 so that it never reads as a verdict. All rationals are
-printed as exact strings.
+usage, parse or validation error exits 3, as does a closed or unwritable
+standard output, and an internal error, which is a bug, exits 4 so that
+it never reads as a verdict. All rationals are printed as exact strings.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import random
 import sys
 import time
@@ -70,8 +72,20 @@ def _stochastic(doc: MatrixDocument) -> markov.StochasticMatrix:
 
 
 def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    _write(json.dumps(payload, indent=2) + "\n")
+
+
+def _write(text: str) -> None:
+    """Write and flush standard output: a closed or failing one is a usage error, not a bug."""
+    if sys.stdout is None:  # started with fd 1 closed
+        raise CliError("standard output is closed")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # fd 1 goes to devnull so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise CliError(f"cannot write standard output: {exc.strerror}") from exc
 
 
 # -- analyze ------------------------------------------------------------
@@ -104,7 +118,7 @@ def cmd_analyze(args) -> int:
 def _print_pretty(document: AnalysisReportDocument, chain: markov.StochasticMatrix) -> None:
     report = document.report
     structure = markov.chain_structure(chain)
-    out = sys.stdout
+    out = io.StringIO()
     label = f" ({document.label})" if document.label else ""
     out.write(f"chain on {document.n} states{label}\n")
     out.write(f"  verdict:             {report.criterion_verdict.value}\n")
@@ -133,6 +147,7 @@ def _print_pretty(document: AnalysisReportDocument, chain: markov.StochasticMatr
             if v != 0
         ]
         out.write("  fixed-vector witness: " + " ".join(nonzero) + "\n")
+    _write(out.getvalue())
 
 
 # -- zeon-power ----------------------------------------------------------
@@ -194,13 +209,13 @@ def _check_integration_by_parts(a: Matrix, x: DegreeTwoVector) -> bool:
 
 
 def _check_mass_left(a: Matrix, x: DegreeTwoVector) -> bool:
-    values = degree2.general_bp_identities(x, a)
-    return values.first_lhs == values.first_rhs
+    lhs, rhs = degree2._mass_left(x, a)
+    return lhs == rhs
 
 
 def _check_mass_right(a: Matrix, x: DegreeTwoVector) -> bool:
-    values = degree2.general_bp_identities(x, a)
-    return values.second_lhs == values.second_rhs
+    lhs, rhs = degree2._mass_right(x, a)
+    return lhs == rhs
 
 
 IDENTITY_CHECKS = {

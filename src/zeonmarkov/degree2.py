@@ -306,15 +306,22 @@ def general_bp_identities(x: DegreeTwoVector, a: Matrix) -> GeneralIdentityValue
     No stochasticity assumed; for stochastic a the first right-hand side
     collapses to 1/2 tr(A* X-hat A) since A J = J = J A*.
     """
-    _check_ground(x, a)
-    n = x.n
-    j = Matrix.ones(n, n)
-    xhat = mat_embed(x)
-    first_lhs = sum_against_u(x) - sum_against_u(left_action(x, a))
-    first_rhs = _half_product_trace(xhat, j - a * j * a.T + a * a.T)
-    second_lhs = sum_against_u(x) - sum_against_u(right_action(a, x))
-    second_rhs = _half_product_trace(xhat, j - a.T * j * a + a.T * a)
-    return GeneralIdentityValues(first_lhs, first_rhs, second_lhs, second_rhs)
+    return GeneralIdentityValues(*_mass_left(x, a), *_mass_right(x, a))
+
+
+def _mass_left(x: DegreeTwoVector, a: Matrix) -> tuple:
+    """(lhs, rhs) of the first identity; the left side goes through the
+    compound (which checks the ground), the right through the sandwich."""
+    j = Matrix.ones(x.n, x.n)
+    lhs = sum_against_u(x) - sum_against_u(left_action(x, a))
+    return lhs, _half_product_trace(mat_embed(x), j - a * j * a.T + a * a.T)
+
+
+def _mass_right(x: DegreeTwoVector, a: Matrix) -> tuple:
+    """(lhs, rhs) of the second identity, as ``_mass_left`` for the first."""
+    j = Matrix.ones(x.n, x.n)
+    lhs = sum_against_u(x) - sum_against_u(right_action(a, x))
+    return lhs, _half_product_trace(mat_embed(x), j - a.T * j * a + a.T * a)
 
 
 def _half_product_trace(x: Matrix, y: Matrix) -> Scalar:

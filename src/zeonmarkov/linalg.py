@@ -82,16 +82,6 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
     return as_scalar(Fraction(a) / Fraction(b))
 
 
-def wielandt_bound(n: int) -> int:
-    """Smallest exponent guaranteed to witness primitivity of an n-by-n
-    nonnegative matrix: a primitive matrix has a strictly positive power
-    by n^2 - 2n + 2, so a miss at that bound is a proof of imprimitivity.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    return n * n - 2 * n + 2
-
-
 # -- integer determinants ---------------------------------------------
 
 # The primes of the modular stages of _criterion_certificate: 2^31 - 1 and
@@ -658,102 +648,3 @@ class Matrix:
         if pivots != tuple(range(n)):
             raise ValueError("matrix is singular")
         return Matrix(n, rhs.cols, [reduced[i, n + j] for i in range(n) for j in range(rhs.cols)])
-
-    def pattern(self) -> "BoolMatrix":
-        """Positivity pattern of a nonnegative matrix."""
-        if not self.is_nonnegative():
-            raise ValueError("pattern is only meaningful for nonnegative matrices")
-        bits = []
-        for i in range(self.rows):
-            mask = 0
-            for j, e in enumerate(self.row(i)):
-                if e > 0:
-                    mask |= 1 << j
-            bits.append(mask)
-        return BoolMatrix(self.rows, self.cols, tuple(bits))
-
-
-class BoolMatrix:
-    """Boolean (0/1) matrix stored as per-row bitmasks.
-
-    Tracks the positivity pattern of a nonnegative matrix: the pattern of
-    a product equals the boolean product of the patterns, so positivity of
-    high matrix powers can be decided without rational blow-up.
-    """
-
-    __slots__ = ("rows", "cols", "row_bits")
-
-    def __init__(self, rows: int, cols: int, row_bits: Sequence[int]):
-        if len(row_bits) != rows:
-            raise ValueError("wrong number of row masks")
-        full = (1 << cols) - 1
-        for mask in row_bits:
-            if mask & ~full:
-                raise ValueError("row mask has bits outside the column range")
-        self.rows = rows
-        self.cols = cols
-        self.row_bits = tuple(row_bits)
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "BoolMatrix":
-        bits = []
-        for row in rows:
-            mask = 0
-            for j, e in enumerate(row):
-                if e:
-                    mask |= 1 << j
-            bits.append(mask)
-        return cls(len(rows), len(rows[0]) if rows else 0, bits)
-
-    def __getitem__(self, key: tuple) -> int:
-        i, j = key
-        return (self.row_bits[i] >> j) & 1
-
-    def __mul__(self, other: "BoolMatrix") -> "BoolMatrix":
-        if not isinstance(other, BoolMatrix):
-            return NotImplemented
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch in boolean product")
-        out = []
-        for mask in self.row_bits:
-            acc = 0
-            m = mask
-            while m:
-                low = m & -m
-                acc |= other.row_bits[low.bit_length() - 1]
-                m ^= low
-            out.append(acc)
-        return BoolMatrix(self.rows, other.cols, out)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BoolMatrix):
-            return NotImplemented
-        return (self.rows, self.cols, self.row_bits) == (other.rows, other.cols, other.row_bits)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.row_bits))
-
-    def __repr__(self) -> str:
-        rows = ["".join("1" if (mask >> j) & 1 else "0" for j in range(self.cols))
-                for mask in self.row_bits]
-        return "BoolMatrix[" + "; ".join(rows) + "]"
-
-    def all_ones(self) -> bool:
-        full = (1 << self.cols) - 1
-        return all(mask == full for mask in self.row_bits)
-
-    def first_positive_power(self, max_exp: int) -> int | None:
-        """Smallest m <= max_exp with (self^m) all ones, or None.
-
-        With max_exp at the Wielandt bound, None is a proof that no power
-        is positive, not a timeout.
-        """
-        if self.rows != self.cols:
-            raise ValueError("powers need a square matrix")
-        power = self
-        for m in range(1, max_exp + 1):
-            if power.all_ones():
-                return m
-            if m < max_exp:
-                power = power * self
-        return None

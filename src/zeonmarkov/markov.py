@@ -25,8 +25,7 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from .degree2 import DegreeTwoVector
-from .linalg import (Matrix, Scalar, _criterion_certificate, exact_div, integer_det, scalar_str,
-                     wielandt_bound)
+from .linalg import Matrix, Scalar, _criterion_certificate, exact_div, integer_det, scalar_str
 from .zeon import _psi2_rows
 
 
@@ -117,16 +116,24 @@ def _states(mask: int):
         mask ^= low
 
 
+def _successors(a: StochasticMatrix) -> list:
+    """A's positivity pattern as int bit rows: bit j of row i is set when
+    A[i, j] > 0, so row i is the bitmask of the states i steps to."""
+    n = a.n
+    data = a.matrix.data
+    return [sum(1 << j for j in range(n) if data[i * n + j]) for i in range(n)]
+
+
 def chain_structure(a: StochasticMatrix) -> ChainStructure:
     """Classes, closedness, periods and cyclic classes of the diagram.
 
     Each state's reach (every state it leads to, itself included) is a
-    bitmask grown one step at a time from the rows of ``Matrix.pattern``.
+    bitmask grown one step at a time from the rows of ``_successors``.
     Two states share a class when each reaches the other, and a class is
     closed when its reach is the class itself.
     """
     n = a.n
-    succ = a.matrix.pattern().row_bits
+    succ = _successors(a)
     reach = []
     for i in range(n):
         seen = frontier = 1 << i
@@ -191,11 +198,34 @@ def _period_and_levels(start: int, succ: Sequence[int], members: int) -> tuple:
     return g or None, levels
 
 
+def wielandt_bound(n: int) -> int:
+    """n^2 - 2n + 2: a primitive n-by-n nonnegative matrix has a strictly
+    positive power by this exponent, so a miss there proves imprimitivity."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    return n * n - 2 * n + 2
+
+
 def is_quasi_positive(a: StochasticMatrix) -> Optional[int]:
     """Smallest m with A^m entrywise positive, searched to the Wielandt
-    bound n^2 - 2n + 2; None is a proof that no such power exists."""
-    pattern = a.matrix.pattern()
-    return pattern.first_positive_power(wielandt_bound(a.n))
+    bound n^2 - 2n + 2; None is a proof that no such power exists. The
+    pattern of A^(m+1) is the Boolean product of A^m's with A's: row i is
+    the union of the ``_successors`` rows of the states row i reaches."""
+    power = succ = _successors(a)
+    full = (1 << a.n) - 1
+    for m in range(1, wielandt_bound(a.n) + 1):
+        if all(mask == full for mask in power):
+            return m
+        step = []
+        for mask in power:
+            acc = 0
+            while mask:
+                low = mask & -mask
+                acc |= succ[low.bit_length() - 1]
+                mask ^= low
+            step.append(acc)
+        power = step
+    return None
 
 
 @dataclass(frozen=True)

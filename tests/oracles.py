@@ -103,6 +103,15 @@ def fixed_vector_oracle(kernel: list, n: int):
     return None
 
 
+def positive_power_oracle(m: Matrix):
+    """Smallest k up to the Wielandt bound n^2 - 2n + 2 for which the
+    integer power (``Matrix.__pow__``) of m's 0/1 pattern has no zero
+    entry, or None when there is none."""
+    n = m.rows
+    pattern = Matrix(n, n, [1 if e > 0 else 0 for e in m.data])
+    return next((k for k in range(1, n * n - 2 * n + 3) if all((pattern ** k).data)), None)
+
+
 def _bool_product(x: list, y: list) -> list:
     size = len(x)
     return [[any(x[i][k] and y[k][j] for k in range(size)) for j in range(size)]

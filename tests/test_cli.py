@@ -199,14 +199,40 @@ def test_analyze_rejects_stdin_that_is_not_utf8(monkeypatch, capsys):
     assert err.startswith("zeonmarkov: error: cannot parse matrix: not UTF-8 text: ")
 
 
-def test_the_console_rejects_stdin_that_is_not_utf8_under_strict_decoding():
+def _console(args, env=(), **kwargs):
+    """Run the CLI in a fresh interpreter on this checkout's sources."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict",
+    env = dict(os.environ, **dict(env),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-m", "zeonmarkov.cli", "analyze", "-"],
-                          input=b"\xff", capture_output=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-m", "zeonmarkov.cli", *args],
+                          stderr=subprocess.PIPE, env=env, timeout=60, **kwargs)
+
+
+def test_the_console_rejects_stdin_that_is_not_utf8_under_strict_decoding():
+    done = _console(["analyze", "-"], {"PYTHONIOENCODING": "utf-8:strict"},
+                    input=b"\xff", stdout=subprocess.PIPE)
     assert done.returncode == 3 and done.stdout == b""
     assert done.stderr.startswith(b"zeonmarkov: error: cannot parse matrix: not UTF-8 text: ")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_a_standard_output_whose_reader_is_gone_exits_three(unbuffered):
+    # buffered, the flush after the write fails; unbuffered, the write itself
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _console(["analyze", fixture_path("example1.json")],
+                        {"PYTHONUNBUFFERED": unbuffered}, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3
+    assert done.stderr == b"zeonmarkov: error: cannot write standard output: Broken pipe\n"
+
+
+def test_a_closed_standard_output_exits_three():
+    done = _console(["analyze", fixture_path("example1.json")], preexec_fn=lambda: os.close(1))
+    assert done.returncode == 3
+    assert done.stderr == b"zeonmarkov: error: standard output is closed\n"
 
 
 @pytest.mark.parametrize("template", ['{{"rows": {0}}}', '{{"note": {0}, "rows": [["1"]]}}'])
@@ -353,6 +379,21 @@ def test_verify_general_identities_on_non_stochastic(tmp_path, capsys):
         code, out, _ = run(capsys, "verify", str(path), "--identity", identity,
                            "--trials", "30")
         assert code == 0 and json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("identity", ["mass-left", "mass-right"])
+def test_verify_a_mass_identity_builds_one_compound_per_trial(tmp_path, capsys, monkeypatch,
+                                                              identity):
+    from zeonmarkov import degree2
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join(",".join(str((3 * i + 5 * j) % 7 - 3) for j in range(8))
+                              for i in range(8)))
+    builds = []
+    original = degree2.zeon_power
+    monkeypatch.setattr(degree2, "zeon_power", lambda m, k: builds.append(k) or original(m, k))
+    code, out, _ = run(capsys, "verify", str(path), "--identity", identity, "--trials", "10")
+    assert code == 0 and json.loads(out)["passed"]
+    assert builds == [2] * 10
 
 
 def test_verify_integration_by_parts_requires_stochastic(tmp_path, capsys):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from conftest import cofactor_det
 from oracles import null_space_oracle, rref_oracle
 from zeonmarkov import linalg
-from zeonmarkov.linalg import (BoolMatrix, Matrix, PRIMES, as_scalar, exact_div, integer_det,
-                               scalar_str, wielandt_bound)
+from zeonmarkov.linalg import Matrix, PRIMES, as_scalar, exact_div, integer_det, scalar_str
+from zeonmarkov.markov import StochasticMatrix, is_quasi_positive, wielandt_bound
 
 F = Fraction
 
@@ -403,44 +403,29 @@ def test_negative_power_rejected():
 
 def test_pattern_of_power_is_bool_power(examples):
     a = examples[1]
-    p = a.pattern()
-    bp = p
     for e in range(1, 6):
-        assert (a ** e).pattern() == bp
         # transient rows never reach the absorbing state's predecessors
         assert (a ** e)[2, 0] == 0 and (a ** e)[2, 1] == 0
-        bp = bp * p
 
 
-# -- boolean powers ---------------------------------------------------------
+# -- quasi-positivity: markov.is_quasi_positive on Boolean powers ---------------
 
 
-def test_pattern_product_homomorphism():
-    rng = random.Random(12)
-    for _ in range(20):
-        m = random_matrix(rng, 3, 4, lo=0)
-        n = random_matrix(rng, 4, 3, lo=0)
-        assert (m * n).pattern() == m.pattern() * n.pattern()
-
-
-def test_pattern_rejects_negative_entries():
-    with pytest.raises(ValueError, match="nonnegative"):
-        Matrix.from_rows([[1, -1], [0, 1]]).pattern()
+def _chain(pattern):
+    """The row-normalised stochastic chain with the given 0/1 pattern."""
+    return StochasticMatrix(Matrix.from_rows([[F(e, sum(row)) for e in row] for row in pattern]))
 
 
 def test_bool_power_all_ones_immediately():
-    p = BoolMatrix.from_rows([[1, 1], [1, 1]])
-    assert p.first_positive_power(wielandt_bound(2)) == 1
+    assert is_quasi_positive(_chain([[1, 1], [1, 1]])) == 1
 
 
 def test_bool_power_parity_obstruction():
-    p = BoolMatrix.from_rows([[0, 1], [1, 0]])
-    assert p.first_positive_power(100) is None
+    assert is_quasi_positive(_chain([[0, 1], [1, 0]])) is None
 
 
-def test_bool_power_example1_never_positive(examples):
-    p = examples[1].pattern()
-    assert p.first_positive_power(wielandt_bound(3)) is None
+def test_bool_power_example1_never_positive(chains):
+    assert is_quasi_positive(chains[1]) is None
 
 
 def test_wielandt_bound_values():
@@ -455,5 +440,4 @@ def test_wielandt_bound_tight():
     for i in range(n):
         rows[i][(i + 1) % n] = 1
     rows[n - 1][1] = 1
-    p = BoolMatrix.from_rows(rows)
-    assert p.first_positive_power(wielandt_bound(n)) == wielandt_bound(n)
+    assert is_quasi_positive(_chain(rows)) == wielandt_bound(n)

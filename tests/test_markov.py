@@ -36,7 +36,8 @@ from zeonmarkov.markov import (
 )
 from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_power
 from zeonmarkov.documents import report_to_dict
-from oracles import certificate_oracle, chain_structure_oracle, fixed_vector_oracle, rref_oracle
+from oracles import (certificate_oracle, chain_structure_oracle, fixed_vector_oracle,
+                     positive_power_oracle, rref_oracle)
 
 F = Fraction
 
@@ -157,6 +158,19 @@ def test_quasi_positive_iff_irreducible_aperiodic():
         s = chain_structure(a)
         classical = s.is_irreducible and s.is_aperiodic
         assert (is_quasi_positive(a) is not None) == classical
+
+
+def test_quasi_positive_exponent_matches_the_integer_power_oracle():
+    rng = random.Random(8)
+    for _ in range(200):
+        a = random_stochastic(rng, rng.randint(1, 6), density=rng.uniform(0.1, 0.9))
+        assert is_quasi_positive(a) == positive_power_oracle(a.matrix)
+    for n in (5, 6):
+        # the Wielandt-extremal chain: an n-cycle plus the shortcut n -> 2
+        rows = [[Fraction(1) if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
+        rows[n - 1] = [Fraction(1, 2) if j in (0, 1) else 0 for j in range(n)]
+        a = StochasticMatrix(Matrix.from_rows(rows))
+        assert is_quasi_positive(a) == positive_power_oracle(a.matrix) == n * n - 2 * n + 2
 
 
 # -- invariant vectors ---------------------------------------------------------------
