@@ -7,9 +7,10 @@ witness (nonnegative fixed vector of the degree-2 compound), harness
 
 Exit codes: analyze maps its verdict to 0 (ergodic), 1 (not ergodic) or
 2 (criterion inapplicable); other commands use 0/1 for pass/fail. Any
-usage, parse or validation error exits 3, as does a closed or unwritable
-standard output, and an internal error, which is a bug, exits 4 so that
-it never reads as a verdict. All rationals are printed as exact strings.
+usage, parse or validation error exits 3, as do a closed standard input
+and a closed or unwritable standard output, and an internal error, which
+is a bug, exits 4 so that it never reads as a verdict, even when standard
+error is closed. All rationals are printed as exact strings.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import operator
 import os
 import random
 import sys
@@ -49,13 +51,15 @@ class CliError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
+        _complain(f"{self.format_usage()}{self.prog}: error: {message}")
+        self.exit(USAGE_ERROR)
 
 
 def _read_matrix(path: str) -> MatrixDocument:
     try:
         if path == "-":
+            if sys.stdin is None:  # started with fd 0 closed
+                raise CliError("standard input is closed")
             return read_matrix(sys.stdin.buffer)
         return load_matrix(path)
     except MatrixFormatError as exc:
@@ -203,27 +207,17 @@ def _check_trace_identities(a: Matrix, x: DegreeTwoVector) -> bool:
     return ok
 
 
-def _check_integration_by_parts(a: Matrix, x: DegreeTwoVector) -> bool:
-    lhs, rhs = degree2.integration_by_parts(x, a)
-    return lhs == rhs
-
-
-def _check_mass_left(a: Matrix, x: DegreeTwoVector) -> bool:
-    lhs, rhs = degree2._mass_left(x, a)
-    return lhs == rhs
-
-
-def _check_mass_right(a: Matrix, x: DegreeTwoVector) -> bool:
-    lhs, rhs = degree2._mass_right(x, a)
-    return lhs == rhs
+def _sides_equal(identity):
+    """The check that ``identity(x, a)``, an (lhs, rhs) pair, has equal sides."""
+    return lambda a, x: operator.eq(*identity(x, a))
 
 
 IDENTITY_CHECKS = {
     "basic-relations": _check_basic_relations,
     "trace-identities": _check_trace_identities,
-    "integration-by-parts": _check_integration_by_parts,
-    "mass-left": _check_mass_left,
-    "mass-right": _check_mass_right,
+    "integration-by-parts": _sides_equal(degree2.integration_by_parts),
+    "mass-left": _sides_equal(degree2._mass_left),
+    "mass-right": _sides_equal(degree2._mass_right),
 }
 
 
@@ -372,20 +366,29 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _complain(line: str) -> None:
+    """Print an error line to standard error, unless it is closed or fails."""
+    try:
+        if sys.stderr is not None:  # None when fd 2 was closed at start: print would use stdout
+            print(line, file=sys.stderr)
+    except OSError:
+        sys.stderr = None  # the unwritten line stays buffered: a flush at exit would fail again
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"zeonmarkov: error: {exc}", file=sys.stderr)
+        _complain(f"zeonmarkov: error: {exc}")
         return USAGE_ERROR
     except Exception as exc:
         import traceback  # imported only on this path: it slows every start
 
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         message = f"{type(exc).__name__}: {exc} ({frame.filename}:{frame.lineno})"
-        print("zeonmarkov: internal error: " + " ".join(message.split()), file=sys.stderr)
+        _complain("zeonmarkov: internal error: " + " ".join(message.split()))
         return INTERNAL_ERROR
 
 

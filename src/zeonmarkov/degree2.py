@@ -6,7 +6,10 @@ pairs (i, j) with i < j. Its Mat embedding is the hollow symmetric n-by-n
 matrix X-hat with X-hat[i, j] = x_ij off the diagonal. All identities in
 this module are exact rational equalities; every one is implemented so
 that its two sides go through independent code paths (component formula
-vs. matrix algebra), and any mismatch is a bug, not noise.
+vs. matrix algebra), and any mismatch is a bug, not noise. The right
+action of A is the left action of A*, so the right-hand diagonal correction
+and trace identity are the left-hand ones of A*; the right action keeps its
+own two routes, so each right-hand identity still compares independent paths.
 
 Conventions: the action of a matrix A on degree-2 vectors is by the
 second zeon power, X * Psi2(A) on rows and Psi2(A) * X-dagger on columns;
@@ -64,11 +67,6 @@ class DegreeTwoVector:
         if col.cols != 1:
             raise ValueError("expected a 1-column matrix")
         return cls(n, col.data)
-
-    def coord(self, i: int, j: int) -> Scalar:
-        if i > j:
-            i, j = j, i
-        return self.coords[subset_basis(self.n, 2).rank((i, j))]
 
     def pairs(self) -> tuple:
         return subset_basis(self.n, 2).subsets
@@ -230,16 +228,10 @@ def diag_correction_plus(a: Matrix, x: DegreeTwoVector) -> Matrix:
 
 def diag_correction_minus(a: Matrix, x: DegreeTwoVector) -> Matrix:
     """Diagonal matrix D- with D-_ii = 2 sum_{l<m} x_lm A_il A_im,
-    repairing the row sandwich: A X-hat A* - D- = Mat(Psi2(A) X-dagger)."""
-    _check_ground(x, a)
-    diag = []
-    for i in range(x.n):
-        acc = 0
-        for (l, m), v in zip(x.pairs(), x.coords):
-            if v != 0:
-                acc += v * a[i, l - 1] * a[i, m - 1]
-        diag.append(2 * acc)
-    return Matrix.diagonal(diag)
+    repairing the row sandwich: A X-hat A* - D- = Mat(Psi2(A) X-dagger).
+    It is D+ of the transpose, since the right action of A is the left
+    action of A*."""
+    return diag_correction_plus(a.T, x)
 
 
 def trace_identity_left(x: DegreeTwoVector, a: Matrix) -> Scalar:
@@ -251,11 +243,9 @@ def trace_identity_left(x: DegreeTwoVector, a: Matrix) -> Scalar:
 
 
 def trace_identity_right(x: DegreeTwoVector, a: Matrix) -> Scalar:
-    """1/2 tr(X-hat A* (J - I) A); equals sum_against_u(right_action(a, x))."""
-    _check_ground(x, a)
-    n = x.n
-    j_minus_i = Matrix.ones(n, n) - Matrix.identity(n)
-    return _half_product_trace(mat_embed(x), a.T * j_minus_i * a)
+    """1/2 tr(X-hat A* (J - I) A); equals sum_against_u(right_action(a, x)).
+    It is the left identity's trace for the transpose A*."""
+    return trace_identity_left(x, a.T)
 
 
 def trace_identity_left_stochastic(x: DegreeTwoVector, a: Matrix) -> Scalar:

@@ -62,37 +62,30 @@ def _parse_json(text: str) -> MatrixDocument:
     raw_rows = doc["rows"]
     if not isinstance(raw_rows, list) or not raw_rows:
         raise MatrixFormatError('"rows" must be a non-empty list of rows')
-    width = len(raw_rows[0])
-    rows = []
+    matrix = _rows_matrix(raw_rows)
+    label = doc.get("label")
+    if label is not None and not isinstance(label, str):
+        raise MatrixFormatError('"label" must be a string')
+    return MatrixDocument(matrix, label)
+
+
+def _parse_csv(text: str) -> MatrixDocument:
+    lines = (ln for ln in text.splitlines() if ln.strip())
+    return MatrixDocument(_rows_matrix([[c.strip() for c in ln.split(",")] for ln in lines]))
+
+
+def _rows_matrix(raw_rows: list) -> Matrix:
+    """The matrix of a non-empty list of rows, checked row by row: each row
+    is a list, as wide as the first, of exact entries."""
+    width = len(raw_rows[0]) if isinstance(raw_rows[0], list) else None
+    entries = []
     for i, raw in enumerate(raw_rows, start=1):
         if not isinstance(raw, list):
             raise MatrixFormatError(f"row {i} is not a list")
         if len(raw) != width:
-            raise MatrixFormatError(
-                f"ragged rows: row {i} has {len(raw)} entries, expected {width}"
-            )
-        rows.append([_entry(v, i, j) for j, v in enumerate(raw, start=1)])
-    label = doc.get("label")
-    if label is not None and not isinstance(label, str):
-        raise MatrixFormatError('"label" must be a string')
-    return MatrixDocument(Matrix.from_rows(rows), label)
-
-
-def _parse_csv(text: str) -> MatrixDocument:
-    rows = []
-    width = None
-    for i, line in enumerate((ln for ln in text.splitlines() if ln.strip()), start=1):
-        cells = [c.strip() for c in line.split(",")]
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise MatrixFormatError(
-                f"ragged rows: row {i} has {len(cells)} entries, expected {width}"
-            )
-        rows.append([_entry(c, i, j) for j, c in enumerate(cells, start=1)])
-    if not rows:
-        raise MatrixFormatError("empty input")
-    return MatrixDocument(Matrix.from_rows(rows))
+            raise MatrixFormatError(f"ragged rows: row {i} has {len(raw)} entries, expected {width}")
+        entries.extend(_entry(v, i, j) for j, v in enumerate(raw, start=1))
+    return Matrix(len(raw_rows), width, entries)
 
 
 def read_matrix(handle: BinaryIO) -> MatrixDocument:

@@ -18,11 +18,10 @@ from __future__ import annotations
 import enum
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 from .degree2 import DegreeTwoVector
 from .linalg import Matrix, Scalar, _criterion_certificate, exact_div, integer_det, scalar_str
@@ -127,23 +126,28 @@ def _successors(a: StochasticMatrix) -> list:
 def chain_structure(a: StochasticMatrix) -> ChainStructure:
     """Classes, closedness, periods and cyclic classes of the diagram.
 
-    Each state's reach (every state it leads to, itself included) is a
-    bitmask grown one step at a time from the rows of ``_successors``.
-    Two states share a class when each reaches the other, and a class is
-    closed when its reach is the class itself.
+    One breadth-first search per state grows its reach (the states it
+    leads to, itself included) in bitmask levels from ``_successors``. A
+    class is the states that reach each other, closed when its reach is
+    itself. A shortest path inside a class stays in it, so the search from
+    its smallest state, cut to the class, gives the class's levels. Round
+    any cycle, k + 1 - j over its edges from level k to level j sums to
+    its length: their gcd is the period, 0 (None) when there is no edge.
     """
     n = a.n
     succ = _successors(a)
-    reach = []
+    searches = []  # per state: its reach and its levels as (frontier, successors) pairs
     for i in range(n):
+        levels = []
         seen = frontier = 1 << i
         while frontier:
             step = 0
             for v in _states(frontier):
                 step |= succ[v]
+            levels.append((frontier, step))
             frontier = step & ~seen
             seen |= step
-        reach.append(seen)
+        searches.append((seen, levels))
 
     classes = []
     closed_flags = []
@@ -153,19 +157,28 @@ def chain_structure(a: StochasticMatrix) -> ChainStructure:
     for i in range(n):
         if assigned >> i & 1:
             continue
-        members = sum(1 << j for j in _states(reach[i]) if reach[j] >> i & 1)
+        reach, levels = searches[i]
+        members = sum(1 << j for j in _states(reach) if searches[j][0] >> i & 1)
         assigned |= members
-        closed = reach[i] == members
-        period, levels = _period_and_levels(i, succ, members)
+        inner = []  # the class's levels: the search's, cut to the class, up to the first empty
+        g = 0
+        for k, (frontier, step) in enumerate(levels):
+            if not frontier & members:
+                break
+            inner.append(frontier & members)
+            for j, level in enumerate(inner):  # an edge into level k + 1 adds 0 to the gcd
+                if step & level:  # an edge into the class starts in it
+                    g = math.gcd(g, k + 1 - j)
+        closed = reach == members
         cyclic = None
         if closed:  # every state has an edge, and a closed class keeps them: a cycle
-            groups = [[] for _ in range(period)]
-            for v in _states(members):
-                groups[levels[v] % period].append(v + 1)
-            cyclic = tuple(tuple(g) for g in groups)
+            groups = [0] * g
+            for k, level in enumerate(inner):
+                groups[k % g] |= level
+            cyclic = tuple(tuple(v + 1 for v in _states(group)) for group in groups)
         classes.append(tuple(v + 1 for v in _states(members)))
         closed_flags.append(closed)
-        periods.append(period)
+        periods.append(g or None)
         cyclics.append(cyclic)
     return ChainStructure(
         n=n,
@@ -174,28 +187,6 @@ def chain_structure(a: StochasticMatrix) -> ChainStructure:
         periods=tuple(periods),
         cyclic_classes=tuple(cyclics),
     )
-
-
-def _period_and_levels(start: int, succ: Sequence[int], members: int) -> tuple:
-    """Period of the class ``members`` (a bitmask holding ``start``) via
-    breadth-first levels from ``start`` over its internal edges.
-
-    The gcd of (level(u) + 1 - level(v)) over internal edges u -> v equals
-    the gcd of all cycle lengths, without enumerating cycles. Its terms sum
-    to a cycle's length round any cycle, so it is 0 only for a class with
-    no internal edge (a transient singleton): no cycle, period None.
-    """
-    levels = {start: 0}
-    queue = deque([start])
-    g = 0
-    while queue:
-        u = queue.popleft()
-        for w in _states(succ[u] & members):
-            if w not in levels:
-                levels[w] = levels[u] + 1
-                queue.append(w)
-            g = math.gcd(g, levels[u] + 1 - levels[w])
-    return g or None, levels
 
 
 def wielandt_bound(n: int) -> int:
@@ -248,8 +239,14 @@ class InvariantVectors:
 
 
 def invariant_distributions(a: StochasticMatrix) -> InvariantVectors:
+    """The fixed space of v A = v: the closed classes' distributions, each
+    scaled to 1 at its class's smallest state, are its echelon basis."""
     structure = chain_structure(a)
-    return _invariant_vectors(structure, _class_distributions(a.matrix, structure))
+    pis = _class_distributions(a.matrix, structure)
+    basis = tuple(Matrix.row_vector([exact_div(pi[s], pi[c[0]]) if s in pi else 0
+                                     for s in range(1, a.n + 1)])
+                  for c, pi in zip(structure.closed_classes, pis))
+    return InvariantVectors(basis, structure.all_closed, _distribution(a.n, pis))
 
 
 def _class_distributions(m: Matrix, structure: ChainStructure) -> list:
@@ -270,16 +267,9 @@ def _class_distributions(m: Matrix, structure: ChainStructure) -> list:
     return pis
 
 
-def _invariant_vectors(structure: ChainStructure, pis: list) -> InvariantVectors:
-    """The fixed space of v A = v: the closed classes' distributions, each
-    scaled to 1 at its class's smallest state, are its echelon basis."""
-    states = range(1, structure.n + 1)
-    basis = tuple(Matrix.row_vector([exact_div(pi[s], pi[c[0]]) if s in pi else 0 for s in states])
-                  for c, pi in zip(structure.closed_classes, pis))
-    distribution = None
-    if len(pis) == 1:
-        distribution = Matrix.row_vector([pis[0].get(s, 0) for s in states])
-    return InvariantVectors(basis, structure.all_closed, distribution)
+def _distribution(n: int, pis: list) -> Optional[Matrix]:
+    """The invariant distribution as a row when it is unique (one closed class), else None."""
+    return Matrix.row_vector([pis[0].get(s, 0) for s in range(1, n + 1)]) if len(pis) == 1 else None
 
 
 def ergodic_limit(a: StochasticMatrix) -> Optional[Matrix]:
@@ -406,7 +396,6 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
     """
     structure = chain_structure(a)
     pis = _class_distributions(a.matrix, structure)
-    invariants = _invariant_vectors(structure, pis)
     rows, det_d = _criterion_rows(a)
     # the transient witness search needs the whole fixed space, a closed chain none of it
     det, kernel = _criterion_certificate(rows, not structure.all_closed)
@@ -437,11 +426,11 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
         is_irreducible=structure.is_irreducible,
         is_aperiodic=structure.is_aperiodic,
         quasi_positive_exponent=is_quasi_positive(a),
-        has_positive_invariant=invariants.has_positive,
+        has_positive_invariant=structure.all_closed,
         det_value=det_value,
         criterion_verdict=verdict,
         witness=witness,
-        invariant_distribution=invariants.distribution,
+        invariant_distribution=_distribution(a.n, pis),
         limit_matrix=_limit(a.matrix, structure, pis),
     )
 

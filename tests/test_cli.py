@@ -68,6 +68,18 @@ def test_parse_rejects_empty():
         parse_matrix_text("   \n  ")
 
 
+@pytest.mark.parametrize("text, row", [('{"rows": [1, 2]}', 1), ('{"rows": [null]}', 1),
+                                       ('{"rows": [["1"], 2]}', 2)])
+def test_a_json_row_that_is_not_a_list_is_a_parse_error(tmp_path, capsys, text, row):
+    with pytest.raises(MatrixFormatError, match=f"^row {row} is not a list$"):
+        parse_matrix_text(text)
+    path = tmp_path / "rows.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3 and out == ""
+    assert err == f"zeonmarkov: error: cannot parse matrix: row {row} is not a list\n"
+
+
 def test_digest_is_format_independent():
     a = parse_matrix_text('{"rows": [["1/2", "1/2"], ["0.5", "0.5"]]}').matrix
     b = parse_matrix_text("0.5,1/2\n1/2,0.5").matrix
@@ -233,6 +245,41 @@ def test_a_closed_standard_output_exits_three():
     done = _console(["analyze", fixture_path("example1.json")], preexec_fn=lambda: os.close(1))
     assert done.returncode == 3
     assert done.stderr == b"zeonmarkov: error: standard output is closed\n"
+
+
+@pytest.mark.parametrize("reader_gone", [False, True])
+@pytest.mark.parametrize("args", [["analyze", "bad.csv"], ["analyze"]], ids=["error", "usage"])
+def test_a_closed_or_broken_standard_error_keeps_the_usage_error_code(tmp_path, args, reader_gone):
+    # closed, sys.stderr is None; with its reader gone, the write fails and the line stays buffered
+    (tmp_path / "bad.csv").write_text("1,1\n0,1\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _console(args, {"PYTHONUNBUFFERED": ""}, cwd=tmp_path, stdout=subprocess.PIPE,
+                        preexec_fn=lambda: os.dup2(write_end, 2) if reader_gone else os.close(2))
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3 and done.stdout == b""
+
+
+def test_a_closed_standard_input_exits_three():
+    done = _console(["analyze", "-"], preexec_fn=lambda: os.close(0))
+    assert done.returncode == 3
+    assert done.stderr == b"zeonmarkov: error: standard input is closed\n"
+
+
+class _FailingStream(io.StringIO):
+    def write(self, text):
+        raise OSError(9, "Bad file descriptor")
+
+
+def test_a_failing_standard_error_keeps_the_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stderr", _FailingStream())
+    assert main(["analyze", fixture_path("nonexistent.json")]) == 3
+    monkeypatch.setattr(sys, "stderr", _FailingStream())
+    monkeypatch.setattr(markov, "zeon_criterion", lambda chain: 1 / 0)
+    assert main(["analyze", fixture_path("example4.json")]) == 4
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("template", ['{{"rows": {0}}}', '{{"note": {0}, "rows": [["1"]]}}'])

@@ -126,6 +126,42 @@ def _cyclic_chain(rng, n):
     return validate_stochastic(Matrix.from_rows(rows))
 
 
+def _fed_cyclic_chain(rng, n):
+    # one or two closed classes, each stepping round p <= 5 groups along a closed walk
+    # through all its states, fed by transient states that lead on towards them
+    states = rng.sample(range(n), n)
+    t = rng.randint(1, n - 2)
+    transient, recurrent = states[:t], states[t:]
+    cut = rng.randint(1, len(recurrent) - 1) if rng.random() < 0.5 else len(recurrent)
+    edges = {s: set() for s in states}
+    for block in (recurrent[:cut], recurrent[cut:]):
+        if not block:
+            continue
+        p = rng.randint(1, min(5, len(block)))
+        groups = [[s] for s in block[:p]]
+        for s in block[p:]:
+            groups[rng.randrange(p)].append(s)
+        pending = [list(g) for g in groups]
+        at, k = pending[0].pop(0), 0
+        while at != groups[0][0] or any(pending) or not edges[at]:
+            k = (k + 1) % p
+            step = pending[k].pop() if pending[k] else groups[k][0]
+            edges[at].add(step)
+            at = step
+        for k, group in enumerate(groups):
+            after = groups[(k + 1) % p]
+            for s in group:
+                edges[s].update(rng.sample(after, rng.randint(0, len(after))))
+    for i, s in enumerate(transient):
+        edges[s].add(rng.choice(transient[i + 1:] + recurrent))
+        edges[s].update(rng.sample(transient, rng.randint(0, min(2, t))))
+    rows = []
+    for i in range(n):
+        weights = [rng.randint(1, 5) if j in edges[i] else 0 for j in range(n)]
+        rows.append([F(w, sum(weights)) for w in weights])
+    return validate_stochastic(Matrix.from_rows(rows))
+
+
 def test_structure_matches_the_boolean_closure_oracle():
     rng = random.Random(37)
     seen = {"periodic": 0, "open": 0, "reducible": 0}
@@ -140,6 +176,15 @@ def test_structure_matches_the_boolean_closure_oracle():
             seen["open"] += not s.all_closed
             seen["reducible"] += not s.is_irreducible
     assert min(seen.values()) >= 60, seen
+    fed_periods = set()
+    for n in range(3, 15):
+        for _ in range(6):
+            a = _fed_cyclic_chain(rng, n)
+            s = chain_structure(a)
+            assert s == chain_structure_oracle(a.matrix)
+            assert s.transient_states
+            fed_periods.update(p for p, flag in zip(s.periods, s.closed) if flag)
+    assert fed_periods == {1, 2, 3, 4, 5}
 
 
 # -- quasi-positivity --------------------------------------------------------------
