@@ -99,7 +99,7 @@ def cmd_analyze(args) -> int:
     doc = _read_matrix(args.matrix)
     chain = _stochastic(doc)
     start = time.perf_counter_ns()
-    report = markov.zeon_criterion(chain)
+    report, structure = markov._analysis(chain)
     elapsed_ms = (time.perf_counter_ns() - start) // 1_000_000
     document = AnalysisReportDocument(
         report=report,
@@ -109,7 +109,7 @@ def cmd_analyze(args) -> int:
         elapsed_ms=elapsed_ms,
     )
     if args.pretty:
-        _print_pretty(document, chain)
+        _print_pretty(document, structure)
     else:
         _emit(document.to_dict())
     return {
@@ -119,9 +119,8 @@ def cmd_analyze(args) -> int:
     }[report.criterion_verdict]
 
 
-def _print_pretty(document: AnalysisReportDocument, chain: markov.StochasticMatrix) -> None:
+def _print_pretty(document: AnalysisReportDocument, structure: markov.ChainStructure) -> None:
     report = document.report
-    structure = markov.chain_structure(chain)
     out = io.StringIO()
     label = f" ({document.label})" if document.label else ""
     out.write(f"chain on {document.n} states{label}\n")

@@ -111,7 +111,7 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool) ->
     A matrix of rank r < N mod p has N - r free columns, the columns of M
     outside the pivot columns C of the factors (see ``_lift``). The first
     one's integer kernel vector (``_kernel_vector``), lifted from the same
-    factors and checked exactly against every row, proves det M = 0.
+    factors until it passes the exact check on every row, proves det M = 0.
     ``whole_kernel`` asks for the vectors of every free column: the rank mod
     p is at most the rank over Q, so the kernel over Q has at most N - r
     dimensions, and these checked vectors (each nonzero at its own free
@@ -142,7 +142,7 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool) ->
             return 0, kernel
     else:
         b = [(7 * i) % 11 - 5 for i in range(n)]
-        denom, _, h = _lift(rows, cols, factors, b, p, width, bias)
+        denom, _, h = next(_lift(rows, cols, factors, b, p, width, bias))
         # det = cofactor * denom with |cofactor| <= H / denom.
         cofactor, base = det_p * pow(denom, -1, p) % p, p
         for q in PRIMES[1:]:
@@ -175,21 +175,23 @@ def _slots(rows: Sequence[Sequence[int]], p: int) -> tuple[int, int]:
 
 def _kernel_vector(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors: tuple,
                    free: int, p: int, width: int, bias: int) -> Optional[list]:
-    """The integer vector v with v[free] = D, v[C] = D * y for the solution
-    y of M[R, C] y = -M[R, free] (``_lift``; D the lcm of the denominators
-    of y) and 0 elsewhere, if M v = 0 holds exactly on every row; else
-    None. ``free`` is a column of M outside the pivot columns C; ``cols``
-    are M's columns."""
-    denom, numerators, _ = _lift(rows, cols, factors, [-e for e in cols[free]], p, width, bias)
-    v = [0] * len(rows)
-    for j, e in zip(factors[0], numerators):
-        v[j] = e
-    v[free] = denom
-    return None if any(sum(map(mul, row, v)) for row in rows) else v
+    """The integer vector v with v[free] = D, v[C] = D * y for the unique
+    solution y of M[R, C] y = -M[R, free] (``_lift``; D the lcm of y's
+    denominators) and 0 elsewhere, at the first of ``_lift``'s tries with
+    M v = 0 exactly on every row, else None. ``free`` is a column of M
+    outside the pivot columns C; ``cols`` are M's columns."""
+    for d, numerators, _ in _lift(rows, cols, factors, [-e for e in cols[free]], p, width, bias):
+        v = [0] * len(rows)
+        for j, e in zip(factors[0], numerators):
+            v[j] = e
+        v[free] = d
+        if not any(sum(map(mul, row, v)) for row in rows):
+            return v
+    return None
 
 
 def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors: tuple,
-          b: Sequence[int], p: int, width: int, bias: int) -> tuple[int, Iterator, int]:
+          b: Sequence[int], p: int, width: int, bias: int) -> Iterator[tuple[int, Iterator, int]]:
     """Solve M[R, C] y = b[R] exactly, where M has ``rows`` and ``cols``
     and ``factors`` are ``_lu_mod``'s of M's transpose: their pivot columns
     are the rows R of M and their first r permuted rows the columns C, so
@@ -201,9 +203,12 @@ def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors:
     |det M[R, C]| and Nb the numerators of y (by Cramer's rule), both by
     Hadamard's inequality. Rational reconstruction of the entries of y
     accumulates D, the lcm of their denominators, which divides
-    det M[R, C]. Returns D; the integers D * y (|D * y| <= Nb) in the
+    det M[R, C]. Yields D; the integers D * y (|D * y| <= Nb) in the
     order of C, as an iterator, so that a caller that needs only D does
-    not pay for them; and H.
+    not pay for them; and H. When M is singular mod p, it first yields
+    each reconstruction after 1, 2, 4, ... digits that succeeds with both
+    parts at most isqrt(p^k / 2), for an exact check to stop on (Chen &
+    Storjohann, ISSAC 2005; Monagan, ISSAC 2004).
     """
     perm, _, _, _, pivot_rows = factors
     n, rank = len(rows), len(pivot_rows)
@@ -228,22 +233,28 @@ def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors:
     offset = _pack([bias] * n, width)
     m_cols = [_pack([e + bias for e in col], width) - offset for col in cols]
     residual = _pack([e + bias for e in b], width) - offset
-    digits = []
-    for _ in range(steps):
+    solution, modulus = [0] * rank, 1
+    for k in range(1, steps + 1):
         y = _solve_mod(factors, residual + offset, p, width)
-        digits.append(y)
+        solution = [s + d * modulus for s, d in zip(solution, y)]
+        modulus *= p
         residual = (residual - sum(map(mul, y, m_cols))) // p
-    solution = [0] * rank
-    for y in reversed(digits):
-        solution = [s * p + d for s, d in zip(solution, y)]
-
-    denom = 1
-    for s in solution:
-        u = denom * s % modulus
-        if min(u, modulus - u) > nb:
-            denom *= _reconstruct_denominator(u, modulus, nb, h)
-    numerators, half = (denom * s % modulus for s in solution), modulus // 2
-    return denom, (u - modulus if u > half else u for u in numerators), h
+        if k < steps and (rank == n or k & k - 1):
+            continue
+        half = modulus // 2
+        num_bound, den_bound = (nb, h) if k == steps else (math.isqrt(half),) * 2
+        denom = 1
+        try:
+            for s in solution:
+                u = denom * s % modulus
+                if min(u, modulus - u) > num_bound:
+                    denom *= _reconstruct_denominator(u, modulus, num_bound, den_bound)
+        except ArithmeticError:
+            if k == steps:
+                raise
+        else:
+            numerators = (denom * s % modulus for s in solution)
+            yield denom, (u - modulus if u > half else u for u in numerators), h
 
 
 def _pack(values: Sequence[int], width: int) -> int:

@@ -115,6 +115,16 @@ def _states(mask: int):
         mask ^= low
 
 
+def _union(rows: list, mask: int) -> int:
+    """The union of the int bit rows ``rows`` at the states in ``mask``."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc |= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
+
+
 def _successors(a: StochasticMatrix) -> list:
     """A's positivity pattern as int bit rows: bit j of row i is set when
     A[i, j] > 0, so row i is the bitmask of the states i steps to."""
@@ -141,9 +151,7 @@ def chain_structure(a: StochasticMatrix) -> ChainStructure:
         levels = []
         seen = frontier = 1 << i
         while frontier:
-            step = 0
-            for v in _states(frontier):
-                step |= succ[v]
+            step = _union(succ, frontier)
             levels.append((frontier, step))
             frontier = step & ~seen
             seen |= step
@@ -198,25 +206,24 @@ def wielandt_bound(n: int) -> int:
 
 
 def is_quasi_positive(a: StochasticMatrix) -> Optional[int]:
-    """Smallest m with A^m entrywise positive, searched to the Wielandt
-    bound n^2 - 2n + 2; None is a proof that no such power exists. The
-    pattern of A^(m+1) is the Boolean product of A^m's with A's: row i is
-    the union of the ``_successors`` rows of the states row i reaches."""
-    power = succ = _successors(a)
+    """Smallest m with A^m entrywise positive, or None, a proof that none is:
+    A^(2^k) is not positive with 2^k at the Wielandt bound n^2 - 2n + 2. A
+    stochastic pattern has no zero row, so A^m > 0 implies A^(m+1) > 0: the
+    Boolean pattern is squared until it is positive, and m binary-searched
+    from the squares: row i of the pattern of X Y is ``_union`` of Y's rows
+    at the bits of X's row i."""
     full = (1 << a.n) - 1
-    for m in range(1, wielandt_bound(a.n) + 1):
-        if all(mask == full for mask in power):
-            return m
-        step = []
-        for mask in power:
-            acc = 0
-            while mask:
-                low = mask & -mask
-                acc |= succ[low.bit_length() - 1]
-                mask ^= low
-            step.append(acc)
-        power = step
-    return None
+    squares = [_successors(a)]  # the patterns of A^(2^k)
+    while any(row != full for row in squares[-1]):
+        if 1 << len(squares) - 1 >= wielandt_bound(a.n):
+            return None
+        squares.append([_union(squares[-1], mask) for mask in squares[-1]])
+    m, power = 0, None  # before step k: A^m is not positive and A^(m + 2^(k+1)) is
+    for k in range(len(squares) - 2, -1, -1):
+        step = squares[k] if power is None else [_union(squares[k], mask) for mask in power]
+        if any(row != full for row in step):
+            m, power = m + (1 << k), step
+    return m + 1
 
 
 @dataclass(frozen=True)
@@ -392,35 +399,38 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
     positive invariant vector -- the determinant is still reported, but it
     decides nothing there. With every class closed, a determinant verdict
     that differs from irreducible-and-aperiodic raises RuntimeError: it is
-    a bug or a counterexample to the theorem, never a report.
+    a bug or a counterexample to the theorem, never a report. The oracles'
+    not-ergodic witness w proves det = 0 by M w = 0 on every integer row M
+    of ``_criterion_rows``; other chains take ``_criterion_certificate``.
     """
+    return _analysis(a)[0]
+
+
+def _analysis(a: StochasticMatrix) -> tuple[ErgodicityReport, ChainStructure]:
+    """``zeon_criterion``'s report and the chain structure it rests on."""
     structure = chain_structure(a)
     pis = _class_distributions(a.matrix, structure)
     rows, det_d = _criterion_rows(a)
-    # the transient witness search needs the whole fixed space, a closed chain none of it
-    det, kernel = _criterion_certificate(rows, not structure.all_closed)
-    det_value = exact_div(det, det_d)
-
     witness = None
-    classical = structure.is_irreducible and structure.is_aperiodic
-    if not structure.all_closed:
-        verdict = Verdict.INAPPLICABLE
-        if det_value == 0:
-            witness = _nonnegative_fixed_vector(kernel, a.n)
-    elif (det_value != 0) != classical:
-        says = (Verdict.NOT_ERGODIC.value, Verdict.ERGODIC.value)
-        raise RuntimeError(f"the determinant says {says[det_value != 0]} but the classical "
-                           f"oracles say {says[classical]}: the two routes disagree")
-    elif det_value != 0:
-        verdict = Verdict.ERGODIC
-    else:
-        verdict = Verdict.NOT_ERGODIC
-        if len(structure.classes) >= 2:
-            witness = witness_reducible(structure)
-        else:
-            witness = witness_periodic(structure)
+    if structure.all_closed and not (structure.is_irreducible and structure.is_aperiodic):
+        witness = (witness_periodic if structure.is_irreducible else witness_reducible)(structure)
         if any(sum(e * x for e, x in zip(row, witness.coords)) for row in rows):
-            raise RuntimeError("constructed witness is not fixed by the compound")
+            raise RuntimeError("the classical oracles say not-ergodic, but their witness is not "
+                               "fixed by Psi2(A); ergodic is not refuted: the two routes disagree")
+        det_value, verdict = 0, Verdict.NOT_ERGODIC
+    else:
+        # the transient witness search needs the whole fixed space, an ergodic chain none of it
+        det, kernel = _criterion_certificate(rows, not structure.all_closed)
+        det_value = exact_div(det, det_d)
+        if not structure.all_closed:
+            verdict = Verdict.INAPPLICABLE
+            if det_value == 0:
+                witness = _nonnegative_fixed_vector(kernel, a.n)
+        elif det_value == 0:
+            raise RuntimeError("the determinant says not-ergodic but the classical oracles say "
+                               "ergodic: the two routes disagree")
+        else:
+            verdict = Verdict.ERGODIC
 
     return ErgodicityReport(
         is_irreducible=structure.is_irreducible,
@@ -432,7 +442,7 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
         witness=witness,
         invariant_distribution=_distribution(a.n, pis),
         limit_matrix=_limit(a.matrix, structure, pis),
-    )
+    ), structure
 
 
 def witness_reducible(structure: ChainStructure) -> DegreeTwoVector:

@@ -277,7 +277,7 @@ def test_a_failing_standard_error_keeps_the_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stderr", _FailingStream())
     assert main(["analyze", fixture_path("nonexistent.json")]) == 3
     monkeypatch.setattr(sys, "stderr", _FailingStream())
-    monkeypatch.setattr(markov, "zeon_criterion", lambda chain: 1 / 0)
+    monkeypatch.setattr(markov, "_analysis", lambda chain: 1 / 0)
     assert main(["analyze", fixture_path("example4.json")]) == 4
     assert capsys.readouterr().out == ""
 
@@ -295,7 +295,7 @@ def test_internal_error_exits_four(monkeypatch, capsys):
     def crash(chain):
         raise ValueError("boom\nsecond line")
 
-    monkeypatch.setattr(markov, "zeon_criterion", crash)
+    monkeypatch.setattr(markov, "_analysis", crash)
     code, out, err = run(capsys, "analyze", fixture_path("example4.json"))
     assert code == 4 and out == ""
     assert err.startswith("zeonmarkov: internal error: ValueError: boom second line")
@@ -326,10 +326,26 @@ def test_analyze_formats_an_oversized_row_sum(tmp_path, capsys):
 
 
 def test_a_determinant_contradicting_the_classical_verdict_exits_four(monkeypatch, capsys):
-    monkeypatch.setattr(markov, "_criterion_certificate", lambda rows, whole_kernel: (1, []))
+    # invertible rows (the 10 x 10 identity, det D = 1): det = 1, so no witness is fixed
+    identity = [[int(i == j) for j in range(10)] for i in range(10)]
+    monkeypatch.setattr(markov, "_criterion_rows", lambda chain: (identity, 1))
     code, out, err = run(capsys, "analyze", fixture_path("example3.json"))
     assert code == 4 and out == ""
-    assert err.startswith("zeonmarkov: internal error: RuntimeError: the determinant says ergodic")
+    assert err.startswith("zeonmarkov: internal error: RuntimeError: the classical oracles say "
+                          "not-ergodic, but their witness is not fixed by Psi2(A); ergodic is not "
+                          "refuted: the two routes disagree")
+
+
+def test_analyze_pretty_reads_the_structure_once(monkeypatch, capsys):
+    calls = []
+    original = markov.chain_structure
+    monkeypatch.setattr(markov, "chain_structure",
+                        lambda chain: calls.append(chain) or original(chain))
+    for i in range(1, 6):
+        calls.clear()
+        code, out, _ = run(capsys, "analyze", fixture_path(f"example{i}.json"), "--pretty")
+        assert code in (1, 2) and "classes:" in out
+        assert len(calls) == 1
 
 
 def test_analyze_pretty(capsys):

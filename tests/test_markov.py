@@ -1,4 +1,6 @@
 import importlib.util
+import itertools
+import math
 import os
 import random
 import sys
@@ -210,12 +212,36 @@ def test_quasi_positive_exponent_matches_the_integer_power_oracle():
     for _ in range(200):
         a = random_stochastic(rng, rng.randint(1, 6), density=rng.uniform(0.1, 0.9))
         assert is_quasi_positive(a) == positive_power_oracle(a.matrix)
-    for n in (5, 6):
+    for n in range(2, 13):
         # the Wielandt-extremal chain: an n-cycle plus the shortcut n -> 2
         rows = [[Fraction(1) if j == (i + 1) % n else 0 for j in range(n)] for i in range(n)]
         rows[n - 1] = [Fraction(1, 2) if j in (0, 1) else 0 for j in range(n)]
         a = StochasticMatrix(Matrix.from_rows(rows))
         assert is_quasi_positive(a) == positive_power_oracle(a.matrix) == n * n - 2 * n + 2
+    for n in range(2, 13):
+        # every cycle of a chain stepping round p >= 2 groups has a length divisible by p
+        a = _cyclic_chain(rng, n)
+        while chain_structure(a).is_aperiodic:
+            a = _cyclic_chain(rng, n)
+        assert is_quasi_positive(a) is positive_power_oracle(a.matrix) is None
+
+
+def test_every_support_pattern_up_to_three_states_matches_the_oracles(monkeypatch):
+    # every 0/1 pattern with no zero row, each row normalised: 1 + 9 + 343 chains
+    count = 0
+    for n in range(1, 4):
+        supports = [row for row in itertools.product((0, 1), repeat=n) if any(row)]
+        for pattern in itertools.product(supports, repeat=n):
+            a = validate_stochastic(Matrix.from_rows([[F(e, sum(row)) for e in row]
+                                                      for row in pattern]))
+            assert is_quasi_positive(a) == positive_power_oracle(a.matrix)
+            with monkeypatch.context() as patch:
+                patch.setattr(markov, "_criterion_certificate", certificate_oracle)
+                patch.setattr(markov, "_nonnegative_fixed_vector", fixed_vector_oracle)
+                expected = zeon_criterion(a)
+            assert zeon_criterion(a) == expected
+            count += 1
+    assert count == 353
 
 
 # -- invariant vectors ---------------------------------------------------------------
@@ -492,11 +518,13 @@ def test_report_matches_the_bareiss_and_fraction_null_space_route(monkeypatch):
 
 
 def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
-    # one LU mod p proves det = 0 and, on a transient chain, gives the whole
-    # fixed space for the witness search: one lift per kernel vector, no
-    # Bareiss determinant and no N x N null space
+    # a closed chain's witness proves det = 0 with no LU and no lift; on a
+    # transient chain one LU mod p proves it and gives the whole fixed space for
+    # the witness search, one lift per kernel vector; no Bareiss determinant
+    # and no N x N null space anywhere
     families = _bench_families()
     for family in (families.REDUCIBLE, families.PERIODIC, families.TRANSIENT):
+        transient = family == families.TRANSIENT
         for n in range(6, 11):
             a = _bench_chain(families, family, n, 0)
             rows, _ = markov._criterion_rows(a)
@@ -507,19 +535,61 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
                 null_spaces = _counting(patch, Matrix, "right_null_space")
                 assert linalg.integer_det(rows) == 0
                 assert (len(lu), len(bareiss)) == (1, 0)
+                lu.clear()
                 lifts = _counting(patch, linalg, "_lift")
                 report = zeon_criterion(a)
-            assert len(lu) == 2
-            assert len(lifts) == (nullity if family == families.TRANSIENT else 1)
+            assert len(lu) == (1 if transient else 0)
+            assert len(lifts) == (nullity if transient else 0)
             assert bareiss == [] and null_spaces == []
             assert report.witness is not None
+
+
+def _hadamard_steps(rows, p):
+    # the digits Dixon lifting takes for M x = b, b as in _criterion_certificate:
+    # the least K with p^K > 2 * Nb * H, H and Nb the Hadamard bounds
+    b = [(7 * i) % 11 - 5 for i in range(len(rows))]
+    col_norms = [sum(e * e for e in col) for col in zip(*rows)]
+    col_bound = math.prod(col_norms)
+    h = math.isqrt(min(col_bound, math.prod(sum(e * e for e in row) for row in rows))) + 1
+    nb = math.isqrt(col_bound * sum(e * e for e in b) // min(col_norms)) + 1
+    steps = 1
+    while p ** steps <= 2 * nb * h:
+        steps += 1
+    return steps
+
+
+def test_the_kernel_lift_stops_early_and_the_dixon_lift_does_not(monkeypatch):
+    # a transient chain's kernel vectors pass the exact check after a few
+    # digits; a nonzero determinant lifts every Hadamard digit
+    families = _bench_families()
+    cases = [(families.TRANSIENT, 14, seed, 4) for seed in range(3)]
+    cases += [(families.TRANSIENT, 22, seed, 16) for seed in range(3)]
+    a = _bench_chain(families, families.ERGODIC, 18, 0)
+    cases.append((families.ERGODIC, 18, 0,
+                  _hadamard_steps(markov._criterion_rows(a)[0], linalg.PRIMES[0])))
+    for family, n, seed, expected in cases:
+        a = _bench_chain(families, family, n, seed)
+        with monkeypatch.context() as patch:
+            solves = _counting(patch, linalg, "_solve_mod")
+            report = zeon_criterion(a)
+        assert (report.det_value == 0) == (family == families.TRANSIENT)
+        assert len(solves) == expected, (family, n, seed)
 
 
 @pytest.mark.parametrize("det, chain", [(1, "reducible"), (0, "ergodic")])
 def test_a_determinant_that_contradicts_the_classical_verdict_is_an_error(
         chains, monkeypatch, det, chain):
-    a = chains[3] if chain == "reducible" else validate_stochastic(UNIFORM2)
-    monkeypatch.setattr(markov, "_criterion_certificate", lambda rows, whole_kernel: (det, []))
+    if chain == "reducible":
+        # the witness proves a closed chain's zero: make the rows invertible
+        # (det times the identity, det D = 1), so that no witness is fixed
+        a = chains[3]
+        size = math.comb(a.n, 2)
+        rows = [[det * (i == j) for j in range(size)] for i in range(size)]
+        monkeypatch.setattr(markov, "_criterion_rows", lambda chain: (rows, 1))
+    else:
+        a = validate_stochastic(UNIFORM2)
+        monkeypatch.setattr(markov, "_criterion_certificate",
+                            lambda rows, whole_kernel: (det, []))
     with pytest.raises(RuntimeError, match="disagree"):
         zeon_criterion(a)
 
