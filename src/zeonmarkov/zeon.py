@@ -7,14 +7,19 @@ analogue of the k-th exterior (determinant) compound. Generators of the
 underlying algebra commute but square to zero, which is why permanents,
 not determinants, appear.
 
+Both compounds come from one builder over the matrix's integer rows: each
+entry is expanded along its first row from the compound one degree down,
+C(n,k)^2 k integer multiplies in all, and divided by its row scales once.
+
 Subsets are always strictly increasing tuples of 1-based indices, in
 lexicographic order.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator, Optional, Sequence
 
@@ -127,32 +132,15 @@ def function_matrix(f: FunctionMap) -> Matrix:
 
 
 def permanent(m: Matrix) -> Scalar:
-    """Exact permanent of a square matrix.
-
-    Small orders expand directly; order >= 4 uses Ryser's
-    inclusion-exclusion with Gray-code updates of the column sums,
-    O(2^k k) instead of O(k!).
+    """Exact permanent of a square matrix, by Ryser's inclusion-exclusion
+    with Gray-code updates of the column sums: O(2^k k), not O(k!). The
+    compounds do not call it; it is the tests' independent route to them.
     """
     if not m.is_square:
         raise ValueError("permanent needs a square matrix")
     n = m.rows
     if n == 0:
         return 1
-    if n == 1:
-        return m.data[0]
-    d = m.data
-    if n == 2:
-        return as_scalar(Fraction(d[0] * d[3] + d[1] * d[2]))
-    if n == 3:
-        total = (d[0] * (d[4] * d[8] + d[5] * d[7])
-                 + d[1] * (d[3] * d[8] + d[5] * d[6])
-                 + d[2] * (d[3] * d[7] + d[4] * d[6]))
-        return as_scalar(Fraction(total))
-    return _permanent_ryser(m)
-
-
-def _permanent_ryser(m: Matrix) -> Scalar:
-    n = m.rows
     cols = [m.column(j) for j in range(n)]
     sums = [0] * n
     total = 0
@@ -160,8 +148,7 @@ def _permanent_ryser(m: Matrix) -> Scalar:
     for counter in range(1, 1 << n):
         next_gray = counter ^ (counter >> 1)
         changed = gray ^ next_gray
-        j = changed.bit_length() - 1
-        col = cols[j]
+        col = cols[changed.bit_length() - 1]
         if next_gray & changed:
             for i in range(n):
                 sums[i] += col[i]
@@ -169,11 +156,10 @@ def _permanent_ryser(m: Matrix) -> Scalar:
             for i in range(n):
                 sums[i] -= col[i]
         gray = next_gray
-        prod = reduce(lambda a, b: a * b, sums)
         if gray.bit_count() & 1:
-            total -= prod
+            total -= math.prod(sums)
         else:
-            total += prod
+            total += math.prod(sums)
     if n & 1:
         total = -total
     return as_scalar(Fraction(total))
@@ -183,56 +169,65 @@ def zeon_power(w: Matrix, k: int) -> Matrix:
     """k-th zeon tensor power (permanental compound) of a square matrix.
 
     Entry (I, J), over the lexicographic k-subset basis, is the permanent
-    of w restricted to rows I and columns J. For k = 1 this is w itself;
-    for k = 2 it is ``_psi2_rows`` of w's integer rows over their row
-    scales, one Fraction per entry. Nothing is kept between calls: one
-    compound at n = 30 holds about 13 MB.
+    of w restricted to rows I and columns J; for k = 1 this is w itself.
+    Otherwise it is ``_compound_rows`` of w's integer rows over the product
+    of their row scales, one Fraction per entry: C(n,k)^2 k integer
+    multiplies. Nothing is kept between calls: one compound at n = 30, k = 2
+    holds about 13 MB.
     """
     if not w.is_square:
         raise ValueError("zeon power needs a square matrix")
+    return _compound(w, k, 1)
+
+
+def exterior_power(w: Matrix, k: int) -> Matrix:
+    """k-th exterior (determinant) compound over the same subset basis:
+    entry (I, J) is the minor det w[I, J], built as ``zeon_power`` builds
+    the permanents, with alternating signs."""
+    if not w.is_square:
+        raise ValueError("exterior power needs a square matrix")
+    return _compound(w, k, -1)
+
+
+def _compound(w: Matrix, k: int, sign: int) -> Matrix:
     n = w.rows
     basis = subset_basis(n, k)
     if k == 1:
         return Matrix(n, n, w.data)
-    if k == 2:
-        numerators, scales = w.integer_rows()
-        entries = [Fraction(e, d1 * d2)
-                   for (d1, d2), row in zip(combinations(scales, 2), _psi2_rows(numerators))
-                   for e in row]
-        return Matrix(len(basis), len(basis), entries)
-    entries = []
-    for rows_idx in basis.subsets:
-        for cols_idx in basis.subsets:
-            entries.append(permanent(_submatrix(w, rows_idx, cols_idx)))
+    numerators, scales = w.integer_rows()
+    row_scales = [math.prod(scales[i - 1] for i in s) for s in basis.subsets]
+    entries = [Fraction(e, d)
+               for d, row in zip(row_scales, _compound_rows(numerators, k, sign)) for e in row]
     return Matrix(len(basis), len(basis), entries)
 
 
-def _psi2_rows(numerators: Sequence[Sequence[int]]) -> list:
+def _compound_rows(numerators: Sequence[Sequence[int]], k: int, sign: int) -> list:
+    """The k-compound (k >= 2) of integer rows N, over the lexicographic
+    k-subsets: permanents for sign 1, minors for sign -1. Level 2 is
+    ``_psi2_rows``; level L expands each entry along its first row,
+    C(I, J) = sum over t of sign^t N[I_0][J_t] C(I minus I_0, J minus J_t),
+    from level L - 1 alone (Minc, Permanents, 1978)."""
+    rows = _psi2_rows(numerators, sign)
+    n = len(numerators)
+    for level in range(3, k + 1):
+        lower = subset_basis(n, level - 1)
+        subsets = subset_basis(n, level).subsets
+        expansions = [[(j - 1, lower.rank(s[:t] + s[t + 1:]), sign ** t) for t, j in enumerate(s)]
+                      for s in subsets]
+        heads = [numerators[s[0] - 1] for s in subsets]
+        tails = [rows[lower.rank(s[1:])] for s in subsets]
+        rows = [[sum(c * head[j] * tail[r] for j, r, c in terms) for terms in expansions]
+                for head, tail in zip(heads, tails)]
+    return rows
+
+
+def _psi2_rows(numerators: Sequence[Sequence[int]], sign: int = 1) -> list:
     """Psi2 of integer rows N_i over the lexicographic 0-based pairs: entry
-    ((i1, i2), (j1, j2)) is the permanent N_i1[j1] N_i2[j2] + N_i1[j2] N_i2[j1]."""
+    ((i1, i2), (j1, j2)) is the permanent N_i1[j1] N_i2[j2] + N_i1[j2] N_i2[j1],
+    or, for sign -1, the minor N_i1[j1] N_i2[j2] - N_i1[j2] N_i2[j1]."""
     pairs = list(combinations(range(len(numerators)), 2))
-    return [[n1[j1] * n2[j2] + n1[j2] * n2[j1] for j1, j2 in pairs]
+    return [[n1[j1] * n2[j2] + sign * n1[j2] * n2[j1] for j1, j2 in pairs]
             for n1, n2 in combinations(numerators, 2)]
-
-
-def exterior_power(w: Matrix, k: int) -> Matrix:
-    """k-th exterior (determinant) compound over the same subset basis."""
-    if not w.is_square:
-        raise ValueError("exterior power needs a square matrix")
-    basis = subset_basis(w.rows, k)
-    if k == 1:
-        return Matrix(w.rows, w.cols, w.data)
-    entries = [
-        _submatrix(w, rows_idx, cols_idx).det()
-        for rows_idx in basis.subsets
-        for cols_idx in basis.subsets
-    ]
-    return Matrix(len(basis), len(basis), entries)
-
-
-def _submatrix(w: Matrix, rows_idx: Sequence[int], cols_idx: Sequence[int]) -> Matrix:
-    entries = [w[i - 1, j - 1] for i in rows_idx for j in cols_idx]
-    return Matrix(len(rows_idx), len(cols_idx), entries)
 
 
 def is_zeon_homomorphic_pair(w1: Matrix, w2: Matrix, k: int) -> bool:

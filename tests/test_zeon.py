@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import cofactor_det
 from oracles import permutation_permanent_oracle
 from zeonmarkov.linalg import Matrix
 from zeonmarkov.markov import random_stochastic
@@ -129,7 +130,7 @@ def test_permanent_two_by_two():
 
 
 def test_permanent_identity():
-    for k in range(1, 6):
+    for k in range(0, 6):
         assert permanent(Matrix.identity(k)) == 1
 
 
@@ -216,7 +217,8 @@ def test_zeon_power_generic_agrees_with_permanent_definition():
 
 
 def test_zeon_power_two_agrees_with_the_permanent_definition_on_wide_denominators():
-    # rows over unequal lcms, negative entries, denominators up to 10^30
+    # rows over unequal lcms, negative entries, denominators up to 10^30; every
+    # k, and the minors of exterior_power by cofactor expansion
     rng = random.Random(43)
     for n in range(2, 7):
         for _ in range(3):
@@ -225,12 +227,14 @@ def test_zeon_power_two_agrees_with_the_permanent_definition_on_wide_denominator
                               for _ in range(n * n)])
             scales = w.integer_rows()[1]
             assert len(set(scales)) > 1 and min(w.data) < 0
-            compound = zeon_power(w, 2)
-            basis = subset_basis(n, 2)
-            for a, rows_idx in enumerate(basis.subsets):
-                for b, cols_idx in enumerate(basis.subsets):
-                    sub = Matrix(2, 2, [w[i - 1, j - 1] for i in rows_idx for j in cols_idx])
-                    assert compound[a, b] == permutation_permanent_oracle(sub)
+            for k in range(2, n + 1):
+                compound, minors = zeon_power(w, k), exterior_power(w, k)
+                basis = subset_basis(n, k)
+                for a, rows_idx in enumerate(basis.subsets):
+                    for b, cols_idx in enumerate(basis.subsets):
+                        sub = Matrix(k, k, [w[i - 1, j - 1] for i in rows_idx for j in cols_idx])
+                        assert compound[a, b] == permutation_permanent_oracle(sub)
+                        assert minors[a, b] == cofactor_det(sub)
 
 
 def test_a_dropped_compound_leaves_no_memory_held():
@@ -313,7 +317,8 @@ def test_exterior_multiplicative_always():
     for _ in range(10):
         w1 = Matrix(4, 4, [rng.randint(-2, 2) for _ in range(16)])
         w2 = Matrix(4, 4, [rng.randint(-2, 2) for _ in range(16)])
-        assert exterior_power(w1 * w2, 2) == exterior_power(w1, 2) * exterior_power(w2, 2)
+        for k in (2, 3):
+            assert exterior_power(w1 * w2, k) == exterior_power(w1, k) * exterior_power(w2, k)
 
 
 # -- homomorphism predicate ---------------------------------------------------
