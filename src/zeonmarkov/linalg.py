@@ -6,9 +6,14 @@ or a ``fractions.Fraction`` in lowest terms, integral values always as
 no floating point; equality of results is always bit-exact, so downstream
 code can decide genuine dichotomies (a determinant is zero or it is not).
 
-Every exact elimination (determinants, reduced row-echelon forms, null
-spaces, solves) runs on integer rows through one fraction-free (Bareiss)
-routine, ``_bareiss``; a ``Fraction`` is built only for an output entry.
+A matrix is also a list of integer rows over positive row scales, made
+from its entries on each use and not kept. Products and every exact
+elimination run on those rows and build a ``Fraction`` only for an output
+entry. ``A * B`` brings B's rows to one common scale s, so entry (i, j) is
+one integer dot product over A's row scale times s. The compounds of
+``zeon`` are held as integer rows alone, their entries built on first read.
+Eliminations (determinants, reduced row-echelon forms, null spaces, solves)
+go through one fraction-free (Bareiss) routine, ``_bareiss``.
 The determinant of a square integer matrix and, when it is 0, the right
 kernel vectors that prove it come from one LU mod p, lifted p-adically
 (``_criterion_certificate``, and ``integer_det`` for the determinant
@@ -75,6 +80,12 @@ def scalar_str(value: Scalar) -> str:
         half = value.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
         high, low = divmod(value, 10 ** half)
         return sign + scalar_str(high) + scalar_str(low).zfill(half)
+
+
+def _ratio(numerator: int, denominator: int) -> Scalar:
+    """The canonical scalar numerator/denominator of two ints."""
+    quotient, remainder = divmod(numerator, denominator)
+    return Fraction(numerator, denominator) if remainder else quotient
 
 
 def exact_div(a: Scalar, b: Scalar) -> Scalar:
@@ -413,7 +424,7 @@ class Matrix:
     multi-indices use 1-based labels and translate.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_integer")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[ScalarLike]):
         data = tuple(as_scalar(e) for e in entries)
@@ -424,6 +435,36 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.data = data
+
+    @classmethod
+    def _canonical(cls, rows: int, cols: int, data: Optional[Iterable[Scalar]] = None,
+                   integer: Optional[tuple[list, list]] = None) -> "Matrix":
+        """A matrix of ``data``, entries that are already canonical scalars,
+        or held as ``integer``, integer rows over positive row scales, until
+        ``.data`` is first read. Nothing is parsed or checked."""
+        m = object.__new__(cls)
+        m.rows, m.cols = rows, cols
+        if data is not None:
+            m.data = tuple(data)
+        if integer is not None:
+            m._integer = integer
+        return m
+
+    def __getattr__(self, name: str):
+        # Runs only when a slot is unset: the entries of a matrix held as
+        # integer rows, built on first read and kept; or the integer rows of
+        # one built from its entries, over the lcms of their denominators,
+        # made on each use and not kept.
+        if name == "data":
+            numerators, scales = self._integer
+            self.data = tuple(_ratio(e, d) for row, d in zip(numerators, scales) for e in row)
+            return self.data
+        if name == "_integer":
+            rows = [self.row(i) for i in range(self.rows)]
+            scales = [math.lcm(*(e.denominator for e in row)) for row in rows]
+            return [[e.numerator * (d // e.denominator) for e in row] if d > 1 else row
+                    for row, d in zip(rows, scales)], scales
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # -- constructors -------------------------------------------------
 
@@ -488,9 +529,8 @@ class Matrix:
 
     @property
     def T(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, [self.data[i * self.cols + j]
-                                             for j in range(self.cols)
-                                             for i in range(self.rows)])
+        data, cols = self.data, self.cols
+        return Matrix._canonical(cols, self.rows, [e for j in range(cols) for e in data[j::cols]])
 
     # -- arithmetic ---------------------------------------------------
 
@@ -515,13 +555,19 @@ class Matrix:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            cols = [other.column(j) for j in range(other.cols)]
+            # Integer rows of self over d_i; other's rows over one common s;
+            # entry (i, j) is one integer dot product over d_i * s.
+            numerators, scales = other._integer
+            s = math.lcm(*scales)
+            right = [[e * (s // d) for e in row] if d < s else row
+                     for row, d in zip(numerators, scales)]
+            cols = list(zip(*right)) if right else [()] * other.cols
             entries = []
-            for i in range(self.rows):
-                r = self.row(i)
-                for c in cols:
-                    entries.append(sum(a * b for a, b in zip(r, c)))
-            return Matrix(self.rows, other.cols, entries)
+            for row, d in zip(*self._integer):
+                d *= s
+                dots = [sum(map(mul, row, c)) for c in cols]
+                entries += dots if d == 1 else [_ratio(e, d) for e in dots]
+            return Matrix._canonical(self.rows, other.cols, entries)
         if isinstance(other, (int, Fraction)):
             return Matrix(self.rows, self.cols, [a * other for a in self.data])
         return NotImplemented
@@ -549,9 +595,7 @@ class Matrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and all(
-            a == b for a, b in zip(self.data, other.data)
-        )
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.data == other.data
 
     def __hash__(self) -> int:
         # safe on canonical entries: hash(Fraction(k)) == hash(k) for ints k
@@ -593,15 +637,11 @@ class Matrix:
         return exact_div(_bareiss_det(numerators), math.prod(scales))
 
     def integer_rows(self) -> tuple[list, list]:
-        """Each row as integer numerators over the lcm of its denominators:
-        the numerator rows and those lcms, in row order."""
-        numerators, scales = [], []
-        for i in range(self.rows):
-            row = self.row(i)
-            d = math.lcm(*(e.denominator for e in row))
-            numerators.append([e.numerator * (d // e.denominator) for e in row])
-            scales.append(d)
-        return numerators, scales
+        """Each row as integer numerators over a positive row scale, the lcm
+        of its denominators unless the matrix was built as integer rows: new
+        lists of the numerator rows and of the scales, in row order."""
+        numerators, scales = self._integer
+        return [list(row) for row in numerators], list(scales)
 
     # -- elimination --------------------------------------------------
 
@@ -612,7 +652,7 @@ class Matrix:
         it doubles as a canonical form for fixture comparisons."""
         m, _ = self.integer_rows()
         pivots, _, scale = _bareiss(m, reduce=True)
-        return (Matrix(self.rows, self.cols, [Fraction(e, scale) for row in m for e in row]),
+        return (Matrix._canonical(self.rows, self.cols, [_ratio(e, scale) for row in m for e in row]),
                 tuple(pivots))
 
     def rank(self) -> int:

@@ -28,6 +28,14 @@ def cofactor_det(m: Matrix):
     return total
 
 
+def assert_same_entries(m, expected):
+    """Equal matrices whose entries also agree in hash and type, one by one."""
+    assert (m.rows, m.cols) == (expected.rows, expected.cols) and m == expected
+    assert hash(m) == hash(expected) and repr(m) == repr(expected)
+    for e, f in zip(m.data, expected.data, strict=True):
+        assert e == f and hash(e) == hash(f) and type(e) is type(f)
+
+
 def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
 

@@ -28,6 +28,22 @@ def permutation_permanent_oracle(m: Matrix) -> Scalar:
     return as_scalar(total)
 
 
+def product_oracle(a: Matrix, b: Matrix) -> Matrix:
+    """The product a b by the textbook triple loop over ``Fraction``
+    entries, each sum canonicalized by ``as_scalar``. Independent reference
+    for the integer-row product ``Matrix.__mul__``."""
+    if a.cols != b.rows:
+        raise ValueError("inner dimensions differ")
+    entries = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            total = Fraction(0)
+            for k in range(a.cols):
+                total += Fraction(a[i, k]) * Fraction(b[k, j])
+            entries.append(as_scalar(total))
+    return Matrix(a.rows, b.cols, entries)
+
+
 def rref_oracle(m: Matrix) -> tuple:
     """Reduced row-echelon form and pivot columns by Gauss-Jordan on
     ``Fraction`` entries, pivoting on the first nonzero entry below the

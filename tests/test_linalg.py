@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cofactor_det
-from oracles import null_space_oracle, rref_oracle
+from conftest import assert_same_entries, cofactor_det
+from oracles import null_space_oracle, product_oracle, rref_oracle
 from zeonmarkov import linalg
 from zeonmarkov.linalg import Matrix, PRIMES, as_scalar, exact_div, integer_det, scalar_str
 from zeonmarkov.markov import StochasticMatrix, is_quasi_positive, wielandt_bound
@@ -88,6 +88,30 @@ def test_product_associative():
         b = random_matrix(rng, 4, 2)
         c = random_matrix(rng, 2, 5)
         assert (a * b) * c == a * (b * c)
+
+
+def test_product_matches_the_fraction_triple_loop():
+    # 1 x k, k x 1 and rectangular shapes; integer, mixed and negative
+    # entries; denominators up to 10^30, so row scales differ widely
+    rng = random.Random(12)
+    kinds = [(3, 1), (10**6, 1), (5, 12), (10**6, 10**30)]
+    shapes = [(1, 5, 4), (4, 5, 1), (1, 6, 1), (5, 1, 5), (3, 7, 2), (2, 3, 6), (6, 6, 6)]
+    kinds_seen = set()
+    for trial in range(120):
+        r, inner, c = shapes[trial % len(shapes)]
+        (bound_a, den_a), (bound_b, den_b) = rng.choice(kinds), rng.choice(kinds)
+        a = random_matrix(rng, r, inner, -bound_a, bound_a, den_a)
+        b = random_matrix(rng, inner, c, -bound_b, bound_b, den_b)
+        kinds_seen.add((den_a > 1, den_b > 1))
+        assert_same_entries(a * b, product_oracle(a, b))
+    assert kinds_seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_product_over_a_zero_inner_dimension_is_the_zero_matrix():
+    product = Matrix(2, 0, []) * Matrix(0, 3, [])
+    assert_same_entries(product, Matrix.zeros(2, 3))
+    assert product.data == (0,) * 6
+    assert_same_entries(Matrix(0, 2, []) * Matrix(2, 3, [1] * 6), Matrix(0, 3, []))
 
 
 # -- determinant ----------------------------------------------------------

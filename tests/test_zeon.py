@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cofactor_det
-from oracles import permutation_permanent_oracle
-from zeonmarkov.linalg import Matrix
+from conftest import assert_same_entries, cofactor_det
+from oracles import permutation_permanent_oracle, product_oracle
+from zeonmarkov.linalg import Matrix, as_scalar
 from zeonmarkov.markov import random_stochastic
 from zeonmarkov.zeon import (
     FunctionMap,
@@ -251,6 +251,70 @@ def test_a_dropped_compound_leaves_no_memory_held():
         tracemalloc.stop()
     # each compound holds about 0.27 MB: keeping the 20 would hold 5.5 MB
     assert held - before < 1 << 20, held - before
+
+
+def _is_held(m):
+    """Whether m's entries are still unbuilt: its ``data`` slot is unset."""
+    try:
+        Matrix.data.__get__(m, Matrix)
+    except AttributeError:
+        return True
+    return False
+
+
+def _mixed_matrix(rng, rows, cols, integer=None):
+    """Integer entries, or signed ones over denominators up to 10^30."""
+    if rng.random() < 0.3 if integer is None else integer:
+        return Matrix(rows, cols, [rng.randint(-3, 3) for _ in range(rows * cols)])
+    return Matrix(rows, cols, [F(rng.randint(-10**6, 10**6),
+                                 rng.choice((1, 7, 10**30, rng.randint(1, 10**30))))
+                               for _ in range(rows * cols)])
+
+
+def test_held_compounds_multiply_before_their_entries_are_read():
+    # products of compounds that are still integer rows, on either side and
+    # with each other, against the Fraction triple loop; then the entries,
+    # read once, against the permanents and minors of the definition
+    rng = random.Random(45)
+    for n in range(2, 6):
+        w = _mixed_matrix(rng, n, n, integer=n % 2)
+        for k in range(2, n + 1):
+            size = math.comb(n, k)
+            for build, definition in ((zeon_power, permutation_permanent_oracle),
+                                      (exterior_power, cofactor_det)):
+                left, right = build(w, k), build(w, k)
+                vector, square = _mixed_matrix(rng, 1, size), _mixed_matrix(rng, size, size)
+                products = [left * right, vector * right, left * vector.T, square * right]
+                assert _is_held(left) and _is_held(right)
+                factors = [(left, right), (vector, right), (left, vector.T), (square, right)]
+                for product, (a, b) in zip(products, factors):
+                    assert_same_entries(product, product_oracle(a, b))
+                basis = subset_basis(n, k).subsets
+                entries = iter(build(w, k).data)
+                for rows_idx in basis:
+                    for cols_idx in basis:
+                        sub = Matrix(k, k, [w[i - 1, j - 1] for i in rows_idx for j in cols_idx])
+                        expected = as_scalar(definition(sub))
+                        e = next(entries)
+                        assert e == expected and type(e) is type(expected)
+
+
+def test_det_and_rref_leave_a_held_compound_unchanged():
+    rng = random.Random(46)
+    for n in (3, 4, 5):
+        w = _mixed_matrix(rng, n, n, integer=n % 2)
+        for k in (2, n - 1):
+            for build in (zeon_power, exterior_power):
+                compound = build(w, k)
+                rows = compound.integer_rows()
+                first = compound.det(), compound.rref()
+                assert compound.integer_rows() == rows and _is_held(compound)
+                assert (compound.det(), compound.rref()) == first
+                assert compound.integer_rows() == rows
+                # the same entries, eager, over the lcms of their rows
+                eager = Matrix(compound.rows, compound.cols, compound.data)
+                assert_same_entries(compound, build(w, k))
+                assert (eager.det(), eager.rref()) == first
 
 
 def test_row_sums_give_substochastic_compound():
