@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
 from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -95,10 +96,11 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
 
 # -- integer determinants ---------------------------------------------
 
-# The primes of the modular stages of _criterion_certificate: 2^31 - 1 and
-# the next three primes below it. Their product recovers a cofactor det/D of
-# up to about 120 bits; a larger one is left to exact elimination.
-PRIMES = (2147483647, 2147483629, 2147483587, 2147483579)
+# The primes of the modular stages of _criterion_certificate, the four largest
+# below 2^30: each is one 30-bit digit of a CPython int, so the multipliers and
+# divisors of the packed kernel are one-digit operands. Their product recovers
+# a cofactor det/D of up to about 120 bits; a larger one is left to exact elimination.
+PRIMES = (1073741789, 1073741783, 1073741741, 1073741723)
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
@@ -110,7 +112,7 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
 def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool) -> tuple[int, list]:
     """The exact determinant of a square integer matrix M and, when it is 0,
     vectors of M's right kernel that prove it, all from one LU of M mod
-    p = 2^31 - 1; the kernel is [] when the determinant is not 0.
+    p = PRIMES[0]; the kernel is [] when the determinant is not 0.
 
     Dixon's method, used for determinants as by Abbott, Bronstein and
     Mulders, gives a nonzero det M: lift the solution of M x = b for a fixed
@@ -229,13 +231,13 @@ def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors:
         cols = list(zip(*(row if i in kept else (0,) * n for i, row in enumerate(rows))))
     cols = [cols[j] for j in perm[:rank]]
 
-    col_norms = [sum(e * e for e in col) for col in cols]
+    col_norms = [sum(map(mul, col, col)) for col in cols]
     col_bound = math.prod(col_norms)
     # the norms of whole rows of M bound those of the rows of M[R, C]
-    h = math.isqrt(min(col_bound, math.prod(sum(e * e for e in rows[i]) for i in pivot_rows))) + 1
+    h = math.isqrt(min(col_bound, math.prod(sum(map(mul, rows[i], rows[i])) for i in pivot_rows))) + 1
     # Cramer: each numerator of y is a determinant with one column of
     # M[R, C] replaced by b, so Nb = |b| * (column Hadamard bound) / (shortest column).
-    nb = math.isqrt(col_bound * sum(e * e for e in b) // min(col_norms, default=1)) + 1
+    nb = math.isqrt(col_bound * sum(map(mul, b, b)) // min(col_norms, default=1)) + 1
     modulus, steps = p, 1
     while modulus <= 2 * nb * h:
         modulus *= p
@@ -271,28 +273,27 @@ def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors:
 def _pack(values: Sequence[int], width: int) -> int:
     """Nonnegative values below 256**width as the slots of one int, so
     that adding multiples of packed vectors updates every slot at once."""
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
-
-
-def _unpack(packed: int, width: int, count: int) -> list:
-    raw = packed.to_bytes(width * count, "little")
-    return [int.from_bytes(raw[i:i + width], "little") for i in range(0, width * count, width)]
+    return int.from_bytes(b"".join(map(int.to_bytes, values, repeat(width), repeat("little"))),
+                          "little")
 
 
 def _lu_mod(rows: Sequence[Sequence[int]], p: int, width: int) -> tuple:
     """Determinant mod p of a square integer matrix, and LU factors mod p
     with its rank profile for ``_solve_mod``; slots are ``width`` bytes.
 
-    Gaussian elimination with each row packed into one int, so a row
-    update is one big-int multiply-add. A row is reduced mod p only when
-    it becomes the pivot row; until then it takes fewer than n updates of
-    less than p^2 per slot, so slots of n * p^2 never carry into each other.
-    A column with no pivot mod p is skipped, as ``_bareiss(reduce=True)``
-    skips it, and the determinant is then 0. The factors are the row
-    permutation, the r pivot rows of U, the inverses of the pivots, the
-    packed multiplier rows of L and the r pivot columns, r the rank mod p:
-    the first r rows of the permutation and the pivot columns meet in a
-    submatrix that is invertible mod p.
+    Gaussian elimination with each row packed into one int from the current
+    column on, so a row update ``(x >> bits) + (p - f) * tail`` is one
+    big-int multiply-add that also drops the eliminated slot ``x & mask``:
+    rows shrink as they are eliminated. A row is reduced mod p only when it
+    becomes the pivot row; until then it takes fewer than n updates of less
+    than p^2 per slot, so slots of n * p^2 never carry into each other. A
+    column with no pivot mod p is skipped, as ``_bareiss(reduce=True)`` skips
+    it, by a shift of the active rows, and the determinant is then 0. The
+    factors are the row permutation; the r rows of U as tails (the pivot row
+    mod p after its pivot slot); the inverses of the pivots; the r rows of L,
+    each packed last multiplier first; and the r pivot columns, r the rank
+    mod p: the first r rows of the permutation and the pivot columns meet in
+    a submatrix that is invertible mod p.
     """
     n = len(rows)
     bits = 8 * width
@@ -300,34 +301,33 @@ def _lu_mod(rows: Sequence[Sequence[int]], p: int, width: int) -> tuple:
     packed = [_pack([e % p for e in row], width) for row in rows]
     multipliers = [[] for _ in range(n)]
     perm = list(range(n))
-    pivot_inverses, pivot_cols = [], []
+    tails, pivot_inverses, pivot_cols = [], [], []
     det = 1
     for k in range(n):
         r = len(pivot_cols)
-        shift = bits * k
-        pivot_row = next((i for i in range(r, n) if (packed[i] >> shift & mask) % p), None)
+        pivot_row = next((i for i in range(r, n) if (packed[i] & mask) % p), None)
         if pivot_row is None:
             det = 0
+            packed[r:] = [x >> bits for x in packed[r:]]
             continue
         if pivot_row != r:
             for seq in (packed, multipliers, perm):
                 seq[r], seq[pivot_row] = seq[pivot_row], seq[r]
             det = -det
-        values = [v % p for v in _unpack(packed[r] >> shift, width, n - k)]
-        det = det * values[0] % p
-        inverse = pow(values[0], -1, p)
+        raw = packed[r].to_bytes(width * (n - k), "little")
+        pivot, *values = [int.from_bytes(raw[i:i + width], "little") % p
+                          for i in range(0, len(raw), width)]
+        det = det * pivot % p
+        inverse = pow(pivot, -1, p)
+        tails.append(tail := _pack(values, width))
         pivot_inverses.append(inverse)
         pivot_cols.append(k)
-        row = _pack(values, width) << shift
-        packed[r] = row
-        for i in range(r + 1, n):
-            f = (packed[i] >> shift & mask) * inverse % p
+        for i, x in enumerate(packed[r + 1:], r + 1):
+            f = (x & mask) * inverse % p
             multipliers[i].append(f)
-            if f:
-                packed[i] += (p - f) * row
-    r = len(pivot_cols)
-    return det % p, (perm, packed[:r], pivot_inverses,
-                     [_pack(m, width) for m in multipliers[:r]], pivot_cols)
+            packed[i] = (x >> bits) + (p - f) * tail if f else x >> bits
+    return det % p, (perm, tails, pivot_inverses,
+                     [_pack(m[::-1], width) for m in multipliers[:len(tails)]], pivot_cols)
 
 
 def _solve_mod(factors: tuple, rhs: int, p: int, width: int) -> list:
@@ -335,23 +335,23 @@ def _solve_mod(factors: tuple, rhs: int, p: int, width: int) -> list:
     transpose (see ``_lift``), P M^T = L U, that is M = U^T L^T P, and
     return y in the order of C. ``rhs`` packs r with slots that are
     nonnegative, congruent to r mod p and below 256**width - n * p^2; its
-    slots outside R are never read. Both sweeps go column by column over
-    packed rows of U and of L."""
-    _, u_rows, pivot_inverses, l_rows, pivot_cols = factors
+    slots outside R are never read. Both sweeps, over the tails of U and the
+    reversed rows of L, read slot 0 and shift the vector down past it (and
+    past the columns without a pivot), so it shrinks as they go."""
+    _, tails, pivot_inverses, l_rows, pivot_cols = factors
     bits = 8 * width
     mask = (1 << bits) - 1
-    v = rhs
-    w = []
-    for k, u, inverse in zip(pivot_cols, u_rows, pivot_inverses):
-        wk = (v >> bits * k & mask) * inverse % p
-        w.append(wk)
-        if wk:
-            v += (p - wk) * u
-    v = _pack(w, width)
+    v, column, w = rhs, 0, []
+    for k, tail, inverse in zip(pivot_cols, tails, pivot_inverses):
+        if k > column:
+            v >>= bits * (k - column)
+        column = k + 1
+        w.append(wk := (v & mask) * inverse % p)
+        v = (v >> bits) + (p - wk) * tail if wk else v >> bits
+    v = _pack(w[::-1], width)
     for j in range(len(w) - 1, -1, -1):
-        w[j] = zj = (v >> bits * j & mask) % p
-        if zj:
-            v += (p - zj) * l_rows[j]
+        w[j] = zj = (v & mask) % p
+        v = (v >> bits) + (p - zj) * l_rows[j] if zj else v >> bits
     return w
 
 

@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -171,6 +173,66 @@ def test_integer_det_matches_bareiss_on_seeded_matrices():
     assert integer_det([]) == 1
     assert integer_det([[-7]]) == -7
     assert integer_det([[0]]) == 0
+
+
+def test_primes_are_distinct_descending_and_cover_a_120_bit_cofactor():
+    assert len(set(PRIMES)) == len(PRIMES) == 4
+    assert list(PRIMES) == sorted(PRIMES, reverse=True)
+    for p in PRIMES:  # trial division
+        assert p > 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    assert math.prod(PRIMES) > 2**119
+
+
+@pytest.mark.skipif(sys.int_info.bits_per_digit != 30, reason="ints are not stored in 30-bit digits")
+def test_each_prime_is_one_int_digit():
+    # below 1 << 30: one CPython digit, so the kernel's multipliers and
+    # divisors are one-digit operands
+    assert all(p < 1 << 30 for p in PRIMES)
+
+
+def _factor_cases(rng):
+    """Square integer matrices, each with its column that has no pivot mod p
+    and the prime whose LU must swap rows (each None if there is none): full
+    rank; a column that is a combination of the earlier ones, first, in the
+    middle and last; and a first entry that is 0 mod p but not 0."""
+    for n in (1, 2, 5, 9):
+        for bound in (3, 10**6, 10**30):
+            rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
+            yield rows, None, None
+            for skipped in sorted({0, n // 2, n - 1}):
+                dependent = [rng.randint(-3, 3) for _ in range(skipped)]
+                combination = [sum(c * e for c, e in zip(dependent, row)) for row in rows]
+                yield [row[:skipped] + [e] + row[skipped + 1:]
+                       for row, e in zip(rows, combination)], skipped, None
+            for p in PRIMES:
+                swapped = [row[:] for row in rows]
+                swapped[0][0] = p * rng.choice([-1, 1]) * rng.randint(1, bound)
+                yield swapped, None, p
+
+
+def test_lu_mod_factors_give_the_determinant_and_solve_mod_p():
+    rng = random.Random(59)
+    swaps = 0
+    for rows, skipped, swap_prime in _factor_cases(rng):
+        n = len(rows)
+        for p in PRIMES:
+            width, _ = linalg._slots(rows, p)
+            det_p, factors = linalg._lu_mod(rows, p, width)
+            assert det_p == linalg._bareiss_det([row[:] for row in rows]) % p
+            perm, _, _, _, pivot_cols = factors
+            if skipped is not None:
+                assert pivot_cols == [k for k in range(n) if k != skipped]
+            if swap_prime == p and n > 1:
+                assert perm[0] != 0
+                swaps += 1
+            # the factors are of M's transpose: M[R, C] has M[i][perm[t]] = rows[perm[t]][i]
+            for _ in range(3):
+                r = [rng.randrange(4 * p) for _ in range(n)]
+                y = linalg._solve_mod(factors, linalg._pack(r, width), p, width)
+                assert len(y) == len(pivot_cols)
+                assert all((sum(rows[j][i] * e for j, e in zip(perm, y)) - r[i]) % p == 0
+                           for i in pivot_cols)
+    assert swaps == 3 * 3 * len(PRIMES)
 
 
 def test_integer_det_rejects_non_square():
