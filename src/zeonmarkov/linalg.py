@@ -538,16 +538,22 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other, "add")
-        return Matrix(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
+        return self._entrywise(a + b for a, b in zip(self.data, other.data))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other, "subtract")
-        return Matrix(self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)])
+        return self._entrywise(a - b for a, b in zip(self.data, other.data))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, [-a for a in self.data])
+        return Matrix._canonical(self.rows, self.cols, [-a for a in self.data])
+
+    def _entrywise(self, values: Iterable[Scalar]) -> "Matrix":
+        """A matrix of this shape from ``values``, sums or products of exact
+        scalars: each needs only its integral Fraction made an int."""
+        return Matrix._canonical(self.rows, self.cols,
+                                 [e.numerator if e.denominator == 1 else e for e in values])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -569,12 +575,12 @@ class Matrix:
                 entries += dots if d == 1 else [_ratio(e, d) for e in dots]
             return Matrix._canonical(self.rows, other.cols, entries)
         if isinstance(other, (int, Fraction)):
-            return Matrix(self.rows, self.cols, [a * other for a in self.data])
+            return self._entrywise(a * other for a in self.data)
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Matrix(self.rows, self.cols, [other * a for a in self.data])
+            return self._entrywise(other * a for a in self.data)
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Matrix":

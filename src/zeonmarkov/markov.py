@@ -21,10 +21,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Optional
 
 from .degree2 import DegreeTwoVector
-from .linalg import Matrix, Scalar, _criterion_certificate, exact_div, integer_det, scalar_str
+from .linalg import (Matrix, Scalar, _bareiss, _criterion_certificate, _ratio, exact_div,
+                     integer_det, scalar_str)
 from .zeon import _psi2_rows
 
 
@@ -39,18 +41,22 @@ class StochasticMatrix:
     matrix: Matrix
 
     def __post_init__(self):
+        # on the integer rows N_i / d_i (d_i > 0): signs are the numerators',
+        # and row i sums to 1 exactly when sum(N_i) == d_i
         m = self.matrix
         if not m.is_square:
             raise NotStochasticError(f"matrix is {m.rows}x{m.cols}, not square")
-        for i in range(m.rows):
-            for j, e in enumerate(m.row(i)):
+        numerators, scales = m.integer_rows()
+        for i, row in enumerate(numerators):
+            for j, e in enumerate(row):
                 if e < 0:
                     raise NotStochasticError(
-                        f"entry ({i + 1},{j + 1}) is negative: {scalar_str(e)}"
+                        f"entry ({i + 1},{j + 1}) is negative: {scalar_str(m[i, j])}"
                     )
-        for i, s in enumerate(m.row_sums()):
-            if s != 1:
-                raise NotStochasticError(f"row {i + 1} sums to {scalar_str(s)}, expected 1")
+        for i, (row, d) in enumerate(zip(numerators, scales)):
+            if sum(row) != d:
+                raise NotStochasticError(
+                    f"row {i + 1} sums to {scalar_str(_ratio(sum(row), d))}, expected 1")
 
     @property
     def n(self) -> int:
@@ -249,28 +255,33 @@ def invariant_distributions(a: StochasticMatrix) -> InvariantVectors:
     """The fixed space of v A = v: the closed classes' distributions, each
     scaled to 1 at its class's smallest state, are its echelon basis."""
     structure = chain_structure(a)
-    pis = _class_distributions(a.matrix, structure)
+    pis = _class_distributions(*a.matrix.integer_rows(), structure)
     basis = tuple(Matrix.row_vector([exact_div(pi[s], pi[c[0]]) if s in pi else 0
                                      for s in range(1, a.n + 1)])
                   for c, pi in zip(structure.closed_classes, pis))
     return InvariantVectors(basis, structure.all_closed, _distribution(a.n, pis))
 
 
-def _class_distributions(m: Matrix, structure: ChainStructure) -> list:
+def _class_distributions(numerators: list, scales: list, structure: ChainStructure) -> list:
     """Stationary distribution of each closed class, in class order, as
-    {state: mass}. It is the unique fixed vector of the class and has no
-    zero entry, so any k - 1 columns of (A_cc - I)^T are independent: one
-    rref pivots on all but the last column and reads the vector off it."""
+    {state: mass}, from the integer rows N_i / d_i of A. pi (A_cc - I) = 0
+    exactly when mu = pi D^-1 is a left kernel vector of N_cc - D_c. pi is
+    the class's unique fixed vector and has no zero entry, so any k - 1
+    columns of (N_cc - D_c)^T are independent: ``_bareiss`` pivots on all
+    but the last column and reads mu off it, and pi_j is mu_j d_j over the
+    sum of those."""
     pis = []
     for states in structure.closed_classes:
         k = len(states)
-        reduced, pivots = Matrix(k, k, [m[j - 1, i - 1] - (1 if i == j else 0)
-                                        for i in states for j in states]).rref()
-        if pivots != tuple(range(k - 1)):
+        m = [[numerators[j - 1][i - 1] - (scales[i - 1] if i == j else 0) for j in states]
+             for i in states]
+        pivots, _, scale = _bareiss(m, reduce=True)
+        if pivots != list(range(k - 1)):
             raise RuntimeError("closed class must carry a unique invariant vector")
-        v = [-reduced[r, k - 1] for r in range(k - 1)] + [1]
+        mu = [-row[k - 1] for row in m[:k - 1]] + [scale]
+        v = [x * scales[s - 1] for x, s in zip(mu, states)]
         total = sum(v)
-        pis.append({s: exact_div(x, total) for s, x in zip(states, v)})
+        pis.append({s: _ratio(x, total) for s, x in zip(states, v)})
     return pis
 
 
@@ -291,7 +302,7 @@ def ergodic_limit(a: StochasticMatrix) -> Optional[Matrix]:
     equal to the invariant distribution.
     """
     structure = chain_structure(a)
-    return _limit(a.matrix, structure, _class_distributions(a.matrix, structure))
+    return _limit(a.matrix, structure, _class_distributions(*a.matrix.integer_rows(), structure))
 
 
 def _limit(m: Matrix, structure: ChainStructure, pis: list) -> Optional[Matrix]:
@@ -354,23 +365,38 @@ def criterion_determinant(a: StochasticMatrix) -> Scalar:
     """det(I - Psi2(A)), exactly: ``integer_det`` (p-adic lifting, with a
     Bareiss fallback) of the integer rows of ``_criterion_rows`` over det D.
     A 1-state chain has no pairs: the determinant is the empty one, 1."""
-    rows, det_d = _criterion_rows(a)
+    rows, det_d = _criterion_rows(*a.matrix.integer_rows())
     return exact_div(integer_det(rows), det_d)
 
 
-def _criterion_rows(a: StochasticMatrix) -> tuple[list, int]:
-    """D * (I - Psi2(A)) as integer rows, and det D. Row i of A is N_i / d_i,
-    d_i the lcm of its denominators. Psi2 is homogeneous of degree 2, so row
-    (i1, i2) of I - Psi2(A) times d_i1 * d_i2 is d_i1 * d_i2 * e_(i1,i2) minus
-    row (i1, i2) of ``_psi2_rows`` of the N_i: integers, with no Fraction and
-    no compound. D is a positive diagonal, so the rows' right null space is
-    the fixed space of Psi2(A)."""
-    numerators, scales = a.matrix.integer_rows()
+def _criterion_rows(numerators: list, scales: list) -> tuple[list, int]:
+    """D * (I - Psi2(A)) as integer rows, and det D, from the integer rows
+    N_i / d_i of A (``Matrix.integer_rows``). Psi2 is homogeneous of degree 2,
+    so row (i1, i2) of I - Psi2(A) times d_i1 * d_i2 is d_i1 * d_i2 * e_(i1,i2)
+    minus row (i1, i2) of ``_psi2_rows`` of the N_i: integers, with no
+    Fraction and no compound. D is a positive diagonal, so the rows' right
+    null space is the fixed space of Psi2(A)."""
     rows = [[-e for e in row] for row in _psi2_rows(numerators)]
     for r, (d1, d2) in enumerate(combinations(scales, 2)):
         rows[r][r] += d1 * d2
     # each d_i scales the n - 1 rows whose pair holds state i
-    return rows, math.prod(scales) ** (a.n - 1)
+    return rows, math.prod(scales) ** (len(scales) - 1)
+
+
+def _criterion_product(numerators: list, scales: list, coords) -> list:
+    """M x in pair order, M the ``_criterion_rows`` of the integer rows N_i / d_i
+    and x the pair vector ``coords``, with no N x N matrix. Row (i, j) of
+    Psi2(N) dotted with x is (N X^ N^T)_ij, X^ the hollow symmetric matrix of
+    x (Psi2(A) X^dagger = Mat^-1(A X^ A*) off the diagonal), so entry (i, j)
+    is d_i d_j x_ij - (N X^ N^T)_ij: O(n^3) work in all."""
+    n = len(scales)
+    pairs = list(combinations(range(n), 2))
+    hat = [[0] * n for _ in range(n)]
+    for (i, j), x in zip(pairs, coords):
+        hat[i][j] = hat[j][i] = x
+    sides = [[sum(map(mul, row, nj)) for row in hat] for nj in numerators]  # X^ N_j^T
+    return [scales[i] * scales[j] * x - sum(map(mul, numerators[i], sides[j]))
+            for (i, j), x in zip(pairs, coords)]
 
 
 def _nonnegative_fixed_vector(kernel: list, n: int) -> Optional[DegreeTwoVector]:
@@ -400,25 +426,28 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
     decides nothing there. With every class closed, a determinant verdict
     that differs from irreducible-and-aperiodic raises RuntimeError: it is
     a bug or a counterexample to the theorem, never a report. The oracles'
-    not-ergodic witness w proves det = 0 by M w = 0 on every integer row M
-    of ``_criterion_rows``; other chains take ``_criterion_certificate``.
+    not-ergodic witness w proves det = 0 by M w = 0 (``_criterion_product``),
+    M the integer rows of ``_criterion_rows``, which only the other chains
+    build, for ``_criterion_certificate``.
     """
     return _analysis(a)[0]
 
 
 def _analysis(a: StochasticMatrix) -> tuple[ErgodicityReport, ChainStructure]:
-    """``zeon_criterion``'s report and the chain structure it rests on."""
+    """``zeon_criterion``'s report and the chain structure it rests on. The
+    class distributions and the criterion share one copy of A's integer rows."""
     structure = chain_structure(a)
-    pis = _class_distributions(a.matrix, structure)
-    rows, det_d = _criterion_rows(a)
+    numerators, scales = a.matrix.integer_rows()
+    pis = _class_distributions(numerators, scales, structure)
     witness = None
     if structure.all_closed and not (structure.is_irreducible and structure.is_aperiodic):
         witness = (witness_periodic if structure.is_irreducible else witness_reducible)(structure)
-        if any(sum(e * x for e, x in zip(row, witness.coords)) for row in rows):
+        if any(_criterion_product(numerators, scales, witness.coords)):
             raise RuntimeError("the classical oracles say not-ergodic, but their witness is not "
                                "fixed by Psi2(A); ergodic is not refuted: the two routes disagree")
         det_value, verdict = 0, Verdict.NOT_ERGODIC
     else:
+        rows, det_d = _criterion_rows(numerators, scales)
         # the transient witness search needs the whole fixed space, an ergodic chain none of it
         det, kernel = _criterion_certificate(rows, not structure.all_closed)
         det_value = exact_div(det, det_d)

@@ -107,6 +107,27 @@ def certificate_oracle(rows: list, whole_kernel: bool) -> tuple:
     return det, null_space_oracle(Matrix(size, size, [e for row in rows for e in row]))
 
 
+def stationary_oracle(m: Matrix, states: tuple) -> dict:
+    """The stationary distribution of the closed class ``states`` (1-based)
+    of the stochastic matrix m, as {state: mass}: Gauss-Jordan on
+    ``Fraction`` entries of pi (A_cc - I) = 0 with sum(pi) = 1, the
+    equations as the rows of [(A_cc - I)^T | 0] below [1 ... 1 | 1].
+    Independent reference for the integer-row ``_class_distributions``."""
+    k = len(states)
+    rows = [[Fraction(1)] * (k + 1)]
+    rows += [[Fraction(m[i - 1, j - 1]) - (i == j) for i in states] + [Fraction(0)] for j in states]
+    for c in range(k):
+        pivot_row = next(i for i in range(c, len(rows)) if rows[i][c] != 0)
+        rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
+        rows[c] = [e / rows[c][c] for e in rows[c]]
+        for i in range(len(rows)):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    assert all(e == 0 for row in rows[k:] for e in row), "the class has no unique distribution"
+    return {s: as_scalar(rows[r][k]) for r, s in enumerate(states)}
+
+
 def fixed_vector_oracle(kernel: list, n: int):
     """The first nonnegative vector of the reduced echelon basis of the
     span of ``kernel`` (``rref_oracle``) as a degree-2 vector over n

@@ -326,9 +326,8 @@ def test_analyze_formats_an_oversized_row_sum(tmp_path, capsys):
 
 
 def test_a_determinant_contradicting_the_classical_verdict_exits_four(monkeypatch, capsys):
-    # invertible rows (the 10 x 10 identity, det D = 1): det = 1, so no witness is fixed
-    identity = [[int(i == j) for j in range(10)] for i in range(10)]
-    monkeypatch.setattr(markov, "_criterion_rows", lambda chain: (identity, 1))
+    # invertible rows (the 10 x 10 identity, det D = 1): M w = w, so no witness is fixed
+    monkeypatch.setattr(markov, "_criterion_product", lambda numerators, scales, coords: coords)
     code, out, err = run(capsys, "analyze", fixture_path("example3.json"))
     assert code == 4 and out == ""
     assert err.startswith("zeonmarkov: internal error: RuntimeError: the classical oracles say "

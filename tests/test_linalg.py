@@ -12,6 +12,7 @@ from oracles import null_space_oracle, product_oracle, rref_oracle
 from zeonmarkov import linalg
 from zeonmarkov.linalg import Matrix, PRIMES, as_scalar, exact_div, integer_det, scalar_str
 from zeonmarkov.markov import StochasticMatrix, is_quasi_positive, wielandt_bound
+from zeonmarkov.zeon import zeon_power
 
 F = Fraction
 
@@ -107,6 +108,34 @@ def test_product_matches_the_fraction_triple_loop():
         kinds_seen.add((den_a > 1, den_b > 1))
         assert_same_entries(a * b, product_oracle(a, b))
     assert kinds_seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_sums_and_scalar_products_match_the_parsed_constructor():
+    # integral results (entries that cancel, a scalar that clears every
+    # denominator) must be ints, as Matrix(...) parses them; denominators up
+    # to 10^30, and the negation of a held compound's entries
+    rng = random.Random(13)
+    kinds = [(3, 1), (10**6, 1), (5, 12), (10**6, 10**30)]
+    for trial in range(80):
+        (bound_a, den_a), (bound_b, den_b) = rng.choice(kinds), rng.choice(kinds)
+        a = random_matrix(rng, 3, 4, -bound_a, bound_a, den_a)
+        b = random_matrix(rng, 3, 4, -bound_b, bound_b, den_b)
+        cancel = Matrix(3, 4, [rng.randint(-9, 9) - e for e in a.data])
+        scalars = [rng.randint(-9, 9), Fraction(rng.randint(-10**30, 10**30), rng.randint(1, den_b)),
+                   Fraction(math.lcm(*(Fraction(e).denominator for e in a.data)), 1)]
+        cases = [(a + b, [x + y for x, y in zip(a.data, b.data)]),
+                 (a - b, [x - y for x, y in zip(a.data, b.data)]),
+                 (a + cancel, [x + y for x, y in zip(a.data, cancel.data)]),
+                 (a - a, [0] * 12), (-a, [-x for x in a.data])]
+        for scalar in scalars:
+            cases += [(a * scalar, [x * scalar for x in a.data]),
+                      (scalar * a, [scalar * x for x in a.data])]
+        for result, values in cases:
+            assert_same_entries(result, Matrix(3, 4, values))
+        assert all(type(e) is int for e in (a * scalars[2]).data)
+        assert all(type(e) is int for e in (a + cancel).data)
+    held = zeon_power(random_matrix(rng, 4, 4, 1, 9, 7), 2)
+    assert_same_entries(-held, Matrix(6, 6, [-e for e in held.data]))
 
 
 def test_product_over_a_zero_inner_dimension_is_the_zero_matrix():

@@ -1,6 +1,7 @@
 import importlib.util
 import itertools
 import math
+import operator
 import os
 import random
 import sys
@@ -39,7 +40,7 @@ from zeonmarkov.markov import (
 from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_power
 from zeonmarkov.documents import report_to_dict
 from oracles import (certificate_oracle, chain_structure_oracle, fixed_vector_oracle,
-                     positive_power_oracle, rref_oracle)
+                     positive_power_oracle, rref_oracle, stationary_oracle)
 
 F = Fraction
 
@@ -294,6 +295,40 @@ def test_invariant_basis_matches_the_whole_matrix_left_null_space():
             assert list(invariant_distributions(a).basis) == reference
 
 
+def _huge_chain(rng, n):
+    # two or three closed blocks, and a transient state when n > 3, with
+    # weights up to 10^30 and so denominators up to about 10^31
+    states = list(range(n))
+    rng.shuffle(states)
+    transient = states.pop() if n > 3 else None
+    cuts = sorted(rng.sample(range(1, len(states)), min(len(states) - 1, rng.randint(1, 2))))
+    blocks = [states[i:j] for i, j in zip([0] + cuts, cuts + [len(states)])]
+    rows = [None] * n
+    for support in blocks + ([list(range(n))] if transient is not None else []):
+        for i in (support if len(support) < n else [transient]):
+            weights = [rng.randint(0, 10**30) if j in support else 0 for j in range(n)]
+            weights[rng.choice(support)] += 1
+            rows[i] = [F(w, sum(weights)) for w in weights]
+    return validate_stochastic(Matrix.from_rows(rows))
+
+
+def test_class_distributions_match_the_fraction_gauss_jordan_oracle():
+    rng = random.Random(43)
+    cases = [a for a, _ in _sandwich_cases()] + [_huge_chain(rng, n) for n in range(2, 10)
+                                                  for _ in range(3)]
+    several = 0
+    for a in cases:
+        structure = chain_structure(a)
+        pis = markov._class_distributions(*a.matrix.integer_rows(), structure)
+        expected = [stationary_oracle(a.matrix, c) for c in structure.closed_classes]
+        assert len(pis) == len(expected)
+        for pi, reference in zip(pis, expected):
+            assert list(pi.items()) == list(reference.items())
+            assert [type(e) for e in pi.values()] == [type(e) for e in reference.values()]
+        several += len(pis) > 1
+    assert several >= 30, several
+
+
 # -- limits -----------------------------------------------------------------------
 
 
@@ -423,6 +458,8 @@ def _counting(monkeypatch, owner, name, *also_bound_in):
 
 
 def test_criterion_is_one_pass(chains, monkeypatch):
+    # a closed not-ergodic chain checks its witness on the n x n sandwich
+    # (_criterion_product) and builds no Psi2 rows; the others build them once
     ergodic = random_stochastic(random.Random(35), 6, density=1.0)
     cases = [(ergodic, Verdict.ERGODIC), (chains[3], Verdict.NOT_ERGODIC),
              (chains[4], Verdict.NOT_ERGODIC), (chains[2], Verdict.INAPPLICABLE)]
@@ -432,10 +469,74 @@ def test_criterion_is_one_pass(chains, monkeypatch):
             compounds = _counting(patch, zeon, "zeon_power", degree2)
             psi2_rows = _counting(patch, zeon, "_psi2_rows", markov)
             left_null_spaces = _counting(patch, Matrix, "left_null_space")
+            integer_rows = _counting(patch, Matrix, "integer_rows")
             report = zeon_criterion(a)
         assert report.criterion_verdict is verdict
-        assert len(structures) == 1 and len(psi2_rows) == 1
+        assert len(structures) == 1
+        assert len(psi2_rows) == (0 if verdict is Verdict.NOT_ERGODIC else 1)
+        assert [m for m, in integer_rows if m is a.matrix] == [a.matrix]
         assert compounds == [] and left_null_spaces == []
+
+
+def test_a_closed_not_ergodic_chain_builds_no_psi2_rows(monkeypatch):
+    # at n = 60 the criterion rows would be 1770 x 1770
+    families = _bench_families()
+    for family in (families.REDUCIBLE, families.PERIODIC):
+        a = _bench_chain(families, family, 60, 0)
+
+        def refuse(*args):
+            raise AssertionError("Psi2 rows built")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(zeon, "_psi2_rows", refuse)
+            patch.setattr(markov, "_psi2_rows", refuse)
+            certificates = _counting(patch, markov, "_criterion_certificate")
+            report = zeon_criterion(a)
+        assert report.criterion_verdict is Verdict.NOT_ERGODIC and report.det_value == 0
+        assert certificates == [] and report.witness is not None
+
+
+def _sandwich_cases():
+    # (chain, label): every bench family and random_stochastic chains at
+    # n = 2..9 (the reducible and transient families start at n = 3), and
+    # chains with denominators up to 10^30
+    families = _bench_families()
+    rng = random.Random(41)
+    for n in range(2, 10):
+        for family in families.FAMILIES if n > 2 else (families.ERGODIC, families.PERIODIC):
+            yield _bench_chain(families, family, n, n), f"{family} n={n}"
+        for density in (0.3, 0.8):
+            yield random_stochastic(rng, n, density), f"random n={n}"
+        rows = []
+        for _ in range(n):
+            weights = [rng.randint(0, 10**30) if rng.random() < 0.7 else 0 for _ in range(n)]
+            weights[rng.randrange(n)] += 1
+            rows.append([F(w, sum(weights)) for w in weights])
+        yield validate_stochastic(Matrix.from_rows(rows)), f"10^30 n={n}"
+
+
+def test_the_sandwich_product_matches_the_criterion_rows():
+    rng = random.Random(42)
+    count = 0
+    for a, label in _sandwich_cases():
+        numerators, scales = a.matrix.integer_rows()
+        rows, _ = markov._criterion_rows(numerators, scales)
+        size = len(rows)
+        vectors = [[0] * size, [rng.randint(-9, 9) for _ in range(size)],
+                   [rng.randint(-10**12, 10**12) for _ in range(size)]]
+        structure = chain_structure(a)
+        if structure.all_closed and not structure.is_irreducible:
+            vectors.append(list(witness_reducible(structure).coords))
+        elif structure.is_irreducible and not structure.is_aperiodic:
+            vectors.append(list(witness_periodic(structure).coords))
+        for x in vectors:
+            product = markov._criterion_product(numerators, scales, x)
+            assert product == [sum(map(operator.mul, row, x)) for row in rows], label
+            assert all(type(e) is int for e in product)
+        if len(vectors) == 4:
+            assert not any(product), label  # the witness is fixed
+            count += 1
+    assert count >= 15, count  # the reducible and periodic families at least
 
 
 def _scan_fixed_space_of_the_compound(a):
@@ -527,7 +628,7 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
         transient = family == families.TRANSIENT
         for n in range(6, 11):
             a = _bench_chain(families, family, n, 0)
-            rows, _ = markov._criterion_rows(a)
+            rows, _ = markov._criterion_rows(*a.matrix.integer_rows())
             nullity = len(rows) - Matrix.from_rows(rows).rank()
             with monkeypatch.context() as patch:
                 lu = _counting(patch, linalg, "_lu_mod")
@@ -565,8 +666,8 @@ def test_the_kernel_lift_stops_early_and_the_dixon_lift_does_not(monkeypatch):
     cases = [(families.TRANSIENT, 14, seed, 4) for seed in range(3)]
     cases += [(families.TRANSIENT, 22, seed, 16) for seed in range(3)]
     a = _bench_chain(families, families.ERGODIC, 18, 0)
-    cases.append((families.ERGODIC, 18, 0,
-                  _hadamard_steps(markov._criterion_rows(a)[0], linalg.PRIMES[0])))
+    rows, _ = markov._criterion_rows(*a.matrix.integer_rows())
+    cases.append((families.ERGODIC, 18, 0, _hadamard_steps(rows, linalg.PRIMES[0])))
     for family, n, seed, expected in cases:
         a = _bench_chain(families, family, n, seed)
         with monkeypatch.context() as patch:
@@ -580,12 +681,11 @@ def test_the_kernel_lift_stops_early_and_the_dixon_lift_does_not(monkeypatch):
 def test_a_determinant_that_contradicts_the_classical_verdict_is_an_error(
         chains, monkeypatch, det, chain):
     if chain == "reducible":
-        # the witness proves a closed chain's zero: make the rows invertible
-        # (det times the identity, det D = 1), so that no witness is fixed
+        # the witness proves a closed chain's zero: make M the identity times
+        # det (det D = 1), so that M w = det w != 0 and no witness is fixed
         a = chains[3]
-        size = math.comb(a.n, 2)
-        rows = [[det * (i == j) for j in range(size)] for i in range(size)]
-        monkeypatch.setattr(markov, "_criterion_rows", lambda chain: (rows, 1))
+        monkeypatch.setattr(markov, "_criterion_product",
+                            lambda numerators, scales, coords: [det * x for x in coords])
     else:
         a = validate_stochastic(UNIFORM2)
         monkeypatch.setattr(markov, "_criterion_certificate",
