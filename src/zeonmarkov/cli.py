@@ -278,7 +278,7 @@ def cmd_witness(args) -> int:
             raise CliError("--delta applies only to irreducible periodic chains")
         witness = markov.witness_reducible(structure)
         kind = "cross-class"
-    fixed = degree2.right_action(chain.matrix, witness) == witness
+    fixed = not any(markov._criterion_product(*chain.matrix.integer_rows(), witness.coords))
     payload = vector_to_dict(witness)
     payload.update({
         "kind": kind,

@@ -12,8 +12,8 @@ elimination run on those rows and build a ``Fraction`` only for an output
 entry. ``A * B`` brings B's rows to one common scale s, so entry (i, j) is
 one integer dot product over A's row scale times s. The compounds of
 ``zeon`` are held as integer rows alone, their entries built on first read.
-Eliminations (determinants, reduced row-echelon forms, null spaces, solves)
-go through one fraction-free (Bareiss) routine, ``_bareiss``.
+Eliminations (determinants, reduced row-echelon forms, null spaces) go
+through one fraction-free (Bareiss) routine, ``_bareiss``.
 The determinant of a square integer matrix and, when it is 0, the right
 kernel vectors that prove it come from one LU mod p, lifted p-adically
 (``_criterion_certificate``, and ``integer_det`` for the determinant
@@ -691,17 +691,3 @@ class Matrix:
 
     def row_matrix(self, i: int) -> "Matrix":
         return Matrix(1, self.cols, self.row(i))
-
-    def solve_right(self, rhs: "Matrix") -> "Matrix":
-        """Solve self * x = rhs exactly; self must be square and invertible."""
-        if not self.is_square:
-            raise ValueError("solve needs a square matrix")
-        if rhs.rows != self.rows:
-            raise ValueError("right-hand side has the wrong number of rows")
-        n = self.rows
-        augmented = Matrix(n, n + rhs.cols,
-                           [e for i in range(n) for e in (*self.row(i), *rhs.row(i))])
-        reduced, pivots = augmented.rref()
-        if pivots != tuple(range(n)):
-            raise ValueError("matrix is singular")
-        return Matrix(n, rhs.cols, [reduced[i, n + j] for i in range(n) for j in range(rhs.cols)])

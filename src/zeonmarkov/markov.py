@@ -302,10 +302,19 @@ def ergodic_limit(a: StochasticMatrix) -> Optional[Matrix]:
     equal to the invariant distribution.
     """
     structure = chain_structure(a)
-    return _limit(a.matrix, structure, _class_distributions(*a.matrix.integer_rows(), structure))
+    rows = a.matrix.integer_rows()
+    return _limit(*rows, structure, _class_distributions(*rows, structure))
 
 
-def _limit(m: Matrix, structure: ChainStructure, pis: list) -> Optional[Matrix]:
+def _limit(numerators: list, scales: list, structure: ChainStructure,
+           pis: list) -> Optional[Matrix]:
+    """``ergodic_limit`` from the integer rows N_i / d_i of A and the class
+    distributions ``pis`` (Kemeny and Snell, ch. III). A recurrent row is its
+    class's pi_c. Transient row i is sum_c H_ic pi_c, H the absorption
+    probabilities, (I - Q) H = B with B_ic = sum_{j in c} A_ij. Row i of that
+    system times d_i is [d_i e_i - N_iT | sum_{j in c} N_ij], integers; I - Q
+    is invertible, so ``_bareiss`` pivots on its t columns and leaves
+    scale x H in the last ones."""
     if not structure.is_aperiodic:
         return None
     n = structure.n
@@ -318,17 +327,15 @@ def _limit(m: Matrix, structure: ChainStructure, pis: list) -> Optional[Matrix]:
     transients = structure.transient_states
     if transients:
         t = len(transients)
-        q = Matrix(t, t, [m[i - 1, j - 1] for i in transients for j in transients])
-        b = Matrix(t, len(closed),
-                   [sum(m[i - 1, j - 1] for j in c) for i in transients for c in closed])
-        h = (Matrix.identity(t) - q).solve_right(b)
-        for r, i in enumerate(transients):
-            for ci, pi in enumerate(pis):
-                weight = h[r, ci]
-                if weight != 0:
+        m = [[(scales[i - 1] if i == j else 0) - numerators[i - 1][j - 1] for j in transients]
+             + [sum(numerators[i - 1][j - 1] for j in c) for c in closed] for i in transients]
+        _, _, scale = _bareiss(m, reduce=True)
+        for i, row in zip(transients, m):
+            for h, pi in zip(row[t:], pis):
+                if h:
                     for j, mass in pi.items():
-                        rows[i - 1][j - 1] += weight * mass
-    return Matrix.from_rows(rows)
+                        rows[i - 1][j - 1] = _ratio(h * mass.numerator, scale * mass.denominator)
+    return Matrix._canonical(n, n, [e for row in rows for e in row])
 
 
 class Verdict(enum.Enum):
@@ -435,7 +442,8 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
 
 def _analysis(a: StochasticMatrix) -> tuple[ErgodicityReport, ChainStructure]:
     """``zeon_criterion``'s report and the chain structure it rests on. The
-    class distributions and the criterion share one copy of A's integer rows."""
+    class distributions, the criterion and the limit share one copy of A's
+    integer rows."""
     structure = chain_structure(a)
     numerators, scales = a.matrix.integer_rows()
     pis = _class_distributions(numerators, scales, structure)
@@ -470,7 +478,7 @@ def _analysis(a: StochasticMatrix) -> tuple[ErgodicityReport, ChainStructure]:
         criterion_verdict=verdict,
         witness=witness,
         invariant_distribution=_distribution(a.n, pis),
-        limit_matrix=_limit(a.matrix, structure, pis),
+        limit_matrix=_limit(numerators, scales, structure, pis),
     ), structure
 
 

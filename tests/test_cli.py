@@ -503,6 +503,35 @@ def test_witness_fixture_four_delta_two(capsys):
     assert payload["fixed_point_verified"] is True
 
 
+def test_witness_checks_its_vector_without_the_compound(monkeypatch, capsys):
+    # the witness is proven on the n x n sandwich; its output is the one the
+    # compound route gives: M w = 0 exactly when Psi2(A) w = w
+    from zeonmarkov import cli, degree2, zeon
+    from zeonmarkov.degree2 import DegreeTwoVector
+
+    def compound_route(numerators, scales, coords):
+        a = Matrix.from_rows([[F(e, d) for e in row] for row, d in zip(numerators, scales)])
+        fixed = degree2.right_action(a, DegreeTwoVector(len(scales), coords))
+        return [y - x for x, y in zip(coords, fixed.coords)]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compound built")
+
+    for k in (3, 4, 5):
+        for delta in ("1", "2"):
+            argv = ("witness", fixture_path(f"example{k}.json"), "--delta", delta)
+            with monkeypatch.context() as patch:
+                patch.setattr(markov, "_criterion_product", compound_route)
+                expected = run(capsys, *argv)
+            with monkeypatch.context() as patch:
+                for module in (zeon, degree2, cli):
+                    patch.setattr(module, "zeon_power", refuse)
+                for module in (zeon, markov):
+                    patch.setattr(module, "_psi2_rows", refuse)
+                assert run(capsys, *argv) == expected, (k, delta)
+            assert expected[0] == (0 if delta == "1" or k == 4 else 3), (k, delta)
+
+
 def test_witness_rejects_ergodic_chain(tmp_path, capsys):
     path = tmp_path / "uniform.csv"
     path.write_text("1/2,1/2\n1/2,1/2\n")

@@ -416,23 +416,6 @@ def test_rref_canonical():
     assert reduced == Matrix.from_rows([[1, 0, -1], [0, 1, 2], [0, 0, 0]])
 
 
-def test_solve_right_roundtrip():
-    rng = random.Random(9)
-    for _ in range(20):
-        n = rng.randint(1, 4)
-        a = random_matrix(rng, n, n)
-        if a.det() == 0:
-            continue
-        b = random_matrix(rng, n, 2)
-        x = a.solve_right(b)
-        assert a * x == b
-
-
-def test_solve_right_singular():
-    with pytest.raises(ValueError, match="singular"):
-        Matrix.zeros(2, 2).solve_right(Matrix.identity(2))
-
-
 def test_scalar_str_beyond_the_int_str_digit_limit():
     big = 10**5000 + 12345
     tail = "0" * 4995 + "12345"
@@ -446,14 +429,10 @@ def test_scalar_str_beyond_the_int_str_digit_limit():
 # -- the fraction-free elimination against the Fraction Gauss-Jordan --------
 
 
-def _elimination_results(m, rhs):
+def _elimination_results(m):
     reduced, pivots = m.rref()
-    try:
-        solved = m.solve_right(rhs) if m.is_square else None
-    except ValueError as exc:
-        solved = str(exc)
     return ([type(e) for e in reduced.data], reduced, pivots, m.rank(),
-            m.right_null_space(), m.left_null_space(), solved)
+            m.right_null_space(), m.left_null_space())
 
 
 def _elimination_cases():
@@ -466,20 +445,17 @@ def _elimination_cases():
                     if rng.random() < 0.7 else 0 for _ in range(cols)] for _ in range(rows)]
         if rows >= 3 and trial % 3 == 0:  # rank-deficient
             entries[-1] = [2 * a - b * F(1, 3) for a, b in zip(entries[0], entries[1])]
-        yield Matrix.from_rows(entries), random_matrix(rng, rows, 2)
+        yield Matrix.from_rows(entries)
     for rows, cols in [(3, 4), (1, 1), (1, 5), (5, 1), (4, 4)]:
-        yield Matrix.zeros(rows, cols), Matrix.ones(rows, 1)
+        yield Matrix.zeros(rows, cols)
 
 
 def test_elimination_matches_the_fraction_gauss_jordan(monkeypatch):
-    solved = 0
-    for m, rhs in _elimination_cases():
+    for m in _elimination_cases():
         with monkeypatch.context() as patch:
             patch.setattr(Matrix, "rref", rref_oracle)
-            expected = _elimination_results(m, rhs)
-        assert _elimination_results(m, rhs) == expected
-        solved += isinstance(expected[-1], Matrix)
-    assert solved >= 20
+            expected = _elimination_results(m)
+        assert _elimination_results(m) == expected
 
 
 def test_bareiss_reduce_leaves_the_last_pivot_times_the_rref():

@@ -374,6 +374,35 @@ def test_limit_is_projection_commuting_with_chain():
         assert limit * limit == limit == m * limit == limit * m
 
 
+def _transient_limit_cases():
+    rng = random.Random(23)
+    for n in range(2, 10):
+        for density in (0.2, 0.2, 0.35, 0.35):
+            yield random_stochastic(rng, n, density)
+    families = _bench_families()
+    for n in range(6, 15):
+        for seed in range(2):
+            yield _bench_chain(families, families.TRANSIENT, n, seed)
+
+
+def test_limit_is_the_projection_onto_the_closed_classes_with_transient_rows():
+    # L A = A L = L L = L puts L's rows in the span of the class distributions
+    # and its columns in that of the absorption vectors; an idempotent of rank
+    # (= trace) the number of closed classes on that pairing is L itself
+    checked = transient = 0
+    for a in _transient_limit_cases():
+        limit = ergodic_limit(a)
+        if limit is None:
+            continue
+        structure = chain_structure(a)
+        m = a.matrix
+        assert limit * m == m * limit == limit * limit == limit
+        assert limit.trace() == len(structure.closed_classes)
+        checked += 1
+        transient += bool(structure.transient_states)
+    assert checked >= 40 and transient >= checked * 2 // 3, (checked, transient)
+
+
 # -- determinant criterion -----------------------------------------------------------
 
 
