@@ -4,12 +4,15 @@ trace identities behind the ergodicity criterion.
 A degree-2 vector X lives in Q^(n choose 2), indexed by lexicographic
 pairs (i, j) with i < j. Its Mat embedding is the hollow symmetric n-by-n
 matrix X-hat with X-hat[i, j] = x_ij off the diagonal. All identities in
-this module are exact rational equalities; every one is implemented so
-that its two sides go through independent code paths (component formula
-vs. matrix algebra), and any mismatch is a bug, not noise. The right
-action of A is the left action of A*, so the right-hand diagonal correction
-and trace identity are the left-hand ones of A*; the right action keeps its
-own two routes, so each right-hand identity still compares independent paths.
+this module are exact rational equalities, each side one integer sum over
+D s^2 (D the lcm of x's denominators, s that of A's row scales) made a
+``Fraction`` only when returned. The two sides go through independent
+code paths, and any mismatch is a bug, not noise: a mass sums D x against
+the row or column sums of ``_psi2_rows`` of s A, a sandwich trace reads
+only the row sums and Gram entries of s A. The right action of A is the
+left action of A*, so the right-hand diagonal correction, component sums
+and trace identity are the left-hand ones of A*; the right action keeps
+its own two routes (the compound and the component sums).
 
 Conventions: the action of a matrix A on degree-2 vectors is by the
 second zeon power, X * Psi2(A) on rows and Psi2(A) * X-dagger on columns;
@@ -18,12 +21,15 @@ u is the all-ones row vector and J = u-dagger u the all-ones matrix.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from operator import mul
 from typing import Mapping, Sequence
 
-from .linalg import Matrix, Scalar, ScalarLike, as_scalar, exact_div
-from .zeon import subset_basis, zeon_power
+from .linalg import Matrix, Scalar, ScalarLike, _common_scale, _ratio, as_scalar
+from .zeon import _psi2_rows, subset_basis, zeon_power
 
 
 class DegreeTwoVector:
@@ -151,12 +157,12 @@ def is_hollow_symmetric(m: Matrix) -> bool:
 def inner_product(x: DegreeTwoVector, y: DegreeTwoVector) -> Scalar:
     """Symmetric bilinear form 2 * sum_{i<j} x_ij y_ij = tr(X-hat Y-hat)."""
     x._same_space(y)
-    return 2 * sum(a * b for a, b in zip(x.coords, y.coords))
+    return as_scalar(2 * sum(a * b for a, b in zip(x.coords, y.coords)))
 
 
 def sum_against_u(x: DegreeTwoVector) -> Scalar:
     """Total mass X u-dagger = sum of coordinates (= 1/2 tr(X-hat J))."""
-    return sum(x.coords)
+    return as_scalar(sum(x.coords))
 
 
 def left_action(x: DegreeTwoVector, a: Matrix) -> DegreeTwoVector:
@@ -178,35 +184,17 @@ def left_action_components(x: DegreeTwoVector, a: Matrix) -> DegreeTwoVector:
 
     Independent of left_action; the two must agree exactly.
     """
-    _check_ground(x, a)
-    pairs = x.pairs()
-    out = []
-    for i, j in pairs:
-        acc = 0
-        for (l, m), v in zip(pairs, x.coords):
-            if v != 0:
-                acc += v * (a[l - 1, i - 1] * a[m - 1, j - 1]
-                            + a[m - 1, i - 1] * a[l - 1, j - 1])
-        out.append(acc)
-    return DegreeTwoVector(x.n, out)
+    coords, rows, _, den = _integer_inputs(x, a)
+    pairs = combinations(range(x.n), 2)
+    return DegreeTwoVector(x.n, [_ratio(e, den) for e in _pair_sums(coords, rows, pairs)])
 
 
 def right_action_components(a: Matrix, x: DegreeTwoVector) -> DegreeTwoVector:
-    """Column action by raw component sums:
+    """Column action by raw component sums, the row formula for A*:
 
         (Psi2(A) X-dagger)_ij = sum_{l<m} x_lm (A_il A_jm + A_im A_jl).
     """
-    _check_ground(x, a)
-    pairs = x.pairs()
-    out = []
-    for i, j in pairs:
-        acc = 0
-        for (l, m), v in zip(pairs, x.coords):
-            if v != 0:
-                acc += v * (a[i - 1, l - 1] * a[j - 1, m - 1]
-                            + a[i - 1, m - 1] * a[j - 1, l - 1])
-        out.append(acc)
-    return DegreeTwoVector(x.n, out)
+    return left_action_components(x, a.T)
 
 
 def diag_correction_plus(a: Matrix, x: DegreeTwoVector) -> Matrix:
@@ -215,15 +203,9 @@ def diag_correction_plus(a: Matrix, x: DegreeTwoVector) -> Matrix:
     Repairs the column sandwich: A* X-hat A - D+ = Mat(X Psi2(A)), and
     tr D+ = tr(A* X-hat A).
     """
-    _check_ground(x, a)
-    diag = []
-    for i in range(x.n):
-        acc = 0
-        for (l, m), v in zip(x.pairs(), x.coords):
-            if v != 0:
-                acc += v * a[l - 1, i] * a[m - 1, i]
-        diag.append(2 * acc)
-    return Matrix.diagonal(diag)
+    coords, rows, _, den = _integer_inputs(x, a)
+    diagonal = _pair_sums(coords, rows, [(i, i) for i in range(x.n)])
+    return Matrix.diagonal([_ratio(e, den) for e in diagonal])
 
 
 def diag_correction_minus(a: Matrix, x: DegreeTwoVector) -> Matrix:
@@ -236,10 +218,9 @@ def diag_correction_minus(a: Matrix, x: DegreeTwoVector) -> Matrix:
 
 def trace_identity_left(x: DegreeTwoVector, a: Matrix) -> Scalar:
     """1/2 tr(X-hat A (J - I) A*); equals sum_against_u(left_action(x, a))."""
-    _check_ground(x, a)
-    n = x.n
-    j_minus_i = Matrix.ones(n, n) - Matrix.identity(n)
-    return _half_product_trace(mat_embed(x), a * j_minus_i * a.T)
+    coords, rows, _, den = _integer_inputs(x, a)
+    outer, gram = _sandwich_sums(coords, rows)
+    return _ratio(outer - gram, den)
 
 
 def trace_identity_right(x: DegreeTwoVector, a: Matrix) -> Scalar:
@@ -250,9 +231,8 @@ def trace_identity_right(x: DegreeTwoVector, a: Matrix) -> Scalar:
 
 def trace_identity_left_stochastic(x: DegreeTwoVector, a: Matrix) -> Scalar:
     """Shortcut valid for stochastic a: 1/2 tr(X-hat (J - A A*))."""
-    _check_ground(x, a)
-    n = x.n
-    return _half_product_trace(mat_embed(x), Matrix.ones(n, n) - a * a.T)
+    coords, rows, s, den = _integer_inputs(x, a)
+    return _ratio(s * s * sum(coords) - _sandwich_sums(coords, rows)[1], den)
 
 
 def integration_by_parts(x: DegreeTwoVector, a: Matrix) -> tuple:
@@ -262,14 +242,13 @@ def integration_by_parts(x: DegreeTwoVector, a: Matrix) -> tuple:
 
     Returns (lhs, rhs); the two are exactly equal for every x, with no
     sign assumption on the coordinates. The left side goes through the
-    permanental compound, the right side is a plain matrix sandwich.
+    permanental compound, the right side is the sandwich of the first
+    general identity, which A J = J makes 1/2 tr(A* X-hat A).
     """
-    _check_ground(x, a)
-    if not a.is_stochastic():
+    coords, rows, s, den = _integer_inputs(x, a)
+    if any(min(row) < 0 or sum(row) != s for row in rows):
         raise ValueError("integration by parts needs a stochastic matrix")
-    lhs = sum_against_u(x) - sum_against_u(left_action(x, a))
-    rhs = _half_product_trace(a.T * mat_embed(x), a)
-    return lhs, rhs
+    return _mass(coords, rows, _psi2_rows(rows), s, den)
 
 
 @dataclass(frozen=True)
@@ -296,28 +275,60 @@ def general_bp_identities(x: DegreeTwoVector, a: Matrix) -> GeneralIdentityValue
     No stochasticity assumed; for stochastic a the first right-hand side
     collapses to 1/2 tr(A* X-hat A) since A J = J = J A*.
     """
-    return GeneralIdentityValues(*_mass_left(x, a), *_mass_right(x, a))
+    coords, rows, s, den = _integer_inputs(x, a)
+    psi = _psi2_rows(rows)
+    return GeneralIdentityValues(*_mass(coords, rows, psi, s, den),
+                                 *_mass(coords, list(zip(*rows)), list(zip(*psi)), s, den))
 
 
 def _mass_left(x: DegreeTwoVector, a: Matrix) -> tuple:
-    """(lhs, rhs) of the first identity; the left side goes through the
-    compound (which checks the ground), the right through the sandwich."""
-    j = Matrix.ones(x.n, x.n)
-    lhs = sum_against_u(x) - sum_against_u(left_action(x, a))
-    return lhs, _half_product_trace(mat_embed(x), j - a * j * a.T + a * a.T)
+    values = general_bp_identities(x, a)
+    return values.first_lhs, values.first_rhs
 
 
 def _mass_right(x: DegreeTwoVector, a: Matrix) -> tuple:
-    """(lhs, rhs) of the second identity, as ``_mass_left`` for the first."""
-    j = Matrix.ones(x.n, x.n)
-    lhs = sum_against_u(x) - sum_against_u(right_action(a, x))
-    return lhs, _half_product_trace(mat_embed(x), j - a.T * j * a + a.T * a)
+    values = general_bp_identities(x, a)
+    return values.second_lhs, values.second_rhs
 
 
-def _half_product_trace(x: Matrix, y: Matrix) -> Scalar:
-    """1/2 tr(x y) without materializing the product."""
-    total = sum(a * b for a, b in zip(x.data, y.T.data))
-    return exact_div(total, 2)
+def _mass(coords: Sequence[int], rows: Sequence[Sequence[int]], psi: Sequence[Sequence[int]],
+          s: int, den: int) -> tuple:
+    """(lhs, rhs) of the first identity from rows = s A and psi = Psi2(s A):
+    the compound's mass against sum_{i<j} x_ij (1 - r_i r_j + A_i . A_j),
+    r = A u-dagger. From A's columns and psi's it is the second identity."""
+    outer, gram = _sandwich_sums(coords, rows)
+    lhs = sum(v * (s * s - sum(row)) for v, row in zip(coords, psi) if v)
+    return _ratio(lhs, den), _ratio(s * s * sum(coords) - outer + gram, den)
+
+
+def _integer_inputs(x: DegreeTwoVector, a: Matrix) -> tuple:
+    """X = D x and s A as integers, D the lcm of x's denominators and s that
+    of A's row scales; then s, and the denominator D s^2 of every side."""
+    _check_ground(x, a)
+    rows, s = _common_scale(*a.integer_rows())
+    d = math.lcm(*(c.denominator for c in x.coords))
+    return [c.numerator * (d // c.denominator) for c in x.coords], rows, s, d * s * s
+
+
+def _sandwich_sums(coords: Sequence[int], rows: Sequence[Sequence[int]]) -> tuple[int, int]:
+    """1/2 tr(X-hat A J A*) and 1/2 tr(X-hat A A*) times D s^2, as
+    sum_{i<j} X_ij r_i r_j and sum_{i<j} X_ij N_i . N_j over rows N = s A
+    with sums r: no compound is built."""
+    sums = [sum(row) for row in rows]
+    outer = gram = 0
+    for (i, j), v in zip(combinations(range(len(rows)), 2), coords):
+        if v:
+            outer += v * sums[i] * sums[j]
+            gram += v * sum(map(mul, rows[i], rows[j]))
+    return outer, gram
+
+
+def _pair_sums(coords: Sequence[int], rows: Sequence[Sequence[int]], targets) -> list:
+    """sum_{l<m} X_lm (N_l[i] N_m[j] + N_m[i] N_l[j]) over rows N for each
+    0-based (i, j) in ``targets``: a component of the row action, or for
+    i = j a diagonal correction."""
+    terms = [(rows[l], rows[m], v) for (l, m), v in zip(combinations(range(len(rows)), 2), coords) if v]
+    return [sum(v * (nl[i] * nm[j] + nm[i] * nl[j]) for nl, nm, v in terms) for i, j in targets]
 
 
 def _check_ground(x: DegreeTwoVector, a: Matrix) -> None:

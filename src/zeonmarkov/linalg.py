@@ -96,11 +96,28 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
 
 # -- integer determinants ---------------------------------------------
 
-# The primes of the modular stages of _criterion_certificate, the four largest
-# below 2^30: each is one 30-bit digit of a CPython int, so the multipliers and
-# divisors of the packed kernel are one-digit operands. Their product recovers
-# a cofactor det/D of up to about 120 bits; a larger one is left to exact elimination.
+# The four largest primes below 2^30, the first the prime of the LU and lift of
+# _criterion_certificate and the rest the first of its CRT (_primes_below): each
+# is one 30-bit digit of a CPython int, so the multipliers and divisors of the
+# packed kernel are one-digit operands.
 PRIMES = (1073741789, 1073741783, 1073741741, 1073741723)
+
+
+def _primes_below(p: int) -> Iterator[int]:
+    """The primes below the odd p, in descending order."""
+    return filter(_is_prime, range(p - 2, 2, -2))
+
+
+def _is_prime(q: int) -> bool:
+    """Deterministic Miller-Rabin for odd q < 2^32, bases 2, 7 and 61 (Jaeschke,
+    Math. Comp. 61, 1993): with q - 1 = d 2^r, d odd, q passes base a when
+    a^d = 1 or a^(d 2^k) = -1 mod q for some k < r."""
+    r = ((q - 1) & (1 - q)).bit_length() - 1
+    for a in (2, 7, 61):
+        powers = [pow(a, (q - 1) >> (r - k), q) for k in range(r)]
+        if a % q and powers[0] != 1 and q - 1 not in powers:
+            return False
+    return True
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
@@ -119,7 +136,7 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool) ->
     b p-adically (``_lift``) and reconstruct x rationally, accumulating D,
     the lcm of its denominators. D divides det M, so the cofactor det M / D
     is recovered from det M mod p and, while 2H/D needs it (H the Hadamard
-    bound on |det M|), mod further primes by CRT.
+    bound on |det M|), mod each next prime below p by CRT (``_primes_below``).
 
     A matrix of rank r < N mod p has N - r free columns, the columns of M
     outside the pivot columns C of the factors (see ``_lift``). The first
@@ -131,10 +148,10 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool) ->
     column and zero at the others) are a basis of it.
 
     Every step is exact and deterministic. A failed check (M has a larger
-    rank over Q than mod p, as when p divides a nonzero det M) or a cofactor
-    too large for ``PRIMES`` falls back to exact elimination: ``_bareiss_det``
-    for the determinant and, when it is 0, ``Matrix.right_null_space`` for
-    the kernel (its reduced echelon basis, or that basis's first vector).
+    rank over Q than mod p, as when p divides a nonzero det M) falls back to
+    exact elimination: ``_bareiss_det`` for the determinant and, when it is
+    0, ``Matrix.right_null_space`` for the kernel (its reduced echelon
+    basis, or that basis's first vector).
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -158,16 +175,14 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool) ->
         denom, _, h = next(_lift(rows, cols, factors, b, p, width, bias))
         # det = cofactor * denom with |cofactor| <= H / denom.
         cofactor, base = det_p * pow(denom, -1, p) % p, p
-        for q in PRIMES[1:]:
+        for q in _primes_below(p):
             if base * denom > 2 * h:
-                break
+                return (cofactor - base if cofactor > base // 2 else cofactor) * denom, []
             if denom % q:
                 det_q, _ = _lu_mod(rows, q, width)
                 c_q = det_q * pow(denom, -1, q) % q
                 cofactor += base * ((c_q - cofactor) * pow(base, -1, q) % q)
                 base *= q
-        if base * denom > 2 * h:
-            return (cofactor - base if cofactor > base // 2 else cofactor) * denom, []
     det = _bareiss_det([list(row) for row in rows])
     basis = Matrix(n, n, [e for row in rows for e in row]).right_null_space() if det == 0 else []
     return det, [v.data for v in (basis if whole_kernel else basis[:1])]
@@ -370,6 +385,12 @@ def _reconstruct_denominator(u: int, modulus: int, num_bound: int, den_bound: in
     return d
 
 
+def _common_scale(numerators: Sequence[Sequence[int]], scales: Sequence[int]) -> tuple[list, int]:
+    """Integer rows N_i over scales d_i brought to their lcm s: N_i s / d_i, and s."""
+    s = math.lcm(*scales)
+    return [[e * (s // d) for e in row] if d < s else row for row, d in zip(numerators, scales)], s
+
+
 def _bareiss(m: list, reduce: bool) -> tuple[list, int, int]:
     """Fraction-free (Bareiss) elimination of integer rows in place, the one
     exact elimination here: returns the pivot columns, the sign of the row
@@ -487,10 +508,6 @@ class Matrix:
         return cls(rows, cols, [0] * (rows * cols))
 
     @classmethod
-    def ones(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, [1] * (rows * cols))
-
-    @classmethod
     def diagonal(cls, values: Sequence[ScalarLike]) -> "Matrix":
         n = len(values)
         entries = [0] * (n * n)
@@ -563,10 +580,7 @@ class Matrix:
                 )
             # Integer rows of self over d_i; other's rows over one common s;
             # entry (i, j) is one integer dot product over d_i * s.
-            numerators, scales = other._integer
-            s = math.lcm(*scales)
-            right = [[e * (s // d) for e in row] if d < s else row
-                     for row, d in zip(numerators, scales)]
+            right, s = _common_scale(*other._integer)
             cols = list(zip(*right)) if right else [()] * other.cols
             entries = []
             for row, d in zip(*self._integer):
@@ -661,9 +675,6 @@ class Matrix:
         return (Matrix._canonical(self.rows, self.cols, [_ratio(e, scale) for row in m for e in row]),
                 tuple(pivots))
 
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
     def right_null_space(self) -> list["Matrix"]:
         """Basis of {v column : m v = 0}, canonicalized.
 
@@ -684,10 +695,6 @@ class Matrix:
             return []
         canon, _ = Matrix.from_rows(basis_rows).rref()
         return [canon.row_matrix(i).T for i in range(len(basis_rows))]
-
-    def left_null_space(self) -> list["Matrix"]:
-        """Basis of {v row : v m = 0}, rows in reduced echelon form."""
-        return [v.T for v in self.T.right_null_space()]
 
     def row_matrix(self, i: int) -> "Matrix":
         return Matrix(1, self.cols, self.row(i))

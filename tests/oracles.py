@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 from itertools import permutations
 
-from zeonmarkov.degree2 import DegreeTwoVector
+from zeonmarkov.degree2 import DegreeTwoVector, left_action, mat_embed, right_action
 from zeonmarkov.linalg import Matrix, Scalar, _bareiss_det, as_scalar
 from zeonmarkov.markov import ChainStructure
 
@@ -86,6 +86,17 @@ def null_space_oracle(m: Matrix) -> list:
         return []
     canon, _ = rref_oracle(Matrix.from_rows(basis))
     return [canon.row(i) for i in range(canon.rows)]
+
+
+def left_null_space_oracle(m: Matrix) -> list:
+    """Basis of {v row : v m = 0} as 1-row matrices in reduced echelon
+    form: the ``null_space_oracle`` of the transpose."""
+    return [Matrix.row_vector(v) for v in null_space_oracle(m.T)]
+
+
+def rank_oracle(m: Matrix) -> int:
+    """The number of pivots of ``rref_oracle``."""
+    return len(rref_oracle(m)[1])
 
 
 def determinant_oracle(rows: list) -> int:
@@ -200,3 +211,33 @@ def chain_structure_oracle(m: Matrix) -> ChainStructure:
     return ChainStructure(n=n, classes=tuple(tuple(s + 1 for s in c) for c in classes),
                           closed=tuple(closed_flags), periods=tuple(periods),
                           cyclic_classes=tuple(cyclics))
+
+
+def identity_sides_oracle(x: DegreeTwoVector, a: Matrix) -> dict:
+    """Every side of the degree-2 identities by ``Fraction`` matrix algebra:
+    the masses through the compound actions ``left_action`` and
+    ``right_action``, the traces as half traces of n x n ``Matrix``
+    products, each made canonical. "integration_by_parts" is its
+    (lhs, rhs), or None when a is not stochastic. Independent reference for
+    the integer sums of ``degree2``."""
+    n = x.n
+    xhat, j, i = mat_embed(x), Matrix(n, n, [1] * n ** 2), Matrix.identity(n)
+    mass = sum(x.coords)
+    sides = {
+        "first_lhs": mass - sum(left_action(x, a).coords),
+        "first_rhs": _half_product_trace(xhat, j - a * j * a.T + a * a.T),
+        "second_lhs": mass - sum(right_action(a, x).coords),
+        "second_rhs": _half_product_trace(xhat, j - a.T * j * a + a.T * a),
+        "trace_left": _half_product_trace(xhat, a * (j - i) * a.T),
+        "trace_right": _half_product_trace(xhat, a.T * (j - i) * a),
+        "trace_left_stochastic": _half_product_trace(xhat, j - a * a.T),
+    }
+    sides = {key: as_scalar(Fraction(value)) for key, value in sides.items()}
+    ibp_rhs = as_scalar(_half_product_trace(a.T * xhat, a))
+    sides["integration_by_parts"] = (sides["first_lhs"], ibp_rhs) if a.is_stochastic() else None
+    return sides
+
+
+def _half_product_trace(x: Matrix, y: Matrix) -> Fraction:
+    """1/2 tr(x y) without materializing the product."""
+    return Fraction(sum(a * b for a, b in zip(x.data, y.T.data)), 2)

@@ -450,12 +450,14 @@ def test_verify_a_mass_identity_builds_one_compound_per_trial(tmp_path, capsys, 
     path = tmp_path / "m.csv"
     path.write_text("\n".join(",".join(str((3 * i + 5 * j) % 7 - 3) for j in range(8))
                               for i in range(8)))
-    builds = []
-    original = degree2.zeon_power
-    monkeypatch.setattr(degree2, "zeon_power", lambda m, k: builds.append(k) or original(m, k))
+    # the compound's integer rows, once per trial, and no compound Matrix
+    builds, matrices = [], []
+    original = degree2._psi2_rows
+    monkeypatch.setattr(degree2, "_psi2_rows", lambda rows: builds.append(len(rows)) or original(rows))
+    monkeypatch.setattr(degree2, "zeon_power", lambda m, k: matrices.append(k))
     code, out, _ = run(capsys, "verify", str(path), "--identity", identity, "--trials", "10")
     assert code == 0 and json.loads(out)["passed"]
-    assert builds == [2] * 10
+    assert builds == [8] * 10 and matrices == []
 
 
 def test_verify_integration_by_parts_requires_stochastic(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import identity_sides_oracle
 from zeonmarkov.degree2 import (
     DegreeTwoVector,
     diag_correction_minus,
@@ -117,12 +118,28 @@ def test_sum_against_u_all_ones():
     assert sum_against_u(x) == 6
 
 
+def test_integral_values_are_ints():
+    # a mass of 1 over halves: every side that is integral is an int, never
+    # Fraction(k, 1), on permutations, the identity and a scaled identity
+    x = DegreeTwoVector(3, [F(1, 2), F(1, 2), 0])
+    assert type(sum_against_u(x)) is int and type(inner_product(x, x)) is int
+    cycle = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    for a in (Matrix.identity(3), cycle, 2 * Matrix.identity(3)):
+        values = general_bp_identities(x, a)
+        sides = [values.first_lhs, values.first_rhs, values.second_lhs, values.second_rhs,
+                 trace_identity_left(x, a), trace_identity_right(x, a),
+                 trace_identity_left_stochastic(x, a)]
+        if a.is_stochastic():
+            sides += integration_by_parts(x, a)
+        assert [type(v) for v in sides] == [int] * len(sides), a
+
+
 def test_sum_against_u_equals_half_trace_with_ones():
     rng = random.Random(3)
     for _ in range(20):
         n = rng.randint(2, 6)
         x = random_vector(rng, n)
-        half_trace = Fraction((mat_embed(x) * Matrix.ones(n, n)).trace(), 2)
+        half_trace = Fraction((mat_embed(x) * Matrix(n, n, [1] * n ** 2)).trace(), 2)
         assert sum_against_u(x) == half_trace
     assert sum_against_u(DegreeTwoVector.zero(5)) == 0
 
@@ -346,3 +363,48 @@ def test_actions_are_compound_products():
         psi = zeon_power(a, 2)
         assert left_action(x, a).as_row() == x.as_row() * psi
         assert right_action(a, x).as_column() == psi * x.as_column()
+
+
+# -- the integer sums against the Fraction matrix algebra ---------------------------
+
+
+def _wide_case(rng, n, stochastic):
+    # A with denominators up to about 10^12 (stochastic, or with negative
+    # entries), x with denominators up to 10^30, and every fifth x of
+    # integral mass
+    big = 10**12 + 39
+    if stochastic:
+        weights = [[rng.randint(0, big) * (rng.random() < 0.7) or (i == j) for j in range(n)]
+                   for i in range(n)]
+        a = Matrix.from_rows([[F(w, sum(row)) for w in row] for row in weights])
+    else:
+        a = Matrix(n, n, [F(rng.randint(-big, big), rng.randint(1, big)) for _ in range(n * n)])
+    den = rng.choice([4, 10**30 + 57])
+    coords = [F(rng.randint(-den, den), rng.randint(1, den)) for _ in subset_basis(n, 2)]
+    if rng.random() < 0.2:
+        coords[-1] -= sum(coords) - round(sum(coords))
+    return DegreeTwoVector(n, coords), a
+
+
+def test_identity_sides_match_the_fraction_matrix_algebra():
+    rng = random.Random(21)
+    for trial in range(80):
+        n = rng.randint(2, 6)
+        x, a = _wide_case(rng, n, stochastic=trial % 2 == 0)
+        values = general_bp_identities(x, a)
+        sides = {
+            "first_lhs": values.first_lhs, "first_rhs": values.first_rhs,
+            "second_lhs": values.second_lhs, "second_rhs": values.second_rhs,
+            "trace_left": trace_identity_left(x, a), "trace_right": trace_identity_right(x, a),
+            "trace_left_stochastic": trace_identity_left_stochastic(x, a),
+        }
+        expected = identity_sides_oracle(x, a)
+        ibp = expected.pop("integration_by_parts")
+        assert sides == expected
+        assert list(map(type, sides.values())) == list(map(type, expected.values()))
+        if ibp is None:
+            with pytest.raises(ValueError, match="stochastic"):
+                integration_by_parts(x, a)
+        else:
+            sides = integration_by_parts(x, a)
+            assert sides == ibp and list(map(type, sides)) == list(map(type, ibp))

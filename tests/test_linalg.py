@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -8,7 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import assert_same_entries, cofactor_det
-from oracles import null_space_oracle, product_oracle, rref_oracle
+from oracles import (determinant_oracle, left_null_space_oracle, null_space_oracle,
+                     product_oracle, rank_oracle, rref_oracle)
 from zeonmarkov import linalg
 from zeonmarkov.linalg import Matrix, PRIMES, as_scalar, exact_div, integer_det, scalar_str
 from zeonmarkov.markov import StochasticMatrix, is_quasi_positive, wielandt_bound
@@ -300,10 +302,43 @@ def test_integer_det_large_cofactor_uses_more_primes(monkeypatch):
     assert calls == {"bareiss": 0, "primes": list(PRIMES[:2])}
 
 
-def test_integer_det_cofactor_beyond_the_primes_falls_back(monkeypatch):
+def test_integer_det_cofactor_beyond_the_first_primes_takes_further_primes(monkeypatch):
+    # the cofactor det/D is 2^149 for 2 I (D = 2) and P for diag(P, P) (D = P),
+    # P a product of three primes above 2^60: more bits than PRIMES[1:] hold,
+    # so the CRT goes on with the next primes below them, and no exact
+    # elimination runs
     calls = _count_routes(monkeypatch)
     assert integer_det([[2 if i == j else 0 for j in range(150)] for i in range(150)]) == 2**150
-    assert calls == {"bareiss": 1, "primes": list(PRIMES)}
+    assert calls == {"bareiss": 0, "primes": list(PRIMES) + [1073741719, 1073741717]}
+    big = (2**61 - 1) * (2**62 - 57) * (2**63 - 25)
+    calls["primes"].clear()
+    assert integer_det([[big, 0], [0, big]]) == determinant_oracle([[big, 0], [0, big]]) == big**2
+    assert calls["bareiss"] == 0 and len(calls["primes"]) == 7
+
+
+def test_primes_below_yields_every_prime_in_descending_order():
+    # deterministic Miller-Rabin (bases 2, 7, 61) against a sieve of the odd
+    # numbers below 2^15, strong pseudoprimes to the bases 2, 3, 5 and 7, and a
+    # segmented sieve of the 10^4 numbers below PRIMES[-1]; the primes below
+    # PRIMES[0] begin with the other three of PRIMES
+    limit = 1 << 15
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(limit) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, limit, i)))
+    small = [q for q in range(2, limit) if sieve[q]]
+    assert [q for q in range(3, limit, 2) if linalg._is_prime(q)] == small[1:]
+    assert not any(map(linalg._is_prime, (2047, 3277, 4033, 4681, 8321, 1373653, 25326001,
+                                         3215031751)))
+    low = PRIMES[-1] - 10**4
+    window = bytearray([1]) * (PRIMES[-1] - low)
+    for q in small:
+        start = -low % q
+        window[start::q] = bytes(len(range(start, len(window), q)))
+    below = [low + i for i in range(len(window) - 1, -1, -1) if window[i]]
+    primes = itertools.islice(linalg._primes_below(PRIMES[0]), 3 + len(below))
+    assert list(primes) == list(PRIMES[1:]) + below
 
 
 def _singular_matrix(rng, n, nullity, bound):
@@ -381,20 +416,20 @@ def test_integer_det_proves_a_zero_with_a_checked_kernel_vector(monkeypatch):
 
 
 def test_left_null_space_of_identity_empty():
-    assert Matrix.identity(4).left_null_space() == []
+    assert left_null_space_oracle(Matrix.identity(4)) == []
 
 
 def test_left_null_space_vectors_annihilate():
     rng = random.Random(7)
     for _ in range(30):
         m = random_matrix(rng, 4, 4, lo=-2, hi=2, max_den=2)
-        basis = m.left_null_space()
+        basis = left_null_space_oracle(m)
         for v in basis:
             assert v * m == Matrix.zeros(1, 4)
         # echelon pivots distinct => linearly independent
         if basis:
             stacked = Matrix.from_rows([v.row(0) for v in basis])
-            assert stacked.rank() == len(basis)
+            assert rank_oracle(stacked) == len(basis)
 
 
 def test_right_null_space_contains_ones_for_stochastic():
@@ -406,7 +441,7 @@ def test_right_null_space_contains_ones_for_stochastic():
         u = Matrix.column_vector([1, 1, 1, 1])
         assert (a - Matrix.identity(4)) * u == Matrix.zeros(4, 1)
         stacked = Matrix.from_rows([v.T.row(0) for v in basis] + [[1, 1, 1, 1]])
-        assert stacked.rank() == len(basis)
+        assert rank_oracle(stacked) == len(basis)
 
 
 def test_rref_canonical():
@@ -431,8 +466,8 @@ def test_scalar_str_beyond_the_int_str_digit_limit():
 
 def _elimination_results(m):
     reduced, pivots = m.rref()
-    return ([type(e) for e in reduced.data], reduced, pivots, m.rank(),
-            m.right_null_space(), m.left_null_space())
+    return ([type(e) for e in reduced.data], reduced, pivots,
+            m.right_null_space(), m.T.right_null_space())
 
 
 def _elimination_cases():

@@ -1,5 +1,7 @@
+import hashlib
 import importlib.util
 import itertools
+import json
 import math
 import operator
 import os
@@ -40,7 +42,8 @@ from zeonmarkov.markov import (
 from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_power
 from zeonmarkov.documents import report_to_dict
 from oracles import (certificate_oracle, chain_structure_oracle, fixed_vector_oracle,
-                     positive_power_oracle, rref_oracle, stationary_oracle)
+                     left_null_space_oracle, positive_power_oracle, rank_oracle, rref_oracle,
+                     stationary_oracle)
 
 F = Fraction
 
@@ -291,7 +294,7 @@ def test_invariant_basis_matches_the_whole_matrix_left_null_space():
     for n in range(2, 9):
         for density in (0.15, 0.4, 0.8):
             a = random_stochastic(rng, n, density)
-            reference = (a.matrix - Matrix.identity(n)).left_null_space()
+            reference = left_null_space_oracle(a.matrix - Matrix.identity(n))
             assert list(invariant_distributions(a).basis) == reference
 
 
@@ -497,14 +500,13 @@ def test_criterion_is_one_pass(chains, monkeypatch):
             structures = _counting(patch, markov, "chain_structure")
             compounds = _counting(patch, zeon, "zeon_power", degree2)
             psi2_rows = _counting(patch, zeon, "_psi2_rows", markov)
-            left_null_spaces = _counting(patch, Matrix, "left_null_space")
             integer_rows = _counting(patch, Matrix, "integer_rows")
             report = zeon_criterion(a)
         assert report.criterion_verdict is verdict
         assert len(structures) == 1
         assert len(psi2_rows) == (0 if verdict is Verdict.NOT_ERGODIC else 1)
         assert [m for m, in integer_rows if m is a.matrix] == [a.matrix]
-        assert compounds == [] and left_null_spaces == []
+        assert compounds == []
 
 
 def test_a_closed_not_ergodic_chain_builds_no_psi2_rows(monkeypatch):
@@ -658,7 +660,7 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
         for n in range(6, 11):
             a = _bench_chain(families, family, n, 0)
             rows, _ = markov._criterion_rows(*a.matrix.integer_rows())
-            nullity = len(rows) - Matrix.from_rows(rows).rank()
+            nullity = len(rows) - rank_oracle(Matrix.from_rows(rows))
             with monkeypatch.context() as patch:
                 lu = _counting(patch, linalg, "_lu_mod")
                 bareiss = _counting(patch, linalg, "_bareiss_det")
@@ -706,6 +708,48 @@ def test_the_kernel_lift_stops_early_and_the_dixon_lift_does_not(monkeypatch):
         assert len(solves) == expected, (family, n, seed)
 
 
+def _ergodic_class_with_transient_states(families, closed, transient, seed):
+    # the bench ergodic chain on the first states; each transient state steps
+    # into the class and, each with chance 1/2, to any state
+    rng = random.Random(seed)
+    rows = [list(row) + [0] * transient for row in families.ergodic_chain(rng, closed).rows]
+    n = closed + transient
+    for _ in range(transient):
+        weights = [rng.randint(1, 6) if rng.random() < 0.5 else 0 for _ in range(n)]
+        weights[rng.randrange(closed)] = rng.randint(1, 6)
+        rows.append([F(w, sum(weights)) for w in weights])
+    return validate_stochastic(Matrix.from_rows(rows))
+
+
+def _no_exact_elimination(m):
+    raise AssertionError("exact elimination ran")
+
+
+def test_a_cofactor_beyond_the_first_primes_needs_no_exact_elimination(monkeypatch):
+    # transient states split det != 0 over several invariant factors, so D
+    # falls short of det and the cofactor det/D needs more primes than
+    # PRIMES[1:] hold; these chains once fell back to _bareiss_det
+    families = _bench_families()
+    for closed, transient, seed in [(8, 4, 2), (11, 4, 2)]:
+        a = _ergodic_class_with_transient_states(families, closed, transient, seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(markov, "_criterion_certificate", certificate_oracle)
+            expected = zeon_criterion(a)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_bareiss_det", _no_exact_elimination)
+            report = zeon_criterion(a)
+        assert report.det_value != 0
+        assert report == expected and report_to_dict(report) == report_to_dict(expected)
+    # n = 22, N = 231: the exact route takes about 10 s, so its report is
+    # recorded as the SHA-256 of its sorted JSON
+    a = _ergodic_class_with_transient_states(families, 15, 7, 0)
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_bareiss_det", _no_exact_elimination)
+        report = json.dumps(report_to_dict(zeon_criterion(a)), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "9b352531ea56c96636d22f3d9a2142e5096eb6470158e495f11070b5b2340e92")
+
+
 @pytest.mark.parametrize("det, chain", [(1, "reducible"), (0, "ergodic")])
 def test_a_determinant_that_contradicts_the_classical_verdict_is_an_error(
         chains, monkeypatch, det, chain):
@@ -746,10 +790,10 @@ def test_ergodic_projection_products():
         omega = report.limit_matrix
         pi = report.invariant_distribution
         n = a.n
-        assert omega == Matrix.ones(n, 1) * pi
+        assert omega == Matrix(n, 1, [1] * n) * pi
         assert omega.T * omega == n * (pi.T * pi)
         mass = sum(p * p for p in pi.data)
-        assert omega * omega.T == mass * Matrix.ones(n, n)
+        assert omega * omega.T == mass * Matrix(n, n, [1] * n ** 2)
         assert all(e > 0 for e in (omega.T * omega).data)
         assert all(e > 0 for e in (omega * omega.T).data)
 
@@ -881,7 +925,7 @@ def test_left_fixed_vectors_satisfy_column_sandwich(chains):
         a = chains[i].matrix
         n = a.rows
         psi = zeon_power(a, 2)
-        for row in (psi - Matrix.identity(psi.rows)).left_null_space():
+        for row in left_null_space_oracle(psi - Matrix.identity(psi.rows)):
             x = DegreeTwoVector.from_row(row, n)
             if not x.is_nonnegative():
                 continue
