@@ -16,6 +16,7 @@ error is closed. All rationals are printed as exact strings.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import operator
@@ -326,7 +327,10 @@ def cmd_harness(args) -> int:
     return 0 if report.all_consistent else 1
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: argparse keeps no
+    state between ``parse_args`` calls, and each call makes a new namespace."""
     parser = _Parser(prog="zeonmarkov",
                      description="Exact zeon-compound analysis of stochastic matrices")
     parser.add_argument("--version", action="version", version=f"%(prog)s {TOOL_VERSION}")

@@ -76,7 +76,8 @@ def _parse_csv(text: str) -> MatrixDocument:
 
 def _rows_matrix(raw_rows: list) -> Matrix:
     """The matrix of a non-empty list of rows, checked row by row: each row
-    is a list, as wide as the first, of exact entries."""
+    is a list, as wide as the first, of exact entries, which ``_entry``
+    makes canonical, so the matrix takes them as they are."""
     width = len(raw_rows[0]) if isinstance(raw_rows[0], list) else None
     entries = []
     for i, raw in enumerate(raw_rows, start=1):
@@ -85,7 +86,7 @@ def _rows_matrix(raw_rows: list) -> Matrix:
         if len(raw) != width:
             raise MatrixFormatError(f"ragged rows: row {i} has {len(raw)} entries, expected {width}")
         entries.extend(_entry(v, i, j) for j, v in enumerate(raw, start=1))
-    return Matrix(len(raw_rows), width, entries)
+    return Matrix._canonical(len(raw_rows), width, entries)
 
 
 def read_matrix(handle: BinaryIO) -> MatrixDocument:

@@ -17,7 +17,9 @@ through one fraction-free (Bareiss) routine, ``_bareiss``.
 The determinant of a square integer matrix and, when it is 0, the right
 kernel vectors that prove it come from one LU mod p, lifted p-adically
 (``_criterion_certificate``, and ``integer_det`` for the determinant
-alone); each result is checked exactly or falls back to that routine.
+alone); each result is checked exactly or falls back to that routine. The
+solutions of a regular system are lifted from one LU mod p in the same way,
+each until it passes its exact check (``_solve_checked``).
 """
 
 from __future__ import annotations
@@ -126,10 +128,13 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
     return _criterion_certificate(rows, False)[0]
 
 
-def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool) -> tuple[int, list]:
+def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
+                           exact: bool = True) -> tuple[Optional[int], list]:
     """The exact determinant of a square integer matrix M and, when it is 0,
     vectors of M's right kernel that prove it, all from one LU of M mod
-    p = PRIMES[0]; the kernel is [] when the determinant is not 0.
+    p = PRIMES[0]; the kernel is [] when the determinant is not 0. Without
+    ``exact``, det M mod p != 0 proves the determinant nonzero and None
+    stands for it: nothing is lifted.
 
     Dixon's method, used for determinants as by Abbott, Bronstein and
     Mulders, gives a nonzero det M: lift the solution of M x = b for a fixed
@@ -148,31 +153,35 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool) ->
     column and zero at the others) are a basis of it.
 
     Every step is exact and deterministic. A failed check (M has a larger
-    rank over Q than mod p, as when p divides a nonzero det M) falls back to
+    rank over Q than mod p, as when p divides a nonzero det M) starts again
+    from an LU mod PRIMES[1]; when that check fails too, it falls back to
     exact elimination: ``_bareiss_det`` for the determinant and, when it is
     0, ``Matrix.right_null_space`` for the kernel (its reduced echelon
-    basis, or that basis's first vector).
+    basis, or that basis's first vector, each scaled to integers).
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return 1, []
-    p = PRIMES[0]
-    width, bias = _slots(rows, p)
+    if n < 2:  # the determinant is the entry, and a zero proves itself
+        det = rows[0][0] if n else 1
+        return det, [] if det else [[1]]
     cols = list(zip(*rows))
-    # LU of the transpose: M = U^T L^T P, solved by two sweeps over rows.
-    det_p, factors = _lu_mod(cols, p, width)
-    if det_p == 0:
-        perm, *_, pivot_rows = factors
-        free = sorted(perm[len(pivot_rows):])
-        kernel = [_kernel_vector(rows, cols, factors, f, p, width, bias)
-                  for f in (free if whole_kernel else free[:1])]
-        if None not in kernel:
-            return 0, kernel
-    else:
+    for p in PRIMES[:2]:
+        width, bias = _slots(rows, p)
+        # LU of the transpose: M = U^T L^T P, solved by two sweeps over rows.
+        det_p, factors = _lu_mod(cols, p, width)
+        if det_p == 0:
+            perm, *_, pivot_rows = factors
+            free = sorted(perm[len(pivot_rows):])
+            kernel = [_kernel_vector(rows, cols, factors, f, p, width, bias)
+                      for f in (free if whole_kernel else free[:1])]
+            if None not in kernel:
+                return 0, kernel
+            continue
+        if not exact:
+            return None, []
         b = [(7 * i) % 11 - 5 for i in range(n)]
-        denom, _, h = next(_lift(rows, cols, factors, b, p, width, bias))
+        denom, _, h = next(_lift(rows, cols, factors, b, p, width, bias, early=False))
         # det = cofactor * denom with |cofactor| <= H / denom.
         cofactor, base = det_p * pow(denom, -1, p) % p, p
         for q in _primes_below(p):
@@ -183,21 +192,26 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool) ->
                 c_q = det_q * pow(denom, -1, q) % q
                 cofactor += base * ((c_q - cofactor) * pow(base, -1, q) % q)
                 base *= q
+        break
     det = _bareiss_det([list(row) for row in rows])
     basis = Matrix(n, n, [e for row in rows for e in row]).right_null_space() if det == 0 else []
-    return det, [v.data for v in (basis if whole_kernel else basis[:1])]
+    return det, [v.T.integer_rows()[0][0] for v in (basis if whole_kernel else basis[:1])]
 
 
-def _slots(rows: Sequence[Sequence[int]], p: int) -> tuple[int, int]:
+def _slots(rows: Sequence[Sequence[int]], p: int,
+           rhs: Sequence[Sequence[int]] = ()) -> tuple[int, int]:
     """The slot width in bytes of the packed vectors of ``_lu_mod`` and
-    ``_lift`` for the square matrix ``rows``, and the bias of ``_lift``.
+    ``_lift`` for the square matrix ``rows``, and the bias of ``_lift`` for
+    right-hand sides whose entries are at most those of ``rhs`` in size.
 
-    Residuals of the lifting stay within the largest row sum of |M| when
-    the right-hand side does; ``bias``, a multiple of p above that, keeps
-    packed slots nonnegative without changing them mod p. A slot holds a
-    biased residual plus fewer than N updates of less than p^2.
+    Residuals of the lifting stay within the larger of the largest row sum
+    of |M| and the largest entry of the right-hand side; ``bias``, a
+    multiple of p above both, keeps packed slots nonnegative without
+    changing them mod p. A slot holds a biased residual plus fewer than N
+    updates of less than p^2.
     """
-    bias = p * (max(sum(map(abs, row)) for row in rows) // p + 1)
+    bias = p * (max(max(sum(map(abs, row)) for row in rows),
+                    max((abs(e) for b in rhs for e in b), default=0)) // p + 1)
     return (max(len(rows) * p * p, 2 * bias).bit_length() + 9) // 8, bias
 
 
@@ -208,7 +222,8 @@ def _kernel_vector(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]],
     denominators) and 0 elsewhere, at the first of ``_lift``'s tries with
     M v = 0 exactly on every row, else None. ``free`` is a column of M
     outside the pivot columns C; ``cols`` are M's columns."""
-    for d, numerators, _ in _lift(rows, cols, factors, [-e for e in cols[free]], p, width, bias):
+    b = [-e for e in cols[free]]
+    for d, numerators, _ in _lift(rows, cols, factors, b, p, width, bias, early=True):
         v = [0] * len(rows)
         for j, e in zip(factors[0], numerators):
             v[j] = e
@@ -219,7 +234,8 @@ def _kernel_vector(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]],
 
 
 def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors: tuple,
-          b: Sequence[int], p: int, width: int, bias: int) -> Iterator[tuple[int, Iterator, int]]:
+          b: Sequence[int], p: int, width: int, bias: int,
+          early: bool) -> Iterator[tuple[int, Iterator, int]]:
     """Solve M[R, C] y = b[R] exactly, where M has ``rows`` and ``cols``
     and ``factors`` are ``_lu_mod``'s of M's transpose: their pivot columns
     are the rows R of M and their first r permuted rows the columns C, so
@@ -233,10 +249,11 @@ def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors:
     accumulates D, the lcm of their denominators, which divides
     det M[R, C]. Yields D; the integers D * y (|D * y| <= Nb) in the
     order of C, as an iterator, so that a caller that needs only D does
-    not pay for them; and H. When M is singular mod p, it first yields
-    each reconstruction after 1, 2, 4, ... digits that succeeds with both
-    parts at most isqrt(p^k / 2), for an exact check to stop on (Chen &
-    Storjohann, ISSAC 2005; Monagan, ISSAC 2004).
+    not pay for them; and H. With ``early``, it first yields each
+    reconstruction after 1, 2, 4, ... digits that succeeds with both parts
+    at most isqrt(p^k / 2), for an exact check to stop on (Chen &
+    Storjohann, ISSAC 2005; Monagan, ISSAC 2004). The digits are added up
+    as a binary counter (``_carry``) and into y only where it is read.
     """
     perm, _, _, _, pivot_rows = factors
     n, rank = len(rows), len(pivot_rows)
@@ -261,14 +278,18 @@ def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors:
     offset = _pack([bias] * n, width)
     m_cols = [_pack([e + bias for e in col], width) - offset for col in cols]
     residual = _pack([e + bias for e in b], width) - offset
-    solution, modulus = [0] * rank, 1
+    solution, digits, modulus, read = [0] * rank, [], 1, 1  # y mod read, and the digits since
     for k in range(1, steps + 1):
         y = _solve_mod(factors, residual + offset, p, width)
-        solution = [s + d * modulus for s, d in zip(solution, y)]
+        digits.append((y, p))
+        _carry(digits, False)
         modulus *= p
         residual = (residual - sum(map(mul, y, m_cols))) // p
-        if k < steps and (rank == n or k & k - 1):
+        if k < steps and (not early or k & k - 1):
             continue
+        _carry(digits, True)
+        solution = [s + c * read for s, c in zip(solution, digits.pop()[0])]
+        read = modulus
         half = modulus // 2
         num_bound, den_bound = (nb, h) if k == steps else (math.isqrt(half),) * 2
         denom = 1
@@ -283,6 +304,43 @@ def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors:
         else:
             numerators = (denom * s % modulus for s in solution)
             yield denom, (u - modulus if u > half else u for u in numerators), h
+
+
+def _carry(digits: list, whole: bool) -> None:
+    """Add up the top two of ``digits``, pairs (v, p^k) of the vectors v of k
+    p-adic digits, lowest first, while they hold as many digits or, when
+    ``whole``, until one is left: as in a binary counter, each addition has
+    operands of equal length, and the digits are held in a few long ints."""
+    while len(digits) > 1 and (whole or digits[-1][1] == digits[-2][1]):
+        (low, power), (high, high_power) = digits[-2:]
+        digits[-2:] = [([a + b * power for a, b in zip(low, high)], power * high_power)]
+
+
+def _solve_checked(rows: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> Optional[list]:
+    """For each b in ``rhs``, (D, D * y) for the solution y of M y = b, D the
+    lcm of y's denominators, from one LU of the square integer M mod
+    p = PRIMES[0]; None when det M mod p is 0 or a check fails. A nonzero
+    det M mod p proves M invertible, so the first of ``_lift``'s
+    reconstructions, after 1, 2, 4, ... digits, that passes M (D y) = D b
+    exactly is y."""
+    p = PRIMES[0]
+    width, bias = _slots(rows, p, rhs)
+    cols = list(zip(*rows))
+    det_p, factors = _lu_mod(cols, p, width)
+    if det_p == 0:
+        return None
+    solutions = []
+    for b in rhs:
+        for d, numerators, _ in _lift(rows, cols, factors, b, p, width, bias, early=True):
+            y = [0] * len(rows)
+            for j, e in zip(factors[0], numerators):
+                y[j] = e
+            if all(sum(map(mul, row, y)) == d * e for row, e in zip(rows, b)):
+                solutions.append((d, y))
+                break
+        else:
+            return None
+    return solutions
 
 
 def _pack(values: Sequence[int], width: int) -> int:

@@ -25,8 +25,8 @@ from operator import mul
 from typing import Optional
 
 from .degree2 import DegreeTwoVector
-from .linalg import (Matrix, Scalar, _bareiss, _criterion_certificate, _ratio, exact_div,
-                     integer_det, scalar_str)
+from .linalg import (Matrix, Scalar, _bareiss, _criterion_certificate, _ratio, _solve_checked,
+                     exact_div, integer_det, scalar_str)
 from .zeon import _psi2_rows
 
 
@@ -378,16 +378,27 @@ def criterion_determinant(a: StochasticMatrix) -> Scalar:
 
 def _criterion_rows(numerators: list, scales: list) -> tuple[list, int]:
     """D * (I - Psi2(A)) as integer rows, and det D, from the integer rows
-    N_i / d_i of A (``Matrix.integer_rows``). Psi2 is homogeneous of degree 2,
-    so row (i1, i2) of I - Psi2(A) times d_i1 * d_i2 is d_i1 * d_i2 * e_(i1,i2)
-    minus row (i1, i2) of ``_psi2_rows`` of the N_i: integers, with no
-    Fraction and no compound. D is a positive diagonal, so the rows' right
-    null space is the fixed space of Psi2(A)."""
-    rows = [[-e for e in row] for row in _psi2_rows(numerators)]
-    for r, (d1, d2) in enumerate(combinations(scales, 2)):
-        rows[r][r] += d1 * d2
-    # each d_i scales the n - 1 rows whose pair holds state i
-    return rows, math.prod(scales) ** (len(scales) - 1)
+    N_i / d_i of A (``Matrix.integer_rows``): ``_criterion_block`` on every
+    pair. D is a positive diagonal, so the rows' right null space is the
+    fixed space of Psi2(A)."""
+    pairs = list(combinations(range(len(scales)), 2))
+    return _criterion_block(numerators, scales, pairs), _det_d(scales)
+
+
+def _criterion_block(numerators: list, scales: list, pairs: list) -> list:
+    """The principal submatrix of ``_criterion_rows`` on the 0-based ``pairs``.
+    Psi2 is homogeneous of degree 2, so row (i, j) of I - Psi2(A) times
+    d_i * d_j is d_i * d_j * e_(i,j) minus row (i, j) of ``_psi2_rows`` of the
+    N_i: integers, with no Fraction and no compound."""
+    block = [[-e for e in row] for row in _psi2_rows(numerators, 1, pairs)]
+    for r, (i, j) in enumerate(pairs):
+        block[r][r] += scales[i] * scales[j]
+    return block
+
+
+def _det_d(scales: list) -> int:
+    """det D: each d_i scales the n - 1 rows whose pair holds state i."""
+    return math.prod(scales) ** (len(scales) - 1)
 
 
 def _criterion_product(numerators: list, scales: list, coords) -> list:
@@ -406,11 +417,75 @@ def _criterion_product(numerators: list, scales: list, coords) -> list:
             for (i, j), x in zip(pairs, coords)]
 
 
+def _block_certificate(numerators: list, scales: list,
+                       structure: ChainStructure) -> tuple[int, list]:
+    """``_criterion_certificate(rows, True)`` of M, the ``_criterion_rows`` of
+    a chain with transient states, by blocks over class pairs (the Frobenius
+    normal form; Seneta, Non-negative Matrices and Markov Chains): the
+    exact det M and, when it is 0, a basis of M's right kernel, with no
+    N x N matrix.
+
+    A pair of states in closed classes a and b leads only to such pairs, so
+    with the pairs that meet a transient state first, as the block T,
+    M = [[M_TT, M_TC], [0, M_CC]] and M_CC is block-diagonal over the class
+    pairs {a, b}. So det M = det M_TT * prod det M_ab, and a kernel vector
+    is one of a singular M_ab's, x_C, extended by x_T = -M_TT^-1 M_TC x_C.
+    Each M_ab with det M_ab mod p != 0 is proven nonsingular; each other
+    gives its whole kernel (``_criterion_certificate``). One LU of M_TT mod
+    p proves it invertible, and each x_T is lifted only until it passes
+    M_TT x_T = -M_TC x_C exactly (``_solve_checked``), with M_TC x_C read
+    off M x_C (``_criterion_product``). With no singular M_ab, det M is the
+    product of the ``integer_det`` of each M_ab and of each class pair's
+    block of M_TT, which is block triangular over its class pairs in the
+    same way. A failed check falls back to the N x N ``_criterion_rows``.
+    """
+    owner = [0] * len(scales)
+    for index, states in enumerate(structure.classes):
+        for s in states:
+            owner[s - 1] = index
+    pairs = list(combinations(range(len(scales)), 2))
+    blocks = {}  # the pairs of each class pair
+    for r, (i, j) in enumerate(pairs):
+        a, b = owner[i], owner[j]
+        blocks.setdefault((a, b) if a < b else (b, a), []).append(r)
+    kernel, nonsingular, transient = [], [], []
+    for (a, b), members in blocks.items():
+        if not (structure.closed[a] and structure.closed[b]):
+            transient.append(members)
+            continue
+        block = _criterion_block(numerators, scales, [pairs[r] for r in members])
+        det, vectors = _criterion_certificate(block, True, exact=False)
+        if det != 0:
+            nonsingular.append(block)
+        for v in vectors:
+            x = [0] * len(pairs)
+            for r, e in zip(members, v):
+                x[r] = e
+            kernel.append(x)
+    if not kernel:  # M_TT is block triangular over its class pairs too
+        nonsingular += [_criterion_block(numerators, scales, [pairs[r] for r in members])
+                        for members in transient]
+        return math.prod(map(integer_det, nonsingular)), []
+    transient = [r for members in transient for r in members]
+    block = _criterion_block(numerators, scales, [pairs[r] for r in transient])
+    # M_TC x_C, from M x_C: its rows in C are M_CC x_C = 0
+    rhs = [[-e for e in map(_criterion_product(numerators, scales, x).__getitem__, transient)]
+           for x in kernel]
+    solved = _solve_checked(block, rhs)
+    if solved is None:
+        return _criterion_certificate(_criterion_rows(numerators, scales)[0], True)
+    for x, (d, y) in zip(kernel, solved):  # M (d x_C + x_T) = 0, x_T = y
+        x[:] = [d * e for e in x]
+        for r, e in zip(transient, y):
+            x[r] = e
+    return 0, kernel
+
+
 def _nonnegative_fixed_vector(kernel: list, n: int) -> Optional[DegreeTwoVector]:
     """A nonnegative fixed vector of Psi2(A), or None, from ``kernel``, a
-    basis of the right kernel of ``_criterion_rows`` (the fixed space) that
-    ``linalg._criterion_certificate`` read off the LU that proved det = 0.
-    The rref of the stacked basis is the space's reduced echelon basis.
+    basis of the right kernel of ``_criterion_rows`` (the fixed space) from
+    ``_block_certificate``. The rref of the stacked basis is the space's
+    reduced echelon basis, the same for every basis.
     Only its vectors are tried (each leads with 1, so no negation is
     nonnegative): None does not rule out a nonnegative combination.
     """
@@ -434,8 +509,9 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
     that differs from irreducible-and-aperiodic raises RuntimeError: it is
     a bug or a counterexample to the theorem, never a report. The oracles'
     not-ergodic witness w proves det = 0 by M w = 0 (``_criterion_product``),
-    M the integer rows of ``_criterion_rows``, which only the other chains
-    build, for ``_criterion_certificate``.
+    M the integer rows of ``_criterion_rows``, which only an ergodic chain
+    builds, for ``_criterion_certificate``. A chain with transient states
+    works on M's blocks over class pairs (``_block_certificate``).
     """
     return _analysis(a)[0]
 
@@ -454,20 +530,18 @@ def _analysis(a: StochasticMatrix) -> tuple[ErgodicityReport, ChainStructure]:
             raise RuntimeError("the classical oracles say not-ergodic, but their witness is not "
                                "fixed by Psi2(A); ergodic is not refuted: the two routes disagree")
         det_value, verdict = 0, Verdict.NOT_ERGODIC
+    elif not structure.all_closed:  # the witness search needs the whole fixed space
+        det, kernel = _block_certificate(numerators, scales, structure)
+        det_value, verdict = exact_div(det, _det_d(scales)), Verdict.INAPPLICABLE
+        if det_value == 0:
+            witness = _nonnegative_fixed_vector(kernel, a.n)
     else:
         rows, det_d = _criterion_rows(numerators, scales)
-        # the transient witness search needs the whole fixed space, an ergodic chain none of it
-        det, kernel = _criterion_certificate(rows, not structure.all_closed)
-        det_value = exact_div(det, det_d)
-        if not structure.all_closed:
-            verdict = Verdict.INAPPLICABLE
-            if det_value == 0:
-                witness = _nonnegative_fixed_vector(kernel, a.n)
-        elif det_value == 0:
+        det, _ = _criterion_certificate(rows, False)
+        det_value, verdict = exact_div(det, det_d), Verdict.ERGODIC
+        if det_value == 0:
             raise RuntimeError("the determinant says not-ergodic but the classical oracles say "
                                "ergodic: the two routes disagree")
-        else:
-            verdict = Verdict.ERGODIC
 
     return ErgodicityReport(
         is_irreducible=structure.is_irreducible,

@@ -3,11 +3,11 @@ library against."""
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from zeonmarkov.degree2 import DegreeTwoVector, left_action, mat_embed, right_action
-from zeonmarkov.linalg import Matrix, Scalar, _bareiss_det, as_scalar
-from zeonmarkov.markov import ChainStructure
+from zeonmarkov.linalg import Matrix, Scalar, _bareiss_det, _criterion_certificate, as_scalar
+from zeonmarkov.markov import ChainStructure, _criterion_rows
 
 
 def permutation_permanent_oracle(m: Matrix) -> Scalar:
@@ -105,17 +105,52 @@ def determinant_oracle(rows: list) -> int:
     return _bareiss_det([list(row) for row in rows])
 
 
-def certificate_oracle(rows: list, whole_kernel: bool) -> tuple:
+def certificate_oracle(rows: list, whole_kernel: bool, exact: bool = True) -> tuple:
     """``_criterion_certificate`` with no modular stage, as the analysis
-    reads it: the ``determinant_oracle`` and, when it is 0 and
-    ``whole_kernel`` asks for it, the ``null_space_oracle`` basis of the
-    rows' right kernel. Without ``whole_kernel`` (a chain with every class
-    closed) the analysis reads no kernel, so none is computed."""
+    reads it: the ``determinant_oracle`` (None for a nonzero one without
+    ``exact``) and, when it is 0 and ``whole_kernel`` asks for it, the
+    ``null_space_oracle`` basis of the rows' right kernel. Without
+    ``whole_kernel`` (a chain with every class closed) the analysis reads no
+    kernel, so none is computed."""
     det = determinant_oracle(rows)
     if det or not whole_kernel:
-        return det, []
+        return det if det == 0 or exact else None, []
     size = len(rows)
     return det, null_space_oracle(Matrix(size, size, [e for row in rows for e in row]))
+
+
+def dense_route(certificate=_criterion_certificate):
+    """A stand-in for ``markov._block_certificate`` that works on the whole
+    N x N matrix: ``certificate(rows, True)`` of ``markov._criterion_rows``,
+    by default the production ``_criterion_certificate``, the block route's
+    own fallback. With ``_nonnegative_fixed_vector`` it is the analysis of a
+    chain with transient states as it was before the block route."""
+    def dense(numerators, scales, structure):
+        return certificate(_criterion_rows(numerators, scales)[0], True)
+    return dense
+
+
+def class_pair_determinant_oracle(m: Matrix, lump_transient: bool):
+    """det(I - Psi2(A)) by the class-pair identity of the Frobenius normal
+    form: the product of the det of the block of each pair {a, b} of
+    classes, or, with ``lump_transient``, of each pair of closed classes and
+    of the one block of all the pairs that meet a transient state. Each
+    block is a principal submatrix of I - Psi2(A), its entries the Fraction
+    permanents A_ik A_jl + A_il A_jk, and its det ``Matrix.det``; the
+    classes are ``chain_structure_oracle``'s."""
+    structure = chain_structure_oracle(m)
+    owner = {s - 1: (c, closed) for c, closed in zip(structure.classes, structure.closed)
+             for s in c}
+    groups = {}
+    for i, j in combinations(range(m.rows), 2):
+        (a, a_closed), (b, b_closed) = owner[i], owner[j]
+        lumped = lump_transient and not (a_closed and b_closed)
+        groups.setdefault("transient" if lumped else tuple(sorted((a, b))), []).append((i, j))
+    det = Fraction(1)
+    for pairs in groups.values():
+        det *= Matrix.from_rows([[int((i, j) == (k, l)) - m[i, k] * m[j, l] - m[i, l] * m[j, k]
+                                  for k, l in pairs] for i, j in pairs]).det()
+    return as_scalar(det)
 
 
 def stationary_oracle(m: Matrix, states: tuple) -> dict:

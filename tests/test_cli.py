@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from zeonmarkov import markov
+from zeonmarkov import cli, markov
 from zeonmarkov.cli import main
 from zeonmarkov.documents import (
     AnalysisReportDocument,
@@ -592,3 +592,44 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["analyze"])  # missing path
     assert excinfo.value.code == 3
+
+
+def _call(capsys, argv):
+    # exit code, stdout and stderr of one main() call, a usage error's
+    # SystemExit included, with the analysis JSON's elapsed_ms dropped
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    out = captured.out
+    if argv[0] == "analyze" and "--pretty" not in argv and out:
+        payload = json.loads(out)
+        payload.pop("elapsed_ms")
+        out = payload
+    return code, out, captured.err
+
+
+def test_successive_calls_in_one_process_give_what_each_gives_alone(capsys, monkeypatch):
+    # the parser is built once per process; each call of a sequence still
+    # gives the stdout, stderr and exit code of the same call on a new parser
+    one, three = fixture_path("example1.json"), fixture_path("example3.json")
+    sequences = [
+        [["analyze", "--pretty", one], ["analyze", one], ["analyze", "--pretty", one]],
+        [["analyze"], ["analyze", three], ["verify", one, "--identity", "nonsense"]],
+        [["verify", one, "--identity", "mass-left", "--trials", "3"], ["witness", three]],
+        [["witness", three, "--delta", "0"], ["--version"], ["analyze", "--pretty", three]],
+    ]
+    for sequence in sequences:
+        alone = []
+        for argv in sequence:
+            cli.build_parser.cache_clear()
+            alone.append(_call(capsys, argv))
+        cli.build_parser.cache_clear()
+        assert [_call(capsys, argv) for argv in sequence] == alone
+    assert [code for code, *_ in alone] == [3, 0, 1]
+    assert cli.build_parser() is cli.build_parser()
+    # a patch of the analysis made after the parser is built is seen
+    monkeypatch.setattr(markov, "_analysis", lambda chain: 1 / 0)
+    code, out, err = _call(capsys, ["analyze", one])
+    assert (code, out) == (4, "") and "ZeroDivisionError" in err

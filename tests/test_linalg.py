@@ -288,11 +288,16 @@ def _count_routes(monkeypatch):
     return calls
 
 
-def test_integer_det_prime_dividing_det_falls_back(monkeypatch):
+def test_integer_det_retries_a_prime_dividing_det_then_falls_back(monkeypatch):
+    # det = d != 0 with d mod p = 0 fails the kernel check mod p; the LU mod
+    # PRIMES[1] proves the determinant, unless PRIMES[1] divides d as well
     calls = _count_routes(monkeypatch)
-    p = PRIMES[0]
-    assert integer_det([[p, 0], [0, 1]]) == p
-    assert calls == {"bareiss": 1, "primes": [p]}
+    p, q = PRIMES[:2]
+    for d, primes, bareiss in [(q, [p], 0), (p, [p, q], 0), (p * q, [p, q], 1)]:
+        for rows in ([[d, 0], [0, 1]], [[d, 2, 3], [0, 1, 4], [0, 0, 1]]):
+            calls.update(bareiss=0, primes=[])
+            assert integer_det(rows) == d
+            assert calls == {"bareiss": bareiss, "primes": primes}
 
 
 def test_integer_det_large_cofactor_uses_more_primes(monkeypatch):
@@ -386,20 +391,96 @@ def test_certificate_kernel_matches_the_fraction_null_space(monkeypatch):
 
 
 def test_certificate_check_fails_when_the_rank_drops_mod_p(monkeypatch):
-    # [[p, 0], [0, 0]] has rank 1 over Q but 0 mod p; diag(p, 1) is singular
-    # mod p only: a kernel vector read off mod p fails its exact check, and
-    # the fallback's kernel is the exact null space
-    p = PRIMES[0]
+    # [[d, 0], [0, 0]] has rank 1 over Q but 0 mod p | d: a kernel vector read
+    # off mod p fails its exact check, and the LU mod PRIMES[1] proves the
+    # kernel; when PRIMES[1] divides d too, the fallback's kernel is the exact
+    # null space, scaled to integers
+    p, q = PRIMES[:2]
     calls = _count_routes(monkeypatch)
-    for singular in ([[p, 0], [0, 0]], [[p, 0, 0], [0, 0, 0], [0, 0, 0]]):
-        expected = null_space_oracle(Matrix.from_rows(singular))
-        assert linalg._criterion_certificate(singular, True) == (0, expected)
-        assert linalg._criterion_certificate(singular, False) == (0, expected[:1])
-    assert len(expected) == 2
-    assert linalg._criterion_certificate([[p, 0], [0, 1]], True) == (p, [])
-    assert calls == {"bareiss": 5, "primes": [p] * 5}
-    assert integer_det([[p, 0], [0, 0]]) == 0
-    assert calls == {"bareiss": 6, "primes": [p] * 6}
+    for d, bareiss in [(p, 0), (p * q, 1)]:
+        for size in (2, 3):
+            singular = [[d] + [0] * (size - 1)] + [[0] * size for _ in range(size - 1)]
+            expected = [list(v) for v in null_space_oracle(Matrix.from_rows(singular))]
+            assert len(expected) == size - 1
+            for whole_kernel in (True, False):
+                calls.update(bareiss=0, primes=[])
+                assert linalg._criterion_certificate(singular, whole_kernel) == (
+                    0, expected if whole_kernel else expected[:1])
+                assert calls == {"bareiss": bareiss, "primes": [p, q]}
+    calls.update(bareiss=0, primes=[])
+    assert integer_det([[p * q, 0], [0, 0]]) == 0
+    assert calls == {"bareiss": 1, "primes": [p, q]}
+
+
+def test_certificate_without_exact_proves_a_nonzero_determinant_and_lifts_nothing(monkeypatch):
+    # det M mod p != 0 proves det M != 0 (None), with no lift; a zero gives the
+    # kernel as with exact; a prime that divides det != 0 retries PRIMES[1]
+    p, q = PRIMES[:2]
+    calls = _count_routes(monkeypatch)
+    lifts = []
+    lift = linalg._lift
+
+    def counted_lift(*args, early):
+        lifts.append(early)
+        return lift(*args, early=early)
+
+    monkeypatch.setattr(linalg, "_lift", counted_lift)
+    for rows, primes in [([[3, 7], [-2, 5]], [p]), ([[p, 0], [0, 1]], [p, q])]:
+        calls["primes"].clear()
+        assert linalg._criterion_certificate(rows, True, exact=False) == (None, [])
+        assert calls == {"bareiss": 0, "primes": primes}
+    assert lifts == [True]  # the failed kernel vector of diag(p, 1) mod p
+    assert linalg._criterion_certificate([[1, 2], [2, 4]], True, exact=False) == (0, [[-2, 1]])
+    assert linalg._criterion_certificate([[p * q, 0], [0, 1]], True, exact=False) == (p * q, [])
+
+
+def test_carry_adds_the_p_adic_digits_as_a_binary_counter():
+    rng = random.Random(61)
+    p = PRIMES[0]
+    for count in range(1, 20):
+        vectors = [[rng.randrange(p) for _ in range(3)] for _ in range(count)]
+        digits = []
+        for k, v in enumerate(vectors, start=1):
+            digits.append((v, p))
+            linalg._carry(digits, False)
+            # one entry per set bit of k, the most digits first
+            assert [power for _, power in digits] == [
+                p ** (1 << b) for b in reversed(range(k.bit_length())) if k >> b & 1]
+        linalg._carry(digits, True)
+        assert digits == [([sum(v[i] * p ** k for k, v in enumerate(vectors)) for i in range(3)],
+                           p ** count)]
+
+
+def test_solve_checked_stops_at_the_first_reconstruction_that_passes(monkeypatch):
+    # y = M^-1 b for M = 10 I plus small entries: the lift stops at the first
+    # reconstruction with M (D y) = D b exactly
+    rng = random.Random(67)
+    n = 6
+    rows = [[rng.randint(-3, 3) + (10 if i == j else 0) for j in range(n)] for i in range(n)]
+    rhs = [[rng.randint(-10**20, 10**20) for _ in range(n)] for _ in range(3)]
+    rhs.append([sum(rows[i]) for i in range(n)])  # y = (1, ..., 1)
+    digits = []
+    solve_mod = linalg._solve_mod
+    monkeypatch.setattr(linalg, "_solve_mod", lambda *args: digits.append(1) or solve_mod(*args))
+    inverse = _inverse(Matrix(n, n, [e for row in rows for e in row]))
+    for b in rhs:
+        digits.clear()
+        (d, y), = linalg._solve_checked(rows, [b])
+        assert [Fraction(e, d) for e in y] == [
+            sum(Fraction(x) * c for x, c in zip(row, b)) for row in inverse]
+        # one digit for the integer solution, a power of two for the others
+        assert len(digits) == 1 if b is rhs[-1] else len(digits) in (2, 4, 8)
+    assert len(linalg._solve_checked(rows, rhs)) == len(rhs)
+    assert linalg._solve_checked([[1, 2], [2, 4]], [[1, 1]]) is None
+
+
+def _inverse(m):
+    # the inverse of a regular Matrix by the Fraction Gauss-Jordan oracle
+    n = m.rows
+    augmented = Matrix.from_rows([list(m.row(i)) + [int(i == j) for j in range(n)]
+                                  for i in range(n)])
+    reduced, _ = rref_oracle(augmented)
+    return [reduced.row(i)[n:] for i in range(n)]
 
 
 def test_integer_det_proves_a_zero_with_a_checked_kernel_vector(monkeypatch):
@@ -408,8 +489,10 @@ def test_integer_det_proves_a_zero_with_a_checked_kernel_vector(monkeypatch):
     for nullity in (1, 2, 3):
         assert integer_det(_singular_matrix(rng, 9, nullity, 10**30)) == 0
     assert integer_det([[1, 2], [2, 4]]) == 0
-    assert integer_det([[0]]) == 0
-    assert calls == {"bareiss": 0, "primes": [PRIMES[0]] * 5}
+    assert calls == {"bareiss": 0, "primes": [PRIMES[0]] * 4}
+    assert integer_det([[0]]) == 0 and integer_det([[-7]]) == -7  # the entry: no LU
+    assert linalg._criterion_certificate([[0]], True) == (0, [[1]])
+    assert calls == {"bareiss": 0, "primes": [PRIMES[0]] * 4}
 
 
 # -- null spaces ----------------------------------------------------------

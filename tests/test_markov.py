@@ -41,9 +41,9 @@ from zeonmarkov.markov import (
 )
 from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_power
 from zeonmarkov.documents import report_to_dict
-from oracles import (certificate_oracle, chain_structure_oracle, fixed_vector_oracle,
-                     left_null_space_oracle, positive_power_oracle, rank_oracle, rref_oracle,
-                     stationary_oracle)
+from oracles import (certificate_oracle, chain_structure_oracle, class_pair_determinant_oracle,
+                     dense_route, determinant_oracle, fixed_vector_oracle, left_null_space_oracle,
+                     positive_power_oracle, rank_oracle, rref_oracle, stationary_oracle)
 
 F = Fraction
 
@@ -241,6 +241,7 @@ def test_every_support_pattern_up_to_three_states_matches_the_oracles(monkeypatc
             assert is_quasi_positive(a) == positive_power_oracle(a.matrix)
             with monkeypatch.context() as patch:
                 patch.setattr(markov, "_criterion_certificate", certificate_oracle)
+                patch.setattr(markov, "_block_certificate", dense_route(certificate_oracle))
                 patch.setattr(markov, "_nonnegative_fixed_vector", fixed_vector_oracle)
                 expected = zeon_criterion(a)
             assert zeon_criterion(a) == expected
@@ -491,7 +492,9 @@ def _counting(monkeypatch, owner, name, *also_bound_in):
 
 def test_criterion_is_one_pass(chains, monkeypatch):
     # a closed not-ergodic chain checks its witness on the n x n sandwich
-    # (_criterion_product) and builds no Psi2 rows; the others build them once
+    # (_criterion_product) and builds no Psi2 rows; a chain with transient states
+    # builds them only on the pairs of its class-pair blocks; an ergodic chain
+    # builds them once, on every pair
     ergodic = random_stochastic(random.Random(35), 6, density=1.0)
     cases = [(ergodic, Verdict.ERGODIC), (chains[3], Verdict.NOT_ERGODIC),
              (chains[4], Verdict.NOT_ERGODIC), (chains[2], Verdict.INAPPLICABLE)]
@@ -504,7 +507,10 @@ def test_criterion_is_one_pass(chains, monkeypatch):
             report = zeon_criterion(a)
         assert report.criterion_verdict is verdict
         assert len(structures) == 1
-        assert len(psi2_rows) == (0 if verdict is Verdict.NOT_ERGODIC else 1)
+        if verdict is Verdict.INAPPLICABLE:
+            assert psi2_rows and all(len(pairs) < math.comb(a.n, 2) for *_, pairs in psi2_rows)
+        else:
+            assert [len(args) for args in psi2_rows] == ([3] if verdict is Verdict.ERGODIC else [])
         assert [m for m, in integer_rows if m is a.matrix] == [a.matrix]
         assert compounds == []
 
@@ -637,6 +643,7 @@ def test_report_matches_the_bareiss_and_fraction_null_space_route(monkeypatch):
                 a = _bench_chain(families, family, n, seed)
                 with monkeypatch.context() as patch:
                     patch.setattr(markov, "_criterion_certificate", certificate_oracle)
+                    patch.setattr(markov, "_block_certificate", dense_route(certificate_oracle))
                     patch.setattr(markov, "_nonnegative_fixed_vector", fixed_vector_oracle)
                     lu = _counting(patch, linalg, "_lu_mod")
                     expected = zeon_criterion(a)
@@ -651,9 +658,11 @@ def test_report_matches_the_bareiss_and_fraction_null_space_route(monkeypatch):
 
 def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
     # a closed chain's witness proves det = 0 with no LU and no lift; on a
-    # transient chain one LU mod p proves it and gives the whole fixed space for
-    # the witness search, one lift per kernel vector; no Bareiss determinant
-    # and no N x N null space anywhere
+    # transient chain one LU mod p per class-pair block of closed classes proves
+    # it nonsingular or gives its whole kernel, one lift per kernel vector (the
+    # bench family's kernel is in the block of its two closed classes), and one
+    # LU of the block of pairs that meet a transient state extends each kernel
+    # vector by one more lift; no Bareiss determinant and no null space
     families = _bench_families()
     for family in (families.REDUCIBLE, families.PERIODIC, families.TRANSIENT):
         transient = family == families.TRANSIENT
@@ -661,6 +670,13 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
             a = _bench_chain(families, family, n, 0)
             rows, _ = markov._criterion_rows(*a.matrix.integer_rows())
             nullity = len(rows) - rank_oracle(Matrix.from_rows(rows))
+            closed = [len(c) for c in chain_structure(a).closed_classes]
+            # the pairs within a class and across two (a 1 x 1 block is its own
+            # determinant), and the pairs that meet a transient state
+            blocks = [math.comb(size, 2) for size in closed]
+            blocks += [x * y for x, y in itertools.combinations(closed, 2)]
+            blocks = [size for size in blocks if size > 1]
+            blocks.append(math.comb(n, 2) - math.comb(sum(closed), 2))
             with monkeypatch.context() as patch:
                 lu = _counting(patch, linalg, "_lu_mod")
                 bareiss = _counting(patch, linalg, "_bareiss_det")
@@ -670,8 +686,10 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
                 lu.clear()
                 lifts = _counting(patch, linalg, "_lift")
                 report = zeon_criterion(a)
-            assert len(lu) == (1 if transient else 0)
-            assert len(lifts) == (nullity if transient else 0)
+            sizes = [len(m) for m, *_ in lu]
+            assert (sorted(sizes[:-1]) + sizes[-1:] == sorted(blocks[:-1]) + blocks[-1:]
+                    if transient else sizes == [])
+            assert len(lifts) == (2 * nullity if transient else 0)
             assert bareiss == [] and null_spaces == []
             assert report.witness is not None
 
@@ -691,21 +709,35 @@ def _hadamard_steps(rows, p):
 
 
 def test_the_kernel_lift_stops_early_and_the_dixon_lift_does_not(monkeypatch):
-    # a transient chain's kernel vectors pass the exact check after a few
-    # digits; a nonzero determinant lifts every Hadamard digit
+    # on a transient chain the kernel vector of the block of the two closed
+    # classes passes the exact check after one digit, and its extension to the
+    # pairs that meet a transient state after a few; a nonzero determinant lifts
+    # every Hadamard digit
     families = _bench_families()
-    cases = [(families.TRANSIENT, 14, seed, 4) for seed in range(3)]
-    cases += [(families.TRANSIENT, 22, seed, 16) for seed in range(3)]
+    cases = [(families.TRANSIENT, 14, seed, [1, 4]) for seed in range(3)]
+    cases += [(families.TRANSIENT, 22, seed, [1, 16]) for seed in range(3)]
     a = _bench_chain(families, families.ERGODIC, 18, 0)
     rows, _ = markov._criterion_rows(*a.matrix.integer_rows())
-    cases.append((families.ERGODIC, 18, 0, _hadamard_steps(rows, linalg.PRIMES[0])))
+    cases.append((families.ERGODIC, 18, 0, [_hadamard_steps(rows, linalg.PRIMES[0])]))
     for family, n, seed, expected in cases:
         a = _bench_chain(families, family, n, seed)
+        solves = []
+        lift, solve_mod = linalg._lift, linalg._solve_mod
+
+        def counted_lift(*args, **kwargs):
+            solves.append(0)
+            return lift(*args, **kwargs)
+
+        def counted_solve_mod(*args):
+            solves[-1] += 1
+            return solve_mod(*args)
+
         with monkeypatch.context() as patch:
-            solves = _counting(patch, linalg, "_solve_mod")
+            patch.setattr(linalg, "_lift", counted_lift)
+            patch.setattr(linalg, "_solve_mod", counted_solve_mod)
             report = zeon_criterion(a)
         assert (report.det_value == 0) == (family == families.TRANSIENT)
-        assert len(solves) == expected, (family, n, seed)
+        assert solves == expected, (family, n, seed)
 
 
 def _ergodic_class_with_transient_states(families, closed, transient, seed):
@@ -733,7 +765,7 @@ def test_a_cofactor_beyond_the_first_primes_needs_no_exact_elimination(monkeypat
     for closed, transient, seed in [(8, 4, 2), (11, 4, 2)]:
         a = _ergodic_class_with_transient_states(families, closed, transient, seed)
         with monkeypatch.context() as patch:
-            patch.setattr(markov, "_criterion_certificate", certificate_oracle)
+            patch.setattr(markov, "_block_certificate", dense_route(certificate_oracle))
             expected = zeon_criterion(a)
         with monkeypatch.context() as patch:
             patch.setattr(linalg, "_bareiss_det", _no_exact_elimination)
@@ -748,6 +780,118 @@ def test_a_cofactor_beyond_the_first_primes_needs_no_exact_elimination(monkeypat
         report = json.dumps(report_to_dict(zeon_criterion(a)), sort_keys=True)
     assert hashlib.sha256(report.encode()).hexdigest() == (
         "9b352531ea56c96636d22f3d9a2142e5096eb6470158e495f11070b5b2340e92")
+
+
+def _closed_classes_with_transient_states(rng, periods, size, transient):
+    """Closed classes of the given periods, ``size`` states each, and
+    ``transient`` states that each step into a random closed state and, each
+    with chance 1/2, to any state. A class of period p steps from each of its
+    p cyclic groups to every state of the next; an aperiodic class has every
+    edge. States are shuffled."""
+    n = len(periods) * size + transient
+    order = list(range(n))
+    rng.shuffle(order)
+    weights = [[0] * n for _ in range(n)]
+    for c, period in enumerate(periods):
+        members = order[c * size:(c + 1) * size]
+        groups = [members[g::period] for g in range(period)]
+        for g, group in enumerate(groups):
+            for i in group:
+                for j in groups[(g + 1) % period] if period > 1 else members:
+                    weights[i][j] = rng.randint(1, 6)
+    closed_states = order[:len(periods) * size]
+    for i in order[len(periods) * size:]:
+        weights[i] = [rng.randint(1, 6) if rng.random() < 0.5 else 0 for _ in range(n)]
+        weights[i][rng.choice(closed_states)] += rng.randint(1, 6)
+    return validate_stochastic(Matrix.from_rows([[F(w, sum(row)) for w in row]
+                                                 for row in weights]))
+
+
+def _transient_cases(chains):
+    # (chain, label): the fixtures, every bench family at n = 3..16 (seeds
+    # 0-3), random chains with transient states, closed classes of every
+    # period with transient states, and one aperiodic closed class with them
+    families = _bench_families()
+    for i, a in chains.items():
+        yield a, f"example{i}"
+    for n in range(3, 17):
+        for seed in range(4):
+            for family in families.FAMILIES:
+                yield _bench_chain(families, family, n, seed), f"{family} n={n} seed={seed}"
+    rng = random.Random(57)
+    found = 0
+    while found < 120:
+        n = rng.randint(2, 8)
+        a = random_stochastic(rng, n, rng.uniform(0.15, 0.7))
+        if not chain_structure(a).all_closed:
+            found += 1
+            yield a, f"random n={n}"
+    for periods in [(2, 1), (2, 2), (3, 3), (2, 4), (3, 6), (1, 1, 1), (2, 2, 1), (1, 3, 3)]:
+        for size, transient in [(3, 1), (4, 3), (6, 2)]:
+            if size >= max(periods):
+                label = f"periods {periods}, {size} states each, {transient} transient"
+                yield _closed_classes_with_transient_states(rng, periods, size, transient), label
+    for closed, transient, seed in [(3, 1, 0), (5, 3, 1), (8, 4, 2), (11, 4, 2)]:
+        label = f"det != 0: {closed} + {transient} states"
+        yield _ergodic_class_with_transient_states(families, closed, transient, seed), label
+
+
+def test_the_block_route_gives_the_reports_of_the_dense_route(chains, monkeypatch):
+    # the class-pair blocks against the whole N x N matrix: one LU mod p of it
+    # (_criterion_certificate, the block route's own fallback) and the witness
+    # search on its kernel
+    counts = {"transient": 0, "witness": 0, "nonzero": 0, "periodic": 0, "classes": 0}
+    for a, label in _transient_cases(chains):
+        with monkeypatch.context() as patch:
+            patch.setattr(markov, "_block_certificate", dense_route())
+            expected = zeon_criterion(a)
+        report = zeon_criterion(a)
+        assert report == expected, label
+        assert report_to_dict(report) == report_to_dict(expected), label
+        structure = chain_structure(a)
+        if not structure.all_closed:
+            counts["transient"] += 1
+            counts["witness"] += report.witness is not None
+            counts["nonzero"] += report.det_value != 0
+            counts["periodic"] += not structure.is_aperiodic
+            counts["classes"] += len(structure.closed_classes) >= 3
+    assert counts["transient"] >= 200 and counts["witness"] >= 90, counts
+    assert counts["nonzero"] >= 40 and counts["periodic"] >= 10 and counts["classes"] >= 5, counts
+
+
+def test_the_class_pair_identity_matches_the_whole_determinant():
+    # det M = det M_TT * prod det M_ab, and M_TT splits over its own class pairs
+    rng = random.Random(59)
+    transient = 0
+    for n in range(2, 7):
+        for density in (0.2, 0.4, 0.6, 0.8):
+            for a in (random_stochastic(rng, n, density), random_recurrent_stochastic(rng, n)):
+                rows, det_d = markov._criterion_rows(*a.matrix.integer_rows())
+                expected = linalg.exact_div(determinant_oracle(rows), det_d)
+                for lump in (True, False):
+                    assert class_pair_determinant_oracle(a.matrix, lump) == expected
+                transient += not chain_structure(a).all_closed
+    assert transient >= 8, transient
+
+
+def test_a_chain_with_transient_states_builds_no_criterion_rows(monkeypatch):
+    # at n = 30 the criterion rows would be 435 x 435: the bench transient chain
+    # (det 0) and one aperiodic closed class with transient states (det != 0)
+    families = _bench_families()
+    cases = [(_bench_chain(families, families.TRANSIENT, 30, 0), True),
+             (_ergodic_class_with_transient_states(families, 12, 6, 0), False)]
+
+    def refuse(*args):
+        raise AssertionError("N x N rows built")
+
+    for a, singular in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(markov, "_criterion_rows", refuse)
+            lu = _counting(patch, linalg, "_lu_mod")
+            report = zeon_criterion(a)
+        assert report.criterion_verdict is Verdict.INAPPLICABLE
+        assert (report.det_value == 0) == singular and (report.witness is not None) == singular
+        assert max(len(m) for m, *_ in lu) < math.comb(a.n, 2)
 
 
 @pytest.mark.parametrize("det, chain", [(1, "reducible"), (0, "ergodic")])
