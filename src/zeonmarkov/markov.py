@@ -430,14 +430,15 @@ def _block_certificate(numerators: list, scales: list,
     M = [[M_TT, M_TC], [0, M_CC]] and M_CC is block-diagonal over the class
     pairs {a, b}. So det M = det M_TT * prod det M_ab, and a kernel vector
     is one of a singular M_ab's, x_C, extended by x_T = -M_TT^-1 M_TC x_C.
-    Each M_ab with det M_ab mod p != 0 is proven nonsingular; each other
-    gives its whole kernel (``_criterion_certificate``). One LU of M_TT mod
+    Each M_ab with det M_ab mod p != 0 is proven nonsingular, its det
+    lifted only while no M_ab has been found singular; each other gives
+    its whole kernel (``_criterion_certificate``). One LU of M_TT mod
     p proves it invertible, and each x_T is lifted only until it passes
     M_TT x_T = -M_TC x_C exactly (``_solve_checked``), with M_TC x_C read
     off M x_C (``_criterion_product``). With no singular M_ab, det M is the
-    product of the ``integer_det`` of each M_ab and of each class pair's
-    block of M_TT, which is block triangular over its class pairs in the
-    same way. A failed check falls back to the N x N ``_criterion_rows``.
+    product of the dets of the M_ab and the ``integer_det`` of each class
+    pair's block of M_TT, which is block triangular over its class pairs in
+    the same way. A failed check falls back to the N x N ``_criterion_rows``.
     """
     owner = [0] * len(scales)
     for index, states in enumerate(structure.classes):
@@ -448,24 +449,26 @@ def _block_certificate(numerators: list, scales: list,
     for r, (i, j) in enumerate(pairs):
         a, b = owner[i], owner[j]
         blocks.setdefault((a, b) if a < b else (b, a), []).append(r)
-    kernel, nonsingular, transient = [], [], []
-    for (a, b), members in blocks.items():
+    kernel, dets, transient = [], [], []
+    # the blocks likeliest to be singular first (across two classes, or in a
+    # periodic one), so that a det is lifted only while no kernel is found
+    for a, b in sorted(blocks, key=lambda ab: ab[0] == ab[1] and structure.periods[ab[0]] == 1):
+        members = blocks[a, b]
         if not (structure.closed[a] and structure.closed[b]):
             transient.append(members)
             continue
         block = _criterion_block(numerators, scales, [pairs[r] for r in members])
-        det, vectors = _criterion_certificate(block, True, exact=False)
-        if det != 0:
-            nonsingular.append(block)
+        det, vectors = _criterion_certificate(block, True, exact=not kernel)
+        dets.append(det)
         for v in vectors:
             x = [0] * len(pairs)
             for r, e in zip(members, v):
                 x[r] = e
             kernel.append(x)
     if not kernel:  # M_TT is block triangular over its class pairs too
-        nonsingular += [_criterion_block(numerators, scales, [pairs[r] for r in members])
-                        for members in transient]
-        return math.prod(map(integer_det, nonsingular)), []
+        dets += [integer_det(_criterion_block(numerators, scales, [pairs[r] for r in members]))
+                 for members in transient]
+        return math.prod(dets), []
     transient = [r for members in transient for r in members]
     block = _criterion_block(numerators, scales, [pairs[r] for r in transient])
     # M_TC x_C, from M x_C: its rows in C are M_CC x_C = 0
