@@ -3,20 +3,25 @@
 Matrices travel as JSON ({"label": ..., "rows": [[...]]}) or CSV (one row
 per line). Rational literals are exact strings ("7/16", "0.25", "3");
 JSON integers work too, and JSON decimal numbers are parsed from their
-decimal text, never through a binary float. Reports serialize every
-rational as an exact string so that parsing a serialized report
-reconstructs it bit-for-bit.
+decimal text, never through a binary float. Each literal is parsed straight
+to an integer numerator and denominator (``linalg.parse_literal``), and a
+parsed matrix is held as integer rows over the lcm of each row's
+denominators: no ``Fraction`` is built for an entry unless one is read.
+Reports serialize every rational as an exact string so that parsing a
+serialized report reconstructs it bit-for-bit.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import BinaryIO, Optional
 
 from .degree2 import DegreeTwoVector
-from .linalg import Matrix, as_scalar, scalar_str
+from .linalg import Matrix, as_scalar, parse_literal, ratio_str, scalar_str
 from .markov import ErgodicityReport, Verdict
 
 TOOL_NAME = "zeonmarkov"
@@ -43,11 +48,15 @@ def parse_matrix_text(text: str) -> MatrixDocument:
     return _parse_csv(stripped)
 
 
-def _entry(value, i: int, j: int):
+def _entry(value, i: int, j: int) -> tuple[int, int]:
+    """An entry as (numerator, denominator) in lowest terms."""
     try:
-        return as_scalar(value)
+        if isinstance(value, str):
+            return parse_literal(value)
+        value = as_scalar(value)
     except (ValueError, TypeError) as exc:
         raise MatrixFormatError(f"row {i}, column {j}: {exc}") from exc
+    return value.numerator, value.denominator
 
 
 def _parse_json(text: str) -> MatrixDocument:
@@ -76,17 +85,20 @@ def _parse_csv(text: str) -> MatrixDocument:
 
 def _rows_matrix(raw_rows: list) -> Matrix:
     """The matrix of a non-empty list of rows, checked row by row: each row
-    is a list, as wide as the first, of exact entries, which ``_entry``
-    makes canonical, so the matrix takes them as they are."""
+    is a list, as wide as the first, of exact entries (``_entry``). It is
+    held as integer rows, each over the lcm of its denominators."""
     width = len(raw_rows[0]) if isinstance(raw_rows[0], list) else None
-    entries = []
+    numerators, scales = [], []
     for i, raw in enumerate(raw_rows, start=1):
         if not isinstance(raw, list):
             raise MatrixFormatError(f"row {i} is not a list")
         if len(raw) != width:
             raise MatrixFormatError(f"ragged rows: row {i} has {len(raw)} entries, expected {width}")
-        entries.extend(_entry(v, i, j) for j, v in enumerate(raw, start=1))
-    return Matrix._canonical(len(raw_rows), width, entries)
+        row = [_entry(v, i, j) for j, v in enumerate(raw, start=1)]
+        d = math.lcm(*(den for _, den in row))
+        numerators.append([n * (d // den) for n, den in row])
+        scales.append(d)
+    return Matrix._canonical(len(raw_rows), width, integer=(numerators, scales))
 
 
 def read_matrix(handle: BinaryIO) -> MatrixDocument:
@@ -108,8 +120,9 @@ def matrix_to_rows(m: Matrix) -> list:
 
 
 def matrix_digest(m: Matrix) -> str:
-    """Digest of the canonical entry serialization; format-independent."""
-    canonical = ";".join(",".join(scalar_str(e) for e in m.row(i)) for i in range(m.rows))
+    """Digest of the canonical entry serialization; format-independent. The
+    entries are rendered from the integer rows, whatever their scales."""
+    canonical = ";".join(",".join(map(ratio_str, row, repeat(d))) for row, d in zip(*m._integer))
     return "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
 
 

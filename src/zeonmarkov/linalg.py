@@ -6,12 +6,14 @@ or a ``fractions.Fraction`` in lowest terms, integral values always as
 no floating point; equality of results is always bit-exact, so downstream
 code can decide genuine dichotomies (a determinant is zero or it is not).
 
-A matrix is also a list of integer rows over positive row scales, made
-from its entries on each use and not kept. Products and every exact
-elimination run on those rows and build a ``Fraction`` only for an output
-entry. ``A * B`` brings B's rows to one common scale s, so entry (i, j) is
-one integer dot product over A's row scale times s. The compounds of
-``zeon`` are held as integer rows alone, their entries built on first read.
+A matrix is also a list of integer rows over positive row scales. A
+parsed matrix (``documents``, from ``parse_literal``'s integer pairs) and
+the compounds of ``zeon`` are held as those rows alone, their entries built
+on first read; a matrix built from its entries makes them on each use,
+until a validated chain (``markov.StochasticMatrix``) keeps them. Products
+and every exact elimination run on those rows and build a ``Fraction``
+only for an output entry. ``A * B`` brings B's rows to one common scale s,
+so entry (i, j) is one integer dot product over A's row scale times s.
 Eliminations (determinants, reduced row-echelon forms, null spaces) go
 through one fraction-free (Bareiss) routine, ``_bareiss``.
 The determinant of a square integer matrix and, when it is 0, the right
@@ -39,11 +41,9 @@ def as_scalar(value: ScalarLike) -> Scalar:
     """Coerce ``value`` to the canonical exact scalar.
 
     Accepts ints, Fractions and strings ("7", "-3/4", "0.25"); decimal
-    strings are parsed exactly ("0.25" becomes 1/4, never a float).
-    Floats are rejected: they would silently smuggle binary rounding
-    error into an exact computation. A decimal exponent larger than the
-    interpreter's digit limit for int/str conversion is rejected before
-    it is expanded, as a literal with that many digits would be.
+    strings are parsed exactly ("0.25" becomes 1/4, never a float), by
+    ``parse_literal``. Floats are rejected: they would silently smuggle
+    binary rounding error into an exact computation.
     """
     if isinstance(value, bool):
         return int(value)
@@ -52,18 +52,8 @@ def as_scalar(value: ScalarLike) -> Scalar:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, str):
-        text = value.strip()
-        if "e" in text or "E" in text:
-            digits = text.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
-            budget = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-            if budget and digits.isdecimal() and (
-                    len(digits) > len(str(budget)) or int(digits) > budget):
-                raise ValueError(f"decimal exponent exceeds the {budget}-digit limit")
-        try:
-            frac = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not an exact rational literal: {value!r}") from exc
-        return frac.numerator if frac.denominator == 1 else frac
+        numerator, denominator = parse_literal(value)
+        return numerator if denominator == 1 else Fraction(numerator, denominator)
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}: use an int, Fraction or exact literal string"
@@ -71,18 +61,57 @@ def as_scalar(value: ScalarLike) -> Scalar:
     raise TypeError(f"cannot interpret {type(value).__name__} as an exact rational")
 
 
+def parse_literal(text: str) -> tuple[int, int]:
+    """The value of an exact literal string as (numerator, denominator) in
+    lowest terms, d > 0: ASCII digits, with or without a "/" and a nonzero
+    denominator, by ``int`` and ``math.gcd``; any other string (signs,
+    spaces, decimals, exponents, more digits than the int/str limit) by
+    ``Fraction``, once a decimal exponent past that limit is refused before
+    it is expanded. Raises ValueError for a string that is not a literal.
+    """
+    numerator, slash, denominator = text.partition("/")
+    if text.isascii() and numerator.isdigit() and (denominator.isdigit() or not slash):
+        try:
+            n, d = int(numerator), int(denominator) if slash else 1
+        except ValueError:  # past the int/str digit limit
+            pass
+        else:
+            if d:
+                g = math.gcd(n, d)
+                return (n // g, d // g) if g > 1 else (n, d)
+    stripped = text.strip()
+    if "e" in stripped or "E" in stripped:
+        digits = stripped.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
+        budget = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        if budget and digits.isdecimal() and (
+                len(digits) > len(str(budget)) or int(digits) > budget):
+            raise ValueError(f"decimal exponent exceeds the {budget}-digit limit")
+    try:
+        frac = Fraction(stripped)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"not an exact rational literal: {text!r}") from exc
+    return frac.numerator, frac.denominator
+
+
 def scalar_str(value: Scalar) -> str:
     """Render a scalar as an exact literal ("7", "-3/4"), never a decimal; an
     integer past the int/str digit limit is split in two by a power of ten."""
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{scalar_str(value.numerator)}/{scalar_str(value.denominator)}"
     try:
         return str(value)
     except ValueError:
+        if isinstance(value, Fraction) and value.denominator != 1:
+            return f"{scalar_str(value.numerator)}/{scalar_str(value.denominator)}"
         sign, value = "-" if value < 0 else "", abs(int(value))
         half = value.bit_length() * 3 // 20  # about half the digits: log10(2) > 3/10
         high, low = divmod(value, 10 ** half)
         return sign + scalar_str(high) + scalar_str(low).zfill(half)
+
+
+def ratio_str(numerator: int, denominator: int) -> str:
+    """``scalar_str`` of numerator/denominator, d > 0, without building it."""
+    g = math.gcd(numerator, denominator)
+    n, d = numerator // g, denominator // g
+    return scalar_str(n) if d == 1 else f"{scalar_str(n)}/{scalar_str(d)}"
 
 
 def _ratio(numerator: int, denominator: int) -> Scalar:
@@ -533,7 +562,7 @@ class Matrix:
         # Runs only when a slot is unset: the entries of a matrix held as
         # integer rows, built on first read and kept; or the integer rows of
         # one built from its entries, over the lcms of their denominators,
-        # made on each use and not kept.
+        # made on each use and kept only by a validated chain.
         if name == "data":
             numerators, scales = self._integer
             self.data = tuple(_ratio(e, d) for row, d in zip(numerators, scales) for e in row)

@@ -26,7 +26,7 @@ from typing import Optional
 
 from .degree2 import DegreeTwoVector
 from .linalg import (Matrix, Scalar, _bareiss, _criterion_certificate, _ratio, _solve_checked,
-                     exact_div, integer_det, scalar_str)
+                     exact_div, integer_det, ratio_str)
 from .zeon import _psi2_rows
 
 
@@ -42,21 +42,21 @@ class StochasticMatrix:
 
     def __post_init__(self):
         # on the integer rows N_i / d_i (d_i > 0): signs are the numerators',
-        # and row i sums to 1 exactly when sum(N_i) == d_i
+        # and row i sums to 1 exactly when sum(N_i) == d_i. The rows are set
+        # on the matrix, so that no analysis of the chain makes them again.
         m = self.matrix
         if not m.is_square:
             raise NotStochasticError(f"matrix is {m.rows}x{m.cols}, not square")
-        numerators, scales = m.integer_rows()
-        for i, row in enumerate(numerators):
+        m._integer = m._integer  # the held rows, or rows made now from the entries
+        numerators, scales = m._integer
+        for i, (row, d) in enumerate(zip(numerators, scales)):
             for j, e in enumerate(row):
                 if e < 0:
                     raise NotStochasticError(
-                        f"entry ({i + 1},{j + 1}) is negative: {scalar_str(m[i, j])}"
-                    )
+                        f"entry ({i + 1},{j + 1}) is negative: {ratio_str(e, d)}")
         for i, (row, d) in enumerate(zip(numerators, scales)):
             if sum(row) != d:
-                raise NotStochasticError(
-                    f"row {i + 1} sums to {scalar_str(_ratio(sum(row), d))}, expected 1")
+                raise NotStochasticError(f"row {i + 1} sums to {ratio_str(sum(row), d)}, expected 1")
 
     @property
     def n(self) -> int:
@@ -133,10 +133,9 @@ def _union(rows: list, mask: int) -> int:
 
 def _successors(a: StochasticMatrix) -> list:
     """A's positivity pattern as int bit rows: bit j of row i is set when
-    A[i, j] > 0, so row i is the bitmask of the states i steps to."""
-    n = a.n
-    data = a.matrix.data
-    return [sum(1 << j for j in range(n) if data[i * n + j]) for i in range(n)]
+    A[i, j] > 0, that is when its numerator is not 0, so row i is the
+    bitmask of the states i steps to."""
+    return [sum(1 << j for j, e in enumerate(row) if e) for row in a.matrix._integer[0]]
 
 
 def chain_structure(a: StochasticMatrix) -> ChainStructure:

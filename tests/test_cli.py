@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -17,7 +18,7 @@ from zeonmarkov.documents import (
     report_from_dict,
     report_to_dict,
 )
-from zeonmarkov.linalg import Matrix
+from zeonmarkov.linalg import Matrix, scalar_str
 from zeonmarkov.markov import zeon_criterion
 from conftest import fixture_path
 
@@ -84,6 +85,85 @@ def test_digest_is_format_independent():
     a = parse_matrix_text('{"rows": [["1/2", "1/2"], ["0.5", "0.5"]]}').matrix
     b = parse_matrix_text("0.5,1/2\n1/2,0.5").matrix
     assert matrix_digest(a) == matrix_digest(b)
+
+
+@pytest.mark.parametrize("number, code, err", [
+    ("0.5", 2, ""),
+    ("1", 3, "zeonmarkov: error: matrix is not stochastic: row 1 sums to 3/2, expected 1\n"),
+    ("true", 3, "zeonmarkov: error: matrix is not stochastic: row 1 sums to 3/2, expected 1\n"),
+    ("NaN", 3, "zeonmarkov: error: cannot parse matrix: row 1, column 1: refusing float nan: "
+               "use an int, Fraction or exact literal string\n"),
+])
+def test_json_numbers_parse_to_exact_entries(tmp_path, capsys, number, code, err):
+    text = '{"rows": [[%s, "1/2"], ["0", "1"]]}' % number
+    if number == "NaN":
+        with pytest.raises(MatrixFormatError, match="^row 1, column 1: refusing float nan"):
+            parse_matrix_text(text)
+    else:
+        value = {"0.5": F(1, 2), "1": 1, "true": 1}[number]
+        assert parse_matrix_text(text).matrix == Matrix.from_rows([[value, F(1, 2)], [0, 1]])
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    got, _, got_err = run(capsys, "analyze", str(path))
+    assert (got, got_err) == (code, err)
+
+
+def _ten_state_rows(targets):
+    """A stochastic row per state, with weights 1, 2, ... (shifted by the
+    state) on the states it steps to."""
+    rows = []
+    for i, steps in enumerate(targets):
+        weights = [0] * len(targets)
+        for k, t in enumerate(steps):
+            weights[t] = k + 1 + i % 3
+        rows.append([F(w, sum(weights)) for w in weights])
+    return rows
+
+
+TEN_STATE = {
+    "periodic": _ten_state_rows([((i + 1) % 10, (i + 3) % 10) for i in range(10)]),
+    "transient": _ten_state_rows([(0, 1, 3), (2, 7), (0, 9), (4, 5), (5, 3), (6,), (3, 4),
+                                  (8,), (9, 7), (7,)]),
+}
+
+
+def _matrix_text(rows, fmt):
+    literals = [[scalar_str(e) for e in row] for row in rows]
+    if fmt == "json":
+        return json.dumps({"rows": literals})
+    return "\n".join(",".join(row) for row in literals)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("kind", sorted(TEN_STATE))
+def test_an_analysis_builds_no_entry_of_a_parsed_matrix(fmt, kind):
+    m = parse_matrix_text(_matrix_text(TEN_STATE[kind], fmt)).matrix
+    markov._analysis(markov.validate_stochastic(m))
+    matrix_digest(m)
+    with pytest.raises(AttributeError):
+        object.__getattribute__(m, "data")
+    assert m == Matrix.from_rows(TEN_STATE[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(TEN_STATE))
+def test_a_parsed_matrix_has_the_structure_of_its_entries(kind):
+    parsed = markov.validate_stochastic(parse_matrix_text(_matrix_text(TEN_STATE[kind], "csv")).matrix)
+    built = markov.validate_stochastic(Matrix.from_rows(TEN_STATE[kind]))
+    assert markov.chain_structure(parsed) == markov.chain_structure(built)
+    assert markov.is_quasi_positive(parsed) == markov.is_quasi_positive(built)
+
+
+def test_the_digest_does_not_depend_on_how_the_matrix_is_held():
+    # 10**4300 has more digits than the default int/str limit: scalar_str splits it
+    rows = [[F(-3, 4), 0, F(-7, 10**4300)], [5, F(1, 10**4300), F(1, 3)]]
+    from_entries = Matrix.from_rows(rows)
+    parsed = parse_matrix_text('{"rows": [["-3/4", "0", "-7e-4300"], ["5", "1e-4300", "2/6"]]}').matrix
+    numerators, scales = from_entries.integer_rows()
+    tripled = Matrix._canonical(2, 3, integer=([[3 * e for e in row] for row in numerators],
+                                               [3 * d for d in scales]))
+    canonical = ";".join(",".join(scalar_str(e) for e in row) for row in rows)
+    want = "sha256:" + hashlib.sha256(canonical.encode()).hexdigest()
+    assert [matrix_digest(m) for m in (from_entries, parsed, tripled)] == [want] * 3
 
 
 # -- analyze -----------------------------------------------------------------

@@ -44,6 +44,49 @@ def test_as_scalar_rejects_floats_and_junk():
         as_scalar("1/0")
 
 
+class _FullRoute(str):
+    """A literal that ``parse_literal`` cannot read as plain ASCII digits, so
+    it takes the ``Fraction`` route that every other string takes."""
+
+    def isascii(self):
+        return False
+
+
+def _outcome(parse, text):
+    """The type and value of parse(text), or the type and message of its error."""
+    try:
+        value = parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def _assert_same_as_full_route(text):
+    for parse in (linalg.parse_literal, as_scalar):
+        assert _outcome(parse, text) == _outcome(parse, _FullRoute(text))
+
+
+@given(st.text(alphabet="0123456789/+-._eE \u0663", max_size=12))
+def test_parse_literal_matches_the_fraction_route(text):
+    _assert_same_as_full_route(text)
+
+
+@pytest.mark.parametrize("text", ["7" * 4301, "1/" + "7" * 4301, "1/0", "0/7", "007/014", "+1/2",
+                                  " 1/2 ", "1_0/20", "\u0663/4", "0.5", "5e-1", "12/8", "0"])
+def test_parse_literal_named_cases_match_the_fraction_route(text):
+    _assert_same_as_full_route(text)
+
+
+def test_parse_literal_reads_plain_digits_to_lowest_terms():
+    assert linalg.parse_literal("007/014") == (1, 2)
+    assert linalg.parse_literal("0/7") == (0, 1)
+    assert linalg.parse_literal("12") == (12, 1)
+    assert as_scalar("12/8") == F(3, 2) and as_scalar("12/4") == 3
+    for text in ["7" * 4301, "1/" + "7" * 4301, "1/0"]:
+        with pytest.raises(ValueError, match="^not an exact rational literal: "):
+            linalg.parse_literal(text)
+
+
 def test_exact_div():
     assert exact_div(1, 2) == F(1, 2)
     assert exact_div(F(3, 4), F(3, 4)) == 1

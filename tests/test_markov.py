@@ -73,6 +73,25 @@ def test_rejects_non_square():
         validate_stochastic(Matrix.from_rows([[1, 0]]))
 
 
+@pytest.mark.parametrize("analyse", [zeon_criterion, check_equivalence])
+@pytest.mark.parametrize("i", range(6))
+def test_a_chain_built_from_entries_makes_its_integer_rows_once(monkeypatch, example, analyse, i):
+    entries = (example(i).to_lists() if i else
+               random_stochastic(random.Random(3), 5, density=1.0).matrix.to_lists())
+    builds = []
+    getattr_ = Matrix.__getattr__
+
+    def counting(self, name):
+        if name == "_integer":
+            builds.append(self)
+        return getattr_(self, name)
+
+    monkeypatch.setattr(Matrix, "__getattr__", counting)
+    m = Matrix.from_rows(entries)
+    analyse(StochasticMatrix(m))
+    assert sum(b is m for b in builds) == 1
+
+
 # -- chain structure -------------------------------------------------------------
 
 
