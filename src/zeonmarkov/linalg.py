@@ -21,7 +21,10 @@ kernel vectors that prove it come from one LU mod p, lifted p-adically
 (``_criterion_certificate``, and ``integer_det`` for the determinant
 alone); each result is checked exactly or falls back to that routine. The
 solutions of a regular system are lifted from one LU mod p in the same way,
-each until it passes its exact check (``_solve_checked``).
+each until it passes its exact check (``_solve_checked``). The matrix's
+columns are packed once, a slot per entry, into one int each, and the LU
+reduces its pivot rows mod p on those ints (``_slot_reducer``): it never
+unpacks a row.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import sys
 from fractions import Fraction
 from itertools import repeat
 from operator import mul
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 ScalarLike = Union[int, Fraction, str]
@@ -197,12 +200,14 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
     cols = list(zip(*rows))
     for p in PRIMES[:2]:
         width, bias = _slots(rows, p)
-        # LU of the transpose: M = U^T L^T P, solved by two sweeps over rows.
-        det_p, factors = _lu_mod(cols, p, width)
+        # M's columns, packed once for the LU and the lifts. LU of the
+        # transpose: M = U^T L^T P, solved by two sweeps over rows.
+        packed = [_pack([e + bias for e in col], width) for col in cols]
+        det_p, factors = _lu_mod(packed, p, width)
         if det_p == 0:
             perm, *_, pivot_rows = factors
             free = sorted(perm[len(pivot_rows):])
-            kernel = [_kernel_vector(rows, cols, factors, f, p, width, bias)
+            kernel = [_kernel_vector(rows, cols, packed, factors, f, p, width, bias)
                       for f in (free if whole_kernel else free[:1])]
             if None not in kernel:
                 return 0, kernel
@@ -210,15 +215,15 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
         if not exact:
             return None, []
         b = [(7 * i) % 11 - 5 for i in range(n)]
-        denom, _, h = next(_lift(rows, cols, factors, b, p, width, bias, early=False))
+        denom, _, h = next(_lift(rows, cols, packed, factors, b, p, width, bias, early=False))
         # det = cofactor * denom with |cofactor| <= H / denom.
         cofactor, base = det_p * pow(denom, -1, p) % p, p
         for q in _primes_below(p):
             if base * denom > 2 * h:
                 return (cofactor - base if cofactor > base // 2 else cofactor) * denom, []
             if denom % q:
-                det_q, _ = _lu_mod(rows, q, width)
-                c_q = det_q * pow(denom, -1, q) % q
+                shift = _pack([-bias % q] * n, width)  # each slot e + a multiple of q
+                c_q = _det_mod([x + shift for x in packed], q, width) * pow(denom, -1, q) % q
                 cofactor += base * ((c_q - cofactor) * pow(base, -1, q) % q)
                 base *= q
         break
@@ -230,29 +235,33 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
 def _slots(rows: Sequence[Sequence[int]], p: int,
            rhs: Sequence[Sequence[int]] = ()) -> tuple[int, int]:
     """The slot width in bytes of the packed vectors of ``_lu_mod`` and
-    ``_lift`` for the square matrix ``rows``, and the bias of ``_lift`` for
-    right-hand sides whose entries are at most those of ``rhs`` in size.
+    ``_lift`` for the square matrix ``rows``, and the bias of their packed
+    input for right-hand sides whose entries are at most those of ``rhs`` in
+    size.
 
     Residuals of the lifting stay within the larger of the largest row sum
     of |M| and the largest entry of the right-hand side; ``bias``, a
     multiple of p above both, keeps packed slots nonnegative without
-    changing them mod p. A slot holds a biased residual plus fewer than N
-    updates of less than p^2.
+    changing them mod p. A slot holds a biased entry or residual, below
+    2 * bias (plus less than p when it is moved to a multiple of another
+    prime), and fewer than N updates of less than p^2.
     """
     bias = p * (max(max(sum(map(abs, row)) for row in rows),
                     max((abs(e) for b in rhs for e in b), default=0)) // p + 1)
     return (max(len(rows) * p * p, 2 * bias).bit_length() + 9) // 8, bias
 
 
-def _kernel_vector(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors: tuple,
-                   free: int, p: int, width: int, bias: int) -> Optional[list]:
+def _kernel_vector(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]],
+                   packed: Sequence[int], factors: tuple, free: int, p: int, width: int,
+                   bias: int) -> Optional[list]:
     """The integer vector v with v[free] = D, v[C] = D * y for the unique
     solution y of M[R, C] y = -M[R, free] (``_lift``; D the lcm of y's
     denominators) and 0 elsewhere, at the first of ``_lift``'s tries with
     M v = 0 exactly on every row, else None. ``free`` is a column of M
-    outside the pivot columns C; ``cols`` are M's columns."""
+    outside the pivot columns C; ``cols`` are M's columns and ``packed``
+    them packed as for ``_lift``."""
     b = [-e for e in cols[free]]
-    for d, numerators, _ in _lift(rows, cols, factors, b, p, width, bias, early=True):
+    for d, numerators, _ in _lift(rows, cols, packed, factors, b, p, width, bias, early=True):
         v = [0] * len(rows)
         for j, e in zip(factors[0], numerators):
             v[j] = e
@@ -262,14 +271,15 @@ def _kernel_vector(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]],
     return None
 
 
-def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors: tuple,
-          b: Sequence[int], p: int, width: int, bias: int,
+def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], packed: Sequence[int],
+          factors: tuple, b: Sequence[int], p: int, width: int, bias: int,
           early: bool) -> Iterator[tuple[int, Iterator, int]]:
-    """Solve M[R, C] y = b[R] exactly, where M has ``rows`` and ``cols``
-    and ``factors`` are ``_lu_mod``'s of M's transpose: their pivot columns
-    are the rows R of M and their first r permuted rows the columns C, so
-    M[R, C] is invertible mod p (R and C are all of M when M is regular
-    mod p). Entries of b are at most ``bias`` in size.
+    """Solve M[R, C] y = b[R] exactly, where M has ``rows`` and ``cols``,
+    ``packed`` are its columns packed with each entry plus ``bias`` in a
+    slot, and ``factors`` are ``_lu_mod``'s of M's transpose: their pivot
+    columns are the rows R of M and their first r permuted rows the columns
+    C, so M[R, C] is invertible mod p (R and C are all of M when M is
+    regular mod p). Entries of b are at most ``bias`` in size.
 
     Dixon lifting: each step solves for one p-adic digit of y mod p and
     updates the residual exactly, until p^K > 2 * Nb * H. H bounds
@@ -286,10 +296,14 @@ def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors:
     """
     perm, _, _, _, pivot_rows = factors
     n, rank = len(rows), len(pivot_rows)
+    offset = _pack([bias] * n, width)
     if rank < n:  # M[R, C] and b[R], zero in the rows outside R
         kept = set(pivot_rows)
         b = [e if i in kept else 0 for i, e in enumerate(b)]
         cols = list(zip(*(row if i in kept else (0,) * n for i, row in enumerate(rows))))
+        keep = _pack([(1 << 8 * width) - 1 if i in kept else 0 for i in range(n)], width)
+        packed = [x & keep | offset & ~keep for x in packed]  # slots outside R hold 0 + bias
+    m_cols = [packed[j] - offset for j in perm[:rank]]
     cols = [cols[j] for j in perm[:rank]]
 
     col_norms = [sum(map(mul, col, col)) for col in cols]
@@ -304,8 +318,6 @@ def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], factors:
         modulus *= p
         steps += 1
 
-    offset = _pack([bias] * n, width)
-    m_cols = [_pack([e + bias for e in col], width) - offset for col in cols]
     residual = _pack([e + bias for e in b], width) - offset
     solution, digits, modulus, read = [0] * rank, [], 1, 1  # y mod read, and the digits since
     for k in range(1, steps + 1):
@@ -355,12 +367,13 @@ def _solve_checked(rows: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) 
     p = PRIMES[0]
     width, bias = _slots(rows, p, rhs)
     cols = list(zip(*rows))
-    det_p, factors = _lu_mod(cols, p, width)
+    packed = [_pack([e + bias for e in col], width) for col in cols]
+    det_p, factors = _lu_mod(packed, p, width)
     if det_p == 0:
         return None
     solutions = []
     for b in rhs:
-        for d, numerators, _ in _lift(rows, cols, factors, b, p, width, bias, early=True):
+        for d, numerators, _ in _lift(rows, cols, packed, factors, b, p, width, bias, early=True):
             y = [0] * len(rows)
             for j, e in zip(factors[0], numerators):
                 y[j] = e
@@ -379,28 +392,63 @@ def _pack(values: Sequence[int], width: int) -> int:
                           "little")
 
 
-def _lu_mod(rows: Sequence[Sequence[int]], p: int, width: int) -> tuple:
+def _slot_reducer(p: int, width: int, n: int) -> Callable[[int], int]:
+    """The function that reduces each of the n slots of ``width`` bytes of a
+    packed int mod p, on the int itself, for p = 2^30 - c with 0 < c < 2^29.
+
+    A fold ``(x & LO) + c * ((x >> 30) & HI)``, LO and HI masking each
+    slot's low 30 bits and the rest, keeps each slot's residue (2^30 = c mod
+    p) and fits it in its slot. Folds are counted from the bound
+    256**width - 1 until every slot is below 2p, which c < 2^29 makes
+    reachable; a slot v is then at least p just when v + c reaches bit 30,
+    and one packed subtraction of p there leaves every slot below p.
+    """
+    c = (1 << 30) - p
+    if not 0 < c < 1 << 29:
+        raise ValueError(f"the packed reduction needs 2^29 < p < 2^30, not p = {p}")
+    bits, digit = 8 * width, (1 << 30) - 1
+    ones = ((1 << bits * n) - 1) // ((1 << bits) - 1)
+    low, high, carry = ones * digit, ones * ((1 << bits - 30) - 1), ones * c
+    folds, bound = 0, (1 << bits) - 1
+    while bound >= 2 * p:  # for v <= bound: v >> 30 <= h, and at h its low digit <= bound's
+        h = bound >> 30
+        bound = max(digit + c * (h - 1), (bound & digit) + c * h)
+        folds += 1
+
+    def reduce(x: int) -> int:
+        for _ in range(folds):
+            x = (x & low) + c * (x >> 30 & high)
+        return x - ((x + carry) >> 30 & ones) * p
+    return reduce
+
+
+def _lu_mod(rows: Sequence[int], p: int, width: int) -> tuple:
     """Determinant mod p of a square integer matrix, and LU factors mod p
-    with its rank profile for ``_solve_mod``; slots are ``width`` bytes.
+    with its rank profile for ``_solve_mod``: ``rows`` are packed, slots of
+    ``width`` bytes, nonnegative and congruent to the entries mod p (M's
+    columns plus a bias, from ``_criterion_certificate`` and
+    ``_solve_checked``).
 
     Gaussian elimination with each row packed into one int from the current
     column on, so a row update ``(x >> bits) + (p - f) * tail`` is one
     big-int multiply-add that also drops the eliminated slot ``x & mask``:
     rows shrink as they are eliminated. A row is reduced mod p only when it
-    becomes the pivot row; until then it takes fewer than n updates of less
-    than p^2 per slot, so slots of n * p^2 never carry into each other. A
-    column with no pivot mod p is skipped, as ``_bareiss(reduce=True)`` skips
-    it, by a shift of the active rows, and the determinant is then 0. The
-    factors are the row permutation; the r rows of U as tails (the pivot row
-    mod p after its pivot slot); the inverses of the pivots; the r rows of L,
-    each packed last multiplier first; and the r pivot columns, r the rank
-    mod p: the first r rows of the permutation and the pivot columns meet in
-    a submatrix that is invertible mod p.
+    becomes the pivot row, on the packed int (``_slot_reducer``); until
+    then it takes fewer than n updates of less than p^2 per slot, which
+    ``_slots`` leaves room for. A column with no pivot mod p is skipped, as
+    ``_bareiss(reduce=True)`` skips it, by a shift of the active rows, and
+    the determinant is then 0. The factors are the row permutation; the r
+    rows of U as tails (the pivot row mod p after its pivot slot); the
+    inverses of the pivots; the r rows of L, each packed last multiplier
+    first; and the r pivot columns, r the rank mod p: the first r rows of
+    the permutation and the pivot columns meet in a submatrix that is
+    invertible mod p.
     """
     n = len(rows)
     bits = 8 * width
     mask = (1 << bits) - 1
-    packed = [_pack([e % p for e in row], width) for row in rows]
+    reduce = _slot_reducer(p, width, n)
+    packed = list(rows)
     multipliers = [[] for _ in range(n)]
     perm = list(range(n))
     tails, pivot_inverses, pivot_cols = [], [], []
@@ -416,12 +464,11 @@ def _lu_mod(rows: Sequence[Sequence[int]], p: int, width: int) -> tuple:
             for seq in (packed, multipliers, perm):
                 seq[r], seq[pivot_row] = seq[pivot_row], seq[r]
             det = -det
-        raw = packed[r].to_bytes(width * (n - k), "little")
-        pivot, *values = [int.from_bytes(raw[i:i + width], "little") % p
-                          for i in range(0, len(raw), width)]
+        x = reduce(packed[r])
+        pivot = x & mask
         det = det * pivot % p
         inverse = pow(pivot, -1, p)
-        tails.append(tail := _pack(values, width))
+        tails.append(tail := x >> bits)
         pivot_inverses.append(inverse)
         pivot_cols.append(k)
         for i, x in enumerate(packed[r + 1:], r + 1):
@@ -430,6 +477,30 @@ def _lu_mod(rows: Sequence[Sequence[int]], p: int, width: int) -> tuple:
             packed[i] = (x >> bits) + (p - f) * tail if f else x >> bits
     return det % p, (perm, tails, pivot_inverses,
                      [_pack(m[::-1], width) for m in multipliers[:len(tails)]], pivot_cols)
+
+
+def _det_mod(rows: Sequence[int], p: int, width: int) -> int:
+    """``_lu_mod``'s determinant mod p alone: the same elimination, with no
+    factors kept, that stops at the first column with no pivot."""
+    n = len(rows)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    reduce = _slot_reducer(p, width, n)
+    packed, det = list(rows), 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if (packed[i] & mask) % p), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            packed[k], packed[pivot_row] = packed[pivot_row], packed[k]
+            det = -det
+        x = reduce(packed[k])
+        pivot, tail = x & mask, x >> bits
+        det = det * pivot % p
+        inverse = pow(pivot, -1, p)
+        packed[k + 1:] = [(y >> bits) + (p - f) * tail if (f := (y & mask) * inverse % p)
+                          else y >> bits for y in packed[k + 1:]]
+    return det % p
 
 
 def _solve_mod(factors: tuple, rhs: int, p: int, width: int) -> list:

@@ -290,8 +290,8 @@ def test_lu_mod_factors_give_the_determinant_and_solve_mod_p():
     for rows, skipped, swap_prime in _factor_cases(rng):
         n = len(rows)
         for p in PRIMES:
-            width, _ = linalg._slots(rows, p)
-            det_p, factors = linalg._lu_mod(rows, p, width)
+            width, bias = linalg._slots(rows, p)
+            det_p, factors = linalg._lu_mod(_packed(rows, width, bias), p, width)
             assert det_p == linalg._bareiss_det([row[:] for row in rows]) % p
             perm, _, _, _, pivot_cols = factors
             if skipped is not None:
@@ -309,6 +309,79 @@ def test_lu_mod_factors_give_the_determinant_and_solve_mod_p():
     assert swaps == 3 * 3 * len(PRIMES)
 
 
+def test_slot_reducer_reduces_every_slot_mod_p():
+    # the packed folds and conditional subtraction against % p slot by slot:
+    # PRIMES, the next primes below them and the least prime above 2^29 (where
+    # the bound 2^30 - 1 + c * (b >> 30) would never fall below 2p); every width
+    # _slots gives for N in 1..5, 45, 153 and 1225 with row sums 1, 2^64 and
+    # 2^200; rows of every length up to the n the masks were built for
+    rng = random.Random(79)
+    primes = list(PRIMES) + list(itertools.islice(linalg._primes_below(PRIMES[-1]), 4))
+    primes.append(next(q for q in range(2**29 + 1, 2**30, 2) if linalg._is_prime(q)))
+    widths = {linalg._slots([[s] + [0] * (size - 1)] * size, PRIMES[0])[0]
+              for size in (1, 2, 3, 4, 5, 45, 153, 1225) for s in (1, 2**64, 2**200)}
+    assert widths == {8, 9, 10, 26}
+    for p in primes:
+        c = 2**30 - p
+        for width in sorted(widths):
+            named = [0, p - 1, p, 2 * p - 1, 256**width - 1, 2**30 - 1 + c]
+            values = named + [rng.randrange(256**rng.randint(1, width)) for _ in range(40)]
+            for n in (1, 2, 7):
+                reduce = linalg._slot_reducer(p, width, n)
+                for start in range(0, len(values), n):
+                    for length in range(1, n + 1):
+                        slots = values[start:start + length]
+                        assert reduce(linalg._pack(slots, width)) == linalg._pack(
+                            [v % p for v in slots], width), (p, width, slots)
+
+
+@pytest.mark.parametrize("p", [2**29 - 3, 2**29, 2**30, 2**30 + 3, 3])
+def test_slot_reducer_refuses_a_prime_outside_2_to_the_29_and_2_to_the_30(p):
+    with pytest.raises(ValueError, match="2\\^29 < p < 2\\^30"):
+        linalg._slot_reducer(p, 9, 3)
+
+
+def _packed(rows, width, bias):
+    # the rows packed as _criterion_certificate packs M's columns
+    return [linalg._pack([e + bias for e in row], width) for row in rows]
+
+
+def test_det_mod_is_the_determinant_of_lu_mod():
+    # the determinant-only pass on _lu_mod's input, and on that input moved
+    # to a bias that is a multiple of each CRT prime as _criterion_certificate
+    # moves it
+    rng = random.Random(71)
+    for rows, _, _ in _factor_cases(rng):
+        width, bias = linalg._slots(rows, PRIMES[0])
+        packed = _packed(rows, width, bias)
+        for q in itertools.islice(linalg._primes_below(PRIMES[0] + 2), 6):
+            shift = linalg._pack([-bias % q] * len(rows), width)
+            moved = [x + shift for x in packed]
+            expected = linalg._bareiss_det([row[:] for row in rows]) % q
+            assert linalg._det_mod(moved, q, width) == linalg._lu_mod(moved, q, width)[0] == expected
+
+
+def test_lu_mod_packs_no_pivot_row(monkeypatch):
+    # each pivot row is reduced mod p on its packed int: the only _pack calls
+    # are the L rows of the factors, one per pivot, made after the elimination
+    rng = random.Random(73)
+    calls = []
+    pack = linalg._pack
+    monkeypatch.setattr(linalg, "_pack", lambda values, width: calls.append(list(values)) or
+                        pack(values, width))
+    for rows, _, _ in _factor_cases(rng):
+        p = PRIMES[0]
+        width, bias = linalg._slots(rows, p)
+        packed = _packed(rows, width, bias)
+        calls.clear()
+        _, factors = linalg._lu_mod(packed, p, width)
+        assert len(calls) == len(factors[1])
+        assert [pack(values, width) for values in calls] == factors[3]
+        calls.clear()
+        linalg._det_mod(packed, p, width)
+        assert calls == []
+
+
 def test_integer_det_rejects_non_square():
     with pytest.raises(ValueError):
         integer_det([[1, 2]])
@@ -316,18 +389,21 @@ def test_integer_det_rejects_non_square():
 
 def _count_routes(monkeypatch):
     calls = {"bareiss": 0, "primes": []}
-    bareiss, lu_mod = linalg._bareiss_det, linalg._lu_mod
+    bareiss, lu_mod, det_mod = linalg._bareiss_det, linalg._lu_mod, linalg._det_mod
 
     def counting_bareiss(m):
         calls["bareiss"] += 1
         return bareiss(m)
 
-    def counting_lu_mod(rows, p, width):
-        calls["primes"].append(p)
-        return lu_mod(rows, p, width)
+    def counting(elimination):
+        def counted(rows, p, width):
+            calls["primes"].append(p)
+            return elimination(rows, p, width)
+        return counted
 
     monkeypatch.setattr(linalg, "_bareiss_det", counting_bareiss)
-    monkeypatch.setattr(linalg, "_lu_mod", counting_lu_mod)
+    monkeypatch.setattr(linalg, "_lu_mod", counting(lu_mod))
+    monkeypatch.setattr(linalg, "_det_mod", counting(det_mod))
     return calls
 
 
