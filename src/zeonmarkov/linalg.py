@@ -223,7 +223,7 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
                 return (cofactor - base if cofactor > base // 2 else cofactor) * denom, []
             if denom % q:
                 shift = _pack([-bias % q] * n, width)  # each slot e + a multiple of q
-                c_q = _det_mod([x + shift for x in packed], q, width) * pow(denom, -1, q) % q
+                c_q = _lu_mod([x + shift for x in packed], q, width)[0] * pow(denom, -1, q) % q
                 cofactor += base * ((c_q - cofactor) * pow(base, -1, q) % q)
                 base *= q
         break
@@ -394,25 +394,25 @@ def _pack(values: Sequence[int], width: int) -> int:
 
 def _slot_reducer(p: int, width: int, n: int) -> Callable[[int], int]:
     """The function that reduces each of the n slots of ``width`` bytes of a
-    packed int mod p, on the int itself, for p = 2^30 - c with 0 < c < 2^29.
+    packed int mod p, on the int itself, for p = 2^30 - c with 0 < c < 2^28.
 
     A fold ``(x & LO) + c * ((x >> 30) & HI)``, LO and HI masking each
     slot's low 30 bits and the rest, keeps each slot's residue (2^30 = c mod
     p) and fits it in its slot. Folds are counted from the bound
-    256**width - 1 until every slot is below 2p, which c < 2^29 makes
-    reachable; a slot v is then at least p just when v + c reaches bit 30,
-    and one packed subtraction of p there leaves every slot below p.
+    256**width - 1, a fold taking a bound b to 2^30 - 1 + c * (b >> 30),
+    until every slot is below 2p, which c < 2^28 makes reachable; a slot v
+    is then at least p just when v + c reaches bit 30, and one packed
+    subtraction of p there leaves every slot below p.
     """
     c = (1 << 30) - p
-    if not 0 < c < 1 << 29:
-        raise ValueError(f"the packed reduction needs 2^29 < p < 2^30, not p = {p}")
+    if not 0 < c < 1 << 28:
+        raise ValueError(f"the packed reduction needs 2^30 - 2^28 < p < 2^30, not p = {p}")
     bits, digit = 8 * width, (1 << 30) - 1
     ones = ((1 << bits * n) - 1) // ((1 << bits) - 1)
     low, high, carry = ones * digit, ones * ((1 << bits - 30) - 1), ones * c
     folds, bound = 0, (1 << bits) - 1
-    while bound >= 2 * p:  # for v <= bound: v >> 30 <= h, and at h its low digit <= bound's
-        h = bound >> 30
-        bound = max(digit + c * (h - 1), (bound & digit) + c * h)
+    while bound >= 2 * p:
+        bound = digit + c * (bound >> 30)
         folds += 1
 
     def reduce(x: int) -> int:
@@ -477,30 +477,6 @@ def _lu_mod(rows: Sequence[int], p: int, width: int) -> tuple:
             packed[i] = (x >> bits) + (p - f) * tail if f else x >> bits
     return det % p, (perm, tails, pivot_inverses,
                      [_pack(m[::-1], width) for m in multipliers[:len(tails)]], pivot_cols)
-
-
-def _det_mod(rows: Sequence[int], p: int, width: int) -> int:
-    """``_lu_mod``'s determinant mod p alone: the same elimination, with no
-    factors kept, that stops at the first column with no pivot."""
-    n = len(rows)
-    bits = 8 * width
-    mask = (1 << bits) - 1
-    reduce = _slot_reducer(p, width, n)
-    packed, det = list(rows), 1
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if (packed[i] & mask) % p), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            packed[k], packed[pivot_row] = packed[pivot_row], packed[k]
-            det = -det
-        x = reduce(packed[k])
-        pivot, tail = x & mask, x >> bits
-        det = det * pivot % p
-        inverse = pow(pivot, -1, p)
-        packed[k + 1:] = [(y >> bits) + (p - f) * tail if (f := (y & mask) * inverse % p)
-                          else y >> bits for y in packed[k + 1:]]
-    return det % p
 
 
 def _solve_mod(factors: tuple, rhs: int, p: int, width: int) -> list:

@@ -311,13 +311,11 @@ def test_lu_mod_factors_give_the_determinant_and_solve_mod_p():
 
 def test_slot_reducer_reduces_every_slot_mod_p():
     # the packed folds and conditional subtraction against % p slot by slot:
-    # PRIMES, the next primes below them and the least prime above 2^29 (where
-    # the bound 2^30 - 1 + c * (b >> 30) would never fall below 2p); every width
-    # _slots gives for N in 1..5, 45, 153 and 1225 with row sums 1, 2^64 and
-    # 2^200; rows of every length up to the n the masks were built for
+    # PRIMES and the next primes below them; every width _slots gives for N in
+    # 1..5, 45, 153 and 1225 with row sums 1, 2^64 and 2^200; rows of every
+    # length up to the n the masks were built for
     rng = random.Random(79)
     primes = list(PRIMES) + list(itertools.islice(linalg._primes_below(PRIMES[-1]), 4))
-    primes.append(next(q for q in range(2**29 + 1, 2**30, 2) if linalg._is_prime(q)))
     widths = {linalg._slots([[s] + [0] * (size - 1)] * size, PRIMES[0])[0]
               for size in (1, 2, 3, 4, 5, 45, 153, 1225) for s in (1, 2**64, 2**200)}
     assert widths == {8, 9, 10, 26}
@@ -335,30 +333,16 @@ def test_slot_reducer_reduces_every_slot_mod_p():
                             [v % p for v in slots], width), (p, width, slots)
 
 
-@pytest.mark.parametrize("p", [2**29 - 3, 2**29, 2**30, 2**30 + 3, 3])
-def test_slot_reducer_refuses_a_prime_outside_2_to_the_29_and_2_to_the_30(p):
-    with pytest.raises(ValueError, match="2\\^29 < p < 2\\^30"):
+@pytest.mark.parametrize("p", [2**29 - 3, 2**29, 2**29 + 11, 3 * 2**28, 2**30, 2**30 + 3, 3])
+def test_slot_reducer_refuses_a_prime_it_cannot_reduce(p):
+    # p <= 2^29 breaks the final conditional subtraction, and c >= 2^28 the fold count
+    with pytest.raises(ValueError, match="2\\^30 - 2\\^28 < p < 2\\^30"):
         linalg._slot_reducer(p, 9, 3)
 
 
 def _packed(rows, width, bias):
     # the rows packed as _criterion_certificate packs M's columns
     return [linalg._pack([e + bias for e in row], width) for row in rows]
-
-
-def test_det_mod_is_the_determinant_of_lu_mod():
-    # the determinant-only pass on _lu_mod's input, and on that input moved
-    # to a bias that is a multiple of each CRT prime as _criterion_certificate
-    # moves it
-    rng = random.Random(71)
-    for rows, _, _ in _factor_cases(rng):
-        width, bias = linalg._slots(rows, PRIMES[0])
-        packed = _packed(rows, width, bias)
-        for q in itertools.islice(linalg._primes_below(PRIMES[0] + 2), 6):
-            shift = linalg._pack([-bias % q] * len(rows), width)
-            moved = [x + shift for x in packed]
-            expected = linalg._bareiss_det([row[:] for row in rows]) % q
-            assert linalg._det_mod(moved, q, width) == linalg._lu_mod(moved, q, width)[0] == expected
 
 
 def test_lu_mod_packs_no_pivot_row(monkeypatch):
@@ -377,9 +361,6 @@ def test_lu_mod_packs_no_pivot_row(monkeypatch):
         _, factors = linalg._lu_mod(packed, p, width)
         assert len(calls) == len(factors[1])
         assert [pack(values, width) for values in calls] == factors[3]
-        calls.clear()
-        linalg._det_mod(packed, p, width)
-        assert calls == []
 
 
 def test_integer_det_rejects_non_square():
@@ -389,21 +370,18 @@ def test_integer_det_rejects_non_square():
 
 def _count_routes(monkeypatch):
     calls = {"bareiss": 0, "primes": []}
-    bareiss, lu_mod, det_mod = linalg._bareiss_det, linalg._lu_mod, linalg._det_mod
+    bareiss, lu_mod = linalg._bareiss_det, linalg._lu_mod
 
     def counting_bareiss(m):
         calls["bareiss"] += 1
         return bareiss(m)
 
-    def counting(elimination):
-        def counted(rows, p, width):
-            calls["primes"].append(p)
-            return elimination(rows, p, width)
-        return counted
+    def counting_lu_mod(rows, p, width):
+        calls["primes"].append(p)
+        return lu_mod(rows, p, width)
 
     monkeypatch.setattr(linalg, "_bareiss_det", counting_bareiss)
-    monkeypatch.setattr(linalg, "_lu_mod", counting(lu_mod))
-    monkeypatch.setattr(linalg, "_det_mod", counting(det_mod))
+    monkeypatch.setattr(linalg, "_lu_mod", counting_lu_mod)
     return calls
 
 
