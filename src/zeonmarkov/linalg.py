@@ -218,15 +218,14 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
         denom, _, h = next(_lift(rows, cols, packed, factors, b, p, width, bias, early=False))
         # det = cofactor * denom with |cofactor| <= H / denom.
         cofactor, base = det_p * pow(denom, -1, p) % p, p
-        for q in _primes_below(p):
-            if base * denom > 2 * h:
-                return (cofactor - base if cofactor > base // 2 else cofactor) * denom, []
-            if denom % q:
+        primes = _primes_below(p)
+        while base * denom <= 2 * h:
+            if denom % (q := next(primes)):
                 shift = _pack([-bias % q] * n, width)  # each slot e + a multiple of q
                 c_q = _lu_mod([x + shift for x in packed], q, width)[0] * pow(denom, -1, q) % q
                 cofactor += base * ((c_q - cofactor) * pow(base, -1, q) % q)
                 base *= q
-        break
+        return (cofactor - base if cofactor > base // 2 else cofactor) * denom, []
     det = _bareiss_det([list(row) for row in rows])
     basis = Matrix(n, n, [e for row in rows for e in row]).right_null_space() if det == 0 else []
     return det, [v.T.integer_rows()[0][0] for v in (basis if whole_kernel else basis[:1])]
@@ -304,9 +303,8 @@ def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], packed: 
         keep = _pack([(1 << 8 * width) - 1 if i in kept else 0 for i in range(n)], width)
         packed = [x & keep | offset & ~keep for x in packed]  # slots outside R hold 0 + bias
     m_cols = [packed[j] - offset for j in perm[:rank]]
-    cols = [cols[j] for j in perm[:rank]]
 
-    col_norms = [sum(map(mul, col, col)) for col in cols]
+    col_norms = [sum(map(mul, cols[j], cols[j])) for j in perm[:rank]]  # those of M[R, C]
     col_bound = math.prod(col_norms)
     # the norms of whole rows of M bound those of the rows of M[R, C]
     h = math.isqrt(min(col_bound, math.prod(sum(map(mul, rows[i], rows[i])) for i in pivot_rows))) + 1
@@ -363,7 +361,12 @@ def _solve_checked(rows: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) 
     p = PRIMES[0]; None when det M mod p is 0 or a check fails. A nonzero
     det M mod p proves M invertible, so the first of ``_lift``'s
     reconstructions, after 1, 2, 4, ... digits, that passes M (D y) = D b
-    exactly is y."""
+    exactly is y. A 1 x 1 M = [m] gives (|m|/g, [sign(m) b/g]), g = gcd(m, b),
+    with no LU."""
+    if len(rows) == 1:
+        (m,), = rows
+        sign = 1 if m > 0 else -1
+        return [(abs(m) // (g := math.gcd(m, b)), [sign * b // g]) for b, in rhs] if m else None
     p = PRIMES[0]
     width, bias = _slots(rows, p, rhs)
     cols = list(zip(*rows))
@@ -455,8 +458,10 @@ def _lu_mod(rows: Sequence[int], p: int, width: int) -> tuple:
     det = 1
     for k in range(n):
         r = len(pivot_cols)
-        pivot_row = next((i for i in range(r, n) if (packed[i] & mask) % p), None)
-        if pivot_row is None:
+        for pivot_row in range(r, n):
+            if (packed[pivot_row] & mask) % p:
+                break
+        else:
             det = 0
             packed[r:] = [x >> bits for x in packed[r:]]
             continue

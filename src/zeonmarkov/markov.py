@@ -400,20 +400,25 @@ def _det_d(scales: list) -> int:
     return math.prod(scales) ** (len(scales) - 1)
 
 
-def _criterion_product(numerators: list, scales: list, coords) -> list:
-    """M x in pair order, M the ``_criterion_rows`` of the integer rows N_i / d_i
-    and x the pair vector ``coords``, with no N x N matrix. Row (i, j) of
-    Psi2(N) dotted with x is (N X^ N^T)_ij, X^ the hollow symmetric matrix of
-    x (Psi2(A) X^dagger = Mat^-1(A X^ A*) off the diagonal), so entry (i, j)
-    is d_i d_j x_ij - (N X^ N^T)_ij: O(n^3) work in all."""
+def _criterion_product(numerators: list, scales: list, coords, rows: Optional[list] = None) -> list:
+    """M x on the rows ``rows``, pairs (i, j) of 0-based states in either order
+    (every pair i < j, in pair order, by default), M the ``_criterion_rows`` of
+    the integer rows N_i / d_i and x the pair vector ``coords``, with no N x N
+    matrix. Row (i, j) of Psi2(N) dotted with x is (N X^ N^T)_ij =
+    N_j X^ N_i^T, X^ the hollow symmetric matrix of x (Psi2(A) X^dagger =
+    Mat^-1(A X^ A*) off the diagonal), so entry (i, j) is
+    d_i d_j x_ij - N_j X^ N_i^T: O(|I| n^2 + |rows| n) work, I the first
+    states of ``rows``, and O(n^3) on every pair."""
     n = len(scales)
-    pairs = list(combinations(range(n), 2))
     hat = [[0] * n for _ in range(n)]
-    for (i, j), x in zip(pairs, coords):
+    for (i, j), x in zip(combinations(range(n), 2), coords):
         hat[i][j] = hat[j][i] = x
-    sides = [[sum(map(mul, row, nj)) for row in hat] for nj in numerators]  # X^ N_j^T
-    return [scales[i] * scales[j] * x - sum(map(mul, numerators[i], sides[j]))
-            for (i, j), x in zip(pairs, coords)]
+    if rows is None:
+        rows = list(combinations(range(n), 2))
+    sides = {i: [sum(map(mul, row, numerators[i])) for row in hat]  # X^ N_i^T
+             for i in {i for i, _ in rows}}
+    return [scales[i] * scales[j] * hat[i][j] - sum(map(mul, numerators[j], sides[i]))
+            for i, j in rows]
 
 
 def _block_certificate(numerators: list, scales: list,
@@ -424,20 +429,28 @@ def _block_certificate(numerators: list, scales: list,
     exact det M and, when it is 0, a basis of M's right kernel, with no
     N x N matrix.
 
-    A pair of states in closed classes a and b leads only to such pairs, so
-    with the pairs that meet a transient state first, as the block T,
-    M = [[M_TT, M_TC], [0, M_CC]] and M_CC is block-diagonal over the class
-    pairs {a, b}. So det M = det M_TT * prod det M_ab, and a kernel vector
-    is one of a singular M_ab's, x_C, extended by x_T = -M_TT^-1 M_TC x_C.
-    Each M_ab with det M_ab mod p != 0 is proven nonsingular, its det
-    lifted only while no M_ab has been found singular; each other gives
-    its whole kernel (``_criterion_certificate``). One LU of M_TT mod
-    p proves it invertible, and each x_T is lifted only until it passes
-    M_TT x_T = -M_TC x_C exactly (``_solve_checked``), with M_TC x_C read
-    off M x_C (``_criterion_product``). With no singular M_ab, det M is the
-    product of the dets of the M_ab and the ``integer_det`` of each class
-    pair's block of M_TT, which is block triangular over its class pairs in
-    the same way. A failed check falls back to the N x N ``_criterion_rows``.
+    A pair of states in classes a and b leads only to pairs in classes a'
+    and b' that a and b lead to, so M is block triangular over the class
+    pairs {a, b}: det M = prod det M_ab. Give each class a height, 0 when it
+    is closed and else 1 + the largest height of the classes it steps into:
+    a block leads only to itself and to blocks of a smaller height sum. The
+    closed blocks (sum 0) lead to no other block, and a kernel vector of M
+    is one of a singular closed M_ab's, x_C, extended block by block in
+    order of height sum: each transient block's x_B solves
+    M_BB x_B = -M x on B's rows, x being 0 there and on the blocks of sums
+    no smaller. Blocks of one sum do not couple, so one
+    ``_criterion_product`` on the rows of a sum's blocks alone gives their
+    right-hand sides.
+
+    Each closed M_ab with det M_ab mod p != 0 is proven nonsingular, its
+    det lifted only while no M_ab has been found singular; each other gives
+    its whole kernel (``_criterion_certificate``). One LU of each transient
+    M_BB mod p proves it invertible, and each x_B is lifted only until it
+    passes its equation exactly (``_solve_checked``), x scaled by the
+    solution's denominator: block by block, the checks prove M x = 0. With
+    no singular closed M_ab, det M is the product of the dets of the closed
+    M_ab and the ``integer_det`` of each transient M_BB. A failed check
+    falls back to the N x N ``_criterion_rows``.
     """
     owner = [0] * len(scales)
     for index, states in enumerate(structure.classes):
@@ -454,7 +467,7 @@ def _block_certificate(numerators: list, scales: list,
     for a, b in sorted(blocks, key=lambda ab: ab[0] == ab[1] and structure.periods[ab[0]] == 1):
         members = blocks[a, b]
         if not (structure.closed[a] and structure.closed[b]):
-            transient.append(members)
+            transient.append((a, b))
             continue
         block = _criterion_block(numerators, scales, [pairs[r] for r in members])
         det, vectors = _criterion_certificate(block, True, exact=not kernel)
@@ -464,38 +477,64 @@ def _block_certificate(numerators: list, scales: list,
             for r, e in zip(members, v):
                 x[r] = e
             kernel.append(x)
-    if not kernel:  # M_TT is block triangular over its class pairs too
-        dets += [integer_det(_criterion_block(numerators, scales, [pairs[r] for r in members]))
-                 for members in transient]
+    if not kernel:
+        dets += [integer_det(_criterion_block(numerators, scales, [pairs[r] for r in blocks[ab]]))
+                 for ab in transient]
         return math.prod(dets), []
-    transient = [r for members in transient for r in members]
-    block = _criterion_block(numerators, scales, [pairs[r] for r in transient])
-    # M_TC x_C, from M x_C: its rows in C are M_CC x_C = 0
-    rhs = [[-e for e in map(_criterion_product(numerators, scales, x).__getitem__, transient)]
-           for x in kernel]
-    solved = _solve_checked(block, rhs)
-    if solved is None:
-        return _criterion_certificate(_criterion_rows(numerators, scales)[0], True)
-    for x, (d, y) in zip(kernel, solved):  # M (d x_C + x_T) = 0, x_T = y
-        x[:] = [d * e for e in x]
-        for r, e in zip(transient, y):
-            x[r] = e
+    height = _class_heights(numerators, owner, structure)
+    levels = {}  # per height sum: each block's members, and its pairs (i, j), i in its smaller class
+    for a, b in transient:
+        small = a if len(structure.classes[a]) <= len(structure.classes[b]) else b
+        rows = [pairs[r] if owner[pairs[r][0]] == small else pairs[r][::-1] for r in blocks[a, b]]
+        levels.setdefault(height[a] + height[b], []).append((blocks[a, b], rows))
+    for _, level in sorted(levels.items()):
+        products = [_criterion_product(numerators, scales, x, [ij for _, rows in level for ij in rows])
+                    for x in kernel]
+        start = 0
+        for members, rows in level:  # M's entries of a pair do not depend on its order
+            end = start + len(rows)
+            solved = _solve_checked(_criterion_block(numerators, scales, rows),
+                                    [[-e for e in product[start:end]] for product in products])
+            if solved is None:
+                return _criterion_certificate(_criterion_rows(numerators, scales)[0], True)
+            for x, product, (d, y) in zip(kernel, products, solved):  # M_BB y = -d M x on B's rows
+                if d != 1:  # x scaled by d, and M x on the level's later rows with it
+                    x[:] = [d * e for e in x]
+                    product[end:] = [d * e for e in product[end:]]
+                for r, e in zip(members, y):
+                    x[r] = e
+            start = end
     return 0, kernel
+
+
+def _class_heights(numerators: list, owner: list, structure: ChainStructure) -> list:
+    """Each class's height: 0 for a closed class, else 1 + the largest height
+    of the other classes it steps into, ``owner`` giving each 0-based state's
+    class. The steps between classes have no cycle, so each sweep sets the
+    height of a transient class whose steps all have theirs."""
+    height = [0] * len(structure.classes)
+    steps = {c: {owner[j] for i in states for j, e in enumerate(numerators[i - 1]) if e} - {c}
+             for c, states in enumerate(structure.classes) if not structure.closed[c]}
+    while steps:
+        for c, into in list(steps.items()):
+            if steps.keys().isdisjoint(into):
+                height[c] = 1 + max(height[k] for k in into)
+                del steps[c]
+    return height
 
 
 def _nonnegative_fixed_vector(kernel: list, n: int) -> Optional[DegreeTwoVector]:
     """A nonnegative fixed vector of Psi2(A), or None, from ``kernel``, a
     basis of the right kernel of ``_criterion_rows`` (the fixed space) from
-    ``_block_certificate``. The rref of the stacked basis is the space's
-    reduced echelon basis, the same for every basis.
-    Only its vectors are tried (each leads with 1, so no negation is
+    ``_block_certificate``, integer rows that ``_bareiss`` reduces in place to
+    scale x their rref, the space's reduced echelon basis, the same for every
+    basis. Only its vectors are tried (each leads with 1, so no negation is
     nonnegative): None does not rule out a nonnegative combination.
     """
-    reduced, _ = Matrix.from_rows(kernel).rref()
-    for i in range(reduced.rows):
-        vec = DegreeTwoVector(n, reduced.row(i))
-        if vec.is_nonnegative():
-            return vec
+    _, _, scale = _bareiss(kernel, reduce=True)
+    for row in kernel:
+        if all(e * scale >= 0 for e in row):
+            return DegreeTwoVector(n, [_ratio(e, scale) for e in row])
     return None
 
 

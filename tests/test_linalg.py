@@ -418,6 +418,22 @@ def test_integer_det_cofactor_beyond_the_first_primes_takes_further_primes(monke
     assert calls["bareiss"] == 0 and len(calls["primes"]) == 7
 
 
+def test_a_certificate_whose_denominator_meets_the_bound_draws_no_prime(monkeypatch):
+    # D * p > 2H: the cofactor mod p is the cofactor, and no CRT prime is
+    # looked for; a 2 I of 40 states needs one, found after testing three
+    # odd numbers below PRIMES[0]
+    tests = []
+    is_prime = linalg._is_prime
+    monkeypatch.setattr(linalg, "_is_prime", lambda q: tests.append(q) or is_prime(q))
+    rng = random.Random(71)
+    for n in range(2, 7):
+        rows = [[rng.randint(-9, 9) + (20 if i == j else 0) for j in range(n)] for i in range(n)]
+        assert integer_det(rows) == determinant_oracle(rows) != 0
+    assert tests == []
+    assert integer_det([[2 if i == j else 0 for j in range(40)] for i in range(40)]) == 2**40
+    assert tests == [PRIMES[0] - 2, PRIMES[0] - 4, PRIMES[1]]
+
+
 def test_primes_below_yields_every_prime_in_descending_order():
     # deterministic Miller-Rabin (bases 2, 7, 61) against a sieve of the odd
     # numbers below 2^15, strong pseudoprimes to the bases 2, 3, 5 and 7, and a
@@ -569,6 +585,19 @@ def test_solve_checked_stops_at_the_first_reconstruction_that_passes(monkeypatch
         assert len(digits) == 1 if b is rhs[-1] else len(digits) in (2, 4, 8)
     assert len(linalg._solve_checked(rows, rhs)) == len(rhs)
     assert linalg._solve_checked([[1, 2], [2, 4]], [[1, 1]]) is None
+
+
+def test_solve_checked_solves_a_one_by_one_system_in_closed_form(monkeypatch):
+    # [m] y = b: D = |m| / gcd(m, b) and D y = sign(m) b / gcd(m, b), with no LU
+    monkeypatch.setattr(linalg, "_lu_mod", None)
+    rhs = [[b] for b in (0, 1, -1, 6, -6, 35, 10**30 + 7, -(2**90))]
+    for m in (1, -1, 2, -6, 7, 14, -(10**30 + 7), 3**60):
+        solved = linalg._solve_checked([[m]], rhs)
+        assert len(solved) == len(rhs)
+        for (d, (y,)), (b,) in zip(solved, rhs):
+            assert d > 0 and Fraction(y, d) == Fraction(b, m)
+            assert d == Fraction(b, m).denominator  # D is the lcm of y's denominators
+    assert linalg._solve_checked([[0]], rhs) is None
 
 
 def _inverse(m):

@@ -43,7 +43,7 @@ from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_p
 from zeonmarkov.documents import report_to_dict
 from oracles import (certificate_oracle, chain_structure_oracle, class_pair_determinant_oracle,
                      dense_route, determinant_oracle, fixed_vector_oracle, left_null_space_oracle,
-                     positive_power_oracle, rank_oracle, rref_oracle, stationary_oracle)
+                     positive_power_oracle, rank_oracle, stationary_oracle)
 
 F = Fraction
 
@@ -595,6 +595,22 @@ def test_the_sandwich_product_matches_the_criterion_rows():
     assert count >= 15, count  # the reducible and periodic families at least
 
 
+def test_the_sandwich_product_on_some_rows_matches_those_criterion_rows():
+    # M x on a subset of the pairs, each pair in either order, from the sides of
+    # the first states alone
+    rng = random.Random(43)
+    for a, label in _sandwich_cases():
+        numerators, scales = a.matrix.integer_rows()
+        rows, _ = markov._criterion_rows(numerators, scales)
+        pairs = list(itertools.combinations(range(a.n), 2))
+        x = [rng.randint(-10**12, 10**12) if rng.random() < 0.7 else 0 for _ in pairs]
+        for count in (0, 1, rng.randint(1, len(pairs)), len(pairs)):
+            chosen = rng.sample(range(len(pairs)), count)
+            oriented = [pairs[r][::rng.choice((1, -1))] for r in chosen]
+            assert markov._criterion_product(numerators, scales, x, oriented) == [
+                sum(map(operator.mul, rows[r], x)) for r in chosen], label
+
+
 def _scan_fixed_space_of_the_compound(a):
     # reference: the first vector of the canonical basis of the fixed
     # space of the Fraction compound that is nonnegative up to sign
@@ -639,7 +655,7 @@ def test_transient_witness_is_unchanged_on_the_bench_family(monkeypatch):
             chain = families.make(random.Random(seed), families.TRANSIENT, n)
             a = validate_stochastic(Matrix.from_rows([list(row) for row in chain.rows]))
             with monkeypatch.context() as patch:
-                patch.setattr(Matrix, "rref", rref_oracle)
+                patch.setattr(markov, "_nonnegative_fixed_vector", fixed_vector_oracle)
                 expected = zeon_criterion(a)
             report = zeon_criterion(a)
             assert report.criterion_verdict is Verdict.INAPPLICABLE
@@ -675,27 +691,44 @@ def test_report_matches_the_bareiss_and_fraction_null_space_route(monkeypatch):
     assert found >= 40, found
 
 
+def _class_pair_blocks(a):
+    # {(c, c'): (size, height sum)} over the pairs of classes c <= c' of
+    # chain_structure_oracle, size the number of pairs of states in them; a
+    # class's height is 0 when it is closed and else 1 + the largest height of
+    # the other classes it steps into
+    structure = chain_structure_oracle(a.matrix)
+    owner = {s: c for c, states in enumerate(structure.classes) for s in states}
+    height = {}
+
+    def height_of(c):
+        if c not in height:
+            into = {owner[j] for i in structure.classes[c] for j in range(1, a.n + 1)
+                    if a.matrix[i - 1, j - 1]} - {c}
+            height[c] = 1 + max(map(height_of, into)) if into else 0
+        return height[c]
+
+    blocks = {}
+    for i, j in itertools.combinations(range(1, a.n + 1), 2):
+        key = tuple(sorted((owner[i], owner[j])))
+        size, _ = blocks.get(key, (0, 0))
+        blocks[key] = size + 1, height_of(key[0]) + height_of(key[1])
+    return blocks, owner
+
+
 def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
     # a closed chain's witness proves det = 0 with no LU and no lift; on a
-    # transient chain one LU mod p per class-pair block of closed classes proves
-    # it nonsingular or gives its whole kernel, one lift per kernel vector (the
-    # bench family's kernel is in the block of its two closed classes), and one
-    # LU of the block of pairs that meet a transient state extends each kernel
-    # vector by one more lift; no Bareiss determinant and no null space
+    # transient chain each class-pair block is built once: one LU mod p per
+    # block of closed classes proves it nonsingular or gives its whole kernel,
+    # one lift per kernel vector (the bench family's kernel is in the block of
+    # its two closed classes), and one LU per other block, in order of height
+    # sum, extends each kernel vector by one more lift; a 1 x 1 block takes no
+    # LU; no Bareiss determinant and no null space
     families = _bench_families()
     for family in (families.REDUCIBLE, families.PERIODIC, families.TRANSIENT):
-        transient = family == families.TRANSIENT
         for n in range(6, 11):
             a = _bench_chain(families, family, n, 0)
             rows, _ = markov._criterion_rows(*a.matrix.integer_rows())
             nullity = len(rows) - rank_oracle(Matrix.from_rows(rows))
-            closed = [len(c) for c in chain_structure(a).closed_classes]
-            # the pairs within a class and across two (a 1 x 1 block is its own
-            # determinant), and the pairs that meet a transient state
-            blocks = [math.comb(size, 2) for size in closed]
-            blocks += [x * y for x, y in itertools.combinations(closed, 2)]
-            blocks = [size for size in blocks if size > 1]
-            blocks.append(math.comb(n, 2) - math.comb(sum(closed), 2))
             with monkeypatch.context() as patch:
                 lu = _counting(patch, linalg, "_lu_mod")
                 bareiss = _counting(patch, linalg, "_bareiss_det")
@@ -704,11 +737,25 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
                 assert (len(lu), len(bareiss)) == (1, 0)
                 lu.clear()
                 lifts = _counting(patch, linalg, "_lift")
+                built = _counting(patch, markov, "_criterion_block")
                 report = zeon_criterion(a)
             sizes = [len(m) for m, *_ in lu]
-            assert (sorted(sizes[:-1]) + sizes[-1:] == sorted(blocks[:-1]) + blocks[-1:]
-                    if transient else sizes == [])
-            assert len(lifts) == (2 * nullity if transient else 0)
+            if family != families.TRANSIENT:
+                assert (sizes, lifts, built) == ([], [], [])
+            else:
+                blocks, owner = _class_pair_blocks(a)
+                keys = []
+                for *_, pairs in built:  # each block's pairs meet one pair of classes
+                    (key,) = {tuple(sorted((owner[i + 1], owner[j + 1]))) for i, j in pairs}
+                    keys.append(key)
+                assert sorted(keys) == sorted(blocks)
+                assert [len(pairs) for *_, pairs in built] == [blocks[key][0] for key in keys]
+                sums = [blocks[key][1] for key in keys]
+                closed = sums.count(0)
+                assert sums[closed:] == sorted(sums[closed:]) and 0 not in sums[closed:]
+                assert sizes == [len(pairs) for *_, pairs in built if len(pairs) > 1]
+                extended = sum(len(pairs) > 1 for *_, pairs in built[closed:])
+                assert len(lifts) == nullity * (1 + extended)
             assert bareiss == [] and null_spaces == []
             assert report.witness is not None
 
@@ -730,11 +777,15 @@ def _hadamard_steps(rows, p):
 def test_the_kernel_lift_stops_early_and_the_dixon_lift_does_not(monkeypatch):
     # on a transient chain the kernel vector of the block of the two closed
     # classes passes the exact check after one digit, and its extension to the
-    # pairs that meet a transient state after a few; a nonzero determinant lifts
-    # every Hadamard digit
+    # blocks of the transient class and a closed one after one or two; the
+    # block of pairs inside the transient class stops at 4 digits at n = 14,
+    # and at n = 22 fails the tries at 1, 2, 4 and 8 digits and ends at its
+    # Hadamard bound, 13 or 14 digits; a nonzero determinant lifts every
+    # Hadamard digit
     families = _bench_families()
-    cases = [(families.TRANSIENT, 14, seed, [1, 4]) for seed in range(3)]
-    cases += [(families.TRANSIENT, 22, seed, [1, 16]) for seed in range(3)]
+    cases = [(families.TRANSIENT, 14, seed, [1, 1, 1, 4]) for seed in range(3)]
+    cases += [(families.TRANSIENT, 22, seed, [1, 2, 2, last])
+              for seed, last in enumerate((13, 13, 14))]
     a = _bench_chain(families, families.ERGODIC, 18, 0)
     rows, _ = markov._criterion_rows(*a.matrix.integer_rows())
     cases.append((families.ERGODIC, 18, 0, [_hadamard_steps(rows, linalg.PRIMES[0])]))
@@ -807,6 +858,17 @@ def _closed_classes_with_transient_states(rng, periods, size, transient):
     with chance 1/2, to any state. A class of period p steps from each of its
     p cyclic groups to every state of the next; an aperiodic class has every
     edge. States are shuffled."""
+    order, weights = _closed_classes(rng, periods, size, transient)
+    closed_states = order[:len(periods) * size]
+    for i in order[len(periods) * size:]:
+        weights[i] = [rng.randint(1, 6) if rng.random() < 0.5 else 0 for _ in range(len(order))]
+        weights[i][rng.choice(closed_states)] += rng.randint(1, 6)
+    return _chain_of_weights(weights)
+
+
+def _closed_classes(rng, periods, size, transient):
+    # the shuffled states, closed classes first, and the weights of the closed
+    # classes of _closed_classes_with_transient_states
     n = len(periods) * size + transient
     order = list(range(n))
     rng.shuffle(order)
@@ -818,18 +880,47 @@ def _closed_classes_with_transient_states(rng, periods, size, transient):
             for i in group:
                 for j in groups[(g + 1) % period] if period > 1 else members:
                     weights[i][j] = rng.randint(1, 6)
-    closed_states = order[:len(periods) * size]
-    for i in order[len(periods) * size:]:
-        weights[i] = [rng.randint(1, 6) if rng.random() < 0.5 else 0 for _ in range(n)]
-        weights[i][rng.choice(closed_states)] += rng.randint(1, 6)
+    return order, weights
+
+
+def _chain_of_weights(weights):
     return validate_stochastic(Matrix.from_rows([[F(w, sum(row)) for w in row]
                                                  for row in weights]))
+
+
+def _layered_transient_chain(rng, periods, size, layers):
+    """Closed classes as in ``_closed_classes_with_transient_states``, under
+    ``layers`` of transient classes, each layer a list of class sizes. A
+    transient class is a cycle through its states (one state with or without
+    a loop); each of its states steps into a random state of the layer below
+    (the closed states, under the first layer) and, each with chance 1/3, to
+    any state of a lower layer. So a class in layer k has height k."""
+    order, weights = _closed_classes(rng, periods, size, sum(map(sum, layers)))
+    start = len(periods) * size
+    below = [order[:start]]
+    for layer in layers:
+        states = []
+        for k in layer:
+            members = order[start:start + k]
+            start += k
+            for i, j in zip(members, members[1:] + members[:1]):
+                if k > 1 or rng.random() < 0.5:
+                    weights[i][j] = rng.randint(1, 6)
+            for i in members:
+                weights[i][rng.choice(below[-1])] += rng.randint(1, 6)
+                for j in itertools.chain(*below):
+                    if rng.random() < 1 / 3:
+                        weights[i][j] += rng.randint(1, 6)
+            states += members
+        below.append(states)
+    return _chain_of_weights(weights)
 
 
 def _transient_cases(chains):
     # (chain, label): the fixtures, every bench family at n = 3..16 (seeds
     # 0-3), random chains with transient states, closed classes of every
-    # period with transient states, and one aperiodic closed class with them
+    # period with transient states, one aperiodic closed class with them, and
+    # transient classes in layers over closed classes of every period
     families = _bench_families()
     for i, a in chains.items():
         yield a, f"example{i}"
@@ -853,29 +944,43 @@ def _transient_cases(chains):
     for closed, transient, seed in [(3, 1, 0), (5, 3, 1), (8, 4, 2), (11, 4, 2)]:
         label = f"det != 0: {closed} + {transient} states"
         yield _ergodic_class_with_transient_states(families, closed, transient, seed), label
+    for periods in [(1, 1), (2, 1), (2, 3), (1,), (4,)]:
+        for layers in [[[1], [1]], [[2, 1], [1]], [[1, 1], [2], [1]], [[3], [1, 2]]]:
+            for size in (3, 4):
+                if size >= max(periods):
+                    label = f"periods {periods}, {size} states each, layers {layers}"
+                    yield _layered_transient_chain(rng, periods, size, layers), label
 
 
 def test_the_block_route_gives_the_reports_of_the_dense_route(chains, monkeypatch):
     # the class-pair blocks against the whole N x N matrix: one LU mod p of it
     # (_criterion_certificate, the block route's own fallback) and the witness
     # search on its kernel
-    counts = {"transient": 0, "witness": 0, "nonzero": 0, "periodic": 0, "classes": 0}
+    counts = {"transient": 0, "witness": 0, "nonzero": 0, "periodic": 0, "classes": 0,
+              "height 2": 0, "transient pairs": 0}
     for a, label in _transient_cases(chains):
         with monkeypatch.context() as patch:
             patch.setattr(markov, "_block_certificate", dense_route())
             expected = zeon_criterion(a)
-        report = zeon_criterion(a)
+        with monkeypatch.context() as patch:
+            fallback = _counting(patch, markov, "_criterion_rows")
+            report = zeon_criterion(a)
         assert report == expected, label
         assert report_to_dict(report) == report_to_dict(expected), label
         structure = chain_structure(a)
         if not structure.all_closed:
+            assert fallback == [], label  # every block's check passed
             counts["transient"] += 1
             counts["witness"] += report.witness is not None
             counts["nonzero"] += report.det_value != 0
             counts["periodic"] += not structure.is_aperiodic
             counts["classes"] += len(structure.closed_classes) >= 3
+            blocks, _ = _class_pair_blocks(a)  # a sum of 3 or more needs a class of height 2
+            counts["height 2"] += max(height for _, height in blocks.values()) >= 3
+            counts["transient pairs"] += structure.closed.count(False) >= 2
     assert counts["transient"] >= 200 and counts["witness"] >= 90, counts
     assert counts["nonzero"] >= 40 and counts["periodic"] >= 10 and counts["classes"] >= 5, counts
+    assert counts["height 2"] >= 90 and counts["transient pairs"] >= 110, counts
 
 
 def test_the_class_pair_identity_matches_the_whole_determinant():
@@ -910,7 +1015,12 @@ def test_a_chain_with_transient_states_builds_no_criterion_rows(monkeypatch):
             report = zeon_criterion(a)
         assert report.criterion_verdict is Verdict.INAPPLICABLE
         assert (report.det_value == 0) == singular and (report.witness is not None) == singular
-        assert max(len(m) for m, *_ in lu) < math.comb(a.n, 2)
+        # no LU is larger than the largest class-pair block: 100 of 435 pairs for
+        # the bench chain of three classes of 10 states, 72 of 153 for 12 + 6 states
+        sizes = [len(c) for c in chain_structure(a).classes]
+        largest = max(x * y if i < j else math.comb(x, 2)
+                      for (i, x), (j, y) in itertools.combinations_with_replacement(enumerate(sizes), 2))
+        assert max(len(m) for m, *_ in lu) == largest == (100 if singular else 72)
 
 
 @pytest.mark.parametrize("det, chain", [(1, "reducible"), (0, "ergodic")])
