@@ -281,16 +281,6 @@ def general_bp_identities(x: DegreeTwoVector, a: Matrix) -> GeneralIdentityValue
                                  *_mass(coords, list(zip(*rows)), list(zip(*psi)), s, den))
 
 
-def _mass_left(x: DegreeTwoVector, a: Matrix) -> tuple:
-    values = general_bp_identities(x, a)
-    return values.first_lhs, values.first_rhs
-
-
-def _mass_right(x: DegreeTwoVector, a: Matrix) -> tuple:
-    values = general_bp_identities(x, a)
-    return values.second_lhs, values.second_rhs
-
-
 def _mass(coords: Sequence[int], rows: Sequence[Sequence[int]], psi: Sequence[Sequence[int]],
           s: int, den: int) -> tuple:
     """(lhs, rhs) of the first identity from rows = s A and psi = Psi2(s A):

@@ -19,12 +19,12 @@ through one fraction-free (Bareiss) routine, ``_bareiss``.
 The determinant of a square integer matrix and, when it is 0, the right
 kernel vectors that prove it come from one LU mod p, lifted p-adically
 (``_criterion_certificate``, and ``integer_det`` for the determinant
-alone); each result is checked exactly or falls back to that routine. The
-solutions of a regular system are lifted from one LU mod p in the same way,
-each until it passes its exact check (``_solve_checked``). The matrix's
-columns are packed once, a slot per entry, into one int each, and the LU
-reduces its pivot rows mod p on those ints (``_slot_reducer``): it never
-unpacks a row.
+alone), and so do the solutions of a regular system (``_solve_checked``):
+both lift through ``_checked_solution`` until its exact check passes, mod
+PRIMES[0], then PRIMES[1], and a certificate that fails at both falls back
+to ``_bareiss``. The matrix's columns are packed once, a slot per entry,
+into one int each, and the LU reduces its pivot rows mod p on those ints
+(``_slot_reducer``): it never unpacks a row.
 """
 
 from __future__ import annotations
@@ -130,10 +130,10 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
 
 # -- integer determinants ---------------------------------------------
 
-# The four largest primes below 2^30, the first the prime of the LU and lift of
-# _criterion_certificate and the rest the first of its CRT (_primes_below): each
-# is one 30-bit digit of a CPython int, so the multipliers and divisors of the
-# packed kernel are one-digit operands.
+# The four largest primes below 2^30: the first two those of the LUs and lifts
+# of _criterion_certificate and _solve_checked, the last three the first of the
+# CRT (_primes_below). Each is one 30-bit digit of a CPython int, so the
+# multipliers and divisors of the packed kernel are one-digit operands.
 PRIMES = (1073741789, 1073741783, 1073741741, 1073741723)
 
 
@@ -176,9 +176,10 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
     bound on |det M|), mod each next prime below p by CRT (``_primes_below``).
 
     A matrix of rank r < N mod p has N - r free columns, the columns of M
-    outside the pivot columns C of the factors (see ``_lift``). The first
-    one's integer kernel vector (``_kernel_vector``), lifted from the same
-    factors until it passes the exact check on every row, proves det M = 0.
+    outside the pivot columns C of the factors (see ``_lift``). For the
+    first one, f, the solution v of M v = -D M[:, f] (``_checked_solution``,
+    lifted from the same factors until it passes on every row), with
+    v[f] = D, is an integer kernel vector that proves det M = 0.
     ``whole_kernel`` asks for the vectors of every free column: the rank mod
     p is at most the rank over Q, so the kernel over Q has at most N - r
     dimensions, and these checked vectors (each nonzero at its own free
@@ -207,10 +208,10 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
         if det_p == 0:
             perm, *_, pivot_rows = factors
             free = sorted(perm[len(pivot_rows):])
-            kernel = [_kernel_vector(rows, cols, packed, factors, f, p, width, bias)
-                      for f in (free if whole_kernel else free[:1])]
-            if None not in kernel:
-                return 0, kernel
+            solved = [_checked_solution(rows, cols, packed, factors, [-e for e in cols[f]], p, width,
+                                        bias) for f in (free if whole_kernel else free[:1])]
+            if None not in solved:  # M v = -D M[:, f], so v + D e_f is in the kernel
+                return 0, [v[:f] + [d] + v[f + 1:] for f, (d, v) in zip(free, solved)]
             continue
         if not exact:
             return None, []
@@ -248,26 +249,6 @@ def _slots(rows: Sequence[Sequence[int]], p: int,
     bias = p * (max(max(sum(map(abs, row)) for row in rows),
                     max((abs(e) for b in rhs for e in b), default=0)) // p + 1)
     return (max(len(rows) * p * p, 2 * bias).bit_length() + 9) // 8, bias
-
-
-def _kernel_vector(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]],
-                   packed: Sequence[int], factors: tuple, free: int, p: int, width: int,
-                   bias: int) -> Optional[list]:
-    """The integer vector v with v[free] = D, v[C] = D * y for the unique
-    solution y of M[R, C] y = -M[R, free] (``_lift``; D the lcm of y's
-    denominators) and 0 elsewhere, at the first of ``_lift``'s tries with
-    M v = 0 exactly on every row, else None. ``free`` is a column of M
-    outside the pivot columns C; ``cols`` are M's columns and ``packed``
-    them packed as for ``_lift``."""
-    b = [-e for e in cols[free]]
-    for d, numerators, _ in _lift(rows, cols, packed, factors, b, p, width, bias, early=True):
-        v = [0] * len(rows)
-        for j, e in zip(factors[0], numerators):
-            v[j] = e
-        v[free] = d
-        if not any(sum(map(mul, row, v)) for row in rows):
-            return v
-    return None
 
 
 def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], packed: Sequence[int],
@@ -357,35 +338,44 @@ def _carry(digits: list, whole: bool) -> None:
 
 def _solve_checked(rows: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> Optional[list]:
     """For each b in ``rhs``, (D, D * y) for the solution y of M y = b, D the
-    lcm of y's denominators, from one LU of the square integer M mod
-    p = PRIMES[0]; None when det M mod p is 0 or a check fails. A nonzero
-    det M mod p proves M invertible, so the first of ``_lift``'s
-    reconstructions, after 1, 2, 4, ... digits, that passes M (D y) = D b
-    exactly is y. A 1 x 1 M = [m] gives (|m|/g, [sign(m) b/g]), g = gcd(m, b),
-    with no LU."""
+    lcm of y's denominators (``_checked_solution``), from one LU of the
+    square integer M mod p = PRIMES[0], or mod PRIMES[1] when p divides
+    det M or a check fails; None when det M is 0 mod both. A nonzero det M
+    mod p proves M invertible, so a solution that passes its exact check is
+    y. A 1 x 1 M = [m] gives (|m|/g, [sign(m) b/g]), g = gcd(m, b), with no
+    LU."""
     if len(rows) == 1:
         (m,), = rows
         sign = 1 if m > 0 else -1
         return [(abs(m) // (g := math.gcd(m, b)), [sign * b // g]) for b, in rhs] if m else None
-    p = PRIMES[0]
-    width, bias = _slots(rows, p, rhs)
     cols = list(zip(*rows))
-    packed = [_pack([e + bias for e in col], width) for col in cols]
-    det_p, factors = _lu_mod(packed, p, width)
-    if det_p == 0:
-        return None
-    solutions = []
-    for b in rhs:
-        for d, numerators, _ in _lift(rows, cols, packed, factors, b, p, width, bias, early=True):
-            y = [0] * len(rows)
-            for j, e in zip(factors[0], numerators):
-                y[j] = e
-            if all(sum(map(mul, row, y)) == d * e for row, e in zip(rows, b)):
-                solutions.append((d, y))
-                break
-        else:
-            return None
-    return solutions
+    for p in PRIMES[:2]:
+        width, bias = _slots(rows, p, rhs)
+        packed = [_pack([e + bias for e in col], width) for col in cols]
+        det_p, factors = _lu_mod(packed, p, width)
+        if det_p:
+            solutions = [_checked_solution(rows, cols, packed, factors, b, p, width, bias)
+                         for b in rhs]
+            if None not in solutions:
+                return solutions
+    return None
+
+
+def _checked_solution(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]],
+                      packed: Sequence[int], factors: tuple, b: Sequence[int], p: int,
+                      width: int, bias: int) -> Optional[tuple[int, list]]:
+    """(D, v) for the solution y of M[R, C] y = b[R] (``_lift``; D the lcm of
+    y's denominators): v[C] = D * y and 0 elsewhere, at the first of
+    ``_lift``'s reconstructions, after 1, 2, 4, ... digits, with M v = D b
+    exactly on every row of M; else None. ``cols`` are M's columns and
+    ``packed`` them packed as for ``_lift``."""
+    for d, numerators, _ in _lift(rows, cols, packed, factors, b, p, width, bias, early=True):
+        v = [0] * len(rows)
+        for j, e in zip(factors[0], numerators):
+            v[j] = e
+        if all(sum(map(mul, row, v)) == d * e for row, e in zip(rows, b)):
+            return d, v
+    return None
 
 
 def _pack(values: Sequence[int], width: int) -> int:

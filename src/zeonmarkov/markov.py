@@ -4,11 +4,11 @@ degree-2 determinant criterion for ergodicity.
 The classical route decides ergodicity structurally: strongly connected
 state diagram (irreducible), unit gcd of cycle lengths (aperiodic), or
 equivalently some strictly positive power (quasi-positive). The new
-route computes det(I - Psi2(A)) exactly: for chains whose classes are all
-closed, the determinant is nonzero exactly when the chain is ergodic, and
-when it vanishes an explicit nonnegative fixed vector of Psi2(A) is
-produced as a certificate (a cross-class indicator for reducible chains,
-a cyclic-distance indicator for periodic ones).
+route computes det(I - Psi2(A)) exactly: it is nonzero exactly when the
+chain has one closed class, aperiodic (``is_regular``), so ergodic when
+every class is closed; when it vanishes an explicit nonnegative fixed
+vector of Psi2(A) is produced as a certificate (a cross-class indicator
+for reducible chains, a cyclic-distance indicator for periodic ones).
 
 States are labelled 1..n everywhere in this module's reports.
 """
@@ -111,6 +111,15 @@ class ChainStructure:
     @property
     def is_aperiodic(self) -> bool:
         return self.period == 1
+
+    @property
+    def is_regular(self) -> bool:
+        """One closed class, aperiodic (a regular or SIA chain; Seneta;
+        Wolfowitz, Proc. AMS 14, 1963): exactly then det(I - Psi2(A)) != 0.
+        Of M's class-pair blocks, those meeting a transient class are
+        nonsingular M-matrices, those of two closed classes are singular, and
+        one inside a closed class is singular just when it is periodic."""
+        return self.closed.count(True) == 1 and self.is_aperiodic
 
 
 def _states(mask: int):
@@ -349,11 +358,12 @@ class Verdict(enum.Enum):
 class ErgodicityReport:
     """Everything the analyzer knows about one chain.
 
-    The verdicts are mutually consistent by construction: with a strictly
-    positive invariant vector available (no transient states), a nonzero
-    determinant, quasi-positivity and irreducible+aperiodic all coincide.
-    With transient states the determinant carries no verdict and the
-    report says so, while still publishing the classical analysis.
+    The verdicts are mutually consistent by construction: a nonzero
+    determinant means one aperiodic closed class (``is_regular``), so with
+    no transient states it, quasi-positivity and irreducible+aperiodic
+    coincide. With transient states the determinant carries no ergodicity
+    verdict and the report says so, while still publishing the classical
+    analysis.
     """
 
     is_irreducible: bool
@@ -424,10 +434,9 @@ def _criterion_product(numerators: list, scales: list, coords, rows: Optional[li
 def _block_certificate(numerators: list, scales: list,
                        structure: ChainStructure) -> tuple[int, list]:
     """``_criterion_certificate(rows, True)`` of M, the ``_criterion_rows`` of
-    a chain with transient states, by blocks over class pairs (the Frobenius
-    normal form; Seneta, Non-negative Matrices and Markov Chains): the
-    exact det M and, when it is 0, a basis of M's right kernel, with no
-    N x N matrix.
+    a chain, by blocks over class pairs (the Frobenius normal form; Seneta,
+    Non-negative Matrices and Markov Chains): the exact det M and, when it is
+    0, a basis of M's right kernel, each block built on its own.
 
     A pair of states in classes a and b leads only to pairs in classes a'
     and b' that a and b lead to, so M is block triangular over the class
@@ -449,8 +458,10 @@ def _block_certificate(numerators: list, scales: list,
     passes its equation exactly (``_solve_checked``), x scaled by the
     solution's denominator: block by block, the checks prove M x = 0. With
     no singular closed M_ab, det M is the product of the dets of the closed
-    M_ab and the ``integer_det`` of each transient M_BB. A failed check
-    falls back to the N x N ``_criterion_rows``.
+    M_ab and the ``integer_det`` of each transient M_BB (an irreducible
+    chain: one closed block, all of M). A failed solve of a transient M_BB,
+    singular mod both primes of ``_solve_checked``, falls back to the N x N
+    ``_criterion_rows``.
     """
     owner = [0] * len(scales)
     for index, states in enumerate(structure.classes):
@@ -546,13 +557,13 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
     that same situation (with a nonnegative fixed-vector witness
     attached); criterion-inapplicable when transient states preclude a
     positive invariant vector -- the determinant is still reported, but it
-    decides nothing there. With every class closed, a determinant verdict
-    that differs from irreducible-and-aperiodic raises RuntimeError: it is
-    a bug or a counterexample to the theorem, never a report. The oracles'
-    not-ergodic witness w proves det = 0 by M w = 0 (``_criterion_product``),
-    M the integer rows of ``_criterion_rows``, which only an ergodic chain
-    builds, for ``_criterion_certificate``. A chain with transient states
-    works on M's blocks over class pairs (``_block_certificate``).
+    decides nothing there. A determinant that is nonzero on a chain that is
+    not ``is_regular``, or 0 on one that is, raises RuntimeError: it is a
+    bug or a counterexample to the theorem, never a report. On a closed
+    chain that is not ergodic, the oracles' witness w proves det = 0 by
+    M w = 0 (``_criterion_product``), M the integer rows of
+    ``_criterion_rows``. Every other chain works on M's blocks over class
+    pairs (``_block_certificate``).
     """
     return _analysis(a)[0]
 
@@ -565,24 +576,22 @@ def _analysis(a: StochasticMatrix) -> tuple[ErgodicityReport, ChainStructure]:
     numerators, scales = a.matrix.integer_rows()
     pis = _class_distributions(numerators, scales, structure)
     witness = None
-    if structure.all_closed and not (structure.is_irreducible and structure.is_aperiodic):
+    if structure.all_closed and not structure.is_regular:
         witness = (witness_periodic if structure.is_irreducible else witness_reducible)(structure)
         if any(_criterion_product(numerators, scales, witness.coords)):
             raise RuntimeError("the classical oracles say not-ergodic, but their witness is not "
                                "fixed by Psi2(A); ergodic is not refuted: the two routes disagree")
         det_value, verdict = 0, Verdict.NOT_ERGODIC
-    elif not structure.all_closed:  # the witness search needs the whole fixed space
+    else:
         det, kernel = _block_certificate(numerators, scales, structure)
-        det_value, verdict = exact_div(det, _det_d(scales)), Verdict.INAPPLICABLE
+        det_value = exact_div(det, _det_d(scales))
+        if (det_value != 0) != structure.is_regular:
+            raise RuntimeError(f"the determinant is {'nonzero' if det_value else '0'}, but the "
+                               f"classical oracles say the chain is {'not ' if det_value else ''}"
+                               "regular (one closed class, aperiodic): the two routes disagree")
+        verdict = Verdict.ERGODIC if structure.all_closed else Verdict.INAPPLICABLE
         if det_value == 0:
             witness = _nonnegative_fixed_vector(kernel, a.n)
-    else:
-        rows, det_d = _criterion_rows(numerators, scales)
-        det, _ = _criterion_certificate(rows, False)
-        det_value, verdict = exact_div(det, det_d), Verdict.ERGODIC
-        if det_value == 0:
-            raise RuntimeError("the determinant says not-ergodic but the classical oracles say "
-                               "ergodic: the two routes disagree")
 
     return ErgodicityReport(
         is_irreducible=structure.is_irreducible,
@@ -652,6 +661,7 @@ class EquivalenceCheck:
 
     matrix: Matrix
     all_closed: bool
+    is_regular: bool
     det_value: Scalar
     quasi_positive_exponent: Optional[int]
     is_irreducible: bool
@@ -668,11 +678,11 @@ class EquivalenceCheck:
 
     @property
     def determinant_consistent(self) -> bool:
-        """Determinant against the classical verdict; only meaningful with
-        all classes closed, vacuously true otherwise."""
-        if not self.all_closed:
-            return True
-        return (self.det_value != 0) == self.classical_ergodic
+        """Determinant against the classical structure on every chain: nonzero
+        exactly when there is one closed class and it is aperiodic
+        (``ChainStructure.is_regular``), which with all classes closed is
+        irreducible + aperiodic."""
+        return (self.det_value != 0) == self.is_regular
 
     @property
     def consistent(self) -> bool:
@@ -684,6 +694,7 @@ def check_equivalence(a: StochasticMatrix) -> EquivalenceCheck:
     return EquivalenceCheck(
         matrix=a.matrix,
         all_closed=structure.all_closed,
+        is_regular=structure.is_regular,
         det_value=criterion_determinant(a),
         quasi_positive_exponent=is_quasi_positive(a),
         is_irreducible=structure.is_irreducible,

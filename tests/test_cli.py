@@ -415,6 +415,18 @@ def test_a_determinant_contradicting_the_classical_verdict_exits_four(monkeypatc
                           "refuted: the two routes disagree")
 
 
+@pytest.mark.parametrize("index, det", [(1, 0), (2, 1)])
+def test_a_block_determinant_that_breaks_the_regular_rule_exits_four(monkeypatch, capsys,
+                                                                     index, det):
+    # example1 has one aperiodic closed class and transient states, example2 two closed classes
+    monkeypatch.setattr(markov, "_block_certificate", lambda numerators, scales, structure: (det, []))
+    code, out, err = run(capsys, "analyze", fixture_path(f"example{index}.json"))
+    assert code == 4 and out == ""
+    assert err.startswith("zeonmarkov: internal error: RuntimeError: the determinant is "
+                          + ("0" if det == 0 else "nonzero"))
+    assert "the two routes disagree" in err
+
+
 def test_analyze_pretty_reads_the_structure_once(monkeypatch, capsys):
     calls = []
     original = markov.chain_structure

@@ -587,6 +587,26 @@ def test_solve_checked_stops_at_the_first_reconstruction_that_passes(monkeypatch
     assert linalg._solve_checked([[1, 2], [2, 4]], [[1, 1]]) is None
 
 
+def test_solve_checked_retries_a_prime_that_divides_the_determinant(monkeypatch):
+    # det M = -p is 0 mod p, so the LU mod PRIMES[1] gives the solutions, each
+    # passing its exact check; det M = -p q and det M = 0 are 0 mod both: None
+    p, q = PRIMES[:2]
+    calls = _count_routes(monkeypatch)
+    rows = [[2, p + 2], [1, 1]]
+    rhs = [[1, 0], [0, 1], [p + 2, 1], [-(10**30), 7]]
+    solved = linalg._solve_checked(rows, rhs)
+    assert calls == {"bareiss": 0, "primes": [p, q]}
+    inverse = _inverse(Matrix.from_rows(rows))
+    for (d, y), b in zip(solved, rhs, strict=True):
+        expected = [sum(Fraction(x) * c for x, c in zip(row, b)) for row in inverse]
+        assert [Fraction(e, d) for e in y] == expected
+        assert d == math.lcm(*(e.denominator for e in expected))
+    for singular in ([[2, p * q + 2], [1, 1]], [[1, 2], [2, 4]]):
+        calls["primes"].clear()
+        assert linalg._solve_checked(singular, rhs) is None
+        assert calls == {"bareiss": 0, "primes": [p, q]}
+
+
 def test_solve_checked_solves_a_one_by_one_system_in_closed_form(monkeypatch):
     # [m] y = b: D = |m| / gcd(m, b) and D y = sign(m) b / gcd(m, b), with no LU
     monkeypatch.setattr(linalg, "_lu_mod", None)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import itertools
@@ -983,6 +984,22 @@ def test_the_block_route_gives_the_reports_of_the_dense_route(chains, monkeypatc
     assert counts["height 2"] >= 90 and counts["transient pairs"] >= 110, counts
 
 
+def test_the_determinant_is_nonzero_exactly_on_a_regular_chain(chains):
+    # on chains with transient states too: check_equivalence's N x N determinant
+    # is nonzero exactly when the oracle's structure has one closed class, aperiodic
+    counts = {"transient": 0, "regular": 0}
+    for a, label in _transient_cases(chains):
+        chk = check_equivalence(a)
+        structure = chain_structure_oracle(a.matrix)
+        regular = [p for p, closed in zip(structure.periods, structure.closed) if closed] == [1]
+        assert chk.is_regular == regular and chk.determinant_consistent, label
+        forged = dataclasses.replace(chk, det_value=0 if chk.det_value else 1)
+        assert not forged.determinant_consistent and not forged.consistent, label
+        counts["transient"] += not structure.all_closed
+        counts["regular"] += regular and not structure.all_closed
+    assert counts["transient"] >= 200 and counts["regular"] >= 100, counts
+
+
 def test_the_class_pair_identity_matches_the_whole_determinant():
     # det M = det M_TT * prod det M_ab, and M_TT splits over its own class pairs
     rng = random.Random(59)
@@ -1035,9 +1052,26 @@ def test_a_determinant_that_contradicts_the_classical_verdict_is_an_error(
     else:
         a = validate_stochastic(UNIFORM2)
         monkeypatch.setattr(markov, "_criterion_certificate",
-                            lambda rows, whole_kernel: (det, []))
+                            lambda rows, whole_kernel, exact: (det, []))
     with pytest.raises(RuntimeError, match="disagree"):
         zeon_criterion(a)
+
+
+@pytest.mark.parametrize("index, det", [(1, 0), (2, 1)])
+def test_a_block_determinant_that_breaks_the_regular_rule_is_an_error(chains, monkeypatch,
+                                                                      index, det):
+    # example1 (det 7/16) has one aperiodic closed class, example2 (det 0) two
+    monkeypatch.setattr(markov, "_block_certificate", lambda numerators, scales, structure: (det, []))
+    with pytest.raises(RuntimeError, match="disagree"):
+        zeon_criterion(chains[index])
+
+
+def test_a_transient_block_singular_mod_both_primes_falls_back_to_the_whole_matrix(
+        chains, monkeypatch):
+    expected = zeon_criterion(chains[2])
+    monkeypatch.setattr(markov, "_solve_checked", lambda rows, rhs: None)
+    fallback = _counting(monkeypatch, markov, "_criterion_rows")
+    assert zeon_criterion(chains[2]) == expected and len(fallback) == 1
 
 
 @pytest.mark.parametrize("index, construction",
