@@ -189,8 +189,8 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
     rank over Q than mod p, as when p divides a nonzero det M) starts again
     from an LU mod PRIMES[1]; when that check fails too, it falls back to
     exact elimination: ``_bareiss_det`` for the determinant and, when it is
-    0, ``Matrix.right_null_space`` for the kernel (its reduced echelon
-    basis, or that basis's first vector, each scaled to integers).
+    0, ``_bareiss`` for the kernel (its reduced echelon basis, or that
+    basis's first vector, each scaled to integers), with no Fraction.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -228,8 +228,26 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
                 base *= q
         return (cofactor - base if cofactor > base // 2 else cofactor) * denom, []
     det = _bareiss_det([list(row) for row in rows])
-    basis = Matrix(n, n, [e for row in rows for e in row]).right_null_space() if det == 0 else []
-    return det, [v.T.integer_rows()[0][0] for v in (basis if whole_kernel else basis[:1])]
+    if det:
+        return det, []
+    # the rows end as scale x rref, so M v = 0 for each free column f with
+    # v[f] = scale and v[c] = -row[f] at each pivot column c; reduced again,
+    # these give the kernel's reduced echelon basis, each row then scaled to
+    # integers of content 1 that lead with a positive entry
+    m = [list(row) for row in rows]
+    pivots, _, scale = _bareiss(m, reduce=True)
+    basis = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        v = [0] * n
+        v[f] = scale
+        for row, c in zip(m, pivots):
+            v[c] = -row[f]
+        basis.append(v)
+    _bareiss(basis, reduce=True)
+    for v in basis:
+        g = math.gcd(*v) * (1 if next(e for e in v if e) > 0 else -1)
+        v[:] = [e // g for e in v]
+    return 0, basis if whole_kernel else basis[:1]
 
 
 def _slots(rows: Sequence[Sequence[int]], p: int,

@@ -378,11 +378,25 @@ class ErgodicityReport:
 
 
 def criterion_determinant(a: StochasticMatrix) -> Scalar:
-    """det(I - Psi2(A)), exactly: ``integer_det`` (p-adic lifting, with a
-    Bareiss fallback) of the integer rows of ``_criterion_rows`` over det D.
-    A 1-state chain has no pairs: the determinant is the empty one, 1."""
-    rows, det_d = _criterion_rows(*a.matrix.integer_rows())
-    return exact_div(integer_det(rows), det_d)
+    """det(I - Psi2(A)), exactly: det M over det D, M the integer rows of
+    ``_criterion_rows``, by ``_criterion_det``, the route of ``zeon_criterion``
+    without its kernel. A 1-state chain has no pairs: the determinant is the
+    empty one, 1."""
+    numerators, scales = a.matrix.integer_rows()
+    return exact_div(_criterion_det(numerators, scales, chain_structure(a)), _det_d(scales))
+
+
+def _criterion_det(numerators: list, scales: list, structure: ChainStructure) -> int:
+    """det M, M the ``_criterion_rows`` of the integer rows N_i / d_i of a chain
+    of the given structure, with no kernel. On a closed chain that is not
+    regular, the oracles' witness fixed by Psi2(A) (``_fixed_witness``) proves
+    det M = 0 with no LU; a witness that is not fixed, and every other chain,
+    goes to M's class-pair blocks, which stop at the first singular closed
+    block (``_block_certificate`` without ``whole_kernel``)."""
+    if (structure.all_closed and not structure.is_regular
+            and _fixed_witness(numerators, scales, structure) is not None):
+        return 0
+    return _block_certificate(numerators, scales, structure, whole_kernel=False)[0]
 
 
 def _criterion_rows(numerators: list, scales: list) -> tuple[list, int]:
@@ -431,8 +445,8 @@ def _criterion_product(numerators: list, scales: list, coords, rows: Optional[li
             for i, j in rows]
 
 
-def _block_certificate(numerators: list, scales: list,
-                       structure: ChainStructure) -> tuple[int, list]:
+def _block_certificate(numerators: list, scales: list, structure: ChainStructure,
+                       whole_kernel: bool = True) -> tuple[int, list]:
     """``_criterion_certificate(rows, True)`` of M, the ``_criterion_rows`` of
     a chain, by blocks over class pairs (the Frobenius normal form; Seneta,
     Non-negative Matrices and Markov Chains): the exact det M and, when it is
@@ -461,7 +475,9 @@ def _block_certificate(numerators: list, scales: list,
     M_ab and the ``integer_det`` of each transient M_BB (an irreducible
     chain: one closed block, all of M). A failed solve of a transient M_BB,
     singular mod both primes of ``_solve_checked``, falls back to the N x N
-    ``_criterion_rows``.
+    ``_criterion_rows``. Without ``whole_kernel`` only det M is asked for:
+    the first closed M_ab with a checked kernel vector proves det M = 0, and
+    (0, []) is returned with no kernel built and no transient block solved.
     """
     owner = [0] * len(scales)
     for index, states in enumerate(structure.classes):
@@ -481,7 +497,9 @@ def _block_certificate(numerators: list, scales: list,
             transient.append((a, b))
             continue
         block = _criterion_block(numerators, scales, [pairs[r] for r in members])
-        det, vectors = _criterion_certificate(block, True, exact=not kernel)
+        det, vectors = _criterion_certificate(block, whole_kernel, exact=not kernel)
+        if det == 0 and not whole_kernel:
+            return 0, []
         dets.append(det)
         for v in vectors:
             x = [0] * len(pairs)
@@ -577,8 +595,8 @@ def _analysis(a: StochasticMatrix) -> tuple[ErgodicityReport, ChainStructure]:
     pis = _class_distributions(numerators, scales, structure)
     witness = None
     if structure.all_closed and not structure.is_regular:
-        witness = (witness_periodic if structure.is_irreducible else witness_reducible)(structure)
-        if any(_criterion_product(numerators, scales, witness.coords)):
+        witness = _fixed_witness(numerators, scales, structure)
+        if witness is None:
             raise RuntimeError("the classical oracles say not-ergodic, but their witness is not "
                                "fixed by Psi2(A); ergodic is not refuted: the two routes disagree")
         det_value, verdict = 0, Verdict.NOT_ERGODIC
@@ -604,6 +622,17 @@ def _analysis(a: StochasticMatrix) -> tuple[ErgodicityReport, ChainStructure]:
         invariant_distribution=_distribution(a.n, pis),
         limit_matrix=_limit(numerators, scales, structure, pis),
     ), structure
+
+
+def _fixed_witness(numerators: list, scales: list,
+                   structure: ChainStructure) -> Optional[DegreeTwoVector]:
+    """The classical oracles' witness w of a closed chain that is not regular
+    (``witness_periodic`` of an irreducible one, else ``witness_reducible``),
+    from the integer rows N_i / d_i of A, when M w = 0 on every row of M, the
+    ``_criterion_rows`` (``_criterion_product``, O(n^3)): that proves
+    det M = 0. None when w is not fixed by Psi2(A)."""
+    witness = (witness_periodic if structure.is_irreducible else witness_reducible)(structure)
+    return None if any(_criterion_product(numerators, scales, witness.coords)) else witness
 
 
 def witness_reducible(structure: ChainStructure) -> DegreeTwoVector:
@@ -657,7 +686,11 @@ def witness_periodic(structure: ChainStructure, delta: int = 1) -> DegreeTwoVect
 
 @dataclass(frozen=True)
 class EquivalenceCheck:
-    """One matrix, three routes to the same dichotomy."""
+    """One matrix, three routes to the same dichotomy: quasi-positivity,
+    irreducible + aperiodic, and det(I - Psi2(A)), whose exact value comes
+    from ``_criterion_det``: a fixed classical witness proves a zero, else
+    M's class-pair blocks give the value, so a witness that is not fixed
+    shows up as a counterexample, not as an error."""
 
     matrix: Matrix
     all_closed: bool
@@ -690,12 +723,15 @@ class EquivalenceCheck:
 
 
 def check_equivalence(a: StochasticMatrix) -> EquivalenceCheck:
+    """The classical routes and det(I - Psi2(A)) of one chain, the determinant
+    by ``_criterion_det`` on the one structure the classical fields read."""
     structure = chain_structure(a)
+    numerators, scales = a.matrix.integer_rows()
     return EquivalenceCheck(
         matrix=a.matrix,
         all_closed=structure.all_closed,
         is_regular=structure.is_regular,
-        det_value=criterion_determinant(a),
+        det_value=exact_div(_criterion_det(numerators, scales, structure), _det_d(scales)),
         quasi_positive_exponent=is_quasi_positive(a),
         is_irreducible=structure.is_irreducible,
         is_aperiodic=structure.is_aperiodic,

@@ -525,6 +525,41 @@ def test_certificate_check_fails_when_the_rank_drops_mod_p(monkeypatch):
     assert calls == {"bareiss": 1, "primes": [p, q]}
 
 
+def test_the_fallback_kernel_is_read_off_integer_rows(monkeypatch):
+    # a row that is 0 mod p and mod q drops the rank mod both primes, so the
+    # whole kernel comes from the exact fallback: the reduced echelon basis of
+    # the Fraction-free elimination, each vector scaled to integers of content 1
+    p, q = PRIMES[:2]
+    calls = _count_routes(monkeypatch)
+
+    def refuse(self):
+        raise AssertionError("Fraction null space built")
+
+    monkeypatch.setattr(Matrix, "right_null_space", refuse)
+    rng = random.Random(61)
+    found = 0
+    while found < 30:
+        n = rng.randint(3, 6)
+        r = rng.randint(1, n - 1)
+        left = [[rng.randint(-3, 3) for _ in range(r - 1)] for _ in range(n - 1)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r - 1)]
+        rows = [[p * q * rng.randint(-3, 3) for _ in range(n)]]
+        rows += [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if right else [0] * n
+                 for row in left]
+        if rank_oracle(Matrix.from_rows(rows)) != r or rank_oracle(Matrix.from_rows(rows[1:])) != r - 1:
+            continue
+        calls.update(bareiss=0, primes=[])
+        det, kernel = linalg._criterion_certificate(rows, True)
+        assert calls == {"bareiss": 1, "primes": [p, q]}
+        expected = null_space_oracle(Matrix.from_rows(rows))
+        assert det == 0 and len(kernel) == len(expected) == n - r
+        for v, w in zip(kernel, expected):
+            lead = next(e for e in v if e)
+            assert lead > 0 and math.gcd(*v) == 1
+            assert [F(e, lead) for e in v] == list(w)
+        found += 1
+
+
 def test_certificate_without_exact_proves_a_nonzero_determinant_and_lifts_nothing(monkeypatch):
     # det M mod p != 0 proves det M != 0 (None), with no lift; a zero gives the
     # kernel as with exact; a prime that divides det != 0 retries PRIMES[1]

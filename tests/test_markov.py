@@ -985,11 +985,16 @@ def test_the_block_route_gives_the_reports_of_the_dense_route(chains, monkeypatc
 
 
 def test_the_determinant_is_nonzero_exactly_on_a_regular_chain(chains):
-    # on chains with transient states too: check_equivalence's N x N determinant
-    # is nonzero exactly when the oracle's structure has one closed class, aperiodic
+    # on chains with transient states too: the determinant of the whole N x N
+    # criterion rows, which reads no class structure, is check_equivalence's and
+    # criterion_determinant's, and it is nonzero exactly when the oracle's
+    # structure has one closed class, aperiodic
     counts = {"transient": 0, "regular": 0}
     for a, label in _transient_cases(chains):
         chk = check_equivalence(a)
+        rows, det_d = markov._criterion_rows(*a.matrix.integer_rows())
+        whole = linalg.exact_div(linalg.integer_det(rows), det_d)
+        assert chk.det_value == criterion_determinant(a) == whole, label
         structure = chain_structure_oracle(a.matrix)
         regular = [p for p, closed in zip(structure.periods, structure.closed) if closed] == [1]
         assert chk.is_regular == regular and chk.determinant_consistent, label
@@ -1083,6 +1088,98 @@ def test_a_witness_that_is_not_fixed_is_an_error(chains, monkeypatch, index, con
     monkeypatch.setattr(markov, construction, lambda structure: wrong)
     with pytest.raises(RuntimeError, match="not fixed"):
         zeon_criterion(a)
+
+
+@pytest.mark.parametrize("index, construction",
+                         [(3, "witness_reducible"), (4, "witness_periodic")])
+def test_a_witness_that_is_not_fixed_leaves_the_determinant_to_the_blocks(chains, monkeypatch,
+                                                                          index, construction):
+    # the determinant-only callers report the exact det, so that a wrong
+    # classical verdict shows up as a counterexample; the analysis still raises
+    a = chains[index]
+    wrong = DegreeTwoVector.from_pairs(a.n, {(1, 2): 1})
+    monkeypatch.setattr(markov, construction, lambda structure: wrong)
+    blocks = _counting(monkeypatch, markov, "_block_certificate")
+    chk = check_equivalence(a)
+    assert chk.det_value == 0 and chk.consistent and len(blocks) == 1
+    assert criterion_determinant(a) == 0 and len(blocks) == 2
+    with pytest.raises(RuntimeError, match="not fixed"):
+        zeon_criterion(a)
+
+
+def _determinant_callers():
+    return [criterion_determinant, lambda a: check_equivalence(a).det_value]
+
+
+def test_a_closed_zero_determinant_takes_no_lu(chains, monkeypatch):
+    # on a closed chain that is not regular, the oracles' witness checked on every
+    # row proves det = 0: no LU, no Psi2 rows and no criterion rows, which at
+    # n = 30 would be 435 x 435
+    families = _bench_families()
+    cases = [chains[3], chains[4], chains[5]] + [_bench_chain(families, family, 30, 0)
+                                                  for family in (families.REDUCIBLE, families.PERIODIC)]
+    for a in cases:
+        for determinant in _determinant_callers():
+            with monkeypatch.context() as patch:
+                lu = _counting(patch, linalg, "_lu_mod")
+                psi2_rows = _counting(patch, zeon, "_psi2_rows", markov)
+                rows = _counting(patch, markov, "_criterion_rows")
+                products = _counting(patch, markov, "_criterion_product")
+                assert determinant(a) == 0
+            assert (lu, psi2_rows, rows) == ([], [], []) and len(products) == 1
+
+
+def test_check_equivalence_reads_the_chain_once(chains, monkeypatch):
+    # one structure and one copy of the integer rows serve the classical fields
+    # and the determinant
+    for a in (random_stochastic(random.Random(35), 6, density=1.0), chains[2], chains[3]):
+        with monkeypatch.context() as patch:
+            structures = _counting(patch, markov, "chain_structure")
+            integer_rows = _counting(patch, Matrix, "integer_rows")
+            check_equivalence(a)
+        assert len(structures) == 1 and integer_rows == [(a.matrix,)]
+
+
+def test_a_transient_determinant_solves_no_transient_block(monkeypatch):
+    # with transient states, the determinant-only callers work on the class-pair
+    # blocks: the bench chain stops at its singular closed block with one kernel
+    # vector checked and no transient block solved; one aperiodic closed class
+    # with transient states takes the det of every block
+    families = _bench_families()
+    cases = [(_bench_chain(families, families.TRANSIENT, 30, 0), True),
+             (_ergodic_class_with_transient_states(families, 12, 6, 0), False)]
+    for a, singular in cases:
+        for determinant in _determinant_callers():
+            with monkeypatch.context() as patch:
+                solves = _counting(patch, linalg, "_solve_checked", markov)
+                rows = _counting(patch, markov, "_criterion_rows")
+                certificates = _counting(patch, linalg, "_criterion_certificate", markov)
+                assert (determinant(a) == 0) == singular
+            assert (solves, rows) == ([], [])
+            assert all(whole_kernel is False for _, whole_kernel in certificates)
+
+
+def test_the_kernel_of_a_closed_class_pair_block_has_the_predicted_size(chains):
+    # observed on every closed block of these chains, not proven: the block of
+    # two closed classes of periods p and p' has a kernel of gcd(p, p')
+    # dimensions, the block inside a class of period p one of floor(p / 2)
+    found = 0
+    for a, label in _transient_cases(chains):
+        structure = chain_structure_oracle(a.matrix)
+        numerators, scales = a.matrix.integer_rows()
+        closed = [(states, period) for states, period, flag
+                  in zip(structure.classes, structure.periods, structure.closed) if flag]
+        for (x, (states, period)), (y, (others, other_period)) in (
+                itertools.combinations_with_replacement(enumerate(closed), 2)):
+            pairs = sorted({tuple(sorted((i - 1, j - 1))) for i in states for j in others if i != j})
+            if not pairs:
+                continue
+            size = period // 2 if x == y else math.gcd(period, other_period)
+            det, kernel = linalg._criterion_certificate(
+                markov._criterion_block(numerators, scales, pairs), True)
+            assert len(kernel) == size and (det == 0) == (size > 0), label
+            found += 1
+    assert found >= 700, found
 
 
 def test_ergodic_projection_products():
