@@ -21,10 +21,10 @@ kernel vectors that prove it come from one LU mod p, lifted p-adically
 (``_criterion_certificate``, and ``integer_det`` for the determinant
 alone), and so do the solutions of a regular system (``_solve_checked``):
 both lift through ``_checked_solution`` until its exact check passes, mod
-PRIMES[0], then PRIMES[1], and a certificate that fails at both falls back
-to ``_bareiss``. The matrix's columns are packed once, a slot per entry,
-into one int each, and the LU reduces its pivot rows mod p on those ints
-(``_slot_reducer``): it never unpacks a row.
+each next prime below PRIMES[0] that a failure calls for (``_lu_primes``).
+The matrix's columns are packed once, a slot per entry, into one int each,
+and the LU reduces its pivot rows mod p on those ints (``_slot_reducer``):
+it never unpacks a row.
 """
 
 from __future__ import annotations
@@ -130,9 +130,9 @@ def exact_div(a: Scalar, b: Scalar) -> Scalar:
 
 # -- integer determinants ---------------------------------------------
 
-# The four largest primes below 2^30: the first two those of the LUs and lifts
-# of _criterion_certificate and _solve_checked, the last three the first of the
-# CRT (_primes_below). Each is one 30-bit digit of a CPython int, so the
+# The four largest primes below 2^30: the first that of the LUs and lifts, the
+# last three the first of their retries (_lu_primes) and of the CRT
+# (_primes_below). Each is one 30-bit digit of a CPython int, so the
 # multipliers and divisors of the packed kernel are one-digit operands.
 PRIMES = (1073741789, 1073741783, 1073741741, 1073741723)
 
@@ -140,6 +140,24 @@ PRIMES = (1073741789, 1073741783, 1073741741, 1073741723)
 def _primes_below(p: int) -> Iterator[int]:
     """The primes below the odd p, in descending order."""
     return filter(_is_prime, range(p - 2, 2, -2))
+
+
+def _lu_primes(rows: Sequence[Sequence[int]]) -> Iterator[int]:
+    """The primes of the LUs of the square integer M: PRIMES[0], then each
+    prime below it while those tried multiply to at most the Hadamard bound
+    H = isqrt(prod max(1, |row|^2)) on M's minors, made once one has failed.
+    A prime fails only when it divides det M != 0, or every r x r minor when
+    M has rank r < N over Q (Abbott, Bronstein and Mulders, ISSAC 1999), so
+    the primes that fail multiply to at most H: they run out only once they
+    prove det M = 0."""
+    yield PRIMES[0]
+    h = math.isqrt(math.prod(max(1, sum(map(mul, row, row))) for row in rows))
+    tried = PRIMES[0]
+    for q in _primes_below(PRIMES[0]):
+        if tried > h:
+            return
+        yield q
+        tried *= q
 
 
 def _is_prime(q: int) -> bool:
@@ -187,10 +205,9 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
 
     Every step is exact and deterministic. A failed check (M has a larger
     rank over Q than mod p, as when p divides a nonzero det M) starts again
-    from an LU mod PRIMES[1]; when that check fails too, it falls back to
-    exact elimination: ``_bareiss_det`` for the determinant and, when it is
-    0, ``_bareiss`` for the kernel (its reduced echelon basis, or that
-    basis's first vector, each scaled to integers), with no Fraction.
+    from an LU mod the next prime of ``_lu_primes``. A prime whose rank is
+    M's passes, and the primes that fail multiply to at most the Hadamard
+    bound, so running out of them means a bound is wrong: ArithmeticError.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
@@ -199,7 +216,7 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
         det = rows[0][0] if n else 1
         return det, [] if det else [[1]]
     cols = list(zip(*rows))
-    for p in PRIMES[:2]:
+    for p in _lu_primes(rows):
         width, bias = _slots(rows, p)
         # M's columns, packed once for the LU and the lifts. LU of the
         # transpose: M = U^T L^T P, solved by two sweeps over rows.
@@ -227,27 +244,7 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
                 cofactor += base * ((c_q - cofactor) * pow(base, -1, q) % q)
                 base *= q
         return (cofactor - base if cofactor > base // 2 else cofactor) * denom, []
-    det = _bareiss_det([list(row) for row in rows])
-    if det:
-        return det, []
-    # the rows end as scale x rref, so M v = 0 for each free column f with
-    # v[f] = scale and v[c] = -row[f] at each pivot column c; reduced again,
-    # these give the kernel's reduced echelon basis, each row then scaled to
-    # integers of content 1 that lead with a positive entry
-    m = [list(row) for row in rows]
-    pivots, _, scale = _bareiss(m, reduce=True)
-    basis = []
-    for f in sorted(set(range(n)) - set(pivots)):
-        v = [0] * n
-        v[f] = scale
-        for row, c in zip(m, pivots):
-            v[c] = -row[f]
-        basis.append(v)
-    _bareiss(basis, reduce=True)
-    for v in basis:
-        g = math.gcd(*v) * (1 if next(e for e in v if e) > 0 else -1)
-        v[:] = [e // g for e in v]
-    return 0, basis if whole_kernel else basis[:1]
+    raise ArithmeticError("primes beyond the Hadamard bound failed the rank: a bound is wrong")
 
 
 def _slots(rows: Sequence[Sequence[int]], p: int,
@@ -357,17 +354,17 @@ def _carry(digits: list, whole: bool) -> None:
 def _solve_checked(rows: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> Optional[list]:
     """For each b in ``rhs``, (D, D * y) for the solution y of M y = b, D the
     lcm of y's denominators (``_checked_solution``), from one LU of the
-    square integer M mod p = PRIMES[0], or mod PRIMES[1] when p divides
-    det M or a check fails; None when det M is 0 mod both. A nonzero det M
-    mod p proves M invertible, so a solution that passes its exact check is
-    y. A 1 x 1 M = [m] gives (|m|/g, [sign(m) b/g]), g = gcd(m, b), with no
-    LU."""
+    square integer M mod p = PRIMES[0], or mod the next prime of
+    ``_lu_primes`` while p divides det M; None when the primes run out,
+    which proves det M = 0. A nonzero det M mod p proves M invertible, so a
+    solution that passes its exact check is y. A 1 x 1 M = [m] gives
+    (|m|/g, [sign(m) b/g]), g = gcd(m, b), with no LU."""
     if len(rows) == 1:
         (m,), = rows
         sign = 1 if m > 0 else -1
         return [(abs(m) // (g := math.gcd(m, b)), [sign * b // g]) for b, in rhs] if m else None
     cols = list(zip(*rows))
-    for p in PRIMES[:2]:
+    for p in _lu_primes(rows):
         width, bias = _slots(rows, p, rhs)
         packed = [_pack([e + bias for e in col], width) for col in cols]
         det_p, factors = _lu_mod(packed, p, width)

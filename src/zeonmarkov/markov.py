@@ -378,16 +378,16 @@ class ErgodicityReport:
 
 
 def criterion_determinant(a: StochasticMatrix) -> Scalar:
-    """det(I - Psi2(A)), exactly: det M over det D, M the integer rows of
-    ``_criterion_rows``, by ``_criterion_det``, the route of ``zeon_criterion``
-    without its kernel. A 1-state chain has no pairs: the determinant is the
-    empty one, 1."""
+    """det(I - Psi2(A)), exactly: det M over det D, M the criterion rows
+    (``_criterion_block``), by ``_criterion_det``, the route of
+    ``zeon_criterion`` without its kernel. A 1-state chain has no pairs: the
+    determinant is the empty one, 1."""
     numerators, scales = a.matrix.integer_rows()
     return exact_div(_criterion_det(numerators, scales, chain_structure(a)), _det_d(scales))
 
 
 def _criterion_det(numerators: list, scales: list, structure: ChainStructure) -> int:
-    """det M, M the ``_criterion_rows`` of the integer rows N_i / d_i of a chain
+    """det M, M the criterion rows of the integer rows N_i / d_i of a chain
     of the given structure, with no kernel. On a closed chain that is not
     regular, the oracles' witness fixed by Psi2(A) (``_fixed_witness``) proves
     det M = 0 with no LU; a witness that is not fixed, and every other chain,
@@ -399,20 +399,14 @@ def _criterion_det(numerators: list, scales: list, structure: ChainStructure) ->
     return _block_certificate(numerators, scales, structure, whole_kernel=False)[0]
 
 
-def _criterion_rows(numerators: list, scales: list) -> tuple[list, int]:
-    """D * (I - Psi2(A)) as integer rows, and det D, from the integer rows
-    N_i / d_i of A (``Matrix.integer_rows``): ``_criterion_block`` on every
-    pair. D is a positive diagonal, so the rows' right null space is the
-    fixed space of Psi2(A)."""
-    pairs = list(combinations(range(len(scales)), 2))
-    return _criterion_block(numerators, scales, pairs), _det_d(scales)
-
-
 def _criterion_block(numerators: list, scales: list, pairs: list) -> list:
-    """The principal submatrix of ``_criterion_rows`` on the 0-based ``pairs``.
-    Psi2 is homogeneous of degree 2, so row (i, j) of I - Psi2(A) times
-    d_i * d_j is d_i * d_j * e_(i,j) minus row (i, j) of ``_psi2_rows`` of the
-    N_i: integers, with no Fraction and no compound."""
+    """The principal submatrix on the 0-based ``pairs`` of the criterion rows
+    M = D (I - Psi2(A)) of the integer rows N_i / d_i of A
+    (``Matrix.integer_rows``), D the diagonal of the d_i * d_j: det M is
+    det(I - Psi2(A)) times det D (``_det_d``), and M's right null space is
+    the fixed space of Psi2(A). Psi2 is homogeneous of degree 2, so row
+    (i, j) of M is d_i * d_j * e_(i,j) minus row (i, j) of ``_psi2_rows`` of
+    the N_i: integers, with no Fraction and no compound."""
     block = [[-e for e in row] for row in _psi2_rows(numerators, 1, pairs)]
     for r, (i, j) in enumerate(pairs):
         block[r][r] += scales[i] * scales[j]
@@ -426,7 +420,7 @@ def _det_d(scales: list) -> int:
 
 def _criterion_product(numerators: list, scales: list, coords, rows: Optional[list] = None) -> list:
     """M x on the rows ``rows``, pairs (i, j) of 0-based states in either order
-    (every pair i < j, in pair order, by default), M the ``_criterion_rows`` of
+    (every pair i < j, in pair order, by default), M the criterion rows of
     the integer rows N_i / d_i and x the pair vector ``coords``, with no N x N
     matrix. Row (i, j) of Psi2(N) dotted with x is (N X^ N^T)_ij =
     N_j X^ N_i^T, X^ the hollow symmetric matrix of x (Psi2(A) X^dagger =
@@ -447,10 +441,11 @@ def _criterion_product(numerators: list, scales: list, coords, rows: Optional[li
 
 def _block_certificate(numerators: list, scales: list, structure: ChainStructure,
                        whole_kernel: bool = True) -> tuple[int, list]:
-    """``_criterion_certificate(rows, True)`` of M, the ``_criterion_rows`` of
-    a chain, by blocks over class pairs (the Frobenius normal form; Seneta,
-    Non-negative Matrices and Markov Chains): the exact det M and, when it is
-    0, a basis of M's right kernel, each block built on its own.
+    """``_criterion_certificate(rows, True)`` of M, the criterion rows of a
+    chain (``_criterion_block``), by blocks over class pairs (the Frobenius
+    normal form; Seneta, Non-negative Matrices and Markov Chains): the exact
+    det M and, when it is 0, a basis of M's right kernel, each block built on
+    its own.
 
     A pair of states in classes a and b leads only to pairs in classes a'
     and b' that a and b lead to, so M is block triangular over the class
@@ -473,9 +468,10 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
     solution's denominator: block by block, the checks prove M x = 0. With
     no singular closed M_ab, det M is the product of the dets of the closed
     M_ab and the ``integer_det`` of each transient M_BB (an irreducible
-    chain: one closed block, all of M). A failed solve of a transient M_BB,
-    singular mod both primes of ``_solve_checked``, falls back to the N x N
-    ``_criterion_rows``. Without ``whole_kernel`` only det M is asked for:
+    chain: one closed block, all of M). A transient M_BB that
+    ``_solve_checked`` proves singular contradicts ``is_regular``'s M-matrix
+    fact: RuntimeError, the routes disagree. No block is larger than the
+    largest class pair's. Without ``whole_kernel`` only det M is asked for:
     the first closed M_ab with a checked kernel vector proves det M = 0, and
     (0, []) is returned with no kernel built and no transient block solved.
     """
@@ -525,7 +521,8 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
             solved = _solve_checked(_criterion_block(numerators, scales, rows),
                                     [[-e for e in product[start:end]] for product in products])
             if solved is None:
-                return _criterion_certificate(_criterion_rows(numerators, scales)[0], True)
+                raise RuntimeError("a block of pairs meeting a transient state is singular, not an "
+                                   "M-matrix as the classical oracles say: the two routes disagree")
             for x, product, (d, y) in zip(kernel, products, solved):  # M_BB y = -d M x on B's rows
                 if d != 1:  # x scaled by d, and M x on the level's later rows with it
                     x[:] = [d * e for e in x]
@@ -554,7 +551,7 @@ def _class_heights(numerators: list, owner: list, structure: ChainStructure) -> 
 
 def _nonnegative_fixed_vector(kernel: list, n: int) -> Optional[DegreeTwoVector]:
     """A nonnegative fixed vector of Psi2(A), or None, from ``kernel``, a
-    basis of the right kernel of ``_criterion_rows`` (the fixed space) from
+    basis of the right kernel of the criterion rows (the fixed space) from
     ``_block_certificate``, integer rows that ``_bareiss`` reduces in place to
     scale x their rref, the space's reduced echelon basis, the same for every
     basis. Only its vectors are tried (each leads with 1, so no negation is
@@ -579,8 +576,8 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
     not ``is_regular``, or 0 on one that is, raises RuntimeError: it is a
     bug or a counterexample to the theorem, never a report. On a closed
     chain that is not ergodic, the oracles' witness w proves det = 0 by
-    M w = 0 (``_criterion_product``), M the integer rows of
-    ``_criterion_rows``. Every other chain works on M's blocks over class
+    M w = 0 (``_criterion_product``), M the criterion rows
+    (``_criterion_block``). Every other chain works on M's blocks over class
     pairs (``_block_certificate``).
     """
     return _analysis(a)[0]
@@ -629,7 +626,7 @@ def _fixed_witness(numerators: list, scales: list,
     """The classical oracles' witness w of a closed chain that is not regular
     (``witness_periodic`` of an irreducible one, else ``witness_reducible``),
     from the integer rows N_i / d_i of A, when M w = 0 on every row of M, the
-    ``_criterion_rows`` (``_criterion_product``, O(n^3)): that proves
+    criterion rows (``_criterion_product``, O(n^3)): that proves
     det M = 0. None when w is not fixed by Psi2(A)."""
     witness = (witness_periodic if structure.is_irreducible else witness_reducible)(structure)
     return None if any(_criterion_product(numerators, scales, witness.coords)) else witness

@@ -7,7 +7,7 @@ from itertools import combinations, permutations
 
 from zeonmarkov.degree2 import DegreeTwoVector, left_action, mat_embed, right_action
 from zeonmarkov.linalg import Matrix, Scalar, _bareiss_det, _criterion_certificate, as_scalar
-from zeonmarkov.markov import ChainStructure, _criterion_rows
+from zeonmarkov.markov import ChainStructure, _criterion_block
 
 
 def permutation_permanent_oracle(m: Matrix) -> Scalar:
@@ -101,17 +101,17 @@ def rank_oracle(m: Matrix) -> int:
 
 def determinant_oracle(rows: list) -> int:
     """Determinant of integer rows by fraction-free elimination alone,
-    with no modular stage: the route ``integer_det`` falls back to."""
+    with no modular stage: independent of ``integer_det``'s primes."""
     return _bareiss_det([list(row) for row in rows])
 
 
 def certificate_oracle(rows: list, whole_kernel: bool, exact: bool = True) -> tuple:
-    """``_criterion_certificate`` with no modular stage, as the analysis
-    reads it: the ``determinant_oracle`` (None for a nonzero one without
-    ``exact``) and, when it is 0 and ``whole_kernel`` asks for it, the
-    ``null_space_oracle`` basis of the rows' right kernel. Without
-    ``whole_kernel`` (a chain with every class closed) the analysis reads no
-    kernel, so none is computed."""
+    """``_criterion_certificate`` with no modular stage, so no prime that can
+    be unlucky, as the analysis reads it: the ``determinant_oracle`` (None
+    for a nonzero one without ``exact``) and, when it is 0 and
+    ``whole_kernel`` asks for it, the ``null_space_oracle`` basis of the
+    rows' right kernel. Without ``whole_kernel`` (a chain with every class
+    closed) the analysis reads no kernel, so none is computed."""
     det = determinant_oracle(rows)
     if det or not whole_kernel:
         return det if det == 0 or exact else None, []
@@ -119,14 +119,23 @@ def certificate_oracle(rows: list, whole_kernel: bool, exact: bool = True) -> tu
     return det, null_space_oracle(Matrix(size, size, [e for row in rows for e in row]))
 
 
+def criterion_rows(numerators: list, scales: list) -> tuple:
+    """The whole N x N criterion rows M = D (I - Psi2(A)) of the integer rows
+    N_i / d_i of A, ``markov._criterion_block`` on every pair, and det D, D
+    the diagonal of the d_i d_j: each d_i scales the n - 1 pairs that hold
+    state i. No analysis builds M whole; the tests compare against it."""
+    pairs = list(combinations(range(len(scales)), 2))
+    return _criterion_block(numerators, scales, pairs), math.prod(scales) ** (len(scales) - 1)
+
+
 def dense_route(certificate=_criterion_certificate):
     """A stand-in for ``markov._block_certificate`` that works on the whole
-    N x N matrix: ``certificate(rows, True)`` of ``markov._criterion_rows``,
-    by default the production ``_criterion_certificate``, the block route's
-    own fallback. With ``_nonnegative_fixed_vector`` it is the analysis of a
-    chain with transient states as it was before the block route."""
+    N x N matrix: ``certificate(rows, True)`` of ``criterion_rows``, by
+    default the production ``_criterion_certificate`` that each block takes.
+    With ``_nonnegative_fixed_vector`` it is the analysis of a chain with
+    transient states as it was before the block route."""
     def dense(numerators, scales, structure):
-        return certificate(_criterion_rows(numerators, scales)[0], True)
+        return certificate(criterion_rows(numerators, scales)[0], True)
     return dense
 
 

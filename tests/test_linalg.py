@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -369,32 +370,35 @@ def test_integer_det_rejects_non_square():
 
 
 def _count_routes(monkeypatch):
+    # the exact eliminations (_bareiss_det runs through _bareiss) and the
+    # primes of the LUs
     calls = {"bareiss": 0, "primes": []}
-    bareiss, lu_mod = linalg._bareiss_det, linalg._lu_mod
+    bareiss, lu_mod = linalg._bareiss, linalg._lu_mod
 
-    def counting_bareiss(m):
+    def counting_bareiss(m, reduce):
         calls["bareiss"] += 1
-        return bareiss(m)
+        return bareiss(m, reduce)
 
     def counting_lu_mod(rows, p, width):
         calls["primes"].append(p)
         return lu_mod(rows, p, width)
 
-    monkeypatch.setattr(linalg, "_bareiss_det", counting_bareiss)
+    monkeypatch.setattr(linalg, "_bareiss", counting_bareiss)
     monkeypatch.setattr(linalg, "_lu_mod", counting_lu_mod)
     return calls
 
 
-def test_integer_det_retries_a_prime_dividing_det_then_falls_back(monkeypatch):
+def test_integer_det_retries_each_prime_dividing_det_with_the_next_below(monkeypatch):
     # det = d != 0 with d mod p = 0 fails the kernel check mod p; the LU mod
-    # PRIMES[1] proves the determinant, unless PRIMES[1] divides d as well
+    # the next prime below proves the determinant, unless that prime divides d
+    # as well, and so on; no exact elimination runs
     calls = _count_routes(monkeypatch)
-    p, q = PRIMES[:2]
-    for d, primes, bareiss in [(q, [p], 0), (p, [p, q], 0), (p * q, [p, q], 1)]:
+    p, q, r = PRIMES[:3]
+    for d, primes in [(q, [p]), (p, [p, q]), (p * q, [p, q, r]), (p * q * r, list(PRIMES))]:
         for rows in ([[d, 0], [0, 1]], [[d, 2, 3], [0, 1, 4], [0, 0, 1]]):
             calls.update(bareiss=0, primes=[])
             assert integer_det(rows) == d
-            assert calls == {"bareiss": bareiss, "primes": primes}
+            assert calls == {"bareiss": 0, "primes": primes}
 
 
 def test_integer_det_large_cofactor_uses_more_primes(monkeypatch):
@@ -413,8 +417,9 @@ def test_integer_det_cofactor_beyond_the_first_primes_takes_further_primes(monke
     assert integer_det([[2 if i == j else 0 for j in range(150)] for i in range(150)]) == 2**150
     assert calls == {"bareiss": 0, "primes": list(PRIMES) + [1073741719, 1073741717]}
     big = (2**61 - 1) * (2**62 - 57) * (2**63 - 25)
-    calls["primes"].clear()
-    assert integer_det([[big, 0], [0, big]]) == determinant_oracle([[big, 0], [0, big]]) == big**2
+    expected = determinant_oracle([[big, 0], [0, big]])  # a Bareiss elimination, not counted
+    calls.update(bareiss=0, primes=[])
+    assert integer_det([[big, 0], [0, big]]) == expected == big**2
     assert calls["bareiss"] == 0 and len(calls["primes"]) == 7
 
 
@@ -505,12 +510,11 @@ def test_certificate_kernel_matches_the_fraction_null_space(monkeypatch):
 
 def test_certificate_check_fails_when_the_rank_drops_mod_p(monkeypatch):
     # [[d, 0], [0, 0]] has rank 1 over Q but 0 mod p | d: a kernel vector read
-    # off mod p fails its exact check, and the LU mod PRIMES[1] proves the
-    # kernel; when PRIMES[1] divides d too, the fallback's kernel is the exact
-    # null space, scaled to integers
-    p, q = PRIMES[:2]
+    # off mod p fails its exact check, and the LU mod the next prime below
+    # proves the kernel, or the one after it when that prime divides d too
+    p, q, r = PRIMES[:3]
     calls = _count_routes(monkeypatch)
-    for d, bareiss in [(p, 0), (p * q, 1)]:
+    for d, primes in [(p, [p, q]), (p * q, [p, q, r])]:
         for size in (2, 3):
             singular = [[d] + [0] * (size - 1)] + [[0] * size for _ in range(size - 1)]
             expected = [list(v) for v in null_space_oracle(Matrix.from_rows(singular))]
@@ -519,16 +523,16 @@ def test_certificate_check_fails_when_the_rank_drops_mod_p(monkeypatch):
                 calls.update(bareiss=0, primes=[])
                 assert linalg._criterion_certificate(singular, whole_kernel) == (
                     0, expected if whole_kernel else expected[:1])
-                assert calls == {"bareiss": bareiss, "primes": [p, q]}
+                assert calls == {"bareiss": 0, "primes": primes}
     calls.update(bareiss=0, primes=[])
     assert integer_det([[p * q, 0], [0, 0]]) == 0
-    assert calls == {"bareiss": 1, "primes": [p, q]}
+    assert calls == {"bareiss": 0, "primes": [p, q, r]}
 
 
-def test_the_fallback_kernel_is_read_off_integer_rows(monkeypatch):
+def test_a_kernel_whose_rank_drops_mod_two_primes_comes_from_the_third(monkeypatch):
     # a row that is 0 mod p and mod q drops the rank mod both primes, so the
-    # whole kernel comes from the exact fallback: the reduced echelon basis of
-    # the Fraction-free elimination, each vector scaled to integers of content 1
+    # whole kernel comes from the LU mod the third prime, checked on integer
+    # rows: it spans the Fraction null space, with no exact elimination
     p, q = PRIMES[:2]
     calls = _count_routes(monkeypatch)
 
@@ -550,19 +554,24 @@ def test_the_fallback_kernel_is_read_off_integer_rows(monkeypatch):
             continue
         calls.update(bareiss=0, primes=[])
         det, kernel = linalg._criterion_certificate(rows, True)
-        assert calls == {"bareiss": 1, "primes": [p, q]}
-        expected = null_space_oracle(Matrix.from_rows(rows))
-        assert det == 0 and len(kernel) == len(expected) == n - r
-        for v, w in zip(kernel, expected):
-            lead = next(e for e in v if e)
-            assert lead > 0 and math.gcd(*v) == 1
-            assert [F(e, lead) for e in v] == list(w)
+        assert calls == {"bareiss": 0, "primes": [p, q, PRIMES[2]]}
+        assert det == 0 and len(kernel) == n - r
+        assert all(isinstance(e, int) for v in kernel for e in v)
+        assert _echelon_rows(kernel) == null_space_oracle(Matrix.from_rows(rows))
         found += 1
+
+
+def _echelon_rows(vectors):
+    # the reduced echelon basis of the span of independent vectors, by the
+    # Fraction oracle
+    reduced, _ = rref_oracle(Matrix.from_rows(vectors))
+    return [reduced.row(i) for i in range(reduced.rows)]
 
 
 def test_certificate_without_exact_proves_a_nonzero_determinant_and_lifts_nothing(monkeypatch):
     # det M mod p != 0 proves det M != 0 (None), with no lift; a zero gives the
-    # kernel as with exact; a prime that divides det != 0 retries PRIMES[1]
+    # kernel as with exact; a prime that divides det != 0 retries the next
+    # prime below, and the next, until one proves det M != 0
     p, q = PRIMES[:2]
     calls = _count_routes(monkeypatch)
     lifts = []
@@ -573,13 +582,14 @@ def test_certificate_without_exact_proves_a_nonzero_determinant_and_lifts_nothin
         return lift(*args, early=early)
 
     monkeypatch.setattr(linalg, "_lift", counted_lift)
-    for rows, primes in [([[3, 7], [-2, 5]], [p]), ([[p, 0], [0, 1]], [p, q])]:
+    for rows, primes in [([[3, 7], [-2, 5]], [p]), ([[p, 0], [0, 1]], [p, q]),
+                         ([[p * q, 0], [0, 1]], list(PRIMES[:3]))]:
+        lifts.clear()
         calls["primes"].clear()
         assert linalg._criterion_certificate(rows, True, exact=False) == (None, [])
         assert calls == {"bareiss": 0, "primes": primes}
-    assert lifts == [True]  # the failed kernel vector of diag(p, 1) mod p
+        assert lifts == [True] * (len(primes) - 1)  # the failed kernel vectors, one per prime
     assert linalg._criterion_certificate([[1, 2], [2, 4]], True, exact=False) == (0, [[-2, 1]])
-    assert linalg._criterion_certificate([[p * q, 0], [0, 1]], True, exact=False) == (p * q, [])
 
 
 def test_carry_adds_the_p_adic_digits_as_a_binary_counter():
@@ -623,23 +633,27 @@ def test_solve_checked_stops_at_the_first_reconstruction_that_passes(monkeypatch
 
 
 def test_solve_checked_retries_a_prime_that_divides_the_determinant(monkeypatch):
-    # det M = -p is 0 mod p, so the LU mod PRIMES[1] gives the solutions, each
-    # passing its exact check; det M = -p q and det M = 0 are 0 mod both: None
-    p, q = PRIMES[:2]
+    # det M = -p is 0 mod p, so the LU mod the next prime below gives the
+    # solutions, each passing its exact check, and det M = -p q the one after
+    # it; a singular M gives None once the primes tried multiply past its
+    # Hadamard bound: after one LU for [[1, 2], [2, 4]] (bound 10), after five
+    # for a bound of 5 10^40
+    p, q, r = PRIMES[:3]
     calls = _count_routes(monkeypatch)
-    rows = [[2, p + 2], [1, 1]]
     rhs = [[1, 0], [0, 1], [p + 2, 1], [-(10**30), 7]]
-    solved = linalg._solve_checked(rows, rhs)
-    assert calls == {"bareiss": 0, "primes": [p, q]}
-    inverse = _inverse(Matrix.from_rows(rows))
-    for (d, y), b in zip(solved, rhs, strict=True):
-        expected = [sum(Fraction(x) * c for x, c in zip(row, b)) for row in inverse]
-        assert [Fraction(e, d) for e in y] == expected
-        assert d == math.lcm(*(e.denominator for e in expected))
-    for singular in ([[2, p * q + 2], [1, 1]], [[1, 2], [2, 4]]):
+    for rows, primes in [([[2, p + 2], [1, 1]], [p, q]), ([[2, p * q + 2], [1, 1]], [p, q, r])]:
+        calls["primes"].clear()
+        solved = linalg._solve_checked(rows, rhs)
+        assert calls == {"bareiss": 0, "primes": primes}
+        inverse = _inverse(Matrix.from_rows(rows))
+        for (d, y), b in zip(solved, rhs, strict=True):
+            expected = [sum(Fraction(x) * c for x, c in zip(row, b)) for row in inverse]
+            assert [Fraction(e, d) for e in y] == expected
+            assert d == math.lcm(*(e.denominator for e in expected))
+    for singular, lus in [([[1, 2], [2, 4]], 1), ([[10**40, 2 * 10**40], [1, 2]], 5)]:
         calls["primes"].clear()
         assert linalg._solve_checked(singular, rhs) is None
-        assert calls == {"bareiss": 0, "primes": [p, q]}
+        assert calls == {"bareiss": 0, "primes": [p, q, r, PRIMES[3], 1073741719][:lus]}
 
 
 def test_solve_checked_solves_a_one_by_one_system_in_closed_form(monkeypatch):
@@ -674,6 +688,49 @@ def test_integer_det_proves_a_zero_with_a_checked_kernel_vector(monkeypatch):
     assert integer_det([[0]]) == 0 and integer_det([[-7]]) == -7  # the entry: no LU
     assert linalg._criterion_certificate([[0]], True) == (0, [[1]])
     assert calls == {"bareiss": 0, "primes": [PRIMES[0]] * 4}
+
+
+@st.composite
+def _matrices_with_unlucky_primes(draw):
+    # a small square integer matrix, as drawn or with one row times p q (the
+    # first two primes), or with det times p q: a row times p q plus small
+    # multiples of the others, so that the row need not be 0 mod p
+    n = draw(st.integers(1, 4))
+    rows = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)) for _ in range(n)]
+    k = draw(st.integers(0, n - 1))
+    how = draw(st.sampled_from(["as drawn", "row", "det"]))
+    if how != "as drawn":
+        others = [draw(st.integers(-3, 3)) if how == "det" and i != k else 0 for i in range(n)]
+        rows[k] = [PRIMES[0] * PRIMES[1] * e + sum(c * row[j] for c, row in zip(others, rows))
+                   for j, e in enumerate(rows[k])]
+    rhs = draw(st.lists(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n),
+                        min_size=1, max_size=3))
+    return rows, rhs
+
+
+def _no_exact_elimination(*args, **kwargs):
+    raise AssertionError("exact elimination ran")
+
+
+@given(_matrices_with_unlucky_primes())
+def test_the_prime_routes_keep_their_contracts(case):
+    # _solve_checked is None exactly when det M = 0, else each (D, v) has
+    # M v = D b, D the lcm of the solution's denominators; _criterion_certificate
+    # gives det M and, when it is 0, a kernel that spans the null space; neither
+    # runs an exact elimination, whichever primes divide det M
+    rows, rhs = case
+    det = determinant_oracle(rows)
+    null_space = null_space_oracle(Matrix.from_rows(rows))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_bareiss", _no_exact_elimination)
+        solved = linalg._solve_checked(rows, rhs)
+        certificate, kernel = linalg._criterion_certificate(rows, True)
+    assert (solved is None) == (det == 0)
+    for (d, v), b in zip(solved or [], rhs):
+        assert all(sum(map(operator.mul, row, v)) == d * e for row, e in zip(rows, b))
+        assert d == math.lcm(*(F(e, d).denominator for e in v))
+    assert certificate == det
+    assert (_echelon_rows(kernel) if kernel else []) == (null_space if det == 0 else [])
 
 
 # -- null spaces ----------------------------------------------------------

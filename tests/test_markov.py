@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import fixture_path
 from zeonmarkov import degree2, linalg, markov, zeon
+from zeonmarkov.cli import main
 from zeonmarkov.degree2 import (
     DegreeTwoVector,
     diag_correction_minus,
@@ -43,8 +45,8 @@ from zeonmarkov.markov import (
 from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_power
 from zeonmarkov.documents import report_to_dict
 from oracles import (certificate_oracle, chain_structure_oracle, class_pair_determinant_oracle,
-                     dense_route, determinant_oracle, fixed_vector_oracle, left_null_space_oracle,
-                     positive_power_oracle, rank_oracle, stationary_oracle)
+                     criterion_rows, dense_route, determinant_oracle, fixed_vector_oracle,
+                     left_null_space_oracle, positive_power_oracle, rank_oracle, stationary_oracle)
 
 F = Fraction
 
@@ -510,6 +512,29 @@ def _counting(monkeypatch, owner, name, *also_bound_in):
     return calls
 
 
+def _largest_class_pair_block(a):
+    # the pairs of a's largest class-pair block: C(k, 2) inside a class of k
+    # states, k l across classes of k and l states
+    sizes = [len(c) for c in chain_structure_oracle(a.matrix).classes]
+    return max(x * y if i < j else math.comb(x, 2)
+               for (i, x), (j, y) in itertools.combinations_with_replacement(enumerate(sizes), 2))
+
+
+def _refuse_blocks_past_the_largest_class_pair(monkeypatch, a):
+    """Make ``markov._criterion_block`` refuse more pairs than a's largest
+    class-pair block holds: no route then builds the criterion rows whole,
+    unless they are that block (one class)."""
+    largest = _largest_class_pair_block(a)
+    block = markov._criterion_block
+
+    def bounded(numerators, scales, pairs):
+        if len(pairs) > largest:
+            raise AssertionError(f"a block of {len(pairs)} pairs built, past the largest {largest}")
+        return block(numerators, scales, pairs)
+
+    monkeypatch.setattr(markov, "_criterion_block", bounded)
+
+
 def test_criterion_is_one_pass(chains, monkeypatch):
     # a closed not-ergodic chain checks its witness on the n x n sandwich
     # (_criterion_product) and builds no Psi2 rows; a chain with transient states
@@ -577,7 +602,7 @@ def test_the_sandwich_product_matches_the_criterion_rows():
     count = 0
     for a, label in _sandwich_cases():
         numerators, scales = a.matrix.integer_rows()
-        rows, _ = markov._criterion_rows(numerators, scales)
+        rows, _ = criterion_rows(numerators, scales)
         size = len(rows)
         vectors = [[0] * size, [rng.randint(-9, 9) for _ in range(size)],
                    [rng.randint(-10**12, 10**12) for _ in range(size)]]
@@ -602,7 +627,7 @@ def test_the_sandwich_product_on_some_rows_matches_those_criterion_rows():
     rng = random.Random(43)
     for a, label in _sandwich_cases():
         numerators, scales = a.matrix.integer_rows()
-        rows, _ = markov._criterion_rows(numerators, scales)
+        rows, _ = criterion_rows(numerators, scales)
         pairs = list(itertools.combinations(range(a.n), 2))
         x = [rng.randint(-10**12, 10**12) if rng.random() < 0.7 else 0 for _ in pairs]
         for count in (0, 1, rng.randint(1, len(pairs)), len(pairs)):
@@ -728,7 +753,7 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
     for family in (families.REDUCIBLE, families.PERIODIC, families.TRANSIENT):
         for n in range(6, 11):
             a = _bench_chain(families, family, n, 0)
-            rows, _ = markov._criterion_rows(*a.matrix.integer_rows())
+            rows, _ = criterion_rows(*a.matrix.integer_rows())
             nullity = len(rows) - rank_oracle(Matrix.from_rows(rows))
             with monkeypatch.context() as patch:
                 lu = _counting(patch, linalg, "_lu_mod")
@@ -788,7 +813,7 @@ def test_the_kernel_lift_stops_early_and_the_dixon_lift_does_not(monkeypatch):
     cases += [(families.TRANSIENT, 22, seed, [1, 2, 2, last])
               for seed, last in enumerate((13, 13, 14))]
     a = _bench_chain(families, families.ERGODIC, 18, 0)
-    rows, _ = markov._criterion_rows(*a.matrix.integer_rows())
+    rows, _ = criterion_rows(*a.matrix.integer_rows())
     cases.append((families.ERGODIC, 18, 0, [_hadamard_steps(rows, linalg.PRIMES[0])]))
     for family, n, seed, expected in cases:
         a = _bench_chain(families, family, n, seed)
@@ -955,8 +980,8 @@ def _transient_cases(chains):
 
 def test_the_block_route_gives_the_reports_of_the_dense_route(chains, monkeypatch):
     # the class-pair blocks against the whole N x N matrix: one LU mod p of it
-    # (_criterion_certificate, the block route's own fallback) and the witness
-    # search on its kernel
+    # (_criterion_certificate, as each block takes) and the witness search on
+    # its kernel; no block is larger than the largest class pair
     counts = {"transient": 0, "witness": 0, "nonzero": 0, "periodic": 0, "classes": 0,
               "height 2": 0, "transient pairs": 0}
     for a, label in _transient_cases(chains):
@@ -964,13 +989,12 @@ def test_the_block_route_gives_the_reports_of_the_dense_route(chains, monkeypatc
             patch.setattr(markov, "_block_certificate", dense_route())
             expected = zeon_criterion(a)
         with monkeypatch.context() as patch:
-            fallback = _counting(patch, markov, "_criterion_rows")
+            _refuse_blocks_past_the_largest_class_pair(patch, a)
             report = zeon_criterion(a)
         assert report == expected, label
         assert report_to_dict(report) == report_to_dict(expected), label
         structure = chain_structure(a)
         if not structure.all_closed:
-            assert fallback == [], label  # every block's check passed
             counts["transient"] += 1
             counts["witness"] += report.witness is not None
             counts["nonzero"] += report.det_value != 0
@@ -984,6 +1008,23 @@ def test_the_block_route_gives_the_reports_of_the_dense_route(chains, monkeypatc
     assert counts["height 2"] >= 90 and counts["transient pairs"] >= 110, counts
 
 
+def test_no_report_depends_on_the_first_prime(chains, monkeypatch):
+    # the LUs start at 1 000 000 007 (inside _slot_reducer's range) instead of
+    # PRIMES[0], the retries and the CRT at the primes below it: every report,
+    # equivalence check and determinant is the same
+    def results(a):
+        return report_to_dict(zeon_criterion(a)), check_equivalence(a), criterion_determinant(a)
+
+    cases = list(_transient_cases(chains))
+    expected = [results(a) for a, _ in cases]
+    first = 1_000_000_007
+    monkeypatch.setattr(linalg, "PRIMES", (first, *itertools.islice(linalg._primes_below(first), 3)))
+    lu = _counting(monkeypatch, linalg, "_lu_mod")
+    for (a, label), want in zip(cases, expected, strict=True):
+        assert results(a) == want, label
+    assert max(p for _, p, _ in lu) == first
+
+
 def test_the_determinant_is_nonzero_exactly_on_a_regular_chain(chains):
     # on chains with transient states too: the determinant of the whole N x N
     # criterion rows, which reads no class structure, is check_equivalence's and
@@ -992,7 +1033,7 @@ def test_the_determinant_is_nonzero_exactly_on_a_regular_chain(chains):
     counts = {"transient": 0, "regular": 0}
     for a, label in _transient_cases(chains):
         chk = check_equivalence(a)
-        rows, det_d = markov._criterion_rows(*a.matrix.integer_rows())
+        rows, det_d = criterion_rows(*a.matrix.integer_rows())
         whole = linalg.exact_div(linalg.integer_det(rows), det_d)
         assert chk.det_value == criterion_determinant(a) == whole, label
         structure = chain_structure_oracle(a.matrix)
@@ -1012,7 +1053,7 @@ def test_the_class_pair_identity_matches_the_whole_determinant():
     for n in range(2, 7):
         for density in (0.2, 0.4, 0.6, 0.8):
             for a in (random_stochastic(rng, n, density), random_recurrent_stochastic(rng, n)):
-                rows, det_d = markov._criterion_rows(*a.matrix.integer_rows())
+                rows, det_d = criterion_rows(*a.matrix.integer_rows())
                 expected = linalg.exact_div(determinant_oracle(rows), det_d)
                 for lump in (True, False):
                     assert class_pair_determinant_oracle(a.matrix, lump) == expected
@@ -1027,21 +1068,16 @@ def test_a_chain_with_transient_states_builds_no_criterion_rows(monkeypatch):
     cases = [(_bench_chain(families, families.TRANSIENT, 30, 0), True),
              (_ergodic_class_with_transient_states(families, 12, 6, 0), False)]
 
-    def refuse(*args):
-        raise AssertionError("N x N rows built")
-
     for a, singular in cases:
         with monkeypatch.context() as patch:
-            patch.setattr(markov, "_criterion_rows", refuse)
+            _refuse_blocks_past_the_largest_class_pair(patch, a)
             lu = _counting(patch, linalg, "_lu_mod")
             report = zeon_criterion(a)
         assert report.criterion_verdict is Verdict.INAPPLICABLE
         assert (report.det_value == 0) == singular and (report.witness is not None) == singular
         # no LU is larger than the largest class-pair block: 100 of 435 pairs for
         # the bench chain of three classes of 10 states, 72 of 153 for 12 + 6 states
-        sizes = [len(c) for c in chain_structure(a).classes]
-        largest = max(x * y if i < j else math.comb(x, 2)
-                      for (i, x), (j, y) in itertools.combinations_with_replacement(enumerate(sizes), 2))
+        largest = _largest_class_pair_block(a)
         assert max(len(m) for m, *_ in lu) == largest == (100 if singular else 72)
 
 
@@ -1071,12 +1107,21 @@ def test_a_block_determinant_that_breaks_the_regular_rule_is_an_error(chains, mo
         zeon_criterion(chains[index])
 
 
-def test_a_transient_block_singular_mod_both_primes_falls_back_to_the_whole_matrix(
-        chains, monkeypatch):
-    expected = zeon_criterion(chains[2])
+def test_a_transient_block_proven_singular_is_an_error(chains, monkeypatch, capsys):
+    # a block that meets a transient state is a nonsingular M-matrix, so one that
+    # _solve_checked proves singular contradicts the classical oracles: the
+    # analysis raises, with no larger block built, and analyze exits 4; the
+    # determinant-only callers solve no transient block
+    expected = check_equivalence(chains[2])
     monkeypatch.setattr(markov, "_solve_checked", lambda rows, rhs: None)
-    fallback = _counting(monkeypatch, markov, "_criterion_rows")
-    assert zeon_criterion(chains[2]) == expected and len(fallback) == 1
+    _refuse_blocks_past_the_largest_class_pair(monkeypatch, chains[2])
+    with pytest.raises(RuntimeError, match="disagree"):
+        zeon_criterion(chains[2])
+    assert main(["analyze", fixture_path("example2.json")]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("zeonmarkov: internal error: RuntimeError: a block")
+    assert "the two routes disagree" in err
+    assert check_equivalence(chains[2]) == expected and criterion_determinant(chains[2]) == 0
 
 
 @pytest.mark.parametrize("index, construction",
@@ -1113,8 +1158,8 @@ def _determinant_callers():
 
 def test_a_closed_zero_determinant_takes_no_lu(chains, monkeypatch):
     # on a closed chain that is not regular, the oracles' witness checked on every
-    # row proves det = 0: no LU, no Psi2 rows and no criterion rows, which at
-    # n = 30 would be 435 x 435
+    # row proves det = 0: no LU, no Psi2 rows and no criterion block, which at
+    # n = 30 could be 435 x 435
     families = _bench_families()
     cases = [chains[3], chains[4], chains[5]] + [_bench_chain(families, family, 30, 0)
                                                   for family in (families.REDUCIBLE, families.PERIODIC)]
@@ -1123,10 +1168,10 @@ def test_a_closed_zero_determinant_takes_no_lu(chains, monkeypatch):
             with monkeypatch.context() as patch:
                 lu = _counting(patch, linalg, "_lu_mod")
                 psi2_rows = _counting(patch, zeon, "_psi2_rows", markov)
-                rows = _counting(patch, markov, "_criterion_rows")
+                blocks = _counting(patch, markov, "_criterion_block")
                 products = _counting(patch, markov, "_criterion_product")
                 assert determinant(a) == 0
-            assert (lu, psi2_rows, rows) == ([], [], []) and len(products) == 1
+            assert (lu, psi2_rows, blocks) == ([], [], []) and len(products) == 1
 
 
 def test_check_equivalence_reads_the_chain_once(chains, monkeypatch):
@@ -1152,10 +1197,10 @@ def test_a_transient_determinant_solves_no_transient_block(monkeypatch):
         for determinant in _determinant_callers():
             with monkeypatch.context() as patch:
                 solves = _counting(patch, linalg, "_solve_checked", markov)
-                rows = _counting(patch, markov, "_criterion_rows")
+                _refuse_blocks_past_the_largest_class_pair(patch, a)
                 certificates = _counting(patch, linalg, "_criterion_certificate", markov)
                 assert (determinant(a) == 0) == singular
-            assert (solves, rows) == ([], [])
+            assert solves == []
             assert all(whole_kernel is False for _, whole_kernel in certificates)
 
 
