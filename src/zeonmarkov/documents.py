@@ -49,8 +49,12 @@ def parse_matrix_text(text: str) -> MatrixDocument:
 
 
 def _entry(value, i: int, j: int) -> tuple[int, int]:
-    """An entry as (numerator, denominator) in lowest terms."""
+    """An entry as (numerator, denominator) in lowest terms. A JSON boolean
+    is refused, though Python's ``bool`` is an ``int``: it is not a number."""
     try:
+        if isinstance(value, bool):
+            raise TypeError(f"refusing boolean {str(value).lower()}: use a number or an exact "
+                            "literal string")
         if isinstance(value, str):
             return parse_literal(value)
         value = as_scalar(value)

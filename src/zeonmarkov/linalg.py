@@ -16,12 +16,12 @@ only for an output entry. ``A * B`` brings B's rows to one common scale s,
 so entry (i, j) is one integer dot product over A's row scale times s.
 Eliminations (determinants, reduced row-echelon forms, null spaces) go
 through one fraction-free (Bareiss) routine, ``_bareiss``.
-The determinant of a square integer matrix and, when it is 0, the right
-kernel vectors that prove it come from one LU mod p, lifted p-adically
-(``_criterion_certificate``, and ``integer_det`` for the determinant
-alone), and so do the solutions of a regular system (``_solve_checked``):
-both lift through ``_checked_solution`` until its exact check passes, mod
-each next prime below PRIMES[0] that a failure calls for (``_lu_primes``).
+The determinant of a square integer matrix and either the right kernel
+vectors that prove it 0 or the solutions of a regular system come from one
+LU mod p, lifted p-adically (``_criterion_certificate``, and
+``integer_det`` for the determinant alone): each lifts through
+``_checked_solution`` until its exact check passes, mod each next prime
+below PRIMES[0] that a failure calls for (``_lu_primes``).
 The matrix's columns are packed once, a slot per entry, into one int each,
 and the LU reduces its pivot rows mod p on those ints (``_slot_reducer``):
 it never unpacks a row.
@@ -179,12 +179,14 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
-                           exact: bool = True) -> tuple[Optional[int], list]:
-    """The exact determinant of a square integer matrix M and, when it is 0,
-    vectors of M's right kernel that prove it, all from one LU of M mod
-    p = PRIMES[0]; the kernel is [] when the determinant is not 0. Without
-    ``exact``, det M mod p != 0 proves the determinant nonzero and None
-    stands for it: nothing is lifted.
+                           exact: bool = True, rhs: Sequence[Sequence[int]] = ()
+                           ) -> tuple[Optional[int], list]:
+    """The exact determinant of a square integer matrix M from one LU of M
+    mod p = PRIMES[0], and either vectors of M's right kernel that prove it
+    0, as (0, kernel), or, for each b in ``rhs``, (D, D * y) for the solution
+    y of M y = b, D the lcm of y's denominators (``_checked_solution``), as
+    (det, solutions). Without ``exact``, det M mod p != 0 proves the
+    determinant nonzero and None stands for it: nothing is lifted for it.
 
     Dixon's method, used for determinants as by Abbott, Bronstein and
     Mulders, gives a nonzero det M: lift the solution of M x = b for a fixed
@@ -201,23 +203,29 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
     ``whole_kernel`` asks for the vectors of every free column: the rank mod
     p is at most the rank over Q, so the kernel over Q has at most N - r
     dimensions, and these checked vectors (each nonzero at its own free
-    column and zero at the others) are a basis of it.
+    column and zero at the others) are a basis of it. A 1 x 1 M = [m] takes
+    no LU: the kernel [[1]] when m = 0, else D = |m| / g and
+    D y = sign(m) b / g, g = gcd(m, b).
 
-    Every step is exact and deterministic. A failed check (M has a larger
-    rank over Q than mod p, as when p divides a nonzero det M) starts again
-    from an LU mod the next prime of ``_lu_primes``. A prime whose rank is
-    M's passes, and the primes that fail multiply to at most the Hadamard
-    bound, so running out of them means a bound is wrong: ArithmeticError.
+    Every step is exact and deterministic, and only a kernel vector proves a
+    zero. A failed check (M has a larger rank over Q than mod p, as when p
+    divides a nonzero det M) starts again from an LU mod the next prime of
+    ``_lu_primes``. A prime whose rank is M's passes, and the primes that
+    fail multiply to at most the Hadamard bound, so running out of them
+    means a bound is wrong: ArithmeticError.
     """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant needs a square matrix")
     if n < 2:  # the determinant is the entry, and a zero proves itself
         det = rows[0][0] if n else 1
-        return det, [] if det else [[1]]
+        if not det:
+            return 0, [[1]]
+        sign = 1 if det > 0 else -1
+        return det, [(abs(det) // (g := math.gcd(det, *b)), [sign * e // g for e in b]) for b in rhs]
     cols = list(zip(*rows))
     for p in _lu_primes(rows):
-        width, bias = _slots(rows, p)
+        width, bias = _slots(rows, p, rhs)
         # M's columns, packed once for the LU and the lifts. LU of the
         # transpose: M = U^T L^T P, solved by two sweeps over rows.
         packed = [_pack([e + bias for e in col], width) for col in cols]
@@ -230,8 +238,11 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
             if None not in solved:  # M v = -D M[:, f], so v + D e_f is in the kernel
                 return 0, [v[:f] + [d] + v[f + 1:] for f, (d, v) in zip(free, solved)]
             continue
+        solutions = [_checked_solution(rows, cols, packed, factors, b, p, width, bias) for b in rhs]
+        if None in solutions:
+            continue
         if not exact:
-            return None, []
+            return None, solutions
         b = [(7 * i) % 11 - 5 for i in range(n)]
         denom, _, h = next(_lift(rows, cols, packed, factors, b, p, width, bias, early=False))
         # det = cofactor * denom with |cofactor| <= H / denom.
@@ -243,7 +254,7 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
                 c_q = _lu_mod([x + shift for x in packed], q, width)[0] * pow(denom, -1, q) % q
                 cofactor += base * ((c_q - cofactor) * pow(base, -1, q) % q)
                 base *= q
-        return (cofactor - base if cofactor > base // 2 else cofactor) * denom, []
+        return (cofactor - base if cofactor > base // 2 else cofactor) * denom, solutions
     raise ArithmeticError("primes beyond the Hadamard bound failed the rank: a bound is wrong")
 
 
@@ -351,31 +362,6 @@ def _carry(digits: list, whole: bool) -> None:
         digits[-2:] = [([a + b * power for a, b in zip(low, high)], power * high_power)]
 
 
-def _solve_checked(rows: Sequence[Sequence[int]], rhs: Sequence[Sequence[int]]) -> Optional[list]:
-    """For each b in ``rhs``, (D, D * y) for the solution y of M y = b, D the
-    lcm of y's denominators (``_checked_solution``), from one LU of the
-    square integer M mod p = PRIMES[0], or mod the next prime of
-    ``_lu_primes`` while p divides det M; None when the primes run out,
-    which proves det M = 0. A nonzero det M mod p proves M invertible, so a
-    solution that passes its exact check is y. A 1 x 1 M = [m] gives
-    (|m|/g, [sign(m) b/g]), g = gcd(m, b), with no LU."""
-    if len(rows) == 1:
-        (m,), = rows
-        sign = 1 if m > 0 else -1
-        return [(abs(m) // (g := math.gcd(m, b)), [sign * b // g]) for b, in rhs] if m else None
-    cols = list(zip(*rows))
-    for p in _lu_primes(rows):
-        width, bias = _slots(rows, p, rhs)
-        packed = [_pack([e + bias for e in col], width) for col in cols]
-        det_p, factors = _lu_mod(packed, p, width)
-        if det_p:
-            solutions = [_checked_solution(rows, cols, packed, factors, b, p, width, bias)
-                         for b in rhs]
-            if None not in solutions:
-                return solutions
-    return None
-
-
 def _checked_solution(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]],
                       packed: Sequence[int], factors: tuple, b: Sequence[int], p: int,
                       width: int, bias: int) -> Optional[tuple[int, list]]:
@@ -434,8 +420,7 @@ def _lu_mod(rows: Sequence[int], p: int, width: int) -> tuple:
     """Determinant mod p of a square integer matrix, and LU factors mod p
     with its rank profile for ``_solve_mod``: ``rows`` are packed, slots of
     ``width`` bytes, nonnegative and congruent to the entries mod p (M's
-    columns plus a bias, from ``_criterion_certificate`` and
-    ``_solve_checked``).
+    columns plus a bias, from ``_criterion_certificate``).
 
     Gaussian elimination with each row packed into one int from the current
     column on, so a row update ``(x >> bits) + (p - f) * tail`` is one

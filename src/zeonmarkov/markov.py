@@ -25,8 +25,7 @@ from operator import mul
 from typing import Optional
 
 from .degree2 import DegreeTwoVector
-from .linalg import (Matrix, Scalar, _bareiss, _criterion_certificate, _ratio, _solve_checked,
-                     exact_div, integer_det, ratio_str)
+from .linalg import Matrix, Scalar, _bareiss, _criterion_certificate, _ratio, exact_div, ratio_str
 from .zeon import _psi2_rows
 
 
@@ -455,82 +454,63 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
     closed blocks (sum 0) lead to no other block, and a kernel vector of M
     is one of a singular closed M_ab's, x_C, extended block by block in
     order of height sum: each transient block's x_B solves
-    M_BB x_B = -M x on B's rows, x being 0 there and on the blocks of sums
-    no smaller. Blocks of one sum do not couple, so one
-    ``_criterion_product`` on the rows of a sum's blocks alone gives their
-    right-hand sides.
+    M_BB x_B = -M x on B's rows (one ``_criterion_product``), x being 0
+    there and on the blocks not yet solved.
 
-    Each closed M_ab with det M_ab mod p != 0 is proven nonsingular, its
-    det lifted only while no M_ab has been found singular; each other gives
-    its whole kernel (``_criterion_certificate``). One LU of each transient
-    M_BB mod p proves it invertible, and each x_B is lifted only until it
-    passes its equation exactly (``_solve_checked``), x scaled by the
-    solution's denominator: block by block, the checks prove M x = 0. With
-    no singular closed M_ab, det M is the product of the dets of the closed
-    M_ab and the ``integer_det`` of each transient M_BB (an irreducible
-    chain: one closed block, all of M). A transient M_BB that
-    ``_solve_checked`` proves singular contradicts ``is_regular``'s M-matrix
-    fact: RuntimeError, the routes disagree. No block is larger than the
-    largest class pair's. Without ``whole_kernel`` only det M is asked for:
-    the first closed M_ab with a checked kernel vector proves det M = 0, and
-    (0, []) is returned with no kernel built and no transient block solved.
+    Each block takes one ``_criterion_certificate``, the likeliest singular
+    closed blocks (across two classes, or in a periodic one) first: a det is
+    lifted only while no closed M_ab has been found singular, each singular
+    closed M_ab gives its whole kernel, and each transient M_BB the x_B of
+    every kernel vector, x scaled by the solution's denominator: block by
+    block, the checks prove M x = 0. With no singular closed M_ab, det M is
+    the product of the blocks' dets (an irreducible chain: one closed block,
+    all of M). A transient M_BB proven singular while a kernel is extended
+    contradicts ``is_regular``'s M-matrix fact: RuntimeError, the routes
+    disagree; otherwise it makes det M = 0, with no kernel. No block is
+    larger than the largest class pair's. Without ``whole_kernel`` only
+    det M is asked for: the first block with a checked kernel vector proves
+    det M = 0, and (0, []) is returned with no kernel built.
     """
     owner = [0] * len(scales)
     for index, states in enumerate(structure.classes):
         for s in states:
             owner[s - 1] = index
-    pairs = list(combinations(range(len(scales)), 2))
-    blocks = {}  # the pairs of each class pair
-    for r, (i, j) in enumerate(pairs):
+    sizes = [len(states) for states in structure.classes]
+    blocks = {}  # per class pair: its pair indices, and its pairs (i, j), i in its smaller class
+    for r, (i, j) in enumerate(combinations(range(len(scales)), 2)):
         a, b = owner[i], owner[j]
-        blocks.setdefault((a, b) if a < b else (b, a), []).append(r)
-    kernel, dets, transient = [], [], []
-    # the blocks likeliest to be singular first (across two classes, or in a
-    # periodic one), so that a det is lifted only while no kernel is found
-    for a, b in sorted(blocks, key=lambda ab: ab[0] == ab[1] and structure.periods[ab[0]] == 1):
-        members = blocks[a, b]
-        if not (structure.closed[a] and structure.closed[b]):
-            transient.append((a, b))
-            continue
-        block = _criterion_block(numerators, scales, [pairs[r] for r in members])
-        det, vectors = _criterion_certificate(block, whole_kernel, exact=not kernel)
-        if det == 0 and not whole_kernel:
+        members, pairs = blocks.setdefault((a, b) if a < b else (b, a), ([], []))
+        members.append(r)  # M's entries of a pair do not depend on its order
+        pairs.append((j, i) if (sizes[b], b) < (sizes[a], a) else (i, j))
+    height = _class_heights(numerators, owner, structure)
+    kernel, dets = [], []
+    for a, b in sorted(blocks, key=lambda ab: (height[ab[0]] + height[ab[1]],
+                                               ab[0] == ab[1] and structure.periods[ab[0]] == 1)):
+        members, pairs = blocks[a, b]
+        closed = structure.closed[a] and structure.closed[b]
+        rhs = [] if closed else [[-e for e in _criterion_product(numerators, scales, x, pairs)]
+                                 for x in kernel]
+        det, found = _criterion_certificate(_criterion_block(numerators, scales, pairs),
+                                            whole_kernel and closed, exact=not kernel, rhs=rhs)
+        if det == 0 and rhs:
+            raise RuntimeError("a block of pairs meeting a transient state is singular, not an "
+                               "M-matrix as the classical oracles say: the two routes disagree")
+        if det == 0 and not (whole_kernel and closed):
             return 0, []
         dets.append(det)
-        for v in vectors:
-            x = [0] * len(pairs)
-            for r, e in zip(members, v):
-                x[r] = e
-            kernel.append(x)
-    if not kernel:
-        dets += [integer_det(_criterion_block(numerators, scales, [pairs[r] for r in blocks[ab]]))
-                 for ab in transient]
-        return math.prod(dets), []
-    height = _class_heights(numerators, owner, structure)
-    levels = {}  # per height sum: each block's members, and its pairs (i, j), i in its smaller class
-    for a, b in transient:
-        small = a if len(structure.classes[a]) <= len(structure.classes[b]) else b
-        rows = [pairs[r] if owner[pairs[r][0]] == small else pairs[r][::-1] for r in blocks[a, b]]
-        levels.setdefault(height[a] + height[b], []).append((blocks[a, b], rows))
-    for _, level in sorted(levels.items()):
-        products = [_criterion_product(numerators, scales, x, [ij for _, rows in level for ij in rows])
-                    for x in kernel]
-        start = 0
-        for members, rows in level:  # M's entries of a pair do not depend on its order
-            end = start + len(rows)
-            solved = _solve_checked(_criterion_block(numerators, scales, rows),
-                                    [[-e for e in product[start:end]] for product in products])
-            if solved is None:
-                raise RuntimeError("a block of pairs meeting a transient state is singular, not an "
-                                   "M-matrix as the classical oracles say: the two routes disagree")
-            for x, product, (d, y) in zip(kernel, products, solved):  # M_BB y = -d M x on B's rows
-                if d != 1:  # x scaled by d, and M x on the level's later rows with it
+        if closed:
+            for v in found:  # a kernel vector of M_ab, 0 off the block, is one of M
+                x = [0] * math.comb(len(scales), 2)
+                for r, e in zip(members, v):
+                    x[r] = e
+                kernel.append(x)
+        else:
+            for x, (d, y) in zip(kernel, found):  # M_BB y = -d M x on B's rows
+                if d != 1:
                     x[:] = [d * e for e in x]
-                    product[end:] = [d * e for e in product[end:]]
                 for r, e in zip(members, y):
                     x[r] = e
-            start = end
-    return 0, kernel
+    return (0, kernel) if kernel else (math.prod(dets), [])
 
 
 def _class_heights(numerators: list, owner: list, structure: ChainStructure) -> list:

@@ -105,18 +105,27 @@ def determinant_oracle(rows: list) -> int:
     return _bareiss_det([list(row) for row in rows])
 
 
-def certificate_oracle(rows: list, whole_kernel: bool, exact: bool = True) -> tuple:
+def certificate_oracle(rows: list, whole_kernel: bool, exact: bool = True, rhs=()) -> tuple:
     """``_criterion_certificate`` with no modular stage, so no prime that can
     be unlucky, as the analysis reads it: the ``determinant_oracle`` (None
     for a nonzero one without ``exact``) and, when it is 0 and
     ``whole_kernel`` asks for it, the ``null_space_oracle`` basis of the
-    rows' right kernel. Without ``whole_kernel`` (a chain with every class
-    closed) the analysis reads no kernel, so none is computed."""
+    rows' right kernel, else, for each b in ``rhs``, (D, D y) with y read
+    off the ``rref_oracle`` of [M | b] and D the lcm of its denominators.
+    Without ``whole_kernel`` (a chain with every class closed) the analysis
+    reads no kernel, so none is computed."""
     det = determinant_oracle(rows)
-    if det or not whole_kernel:
-        return det if det == 0 or exact else None, []
     size = len(rows)
-    return det, null_space_oracle(Matrix(size, size, [e for row in rows for e in row]))
+    if det == 0:
+        return 0, (null_space_oracle(Matrix(size, size, [e for row in rows for e in row]))
+                   if whole_kernel else [])
+    solutions = []
+    for b in rhs:
+        reduced, _ = rref_oracle(Matrix.from_rows([list(row) + [e] for row, e in zip(rows, b)]))
+        y = [Fraction(reduced[i, size]) for i in range(size)]
+        d = math.lcm(*(e.denominator for e in y))
+        solutions.append((d, [int(e * d) for e in y]))
+    return det if exact else None, solutions
 
 
 def criterion_rows(numerators: list, scales: list) -> tuple:

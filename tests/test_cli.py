@@ -90,7 +90,6 @@ def test_digest_is_format_independent():
 @pytest.mark.parametrize("number, code, err", [
     ("0.5", 2, ""),
     ("1", 3, "zeonmarkov: error: matrix is not stochastic: row 1 sums to 3/2, expected 1\n"),
-    ("true", 3, "zeonmarkov: error: matrix is not stochastic: row 1 sums to 3/2, expected 1\n"),
     ("NaN", 3, "zeonmarkov: error: cannot parse matrix: row 1, column 1: refusing float nan: "
                "use an int, Fraction or exact literal string\n"),
 ])
@@ -100,12 +99,31 @@ def test_json_numbers_parse_to_exact_entries(tmp_path, capsys, number, code, err
         with pytest.raises(MatrixFormatError, match="^row 1, column 1: refusing float nan"):
             parse_matrix_text(text)
     else:
-        value = {"0.5": F(1, 2), "1": 1, "true": 1}[number]
+        value = {"0.5": F(1, 2), "1": 1}[number]
         assert parse_matrix_text(text).matrix == Matrix.from_rows([[value, F(1, 2)], [0, 1]])
     path = tmp_path / "m.json"
     path.write_text(text)
     got, _, got_err = run(capsys, "analyze", str(path))
     assert (got, got_err) == (code, err)
+
+
+@pytest.mark.parametrize("text, where", [
+    ('{"rows": [[false, true], [true, false]]}', "row 1, column 1: refusing boolean false"),
+    ('{"rows": [[true, "1/2"], ["0", "1"]]}', "row 1, column 1: refusing boolean true"),
+    ('{"rows": [["0", "1"], [1, false]]}', "row 2, column 2: refusing boolean false"),
+], ids=["2-cycle", "true", "false"])
+def test_json_booleans_are_not_matrix_entries(tmp_path, capsys, text, where):
+    # Python reads a JSON boolean as an int, but it is not a number: the
+    # 2-cycle spelled in booleans is a parse error (exit 3), as it is in CSV
+    message = f"{where}: use a number or an exact literal string"
+    with pytest.raises(MatrixFormatError, match=f"^{message}$"):
+        parse_matrix_text(text)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    assert run(capsys, "analyze", str(path)) == (
+        3, "", f"zeonmarkov: error: cannot parse matrix: {message}\n")
+    path.write_text("false,true\ntrue,false")
+    assert run(capsys, "analyze", str(path))[0] == 3
 
 
 def _ten_state_rows(targets):

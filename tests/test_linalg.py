@@ -623,37 +623,49 @@ def test_solve_checked_stops_at_the_first_reconstruction_that_passes(monkeypatch
     inverse = _inverse(Matrix(n, n, [e for row in rows for e in row]))
     for b in rhs:
         digits.clear()
-        (d, y), = linalg._solve_checked(rows, [b])
+        det, ((d, y),) = linalg._criterion_certificate(rows, False, exact=False, rhs=[b])
+        assert det is None
         assert [Fraction(e, d) for e in y] == [
             sum(Fraction(x) * c for x, c in zip(row, b)) for row in inverse]
         # one digit for the integer solution, a power of two for the others
         assert len(digits) == 1 if b is rhs[-1] else len(digits) in (2, 4, 8)
-    assert len(linalg._solve_checked(rows, rhs)) == len(rhs)
-    assert linalg._solve_checked([[1, 2], [2, 4]], [[1, 1]]) is None
+    assert len(linalg._criterion_certificate(rows, False, exact=False, rhs=rhs)[1]) == len(rhs)
+    assert linalg._criterion_certificate([[1, 2], [2, 4]], False, rhs=[[1, 1]]) == (0, [[-2, 1]])
 
 
 def test_solve_checked_retries_a_prime_that_divides_the_determinant(monkeypatch):
     # det M = -p is 0 mod p, so the LU mod the next prime below gives the
     # solutions, each passing its exact check, and det M = -p q the one after
-    # it; a singular M gives None once the primes tried multiply past its
-    # Hadamard bound: after one LU for [[1, 2], [2, 4]] (bound 10), after five
-    # for a bound of 5 10^40
+    # it; the exact determinant comes with the same solutions
     p, q, r = PRIMES[:3]
     calls = _count_routes(monkeypatch)
     rhs = [[1, 0], [0, 1], [p + 2, 1], [-(10**30), 7]]
     for rows, primes in [([[2, p + 2], [1, 1]], [p, q]), ([[2, p * q + 2], [1, 1]], [p, q, r])]:
         calls["primes"].clear()
-        solved = linalg._solve_checked(rows, rhs)
-        assert calls == {"bareiss": 0, "primes": primes}
+        det, solved = linalg._criterion_certificate(rows, False, exact=False, rhs=rhs)
+        assert det is None and calls == {"bareiss": 0, "primes": primes}
         inverse = _inverse(Matrix.from_rows(rows))
         for (d, y), b in zip(solved, rhs, strict=True):
             expected = [sum(Fraction(x) * c for x, c in zip(row, b)) for row in inverse]
             assert [Fraction(e, d) for e in y] == expected
             assert d == math.lcm(*(e.denominator for e in expected))
-    for singular, lus in [([[1, 2], [2, 4]], 1), ([[10**40, 2 * 10**40], [1, 2]], 5)]:
+        assert linalg._criterion_certificate(rows, False, rhs=rhs) == (2 - rows[0][1], solved)
+
+
+def test_a_singular_system_is_proven_by_one_kernel_vector(monkeypatch):
+    # a right-hand side changes nothing for a singular M: the first LU's free
+    # column gives a kernel vector that passes its exact check, even where
+    # the primes that M's Hadamard bound allows (5 10^40) would take five LUs
+    p = PRIMES[0]
+    calls = _count_routes(monkeypatch)
+    rhs = [[1, 0], [0, 1], [p + 2, 1], [-(10**30), 7]]
+    for singular in ([[1, 2], [2, 4]], [[10**40, 2 * 10**40], [1, 2]]):
         calls["primes"].clear()
-        assert linalg._solve_checked(singular, rhs) is None
-        assert calls == {"bareiss": 0, "primes": [p, q, r, PRIMES[3], 1073741719][:lus]}
+        for exact in (True, False):
+            det, (v,) = linalg._criterion_certificate(singular, False, exact=exact, rhs=rhs)
+            assert det == 0 and any(v)
+            assert all(sum(map(operator.mul, row, v)) == 0 for row in singular)
+        assert calls == {"bareiss": 0, "primes": [p, p]}
 
 
 def test_solve_checked_solves_a_one_by_one_system_in_closed_form(monkeypatch):
@@ -661,12 +673,12 @@ def test_solve_checked_solves_a_one_by_one_system_in_closed_form(monkeypatch):
     monkeypatch.setattr(linalg, "_lu_mod", None)
     rhs = [[b] for b in (0, 1, -1, 6, -6, 35, 10**30 + 7, -(2**90))]
     for m in (1, -1, 2, -6, 7, 14, -(10**30 + 7), 3**60):
-        solved = linalg._solve_checked([[m]], rhs)
-        assert len(solved) == len(rhs)
+        det, solved = linalg._criterion_certificate([[m]], False, exact=False, rhs=rhs)
+        assert det == m and len(solved) == len(rhs)
         for (d, (y,)), (b,) in zip(solved, rhs):
             assert d > 0 and Fraction(y, d) == Fraction(b, m)
             assert d == Fraction(b, m).denominator  # D is the lcm of y's denominators
-    assert linalg._solve_checked([[0]], rhs) is None
+    assert linalg._criterion_certificate([[0]], False, rhs=rhs) == (0, [[1]])
 
 
 def _inverse(m):
@@ -714,23 +726,25 @@ def _no_exact_elimination(*args, **kwargs):
 
 @given(_matrices_with_unlucky_primes())
 def test_the_prime_routes_keep_their_contracts(case):
-    # _solve_checked is None exactly when det M = 0, else each (D, v) has
-    # M v = D b, D the lcm of the solution's denominators; _criterion_certificate
-    # gives det M and, when it is 0, a kernel that spans the null space; neither
-    # runs an exact elimination, whichever primes divide det M
+    # _criterion_certificate gives det M and, when it is 0, a kernel that
+    # spans the null space, else for each b a (D, v) with M v = D b, D the lcm
+    # of the solution's denominators; the same det and kernel with no rhs; no
+    # exact elimination runs, whichever primes divide det M
     rows, rhs = case
     det = determinant_oracle(rows)
     null_space = null_space_oracle(Matrix.from_rows(rows))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_bareiss", _no_exact_elimination)
-        solved = linalg._solve_checked(rows, rhs)
-        certificate, kernel = linalg._criterion_certificate(rows, True)
-    assert (solved is None) == (det == 0)
-    for (d, v), b in zip(solved or [], rhs):
-        assert all(sum(map(operator.mul, row, v)) == d * e for row, e in zip(rows, b))
-        assert d == math.lcm(*(F(e, d).denominator for e in v))
+        certificate, found = linalg._criterion_certificate(rows, True, rhs=rhs)
+        assert linalg._criterion_certificate(rows, True) == (det, found if det == 0 else [])
     assert certificate == det
-    assert (_echelon_rows(kernel) if kernel else []) == (null_space if det == 0 else [])
+    if det == 0:
+        assert _echelon_rows(found) == null_space
+    else:
+        assert len(found) == len(rhs)
+        for (d, v), b in zip(found, rhs):
+            assert all(sum(map(operator.mul, row, v)) == d * e for row, e in zip(rows, b))
+            assert d == math.lcm(*(F(e, d).denominator for e in v))
 
 
 # -- null spaces ----------------------------------------------------------

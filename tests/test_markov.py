@@ -714,6 +714,10 @@ def test_report_matches_the_bareiss_and_fraction_null_space_route(monkeypatch):
                 assert report == expected
                 assert report_to_dict(report) == report_to_dict(expected)
                 found += report.witness is not None
+                # the class-pair route with the oracle's determinants, kernels and solutions
+                with monkeypatch.context() as patch:
+                    patch.setattr(markov, "_criterion_certificate", certificate_oracle)
+                    assert zeon_criterion(a) == report
     assert found >= 40, found
 
 
@@ -1093,7 +1097,7 @@ def test_a_determinant_that_contradicts_the_classical_verdict_is_an_error(
     else:
         a = validate_stochastic(UNIFORM2)
         monkeypatch.setattr(markov, "_criterion_certificate",
-                            lambda rows, whole_kernel, exact: (det, []))
+                            lambda rows, whole_kernel, exact, rhs: (det, []))
     with pytest.raises(RuntimeError, match="disagree"):
         zeon_criterion(a)
 
@@ -1108,12 +1112,16 @@ def test_a_block_determinant_that_breaks_the_regular_rule_is_an_error(chains, mo
 
 
 def test_a_transient_block_proven_singular_is_an_error(chains, monkeypatch, capsys):
-    # a block that meets a transient state is a nonsingular M-matrix, so one that
-    # _solve_checked proves singular contradicts the classical oracles: the
-    # analysis raises, with no larger block built, and analyze exits 4; the
+    # a block that meets a transient state is a nonsingular M-matrix, so one
+    # that _criterion_certificate proves singular while it solves for a kernel
+    # vector's extension contradicts the classical oracles: the analysis
+    # raises, with no larger block built, and analyze exits 4; the
     # determinant-only callers solve no transient block
     expected = check_equivalence(chains[2])
-    monkeypatch.setattr(markov, "_solve_checked", lambda rows, rhs: None)
+    certificate = markov._criterion_certificate
+    monkeypatch.setattr(markov, "_criterion_certificate",
+                        lambda rows, whole_kernel, exact, rhs: (0, [[1] * len(rows)]) if rhs
+                        else certificate(rows, whole_kernel, exact, rhs))
     _refuse_blocks_past_the_largest_class_pair(monkeypatch, chains[2])
     with pytest.raises(RuntimeError, match="disagree"):
         zeon_criterion(chains[2])
@@ -1193,15 +1201,17 @@ def test_a_transient_determinant_solves_no_transient_block(monkeypatch):
     families = _bench_families()
     cases = [(_bench_chain(families, families.TRANSIENT, 30, 0), True),
              (_ergodic_class_with_transient_states(families, 12, 6, 0), False)]
+    certificate = markov._criterion_certificate
     for a, singular in cases:
         for determinant in _determinant_callers():
+            calls = []  # each certificate's whole_kernel and rhs
             with monkeypatch.context() as patch:
-                solves = _counting(patch, linalg, "_solve_checked", markov)
                 _refuse_blocks_past_the_largest_class_pair(patch, a)
-                certificates = _counting(patch, linalg, "_criterion_certificate", markov)
+                patch.setattr(markov, "_criterion_certificate",
+                              lambda rows, whole_kernel, exact, rhs: calls.append(
+                                  (whole_kernel, rhs)) or certificate(rows, whole_kernel, exact, rhs))
                 assert (determinant(a) == 0) == singular
-            assert solves == []
-            assert all(whole_kernel is False for _, whole_kernel in certificates)
+            assert calls and all(whole_kernel is False and not rhs for whole_kernel, rhs in calls)
 
 
 def test_the_kernel_of_a_closed_class_pair_block_has_the_predicted_size(chains):
