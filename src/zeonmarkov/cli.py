@@ -19,7 +19,6 @@ import argparse
 import functools
 import io
 import json
-import operator
 import os
 import random
 import sys
@@ -207,15 +206,10 @@ def _check_trace_identities(a: Matrix, x: DegreeTwoVector) -> bool:
     return ok
 
 
-def _sides_equal(identity):
-    """The check that ``identity(x, a)``, an (lhs, rhs) pair, has equal sides."""
-    return lambda a, x: operator.eq(*identity(x, a))
-
-
 IDENTITY_CHECKS = {
     "basic-relations": _check_basic_relations,
     "trace-identities": _check_trace_identities,
-    "integration-by-parts": _sides_equal(degree2.integration_by_parts),
+    "integration-by-parts": lambda a, x: (v := degree2.integration_by_parts(x, a))[0] == v[1],
     "mass-left": lambda a, x: (v := degree2.general_bp_identities(x, a)).first_lhs == v.first_rhs,
     "mass-right": lambda a, x: (v := degree2.general_bp_identities(x, a)).second_lhs == v.second_rhs,
 }
@@ -260,6 +254,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    """The classical witness of a closed chain that is not ergodic, checked as
+    the analysis checks it (``markov._fixed_witness``): exit 0 when Psi2(A)
+    fixes it, else 1."""
     doc = _read_matrix(args.matrix)
     chain = _stochastic(doc)
     structure = markov.chain_structure(chain)
@@ -268,18 +265,13 @@ def cmd_witness(args) -> int:
         raise CliError(f"transient states present ({{{states}}}); no witness construction applies")
     if structure.is_irreducible and structure.is_aperiodic:
         raise CliError("chain is ergodic; no nonnegative fixed vector exists")
-    if structure.is_irreducible:
-        try:
-            witness = markov.witness_periodic(structure, args.delta)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        kind = "cyclic-distance"
-    else:
-        if args.delta != 1:
-            raise CliError("--delta applies only to irreducible periodic chains")
-        witness = markov.witness_reducible(structure)
-        kind = "cross-class"
-    fixed = not any(markov._criterion_product(*chain.matrix.integer_rows(), witness.coords))
+    if not structure.is_irreducible and args.delta != 1:
+        raise CliError("--delta applies only to irreducible periodic chains")
+    try:
+        witness, fixed = markov._fixed_witness(*chain.matrix.integer_rows(), structure, args.delta)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    kind = "cyclic-distance" if structure.is_irreducible else "cross-class"
     payload = vector_to_dict(witness)
     payload.update({
         "kind": kind,

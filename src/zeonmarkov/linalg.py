@@ -9,11 +9,11 @@ code can decide genuine dichotomies (a determinant is zero or it is not).
 A matrix is also a list of integer rows over positive row scales. A
 parsed matrix (``documents``, from ``parse_literal``'s integer pairs) and
 the compounds of ``zeon`` are held as those rows alone, their entries built
-on first read; a matrix built from its entries makes them on each use,
-until a validated chain (``markov.StochasticMatrix``) keeps them. Products
-and every exact elimination run on those rows and build a ``Fraction``
-only for an output entry. ``A * B`` brings B's rows to one common scale s,
-so entry (i, j) is one integer dot product over A's row scale times s.
+on first read; a matrix built from its entries builds the rows on first
+use. Either keeps what it builds. Products and every exact elimination
+run on those rows and build a ``Fraction`` only for an output entry.
+``A * B`` brings B's rows to one common scale s, so entry (i, j) is one
+integer dot product over A's row scale times s.
 Eliminations (determinants, reduced row-echelon forms, null spaces) go
 through one fraction-free (Bareiss) routine, ``_bareiss``.
 The determinant of a square integer matrix and either the right kernel
@@ -602,9 +602,9 @@ class Matrix:
 
     def __getattr__(self, name: str):
         # Runs only when a slot is unset: the entries of a matrix held as
-        # integer rows, built on first read and kept; or the integer rows of
-        # one built from its entries, over the lcms of their denominators,
-        # made on each use and kept only by a validated chain.
+        # integer rows, or the integer rows of one built from its entries,
+        # over the lcms of their denominators; either is built on first
+        # read and kept.
         if name == "data":
             numerators, scales = self._integer
             self.data = tuple(_ratio(e, d) for row, d in zip(numerators, scales) for e in row)
@@ -612,8 +612,9 @@ class Matrix:
         if name == "_integer":
             rows = [self.row(i) for i in range(self.rows)]
             scales = [math.lcm(*(e.denominator for e in row)) for row in rows]
-            return [[e.numerator * (d // e.denominator) for e in row] if d > 1 else row
-                    for row, d in zip(rows, scales)], scales
+            self._integer = ([[e.numerator * (d // e.denominator) for e in row] if d > 1 else row
+                              for row, d in zip(rows, scales)], scales)
+            return self._integer
         raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # -- constructors -------------------------------------------------

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import mul, ne
 from typing import Optional
 
 from .degree2 import DegreeTwoVector
@@ -41,12 +41,10 @@ class StochasticMatrix:
 
     def __post_init__(self):
         # on the integer rows N_i / d_i (d_i > 0): signs are the numerators',
-        # and row i sums to 1 exactly when sum(N_i) == d_i. The rows are set
-        # on the matrix, so that no analysis of the chain makes them again.
+        # and row i sums to 1 exactly when sum(N_i) == d_i
         m = self.matrix
         if not m.is_square:
             raise NotStochasticError(f"matrix is {m.rows}x{m.cols}, not square")
-        m._integer = m._integer  # the held rows, or rows made now from the entries
         numerators, scales = m._integer
         for i, (row, d) in enumerate(zip(numerators, scales)):
             for j, e in enumerate(row):
@@ -393,7 +391,7 @@ def _criterion_det(numerators: list, scales: list, structure: ChainStructure) ->
     goes to M's class-pair blocks, which stop at the first singular closed
     block (``_block_certificate`` without ``whole_kernel``)."""
     if (structure.all_closed and not structure.is_regular
-            and _fixed_witness(numerators, scales, structure) is not None):
+            and _fixed_witness(numerators, scales, structure)[1]):
         return 0
     return _block_certificate(numerators, scales, structure, whole_kernel=False)[0]
 
@@ -417,21 +415,14 @@ def _det_d(scales: list) -> int:
     return math.prod(scales) ** (len(scales) - 1)
 
 
-def _criterion_product(numerators: list, scales: list, coords, rows: Optional[list] = None) -> list:
-    """M x on the rows ``rows``, pairs (i, j) of 0-based states in either order
-    (every pair i < j, in pair order, by default), M the criterion rows of
-    the integer rows N_i / d_i and x the pair vector ``coords``, with no N x N
-    matrix. Row (i, j) of Psi2(N) dotted with x is (N X^ N^T)_ij =
-    N_j X^ N_i^T, X^ the hollow symmetric matrix of x (Psi2(A) X^dagger =
-    Mat^-1(A X^ A*) off the diagonal), so entry (i, j) is
-    d_i d_j x_ij - N_j X^ N_i^T: O(|I| n^2 + |rows| n) work, I the first
-    states of ``rows``, and O(n^3) on every pair."""
-    n = len(scales)
-    hat = [[0] * n for _ in range(n)]
-    for (i, j), x in zip(combinations(range(n), 2), coords):
-        hat[i][j] = hat[j][i] = x
-    if rows is None:
-        rows = list(combinations(range(n), 2))
+def _criterion_product(numerators: list, scales: list, hat: list, rows: list) -> list:
+    """M x on the rows ``rows``, pairs (i, j) of 0-based states in either
+    order, M the criterion rows of the integer rows N_i / d_i and ``hat`` the
+    n x n hollow symmetric matrix X^ = Mat(x) of the pair vector x, with no
+    N x N matrix. Row (i, j) of Psi2(N) dotted with x is (N X^ N^T)_ij =
+    N_j X^ N_i^T (Psi2(A) X^dagger = Mat^-1(A X^ A*) off the diagonal), so
+    entry (i, j) is d_i d_j X^_ij - N_j X^ N_i^T: O(|I| n^2 + |rows| n)
+    work, I the first states of ``rows``, and O(n^3) on every pair."""
     sides = {i: [sum(map(mul, row, numerators[i])) for row in hat]  # X^ N_i^T
              for i in {i for i, _ in rows}}
     return [scales[i] * scales[j] * hat[i][j] - sum(map(mul, numerators[j], sides[i]))
@@ -455,13 +446,14 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
     is one of a singular closed M_ab's, x_C, extended block by block in
     order of height sum: each transient block's x_B solves
     M_BB x_B = -M x on B's rows (one ``_criterion_product``), x being 0
-    there and on the blocks not yet solved.
+    there and on the blocks not yet solved. Each kernel vector is kept as
+    its n x n X^ while it is extended, and read out in pair order on return.
 
     Each block takes one ``_criterion_certificate``, the likeliest singular
     closed blocks (across two classes, or in a periodic one) first: a det is
     lifted only while no closed M_ab has been found singular, each singular
     closed M_ab gives its whole kernel, and each transient M_BB the x_B of
-    every kernel vector, x scaled by the solution's denominator: block by
+    every kernel vector, X^ scaled by the solution's denominator: block by
     block, the checks prove M x = 0. With no singular closed M_ab, det M is
     the product of the blocks' dets (an irreducible chain: one closed block,
     all of M). A transient M_BB proven singular while a kernel is extended
@@ -471,25 +463,22 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
     det M is asked for: the first block with a checked kernel vector proves
     det M = 0, and (0, []) is returned with no kernel built.
     """
-    owner = [0] * len(scales)
-    for index, states in enumerate(structure.classes):
-        for s in states:
-            owner[s - 1] = index
+    n = len(scales)
+    owner = _labels(structure.classes, n)
     sizes = [len(states) for states in structure.classes]
-    blocks = {}  # per class pair: its pair indices, and its pairs (i, j), i in its smaller class
-    for r, (i, j) in enumerate(combinations(range(len(scales)), 2)):
-        a, b = owner[i], owner[j]
-        members, pairs = blocks.setdefault((a, b) if a < b else (b, a), ([], []))
-        members.append(r)  # M's entries of a pair do not depend on its order
-        pairs.append((j, i) if (sizes[b], b) < (sizes[a], a) else (i, j))
+    blocks = {}  # per class pair: its pairs (i, j), i in its smaller class
+    for i, j in combinations(range(n), 2):
+        a, b = owner[i], owner[j]  # M's entries of a pair do not depend on its order
+        blocks.setdefault((a, b) if a < b else (b, a), []).append(
+            (j, i) if (sizes[b], b) < (sizes[a], a) else (i, j))
     height = _class_heights(numerators, owner, structure)
-    kernel, dets = [], []
+    kernel, dets = [], []  # the kernel vectors as their X^
     for a, b in sorted(blocks, key=lambda ab: (height[ab[0]] + height[ab[1]],
                                                ab[0] == ab[1] and structure.periods[ab[0]] == 1)):
-        members, pairs = blocks[a, b]
+        pairs = blocks[a, b]
         closed = structure.closed[a] and structure.closed[b]
-        rhs = [] if closed else [[-e for e in _criterion_product(numerators, scales, x, pairs)]
-                                 for x in kernel]
+        rhs = [] if closed else [[-e for e in _criterion_product(numerators, scales, hat, pairs)]
+                                 for hat in kernel]
         det, found = _criterion_certificate(_criterion_block(numerators, scales, pairs),
                                             whole_kernel and closed, exact=not kernel, rhs=rhs)
         if det == 0 and rhs:
@@ -500,17 +489,27 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
         dets.append(det)
         if closed:
             for v in found:  # a kernel vector of M_ab, 0 off the block, is one of M
-                x = [0] * math.comb(len(scales), 2)
-                for r, e in zip(members, v):
-                    x[r] = e
-                kernel.append(x)
+                kernel.append([[0] * n for _ in range(n)])
+                for (i, j), e in zip(pairs, v):
+                    kernel[-1][i][j] = kernel[-1][j][i] = e
         else:
-            for x, (d, y) in zip(kernel, found):  # M_BB y = -d M x on B's rows
+            for hat, (d, y) in zip(kernel, found):  # M_BB y = -d M x on B's rows
                 if d != 1:
-                    x[:] = [d * e for e in x]
-                for r, e in zip(members, y):
-                    x[r] = e
-    return (0, kernel) if kernel else (math.prod(dets), [])
+                    hat[:] = [[d * e for e in row] for row in hat]
+                for (i, j), e in zip(pairs, y):
+                    hat[i][j] = hat[j][i] = e
+    return ((0, [[hat[i][j] for i, j in combinations(range(n), 2)] for hat in kernel]) if kernel
+            else (math.prod(dets), []))
+
+
+def _labels(groups: tuple, n: int) -> list:
+    """Each 0-based state's index in ``groups``, tuples of 1-based states
+    that partition 1..n: its class, or its cyclic class."""
+    labels = [0] * n
+    for index, states in enumerate(groups):
+        for s in states:
+            labels[s - 1] = index
+    return labels
 
 
 def _class_heights(numerators: list, owner: list, structure: ChainStructure) -> list:
@@ -572,8 +571,8 @@ def _analysis(a: StochasticMatrix) -> tuple[ErgodicityReport, ChainStructure]:
     pis = _class_distributions(numerators, scales, structure)
     witness = None
     if structure.all_closed and not structure.is_regular:
-        witness = _fixed_witness(numerators, scales, structure)
-        if witness is None:
+        witness, fixed = _fixed_witness(numerators, scales, structure)
+        if not fixed:
             raise RuntimeError("the classical oracles say not-ergodic, but their witness is not "
                                "fixed by Psi2(A); ergodic is not refuted: the two routes disagree")
         det_value, verdict = 0, Verdict.NOT_ERGODIC
@@ -601,15 +600,29 @@ def _analysis(a: StochasticMatrix) -> tuple[ErgodicityReport, ChainStructure]:
     ), structure
 
 
-def _fixed_witness(numerators: list, scales: list,
-                   structure: ChainStructure) -> Optional[DegreeTwoVector]:
+def _fixed_witness(numerators: list, scales: list, structure: ChainStructure,
+                   delta: int = 1) -> tuple[DegreeTwoVector, bool]:
     """The classical oracles' witness w of a closed chain that is not regular
-    (``witness_periodic`` of an irreducible one, else ``witness_reducible``),
-    from the integer rows N_i / d_i of A, when M w = 0 on every row of M, the
-    criterion rows (``_criterion_product``, O(n^3)): that proves
-    det M = 0. None when w is not fixed by Psi2(A)."""
-    witness = (witness_periodic if structure.is_irreducible else witness_reducible)(structure)
-    return None if any(_criterion_product(numerators, scales, witness.coords)) else witness
+    (``witness_periodic`` at cyclic distance ``delta`` of an irreducible one,
+    else ``witness_reducible``), and whether M w = 0 on every row of M, the
+    criterion rows of the integer rows N_i / d_i of A: one
+    ``_criterion_product`` on W^, O(n^3). True proves det M = 0; False says
+    that w is not fixed by Psi2(A)."""
+    witness = (witness_periodic(structure, delta) if structure.is_irreducible
+               else witness_reducible(structure))
+    n = structure.n
+    pairs = list(combinations(range(n), 2))
+    hat = [[0] * n for _ in range(n)]
+    for (i, j), x in zip(pairs, witness.coords):
+        hat[i][j] = hat[j][i] = x
+    return witness, not any(_criterion_product(numerators, scales, hat, pairs))
+
+
+def _indicator(labels: list, hit) -> DegreeTwoVector:
+    """The pair vector of the 0-based state labels ``labels``: x_ij is 1 where
+    ``hit(labels[i], labels[j])``, else 0."""
+    return DegreeTwoVector(len(labels), [int(hit(labels[i], labels[j]))
+                                         for i, j in combinations(range(len(labels)), 2)])
 
 
 def witness_reducible(structure: ChainStructure) -> DegreeTwoVector:
@@ -620,16 +633,7 @@ def witness_reducible(structure: ChainStructure) -> DegreeTwoVector:
         raise ValueError("need at least two classes for a cross-class witness")
     if not structure.all_closed:
         raise ValueError("cross-class witness needs every class closed")
-    owner = {}
-    for idx, c in enumerate(structure.classes):
-        for s in c:
-            owner[s] = idx
-    values = {}
-    for i in range(1, structure.n + 1):
-        for j in range(i + 1, structure.n + 1):
-            if owner[i] != owner[j]:
-                values[(i, j)] = 1
-    return DegreeTwoVector.from_pairs(structure.n, values)
+    return _indicator(_labels(structure.classes, structure.n), ne)
 
 
 def witness_periodic(structure: ChainStructure, delta: int = 1) -> DegreeTwoVector:
@@ -644,18 +648,8 @@ def witness_periodic(structure: ChainStructure, delta: int = 1) -> DegreeTwoVect
         raise ValueError("chain is aperiodic: no periodic witness exists")
     if not 1 <= delta <= period // 2:
         raise ValueError(f"delta must be between 1 and {period // 2} for period {period}")
-    cyclic = structure.cyclic_classes[0]
-    phase = {}
-    for k, group in enumerate(cyclic):
-        for s in group:
-            phase[s] = k
-    values = {}
-    for i in range(1, structure.n + 1):
-        for j in range(i + 1, structure.n + 1):
-            diff = abs(phase[i] - phase[j])
-            if min(diff, period - diff) == delta:
-                values[(i, j)] = 1
-    return DegreeTwoVector.from_pairs(structure.n, values)
+    phase = _labels(structure.cyclic_classes[0], structure.n)
+    return _indicator(phase, lambda a, b: (a - b) % period in (delta, period - delta))
 
 
 # -- equivalence harness ----------------------------------------------

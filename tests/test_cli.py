@@ -425,7 +425,8 @@ def test_analyze_formats_an_oversized_row_sum(tmp_path, capsys):
 
 def test_a_determinant_contradicting_the_classical_verdict_exits_four(monkeypatch, capsys):
     # invertible rows (the 10 x 10 identity, det D = 1): M w = w, so no witness is fixed
-    monkeypatch.setattr(markov, "_criterion_product", lambda numerators, scales, coords: coords)
+    monkeypatch.setattr(markov, "_criterion_product",
+                        lambda numerators, scales, hat, rows: [hat[i][j] for i, j in rows])
     code, out, err = run(capsys, "analyze", fixture_path("example3.json"))
     assert code == 4 and out == ""
     assert err.startswith("zeonmarkov: internal error: RuntimeError: the classical oracles say "
@@ -619,12 +620,13 @@ def test_witness_checks_its_vector_without_the_compound(monkeypatch, capsys):
     # the witness is proven on the n x n sandwich; its output is the one the
     # compound route gives: M w = 0 exactly when Psi2(A) w = w
     from zeonmarkov import cli, degree2, zeon
-    from zeonmarkov.degree2 import DegreeTwoVector
 
-    def compound_route(numerators, scales, coords):
+    def compound_route(numerators, scales, hat, rows):
         a = Matrix.from_rows([[F(e, d) for e in row] for row, d in zip(numerators, scales)])
-        fixed = degree2.right_action(a, DegreeTwoVector(len(scales), coords))
-        return [y - x for x, y in zip(coords, fixed.coords)]
+        x = degree2.unmat(Matrix.from_rows(hat))
+        fixed = degree2.right_action(a, x)
+        moved = dict(zip(x.pairs(), (y - v for v, y in zip(x.coords, fixed.coords))))
+        return [moved[min(i, j) + 1, max(i, j) + 1] for i, j in rows]
 
     def refuse(*args, **kwargs):
         raise AssertionError("compound built")

@@ -184,6 +184,23 @@ def test_sums_and_scalar_products_match_the_parsed_constructor():
     assert_same_entries(-held, Matrix(6, 6, [-e for e in held.data]))
 
 
+def test_a_matrix_built_from_entries_makes_its_integer_rows_once(monkeypatch):
+    # the rows are kept by the matrix itself, with no validated chain around it
+    builds = []
+    getattr_ = Matrix.__getattr__
+
+    def counting(self, name):
+        if name == "_integer":
+            builds.append(self)
+        return getattr_(self, name)
+
+    monkeypatch.setattr(Matrix, "__getattr__", counting)
+    m = Matrix.from_rows([[Fraction(1, 3), Fraction(-5, 6)], [Fraction(7, 4), 2]])
+    first = m.integer_rows()
+    assert m.integer_rows() == first == ([[2, -5], [7, 8]], [6, 4])
+    assert sum(b is m for b in builds) == 1
+
+
 def test_product_over_a_zero_inner_dimension_is_the_zero_matrix():
     product = Matrix(2, 0, []) * Matrix(0, 3, [])
     assert_same_entries(product, Matrix.zeros(2, 3))

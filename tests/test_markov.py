@@ -597,6 +597,11 @@ def _sandwich_cases():
         yield validate_stochastic(Matrix.from_rows(rows)), f"10^30 n={n}"
 
 
+def _hat(n, coords):
+    # X^ of the pair vector, by the degree-2 embedding, as integer rows
+    return mat_embed(DegreeTwoVector(n, coords)).to_lists()
+
+
 def test_the_sandwich_product_matches_the_criterion_rows():
     rng = random.Random(42)
     count = 0
@@ -611,8 +616,9 @@ def test_the_sandwich_product_matches_the_criterion_rows():
             vectors.append(list(witness_reducible(structure).coords))
         elif structure.is_irreducible and not structure.is_aperiodic:
             vectors.append(list(witness_periodic(structure).coords))
+        pairs = list(itertools.combinations(range(a.n), 2))
         for x in vectors:
-            product = markov._criterion_product(numerators, scales, x)
+            product = markov._criterion_product(numerators, scales, _hat(a.n, x), pairs)
             assert product == [sum(map(operator.mul, row, x)) for row in rows], label
             assert all(type(e) is int for e in product)
         if len(vectors) == 4:
@@ -633,7 +639,7 @@ def test_the_sandwich_product_on_some_rows_matches_those_criterion_rows():
         for count in (0, 1, rng.randint(1, len(pairs)), len(pairs)):
             chosen = rng.sample(range(len(pairs)), count)
             oriented = [pairs[r][::rng.choice((1, -1))] for r in chosen]
-            assert markov._criterion_product(numerators, scales, x, oriented) == [
+            assert markov._criterion_product(numerators, scales, _hat(a.n, x), oriented) == [
                 sum(map(operator.mul, rows[r], x)) for r in chosen], label
 
 
@@ -1093,7 +1099,7 @@ def test_a_determinant_that_contradicts_the_classical_verdict_is_an_error(
         # det (det D = 1), so that M w = det w != 0 and no witness is fixed
         a = chains[3]
         monkeypatch.setattr(markov, "_criterion_product",
-                            lambda numerators, scales, coords: [det * x for x in coords])
+                            lambda numerators, scales, hat, rows: [det * hat[i][j] for i, j in rows])
     else:
         a = validate_stochastic(UNIFORM2)
         monkeypatch.setattr(markov, "_criterion_certificate",
@@ -1138,7 +1144,7 @@ def test_a_witness_that_is_not_fixed_is_an_error(chains, monkeypatch, index, con
     a = chains[index]
     wrong = DegreeTwoVector.from_pairs(a.n, {(1, 2): 1})
     assert right_action(a.matrix, wrong) != wrong
-    monkeypatch.setattr(markov, construction, lambda structure: wrong)
+    monkeypatch.setattr(markov, construction, lambda structure, delta=1: wrong)
     with pytest.raises(RuntimeError, match="not fixed"):
         zeon_criterion(a)
 
@@ -1151,13 +1157,32 @@ def test_a_witness_that_is_not_fixed_leaves_the_determinant_to_the_blocks(chains
     # classical verdict shows up as a counterexample; the analysis still raises
     a = chains[index]
     wrong = DegreeTwoVector.from_pairs(a.n, {(1, 2): 1})
-    monkeypatch.setattr(markov, construction, lambda structure: wrong)
+    monkeypatch.setattr(markov, construction, lambda structure, delta=1: wrong)
     blocks = _counting(monkeypatch, markov, "_block_certificate")
     chk = check_equivalence(a)
     assert chk.det_value == 0 and chk.consistent and len(blocks) == 1
     assert criterion_determinant(a) == 0 and len(blocks) == 2
     with pytest.raises(RuntimeError, match="not fixed"):
         zeon_criterion(a)
+
+
+def test_witness_gives_the_vector_that_analyze_reports(tmp_path, capsys):
+    # the witness command and the analysis choose and check the witness on one
+    # path: the same coordinates, and a vector the command finds fixed
+    families = _bench_families()
+    paths = [fixture_path(f"example{k}.json") for k in (3, 4, 5)]
+    for family in (families.REDUCIBLE, families.PERIODIC):
+        for n in range(4, 13):
+            path = tmp_path / f"{family}{n}.json"
+            path.write_text(json.dumps(families.to_json(families.make(random.Random(n), family, n))))
+            paths.append(str(path))
+    for path in paths:
+        assert main(["analyze", path]) == 1
+        reported = json.loads(capsys.readouterr().out)["report"]["witness"]
+        assert main(["witness", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["coords"] == reported["coords"] and payload["fixed_point_verified"] is True
+        assert "1" in payload["coords"], path
 
 
 def _determinant_callers():
