@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .linalg import Matrix, Scalar, ScalarLike, _common_scale, _ratio, as_scalar
 from .zeon import _psi2_rows, subset_basis, zeon_power
@@ -46,21 +46,6 @@ class DegreeTwoVector:
             )
         self.n = n
         self.coords = coords
-
-    @classmethod
-    def zero(cls, n: int) -> "DegreeTwoVector":
-        return cls(n, [0] * len(subset_basis(n, 2)))
-
-    @classmethod
-    def from_pairs(cls, n: int, values: Mapping[tuple, ScalarLike]) -> "DegreeTwoVector":
-        """Build from a {(i, j): value} mapping; missing pairs are zero."""
-        basis = subset_basis(n, 2)
-        coords = [0] * len(basis)
-        for (i, j), v in values.items():
-            if i > j:
-                i, j = j, i
-            coords[basis.rank((i, j))] = v
-        return cls(n, coords)
 
     @classmethod
     def from_row(cls, row: Matrix, n: int) -> "DegreeTwoVector":
@@ -85,9 +70,6 @@ class DegreeTwoVector:
 
     def is_nonnegative(self) -> bool:
         return all(c >= 0 for c in self.coords)
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
 
     def __add__(self, other: "DegreeTwoVector") -> "DegreeTwoVector":
         self._same_space(other)
@@ -144,14 +126,6 @@ def unmat(h: Matrix) -> DegreeTwoVector:
             if h[i, j] != h[j, i]:
                 raise ValueError(f"matrix is not symmetric at ({i + 1},{j + 1})")
     return DegreeTwoVector(n, [h[i - 1, j - 1] for i, j in subset_basis(n, 2).subsets])
-
-
-def is_hollow_symmetric(m: Matrix) -> bool:
-    if not m.is_square:
-        return False
-    return all(m[i, i] == 0 for i in range(m.rows)) and all(
-        m[i, j] == m[j, i] for i in range(m.rows) for j in range(i + 1, m.rows)
-    )
 
 
 def inner_product(x: DegreeTwoVector, y: DegreeTwoVector) -> Scalar:

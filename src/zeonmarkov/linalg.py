@@ -824,7 +824,4 @@ class Matrix:
         if not basis_rows:
             return []
         canon, _ = Matrix.from_rows(basis_rows).rref()
-        return [canon.row_matrix(i).T for i in range(len(basis_rows))]
-
-    def row_matrix(self, i: int) -> "Matrix":
-        return Matrix(1, self.cols, self.row(i))
+        return [Matrix(self.cols, 1, canon.row(i)) for i in range(len(basis_rows))]

@@ -6,9 +6,10 @@ state diagram (irreducible), unit gcd of cycle lengths (aperiodic), or
 equivalently some strictly positive power (quasi-positive). The new
 route computes det(I - Psi2(A)) exactly: it is nonzero exactly when the
 chain has one closed class, aperiodic (``is_regular``), so ergodic when
-every class is closed; when it vanishes an explicit nonnegative fixed
-vector of Psi2(A) is produced as a certificate (a cross-class indicator
-for reducible chains, a cyclic-distance indicator for periodic ones).
+every class is closed. Its block on two closed classes has their cyclic
+indicators as kernel (Perron-Frobenius). When it vanishes, a nonnegative
+fixed vector of Psi2(A) is the certificate (a cross-class indicator for
+reducible chains, a cyclic-distance one for periodic ones).
 
 States are labelled 1..n everywhere in this module's reports.
 """
@@ -388,8 +389,9 @@ def _criterion_det(numerators: list, scales: list, structure: ChainStructure) ->
     of the given structure, with no kernel. On a closed chain that is not
     regular, the oracles' witness fixed by Psi2(A) (``_fixed_witness``) proves
     det M = 0 with no LU; a witness that is not fixed, and every other chain,
-    goes to M's class-pair blocks, which stop at the first singular closed
-    block (``_block_certificate`` without ``whole_kernel``)."""
+    goes to M's class-pair blocks (``_block_certificate`` without
+    ``whole_kernel``), which stop at the first singular closed block: with
+    two closed classes the block across them, with no LU either."""
     if (structure.all_closed and not structure.is_regular
             and _fixed_witness(numerators, scales, structure)[1]):
         return 0
@@ -449,18 +451,20 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
     there and on the blocks not yet solved. Each kernel vector is kept as
     its n x n X^ while it is extended, and read out in pair order on return.
 
-    Each block takes one ``_criterion_certificate``, the likeliest singular
-    closed blocks (across two classes, or in a periodic one) first: a det is
-    lifted only while no closed M_ab has been found singular, each singular
-    closed M_ab gives its whole kernel, and each transient M_BB the x_B of
-    every kernel vector, X^ scaled by the solution's denominator: block by
-    block, the checks prove M x = 0. With no singular closed M_ab, det M is
-    the product of the blocks' dets (an irreducible chain: one closed block,
-    all of M). A transient M_BB proven singular while a kernel is extended
-    contradicts ``is_regular``'s M-matrix fact: RuntimeError, the routes
-    disagree; otherwise it makes det M = 0, with no kernel. No block is
-    larger than the largest class pair's. Without ``whole_kernel`` only
-    det M is asked for: the first block with a checked kernel vector proves
+    The closed blocks go first, those across two classes before those inside
+    one, periodic before aperiodic. The kernel of a block across two closed
+    classes is its checked cyclic indicators (``_cyclic_kernel``), with no
+    LU. Every other block, and one whose check fails, takes one
+    ``_criterion_certificate``: a det is lifted only while no kernel vector
+    is found, each singular closed M_ab gives its whole kernel, and each
+    transient M_BB the x_B of every kernel vector, X^ scaled by the
+    solution's denominator: block by block, the checks prove M x = 0. With
+    no kernel, det M is the product of the blocks' dets (an irreducible
+    chain: one closed block, all of M). A transient M_BB proven singular
+    while a kernel is extended contradicts ``is_regular``'s M-matrix fact:
+    RuntimeError, the routes disagree; otherwise it makes det M = 0, with no
+    kernel. No block is larger than the largest class pair's. Without
+    ``whole_kernel`` the first block with a checked kernel vector proves
     det M = 0, and (0, []) is returned with no kernel built.
     """
     n = len(scales)
@@ -473,25 +477,24 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
             (j, i) if (sizes[b], b) < (sizes[a], a) else (i, j))
     height = _class_heights(numerators, owner, structure)
     kernel, dets = [], []  # the kernel vectors as their X^
-    for a, b in sorted(blocks, key=lambda ab: (height[ab[0]] + height[ab[1]],
-                                               ab[0] == ab[1] and structure.periods[ab[0]] == 1)):
+    for a, b in sorted(blocks, key=lambda ab: (height[ab[0]] + height[ab[1]], ab[0] == ab[1],
+                                               structure.periods[ab[0]] == 1)):
         pairs = blocks[a, b]
         closed = structure.closed[a] and structure.closed[b]
         rhs = [] if closed else [[-e for e in _criterion_product(numerators, scales, hat, pairs)]
                                  for hat in kernel]
-        det, found = _criterion_certificate(_criterion_block(numerators, scales, pairs),
-                                            whole_kernel and closed, exact=not kernel, rhs=rhs)
+        found = closed and a != b and _cyclic_kernel(numerators, scales, structure, a, b, pairs)
+        det, found = (0, found) if found else _criterion_certificate(
+            _criterion_block(numerators, scales, pairs), whole_kernel and closed,
+            exact=not kernel, rhs=rhs)
         if det == 0 and rhs:
             raise RuntimeError("a block of pairs meeting a transient state is singular, not an "
                                "M-matrix as the classical oracles say: the two routes disagree")
         if det == 0 and not (whole_kernel and closed):
             return 0, []
         dets.append(det)
-        if closed:
-            for v in found:  # a kernel vector of M_ab, 0 off the block, is one of M
-                kernel.append([[0] * n for _ in range(n)])
-                for (i, j), e in zip(pairs, v):
-                    kernel[-1][i][j] = kernel[-1][j][i] = e
+        if closed:  # M_ab's kernel vectors, 0 off the block, to extend
+            kernel += [_hat(n, pairs, v) for v in found]
         else:
             for hat, (d, y) in zip(kernel, found):  # M_BB y = -d M x on B's rows
                 if d != 1:
@@ -503,13 +506,42 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
 
 
 def _labels(groups: tuple, n: int) -> list:
-    """Each 0-based state's index in ``groups``, tuples of 1-based states
-    that partition 1..n: its class, or its cyclic class."""
+    """Each 0-based state's index in ``groups``, disjoint tuples of 1-based
+    states: its class, or its cyclic class (0 for a state in none)."""
     labels = [0] * n
     for index, states in enumerate(groups):
         for s in states:
             labels[s - 1] = index
     return labels
+
+
+def _hat(n: int, pairs: list, coords) -> list:
+    """The n x n X^ of the pair vector with ``coords`` on the 0-based ``pairs``, else 0."""
+    hat = [[0] * n for _ in range(n)]
+    for (i, j), e in zip(pairs, coords):
+        hat[i][j] = hat[j][i] = e
+    return hat
+
+
+def _cyclic_kernel(numerators: list, scales: list, structure: ChainStructure, a: int, b: int,
+                   pairs: list) -> Optional[list]:
+    """ker M_ab, M_ab the block on ``pairs`` of distinct closed classes a and
+    b: the g = gcd(p_a, p_b) indicators x_ij = [phi(i) - phi(j) = r mod g],
+    r in Z_g, phi the cyclic class, when each passes M x = 0 on the block's
+    rows (``_criterion_product``), else None. The rank needs no LU: a closed
+    class steps only into itself, so M_ab = (D_a x D_b)(I - A_aa x A_bb).
+    A_aa's eigenvalues of modulus 1 are its p_a-th roots of unity, each
+    simple (Seneta, Non-negative Matrices and Markov Chains, ch. 1), and
+    A_aa x A_bb's are the products, of modulus at most 1 (Horn and Johnson,
+    Topics in Matrix Analysis, Thm 4.2.12): just g of them are 1. So
+    dim ker M_ab <= g, and the g checked indicators, disjoint and nonzero,
+    span it."""
+    g = math.gcd(structure.periods[a], structure.periods[b])
+    # b's cyclic classes are labelled from p_a on, and g divides p_a
+    phase = _labels(structure.cyclic_classes[a] + structure.cyclic_classes[b], len(scales))
+    kernel = [[int((phase[i] - phase[j]) % g == r) for i, j in pairs] for r in range(g)]
+    return None if any(any(_criterion_product(numerators, scales, _hat(len(scales), pairs, v),
+                                              pairs)) for v in kernel) else kernel
 
 
 def _class_heights(numerators: list, owner: list, structure: ChainStructure) -> list:
@@ -610,11 +642,8 @@ def _fixed_witness(numerators: list, scales: list, structure: ChainStructure,
     that w is not fixed by Psi2(A)."""
     witness = (witness_periodic(structure, delta) if structure.is_irreducible
                else witness_reducible(structure))
-    n = structure.n
-    pairs = list(combinations(range(n), 2))
-    hat = [[0] * n for _ in range(n)]
-    for (i, j), x in zip(pairs, witness.coords):
-        hat[i][j] = hat[j][i] = x
+    pairs = list(combinations(range(structure.n), 2))
+    hat = _hat(structure.n, pairs, witness.coords)
     return witness, not any(_criterion_product(numerators, scales, hat, pairs))
 
 

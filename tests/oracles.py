@@ -10,6 +10,30 @@ from zeonmarkov.linalg import Matrix, Scalar, _bareiss_det, _criterion_certifica
 from zeonmarkov.markov import ChainStructure, _criterion_block
 
 
+def is_hollow_symmetric(m: Matrix) -> bool:
+    """Whether m is square with a zero diagonal and m[i, j] == m[j, i]."""
+    if not m.is_square:
+        return False
+    return all(m[i, i] == 0 for i in range(m.rows)) and all(
+        m[i, j] == m[j, i] for i in range(m.rows) for j in range(i + 1, m.rows)
+    )
+
+
+def zero_vector(n: int) -> DegreeTwoVector:
+    """The pair vector with every coordinate 0."""
+    return DegreeTwoVector(n, [0] * math.comb(n, 2))
+
+
+def vector_from_pairs(n: int, values: dict) -> DegreeTwoVector:
+    """The pair vector with x_ij = values[(i, j)] (1-based, either order),
+    0 at the pairs ``values`` leaves out."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    coords = [0] * len(pairs)
+    for (i, j), v in values.items():
+        coords[pairs.index((min(i, j), max(i, j)))] = v
+    return DegreeTwoVector(n, coords)
+
+
 def permutation_permanent_oracle(m: Matrix) -> Scalar:
     """Brute-force permanent as the sum over all permutations.
 

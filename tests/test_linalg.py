@@ -520,7 +520,7 @@ def test_certificate_kernel_matches_the_fraction_null_space(monkeypatch):
         assert all(isinstance(e, int) for v in kernel for e in v)
         assert all(not any(sum(a * b for a, b in zip(row, v)) for row in rows) for v in kernel)
         canonical = Matrix.from_rows(kernel).rref()[0] if kernel else Matrix.zeros(1, n)
-        assert [canonical.row_matrix(i).T for i in range(len(kernel))] == expected
+        assert [Matrix(n, 1, canonical.row(i)) for i in range(len(kernel))] == expected
         nullities.add(len(kernel))
     assert nullities >= {0, 1, 2, 3, 4}
 

@@ -46,7 +46,8 @@ from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_p
 from zeonmarkov.documents import report_to_dict
 from oracles import (certificate_oracle, chain_structure_oracle, class_pair_determinant_oracle,
                      criterion_rows, dense_route, determinant_oracle, fixed_vector_oracle,
-                     left_null_space_oracle, positive_power_oracle, rank_oracle, stationary_oracle)
+                     left_null_space_oracle, positive_power_oracle, rank_oracle, rref_oracle,
+                     stationary_oracle, vector_from_pairs)
 
 F = Fraction
 
@@ -650,7 +651,7 @@ def _scan_fixed_space_of_the_compound(a):
     for col in (psi - Matrix.identity(psi.rows)).right_null_space():
         x = DegreeTwoVector.from_column(col, a.n)
         for candidate in (x, -1 * x):
-            if not x.is_zero() and candidate.is_nonnegative():
+            if any(x.coords) and candidate.is_nonnegative():
                 return candidate
     return None
 
@@ -753,12 +754,12 @@ def _class_pair_blocks(a):
 
 def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
     # a closed chain's witness proves det = 0 with no LU and no lift; on a
-    # transient chain each class-pair block is built once: one LU mod p per
-    # block of closed classes proves it nonsingular or gives its whole kernel,
-    # one lift per kernel vector (the bench family's kernel is in the block of
-    # its two closed classes), and one LU per other block, in order of height
-    # sum, extends each kernel vector by one more lift; a 1 x 1 block takes no
-    # LU; no Bareiss determinant and no null space
+    # transient chain the block of the two closed classes is not built: its
+    # kernel (the bench family's whole kernel) is its checked cyclic
+    # indicators; each other class-pair block is built once: one LU mod p per
+    # block inside a closed class proves it nonsingular, and one LU per other
+    # block, in order of height sum, extends each kernel vector by one lift; a
+    # 1 x 1 block takes no LU; no Bareiss determinant and no null space
     families = _bench_families()
     for family in (families.REDUCIBLE, families.PERIODIC, families.TRANSIENT):
         for n in range(6, 11):
@@ -784,14 +785,16 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
                 for *_, pairs in built:  # each block's pairs meet one pair of classes
                     (key,) = {tuple(sorted((owner[i + 1], owner[j + 1]))) for i, j in pairs}
                     keys.append(key)
-                assert sorted(keys) == sorted(blocks)
+                cross = [key for key, (_, height) in blocks.items() if height == 0
+                         and key[0] != key[1]]
+                assert len(cross) == 1 and sorted(keys) == sorted(set(blocks) - set(cross))
                 assert [len(pairs) for *_, pairs in built] == [blocks[key][0] for key in keys]
                 sums = [blocks[key][1] for key in keys]
                 closed = sums.count(0)
                 assert sums[closed:] == sorted(sums[closed:]) and 0 not in sums[closed:]
                 assert sizes == [len(pairs) for *_, pairs in built if len(pairs) > 1]
                 extended = sum(len(pairs) > 1 for *_, pairs in built[closed:])
-                assert len(lifts) == nullity * (1 + extended)
+                assert len(lifts) == nullity * extended
             assert bareiss == [] and null_spaces == []
             assert report.witness is not None
 
@@ -812,15 +815,16 @@ def _hadamard_steps(rows, p):
 
 def test_the_kernel_lift_stops_early_and_the_dixon_lift_does_not(monkeypatch):
     # on a transient chain the kernel vector of the block of the two closed
-    # classes passes the exact check after one digit, and its extension to the
-    # blocks of the transient class and a closed one after one or two; the
+    # classes is lifted no digit (it is the block's cyclic indicator), and its
+    # extension to the blocks of the transient class and a closed one passes
+    # the exact check after one or two; the
     # block of pairs inside the transient class stops at 4 digits at n = 14,
     # and at n = 22 fails the tries at 1, 2, 4 and 8 digits and ends at its
     # Hadamard bound, 13 or 14 digits; a nonzero determinant lifts every
     # Hadamard digit
     families = _bench_families()
-    cases = [(families.TRANSIENT, 14, seed, [1, 1, 1, 4]) for seed in range(3)]
-    cases += [(families.TRANSIENT, 22, seed, [1, 2, 2, last])
+    cases = [(families.TRANSIENT, 14, seed, [1, 1, 4]) for seed in range(3)]
+    cases += [(families.TRANSIENT, 22, seed, [2, 2, last])
               for seed, last in enumerate((13, 13, 14))]
     a = _bench_chain(families, families.ERGODIC, 18, 0)
     rows, _ = criterion_rows(*a.matrix.integer_rows())
@@ -1142,7 +1146,7 @@ def test_a_transient_block_proven_singular_is_an_error(chains, monkeypatch, caps
                          [(3, "witness_reducible"), (4, "witness_periodic")])
 def test_a_witness_that_is_not_fixed_is_an_error(chains, monkeypatch, index, construction):
     a = chains[index]
-    wrong = DegreeTwoVector.from_pairs(a.n, {(1, 2): 1})
+    wrong = vector_from_pairs(a.n, {(1, 2): 1})
     assert right_action(a.matrix, wrong) != wrong
     monkeypatch.setattr(markov, construction, lambda structure, delta=1: wrong)
     with pytest.raises(RuntimeError, match="not fixed"):
@@ -1156,7 +1160,7 @@ def test_a_witness_that_is_not_fixed_leaves_the_determinant_to_the_blocks(chains
     # the determinant-only callers report the exact det, so that a wrong
     # classical verdict shows up as a counterexample; the analysis still raises
     a = chains[index]
-    wrong = DegreeTwoVector.from_pairs(a.n, {(1, 2): 1})
+    wrong = vector_from_pairs(a.n, {(1, 2): 1})
     monkeypatch.setattr(markov, construction, lambda structure, delta=1: wrong)
     blocks = _counting(monkeypatch, markov, "_block_certificate")
     chk = check_equivalence(a)
@@ -1220,9 +1224,10 @@ def test_check_equivalence_reads_the_chain_once(chains, monkeypatch):
 
 def test_a_transient_determinant_solves_no_transient_block(monkeypatch):
     # with transient states, the determinant-only callers work on the class-pair
-    # blocks: the bench chain stops at its singular closed block with one kernel
-    # vector checked and no transient block solved; one aperiodic closed class
-    # with transient states takes the det of every block
+    # blocks: the bench chain stops at the block of its two closed classes, its
+    # cyclic indicator checked with no certificate and no transient block
+    # solved; one aperiodic closed class with transient states takes the det of
+    # every block
     families = _bench_families()
     cases = [(_bench_chain(families, families.TRANSIENT, 30, 0), True),
              (_ergodic_class_with_transient_states(families, 12, 6, 0), False)]
@@ -1236,13 +1241,15 @@ def test_a_transient_determinant_solves_no_transient_block(monkeypatch):
                               lambda rows, whole_kernel, exact, rhs: calls.append(
                                   (whole_kernel, rhs)) or certificate(rows, whole_kernel, exact, rhs))
                 assert (determinant(a) == 0) == singular
-            assert calls and all(whole_kernel is False and not rhs for whole_kernel, rhs in calls)
+            assert (calls == []) == singular
+            assert all(whole_kernel is False and not rhs for whole_kernel, rhs in calls)
 
 
 def test_the_kernel_of_a_closed_class_pair_block_has_the_predicted_size(chains):
-    # observed on every closed block of these chains, not proven: the block of
-    # two closed classes of periods p and p' has a kernel of gcd(p, p')
-    # dimensions, the block inside a class of period p one of floor(p / 2)
+    # the block of two closed classes of periods p and p' has a kernel of
+    # gcd(p, p') dimensions, proven (markov._cyclic_kernel); the block inside a
+    # class of period p one of floor(p / 2), observed on every such block of
+    # these chains, not proven
     found = 0
     for a, label in _transient_cases(chains):
         structure = chain_structure_oracle(a.matrix)
@@ -1260,6 +1267,105 @@ def test_the_kernel_of_a_closed_class_pair_block_has_the_predicted_size(chains):
             assert len(kernel) == size and (det == 0) == (size > 0), label
             found += 1
     assert found >= 700, found
+
+
+def _closed_class_pairs(a):
+    # (x, y, pairs) for each two distinct closed classes x < y of
+    # chain_structure_oracle, pairs the block's 0-based pairs of states
+    structure = chain_structure_oracle(a.matrix)
+    closed = [c for c, flag in enumerate(structure.closed) if flag]
+    for x, y in itertools.combinations(closed, 2):
+        yield x, y, [(i - 1, j - 1) for i in structure.classes[x] for j in structure.classes[y]]
+
+
+def test_the_cyclic_indicators_span_the_kernel_of_the_lu(chains):
+    # on every block of two distinct closed classes, the checked cyclic
+    # indicators and the kernel of one LU mod p (_criterion_certificate) have
+    # the same reduced echelon basis: the same space, of gcd(p, p') dimensions
+    found = wider = 0
+    for a, label in _transient_cases(chains):
+        structure = chain_structure_oracle(a.matrix)
+        numerators, scales = a.matrix.integer_rows()
+        for x, y, pairs in _closed_class_pairs(a):
+            indicators = markov._cyclic_kernel(numerators, scales, structure, x, y, pairs)
+            det, kernel = linalg._criterion_certificate(
+                markov._criterion_block(numerators, scales, pairs), True)
+            assert det == 0 and indicators is not None, label
+            assert len(indicators) == math.gcd(structure.periods[x], structure.periods[y]), label
+            assert (rref_oracle(Matrix.from_rows(indicators))
+                    == rref_oracle(Matrix.from_rows(kernel))), label
+            found += 1
+            wider += len(indicators) > 1
+    assert found >= 200 and wider >= 15, (found, wider)
+
+
+def _closed_classes_and_transient_states(chains, largest):
+    # the chains of _transient_cases with transient states and two or more
+    # closed classes, of at most ``largest`` states
+    for a, label in _transient_cases(chains):
+        structure = chain_structure(a)
+        if a.n <= largest and not structure.all_closed and len(structure.closed_classes) >= 2:
+            yield a, label
+
+
+def test_a_cyclic_indicator_that_fails_its_check_falls_through_to_the_lu(chains, monkeypatch):
+    # _cyclic_kernel run on doubled scales, so that D_a x D_b is 4 times too
+    # large and every check fails: each block of two closed classes then takes
+    # its LU, and the reports stay the dense route's
+    cyclic_kernel = markov._cyclic_kernel
+    results = []
+
+    def failing(numerators, scales, *args):
+        results.append(cyclic_kernel(numerators, [2 * d for d in scales], *args))
+        return results[-1]
+
+    cases = 0
+    for a, label in _closed_classes_and_transient_states(chains, 10):
+        with monkeypatch.context() as patch:
+            patch.setattr(markov, "_criterion_certificate", certificate_oracle)
+            patch.setattr(markov, "_block_certificate", dense_route(certificate_oracle))
+            patch.setattr(markov, "_nonnegative_fixed_vector", fixed_vector_oracle)
+            expected = zeon_criterion(a)
+        with monkeypatch.context() as patch:
+            patch.setattr(markov, "_cyclic_kernel", failing)
+            built = _counting(patch, markov, "_criterion_block")
+            report = zeon_criterion(a)
+            assert check_equivalence(a).det_value == criterion_determinant(a) == 0, label
+        assert report == expected and report_to_dict(report) == report_to_dict(expected), label
+        blocks = [{tuple(sorted(pair)) for pair in pairs} for *_, pairs in built]
+        assert all({tuple(sorted(pair)) for pair in pairs} in blocks
+                   for *_, pairs in _closed_class_pairs(a)), label
+        cases += 1
+    assert cases >= 50 and results and not any(results), (cases, len(results))
+
+
+def test_no_lu_takes_a_block_of_two_closed_classes(chains, monkeypatch):
+    # the bench transient chains at n = 14 and 22 build no block of their two
+    # closed classes, so no _criterion_certificate gets one; with transient
+    # states and two or more closed classes the determinant-only callers take
+    # no LU at all
+    families = _bench_families()
+    for n in (14, 22):
+        a = _bench_chain(families, families.TRANSIENT, n, 0)
+        (_, _, cross), = _closed_class_pairs(a)
+        with monkeypatch.context() as patch:
+            built = _counting(patch, markov, "_criterion_block")
+            certificates = _counting(patch, markov, "_criterion_certificate")
+            report = zeon_criterion(a)
+        assert report.det_value == 0 and report.witness is not None
+        assert len(certificates) == len(built) and built
+        cross = {tuple(sorted(pair)) for pair in cross}
+        assert all({tuple(sorted(pair)) for pair in pairs} != cross for *_, pairs in built)
+    cases = 0
+    for a, label in _closed_classes_and_transient_states(chains, 30):
+        for determinant in _determinant_callers():
+            with monkeypatch.context() as patch:
+                lu = _counting(patch, linalg, "_lu_mod")
+                certificates = _counting(patch, markov, "_criterion_certificate")
+                assert determinant(a) == 0, label
+            assert lu == certificates == [], label
+        cases += 1
+    assert cases >= 100, cases
 
 
 def test_ergodic_projection_products():
@@ -1298,7 +1404,7 @@ def test_report_verdict_consistency():
         assert report.criterion_verdict is expected
         if report.witness is not None:
             assert report.det_value == 0
-            assert report.witness.is_nonnegative() and not report.witness.is_zero()
+            assert report.witness.is_nonnegative() and any(report.witness.coords)
             assert right_action(a.matrix, report.witness) == report.witness
 
 
