@@ -30,6 +30,7 @@ it never unpacks a row.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from fractions import Fraction
 from itertools import repeat
@@ -70,8 +71,8 @@ def parse_literal(text: str) -> tuple[int, int]:
     denominator, by ``int`` and ``math.gcd``; any other string (signs,
     spaces, decimals, exponents, more digits than the int/str limit) by
     ``Fraction``, once a decimal exponent past that limit is refused before
-    it is expanded. Raises ValueError for a string that is not a literal.
-    """
+    it is expanded. Raises ValueError for a string that is not a literal,
+    naming the limit, and quoting only the first digits, for one past it."""
     numerator, slash, denominator = text.partition("/")
     if text.isascii() and numerator.isdigit() and (denominator.isdigit() or not slash):
         try:
@@ -83,15 +84,19 @@ def parse_literal(text: str) -> tuple[int, int]:
                 g = math.gcd(n, d)
                 return (n // g, d // g) if g > 1 else (n, d)
     stripped = text.strip()
+    budget = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     if "e" in stripped or "E" in stripped:
         digits = stripped.lower().partition("e")[2].lstrip("+-").replace("_", "").lstrip("0")
-        budget = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
         if budget and digits.isdecimal() and (
                 len(digits) > len(str(budget)) or int(digits) > budget):
             raise ValueError(f"decimal exponent exceeds the {budget}-digit limit")
     try:
         frac = Fraction(stripped)
     except (ValueError, ZeroDivisionError) as exc:
+        run = max(map(len, re.findall(r"\d+", stripped)), default=0)  # Fraction's longest int
+        if budget and run > budget:
+            raise ValueError(f"an integer of {run} digits exceeds the {budget}-digit limit: "
+                             f"{stripped[:20]!r}...") from exc
         raise ValueError(f"not an exact rational literal: {text!r}") from exc
     return frac.numerator, frac.denominator
 

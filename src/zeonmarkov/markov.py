@@ -6,9 +6,10 @@ state diagram (irreducible), unit gcd of cycle lengths (aperiodic), or
 equivalently some strictly positive power (quasi-positive). The new
 route computes det(I - Psi2(A)) exactly: it is nonzero exactly when the
 chain has one closed class, aperiodic (``is_regular``), so ergodic when
-every class is closed. Its block on two closed classes has their cyclic
-indicators as kernel (Perron-Frobenius). When it vanishes, a nonnegative
-fixed vector of Psi2(A) is the certificate (a cross-class indicator for
+every class is closed. A checked cyclic indicator proves a zero with no
+LU: the kernel of a block on two closed classes, or a fixed vector of one
+inside a periodic class (Perron-Frobenius). The analysis certifies a zero
+with a nonnegative fixed vector of Psi2(A) (a cross-class indicator for
 reducible chains, a cyclic-distance one for periodic ones).
 
 States are labelled 1..n everywhere in this module's reports.
@@ -377,25 +378,12 @@ class ErgodicityReport:
 
 def criterion_determinant(a: StochasticMatrix) -> Scalar:
     """det(I - Psi2(A)), exactly: det M over det D, M the criterion rows
-    (``_criterion_block``), by ``_criterion_det``, the route of
-    ``zeon_criterion`` without its kernel. A 1-state chain has no pairs: the
-    determinant is the empty one, 1."""
+    (``_criterion_block``), from M's class-pair blocks with no kernel and no
+    witness (``_block_certificate`` without ``whole_kernel``). A 1-state
+    chain has no pairs: the determinant is the empty one, 1."""
     numerators, scales = a.matrix.integer_rows()
-    return exact_div(_criterion_det(numerators, scales, chain_structure(a)), _det_d(scales))
-
-
-def _criterion_det(numerators: list, scales: list, structure: ChainStructure) -> int:
-    """det M, M the criterion rows of the integer rows N_i / d_i of a chain
-    of the given structure, with no kernel. On a closed chain that is not
-    regular, the oracles' witness fixed by Psi2(A) (``_fixed_witness``) proves
-    det M = 0 with no LU; a witness that is not fixed, and every other chain,
-    goes to M's class-pair blocks (``_block_certificate`` without
-    ``whole_kernel``), which stop at the first singular closed block: with
-    two closed classes the block across them, with no LU either."""
-    if (structure.all_closed and not structure.is_regular
-            and _fixed_witness(numerators, scales, structure)[1]):
-        return 0
-    return _block_certificate(numerators, scales, structure, whole_kernel=False)[0]
+    det = _block_certificate(numerators, scales, chain_structure(a), whole_kernel=False)[0]
+    return exact_div(det, _det_d(scales))
 
 
 def _criterion_block(numerators: list, scales: list, pairs: list) -> list:
@@ -454,18 +442,19 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
     The closed blocks go first, those across two classes before those inside
     one, periodic before aperiodic. The kernel of a block across two closed
     classes is its checked cyclic indicators (``_cyclic_kernel``), with no
-    LU. Every other block, and one whose check fails, takes one
-    ``_criterion_certificate``: a det is lifted only while no kernel vector
-    is found, each singular closed M_ab gives its whole kernel, and each
-    transient M_BB the x_B of every kernel vector, X^ scaled by the
-    solution's denominator: block by block, the checks prove M x = 0. With
-    no kernel, det M is the product of the blocks' dets (an irreducible
-    chain: one closed block, all of M). A transient M_BB proven singular
-    while a kernel is extended contradicts ``is_regular``'s M-matrix fact:
-    RuntimeError, the routes disagree; otherwise it makes det M = 0, with no
-    kernel. No block is larger than the largest class pair's. Without
-    ``whole_kernel`` the first block with a checked kernel vector proves
-    det M = 0, and (0, []) is returned with no kernel built.
+    LU; without ``whole_kernel``, a block inside one periodic class is
+    proven singular the same way. Every other block, and one whose check
+    fails, takes one ``_criterion_certificate``: a det is lifted only while
+    no kernel vector is found, each singular closed M_ab gives its whole
+    kernel, and each transient M_BB the x_B of every kernel vector, X^
+    scaled by the solution's denominator: block by block, the checks prove
+    M x = 0. With no kernel, det M is the product of the blocks' dets (an
+    irreducible chain: one closed block, all of M). A transient M_BB proven
+    singular while a kernel is extended contradicts ``is_regular``'s
+    M-matrix fact: RuntimeError, the routes disagree; otherwise it makes
+    det M = 0, with no kernel. No block is larger than the largest class
+    pair's. Without ``whole_kernel`` the first block with a checked kernel
+    vector proves det M = 0, and (0, []) is returned with no kernel built.
     """
     n = len(scales)
     owner = _labels(structure.classes, n)
@@ -483,7 +472,8 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
         closed = structure.closed[a] and structure.closed[b]
         rhs = [] if closed else [[-e for e in _criterion_product(numerators, scales, hat, pairs)]
                                  for hat in kernel]
-        found = closed and a != b and _cyclic_kernel(numerators, scales, structure, a, b, pairs)
+        found = (closed and (a != b or not whole_kernel and structure.periods[a] > 1)
+                 and _cyclic_kernel(numerators, scales, structure, a, b, pairs))
         det, found = (0, found) if found else _criterion_certificate(
             _criterion_block(numerators, scales, pairs), whole_kernel and closed,
             exact=not kernel, rhs=rhs)
@@ -525,21 +515,25 @@ def _hat(n: int, pairs: list, coords) -> list:
 
 def _cyclic_kernel(numerators: list, scales: list, structure: ChainStructure, a: int, b: int,
                    pairs: list) -> Optional[list]:
-    """ker M_ab, M_ab the block on ``pairs`` of distinct closed classes a and
-    b: the g = gcd(p_a, p_b) indicators x_ij = [phi(i) - phi(j) = r mod g],
-    r in Z_g, phi the cyclic class, when each passes M x = 0 on the block's
-    rows (``_criterion_product``), else None. The rank needs no LU: a closed
-    class steps only into itself, so M_ab = (D_a x D_b)(I - A_aa x A_bb).
-    A_aa's eigenvalues of modulus 1 are its p_a-th roots of unity, each
-    simple (Seneta, Non-negative Matrices and Markov Chains, ch. 1), and
-    A_aa x A_bb's are the products, of modulus at most 1 (Horn and Johnson,
-    Topics in Matrix Analysis, Thm 4.2.12): just g of them are 1. So
-    dim ker M_ab <= g, and the g checked indicators, disjoint and nonzero,
-    span it."""
+    """Kernel vectors of M_ab, the block on ``pairs`` of closed classes a and
+    b, phi the cyclic class, when each passes M x = 0 on the block's rows
+    (``_criterion_product``), else None. For a != b, ker M_ab: the
+    g = gcd(p_a, p_b) indicators x_ij = [phi(i) - phi(j) = r mod g], r in Z_g.
+    The rank needs no LU: a closed class steps only into itself, so
+    M_ab = (D_a x D_b)(I - A_aa x A_bb). A_aa's eigenvalues of modulus 1 are
+    its p_a-th roots of unity, each simple (Seneta, Non-negative Matrices
+    and Markov Chains, ch. 1), and A_aa x A_bb's are the products, of modulus
+    at most 1 (Horn and Johnson, Topics in Matrix Analysis, Thm 4.2.12): just
+    g of them are 1. So dim ker M_ab <= g, and the g checked indicators,
+    disjoint and nonzero, span it. For a == b of period p >= 2, the
+    cyclic-distance-1 indicator [phi(i) - phi(j) = +-1 mod p]
+    (``witness_periodic`` of the class) proves det M_aa = 0; it is not
+    claimed to span the kernel."""
     g = math.gcd(structure.periods[a], structure.periods[b])
     # b's cyclic classes are labelled from p_a on, and g divides p_a
     phase = _labels(structure.cyclic_classes[a] + structure.cyclic_classes[b], len(scales))
-    kernel = [[int((phase[i] - phase[j]) % g == r) for i, j in pairs] for r in range(g)]
+    residues = [{1, g - 1}] if a == b else [{r} for r in range(g)]
+    kernel = [[int((phase[i] - phase[j]) % g in hit) for i, j in pairs] for hit in residues]
     return None if any(any(_criterion_product(numerators, scales, _hat(len(scales), pairs, v),
                                               pairs)) for v in kernel) else kernel
 
@@ -688,9 +682,9 @@ def witness_periodic(structure: ChainStructure, delta: int = 1) -> DegreeTwoVect
 class EquivalenceCheck:
     """One matrix, three routes to the same dichotomy: quasi-positivity,
     irreducible + aperiodic, and det(I - Psi2(A)), whose exact value comes
-    from ``_criterion_det``: a fixed classical witness proves a zero, else
-    M's class-pair blocks give the value, so a witness that is not fixed
-    shows up as a counterexample, not as an error."""
+    from M's class-pair blocks (``_block_certificate`` without
+    ``whole_kernel``), with no classical witness: a determinant that breaks
+    the classical verdict shows up as a counterexample, not as an error."""
 
     matrix: Matrix
     all_closed: bool
@@ -723,15 +717,15 @@ class EquivalenceCheck:
 
 
 def check_equivalence(a: StochasticMatrix) -> EquivalenceCheck:
-    """The classical routes and det(I - Psi2(A)) of one chain, the determinant
-    by ``_criterion_det`` on the one structure the classical fields read."""
+    """The classical routes and ``criterion_determinant`` of a chain, from one structure."""
     structure = chain_structure(a)
     numerators, scales = a.matrix.integer_rows()
+    det = _block_certificate(numerators, scales, structure, whole_kernel=False)[0]
     return EquivalenceCheck(
         matrix=a.matrix,
         all_closed=structure.all_closed,
         is_regular=structure.is_regular,
-        det_value=exact_div(_criterion_det(numerators, scales, structure), _det_d(scales)),
+        det_value=exact_div(det, _det_d(scales)),
         quasi_positive_exponent=is_quasi_positive(a),
         is_irreducible=structure.is_irreducible,
         is_aperiodic=structure.is_aperiodic,

@@ -254,6 +254,15 @@ def test_analyze_rejects_oversized_exponents(tmp_path, capsys, literal, template
     assert "exponent" in err
 
 
+def test_analyze_names_the_digit_limit_of_a_long_literal(tmp_path, capsys):
+    # one short stderr line that names the limit, not the 4303-character literal
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps({"rows": [["7" * 4301 + "/2"]]}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 3 and out == ""
+    assert err.count("\n") == 1 and len(err) < 200 and "4300" in err
+
+
 def test_analyze_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_bytes(b'\xff\xfe{"rows": [["1"]]}')
@@ -411,7 +420,7 @@ def test_analyze_prints_numbers_beyond_the_digit_limit(tmp_path, capsys):
     assert int(numerator) == p + q - 2
     assert len(denominator) == 4400  # beyond the 4300 digits that str() and int() take
     assert int(denominator[:2200]) * 10**2200 + int(denominator[2200:]) == p * q
-    with pytest.raises(ValueError, match="exact rational"):
+    with pytest.raises(ValueError, match="^an integer of 4400 digits exceeds the 4300-digit limit: "):
         report_from_dict(json.loads(out)["report"])  # over the literal budget on the way back in
 
 

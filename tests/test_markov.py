@@ -1155,17 +1155,23 @@ def test_a_witness_that_is_not_fixed_is_an_error(chains, monkeypatch, index, con
 
 @pytest.mark.parametrize("index, construction",
                          [(3, "witness_reducible"), (4, "witness_periodic")])
-def test_a_witness_that_is_not_fixed_leaves_the_determinant_to_the_blocks(chains, monkeypatch,
-                                                                          index, construction):
-    # the determinant-only callers report the exact det, so that a wrong
-    # classical verdict shows up as a counterexample; the analysis still raises
+def test_the_determinant_only_callers_call_no_witness_builder(chains, monkeypatch, index,
+                                                              construction):
+    # each takes one _block_certificate without the kernel, so a witness that is
+    # not fixed changes no determinant; the analysis, which reports the witness,
+    # still raises
     a = chains[index]
     wrong = vector_from_pairs(a.n, {(1, 2): 1})
     monkeypatch.setattr(markov, construction, lambda structure, delta=1: wrong)
-    blocks = _counting(monkeypatch, markov, "_block_certificate")
+    builders = [_counting(monkeypatch, markov, name)
+                for name in ("witness_reducible", "witness_periodic", "_fixed_witness")]
+    blocks = []
+    certificate = markov._block_certificate
+    monkeypatch.setattr(markov, "_block_certificate", lambda *args, **kwargs: blocks.append(
+        kwargs) or certificate(*args, **kwargs))
     chk = check_equivalence(a)
-    assert chk.det_value == 0 and chk.consistent and len(blocks) == 1
-    assert criterion_determinant(a) == 0 and len(blocks) == 2
+    assert chk.det_value == 0 and chk.consistent and criterion_determinant(a) == 0
+    assert builders == [[], [], []] and blocks == [{"whole_kernel": False}] * 2
     with pytest.raises(RuntimeError, match="not fixed"):
         zeon_criterion(a)
 
@@ -1194,13 +1200,19 @@ def _determinant_callers():
 
 
 def test_a_closed_zero_determinant_takes_no_lu(chains, monkeypatch):
-    # on a closed chain that is not regular, the oracles' witness checked on every
-    # row proves det = 0: no LU, no Psi2 rows and no criterion block, which at
-    # n = 30 could be 435 x 435
+    # on a closed chain that is not regular, the checked cyclic indicators of
+    # one closed block prove det = 0: no LU, no Psi2 rows and no criterion
+    # block, which at n = 30 could be 435 x 435. A reducible chain checks the
+    # g = gcd(p, p') indicators of one block of two closed classes, an
+    # irreducible periodic one its cyclic-distance-1 indicator on every pair
     families = _bench_families()
     cases = [chains[3], chains[4], chains[5]] + [_bench_chain(families, family, 30, 0)
                                                   for family in (families.REDUCIBLE, families.PERIODIC)]
     for a in cases:
+        structure = chain_structure_oracle(a.matrix)
+        blocks_of_two = {frozenset(map(frozenset, pairs)): math.gcd(structure.periods[x],
+                                                                   structure.periods[y])
+                         for x, y, pairs in _closed_class_pairs(a)}
         for determinant in _determinant_callers():
             with monkeypatch.context() as patch:
                 lu = _counting(patch, linalg, "_lu_mod")
@@ -1208,7 +1220,12 @@ def test_a_closed_zero_determinant_takes_no_lu(chains, monkeypatch):
                 blocks = _counting(patch, markov, "_criterion_block")
                 products = _counting(patch, markov, "_criterion_product")
                 assert determinant(a) == 0
-            assert (lu, psi2_rows, blocks) == ([], [], []) and len(products) == 1
+            assert (lu, psi2_rows, blocks) == ([], [], [])
+            (block,) = {frozenset(map(frozenset, rows)) for *_, rows in products}
+            if structure.is_irreducible:
+                assert len(products) == 1 and len(block) == math.comb(a.n, 2)
+            else:
+                assert len(products) == blocks_of_two[block]
 
 
 def test_check_equivalence_reads_the_chain_once(chains, monkeypatch):
@@ -1341,9 +1358,9 @@ def test_a_cyclic_indicator_that_fails_its_check_falls_through_to_the_lu(chains,
 
 def test_no_lu_takes_a_block_of_two_closed_classes(chains, monkeypatch):
     # the bench transient chains at n = 14 and 22 build no block of their two
-    # closed classes, so no _criterion_certificate gets one; with transient
-    # states and two or more closed classes the determinant-only callers take
-    # no LU at all
+    # closed classes, so no _criterion_certificate gets one; on every chain
+    # that is not regular, one periodic closed class with transient states
+    # among them, the determinant-only callers take no LU and build no block
     families = _bench_families()
     for n in (14, 22):
         a = _bench_chain(families, families.TRANSIENT, n, 0)
@@ -1356,16 +1373,24 @@ def test_no_lu_takes_a_block_of_two_closed_classes(chains, monkeypatch):
         assert len(certificates) == len(built) and built
         cross = {tuple(sorted(pair)) for pair in cross}
         assert all({tuple(sorted(pair)) for pair in pairs} != cross for *_, pairs in built)
-    cases = 0
-    for a, label in _closed_classes_and_transient_states(chains, 30):
+    counts = {"cases": 0, "transient": 0, "one periodic class": 0}
+    for a, label in _transient_cases(chains):
+        structure = chain_structure_oracle(a.matrix)
+        closed = [p for p, flag in zip(structure.periods, structure.closed) if flag]
+        if closed == [1]:
+            continue
         for determinant in _determinant_callers():
             with monkeypatch.context() as patch:
                 lu = _counting(patch, linalg, "_lu_mod")
                 certificates = _counting(patch, markov, "_criterion_certificate")
+                built = _counting(patch, markov, "_criterion_block")
                 assert determinant(a) == 0, label
-            assert lu == certificates == [], label
-        cases += 1
-    assert cases >= 100, cases
+            assert lu == certificates == built == [], label
+        counts["cases"] += 1
+        counts["transient"] += not structure.all_closed
+        counts["one periodic class"] += len(closed) == 1 and not structure.all_closed
+    assert counts["cases"] >= 240 and counts["transient"] >= 120, counts
+    assert counts["one periodic class"] >= 10, counts
 
 
 def test_ergodic_projection_products():
