@@ -14,11 +14,10 @@ use. Either keeps what it builds. Products and every exact elimination
 run on those rows and build a ``Fraction`` only for an output entry.
 ``A * B`` brings B's rows to one common scale s, so entry (i, j) is one
 integer dot product over A's row scale times s.
-Eliminations (determinants, reduced row-echelon forms, null spaces) go
-through one fraction-free (Bareiss) routine, ``_bareiss``.
-The determinant of a square integer matrix and either the right kernel
-vectors that prove it 0 or the solutions of a regular system come from one
-LU mod p, lifted p-adically (``_criterion_certificate``, and
+Reduced row-echelon forms come from one fraction-free (Bareiss) routine,
+``_bareiss``. Every determinant (``Matrix.det`` too), with either the right
+kernel vectors that prove it 0 or the solutions of a regular system, comes
+from one LU mod p, lifted p-adically (``_criterion_certificate``, and
 ``integer_det`` for the determinant alone): each lifts through
 ``_checked_solution`` until its exact check passes, mod each next prime
 below PRIMES[0] that a failure calls for (``_lu_primes``).
@@ -434,8 +433,8 @@ def _lu_mod(rows: Sequence[int], p: int, width: int) -> tuple:
     becomes the pivot row, on the packed int (``_slot_reducer``); until
     then it takes fewer than n updates of less than p^2 per slot, which
     ``_slots`` leaves room for. A column with no pivot mod p is skipped, as
-    ``_bareiss(reduce=True)`` skips it, by a shift of the active rows, and
-    the determinant is then 0. The factors are the row permutation; the r
+    ``_bareiss`` skips it, by a shift of the active rows, and the
+    determinant is then 0. The factors are the row permutation; the r
     rows of U as tails (the pivot row mod p after its pivot slot); the
     inverses of the pivots; the r rows of L, each packed last multiplier
     first; and the r pivot columns, r the rank mod p: the first r rows of
@@ -525,26 +524,22 @@ def _common_scale(numerators: Sequence[Sequence[int]], scales: Sequence[int]) ->
     return [[e * (s // d) for e in row] if d < s else row for row, d in zip(numerators, scales)], s
 
 
-def _bareiss(m: list, reduce: bool) -> tuple[list, int, int]:
-    """Fraction-free (Bareiss) elimination of integer rows in place, the one
-    exact elimination here: returns the pivot columns, the sign of the row
-    swaps and the last pivot (1 if none). Pivots are first nonzero entries in
-    column order; entries stay minors of the input, so every division by the
-    previous pivot is exact. Without ``reduce`` it clears below the pivots and
-    stops at a column with none (all a determinant needs); with it, it clears
-    above them too and skips such columns: rows end as last pivot x RREF."""
+def _bareiss(m: list) -> tuple[list, int]:
+    """Fraction-free (Bareiss) reduction of integer rows in place, the one
+    exact echelon routine here: returns the pivot columns and the last pivot
+    (1 if none). Pivots are first nonzero entries in column order, a column
+    with none is skipped, and entries stay minors of the input, so every
+    division by the previous pivot is exact. It clears below and above each
+    pivot: rows end as last pivot x RREF."""
     height = len(m)
-    pivots, sign, prev = [], 1, 1
+    pivots, prev = [], 1
     for c in range(len(m[0]) if m else 0):
         r = len(pivots)
         pivot_row = next((i for i in range(r, height) if m[i][c]), None)
         if pivot_row is None:
-            if reduce:
-                continue
-            break
+            continue
         if pivot_row != r:
             m[r], m[pivot_row] = m[pivot_row], m[r]
-            sign = -sign
         mr = m[r]
         pivot = mr[c]
         tail = mr[c:]
@@ -554,20 +549,12 @@ def _bareiss(m: list, reduce: bool) -> tuple[list, int, int]:
                 mi[c:] = [(a * pivot - f * b) // prev for a, b in zip(mi[c:], tail)]
             elif pivot != prev:
                 mi[c:] = [a * pivot // prev for a in mi[c:]]
-        if reduce:  # a row above is zero left of its own pivot, not of c
-            for mi, lo in zip(m, pivots):
-                f = mi[c]
-                mi[lo:] = [(a * pivot - f * b) // prev for a, b in zip(mi[lo:], mr[lo:])]
+        for mi, lo in zip(m, pivots):  # a row above is zero left of its own pivot, not of c
+            f = mi[c]
+            mi[lo:] = [(a * pivot - f * b) // prev for a, b in zip(mi[lo:], mr[lo:])]
         pivots.append(c)
         prev = pivot
-    return pivots, sign, prev
-
-
-def _bareiss_det(m: list) -> int:
-    """Exact determinant of a square integer matrix, given as a list of
-    row lists that this overwrites, by ``_bareiss`` elimination."""
-    pivots, sign, pivot = _bareiss(m, reduce=False)
-    return sign * pivot if len(pivots) == len(m) else 0
+    return pivots, prev
 
 
 class Matrix:
@@ -667,9 +654,13 @@ class Matrix:
         return self.data[i * self.cols + j]
 
     def row(self, i: int) -> tuple:
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} out of range for {self.rows}x{self.cols} matrix")
         return self.data[i * self.cols : (i + 1) * self.cols]
 
     def column(self, j: int) -> tuple:
+        if not 0 <= j < self.cols:
+            raise IndexError(f"column {j} out of range for {self.rows}x{self.cols} matrix")
         return self.data[j :: self.cols]
 
     def to_lists(self) -> list:
@@ -784,12 +775,13 @@ class Matrix:
         return self.is_square and self.is_nonnegative() and all(s == 1 for s in self.row_sums())
 
     def det(self) -> Scalar:
-        """Exact determinant: the rows scaled to integers, eliminated by
-        ``_bareiss`` and the scales divided back out."""
+        """Exact determinant: the ``integer_det`` of the integer rows (one LU
+        mod p of ``_criterion_certificate``, lifted) over the product of
+        their scales."""
         if not self.is_square:
             raise ValueError("determinant needs a square matrix")
-        numerators, scales = self.integer_rows()
-        return exact_div(_bareiss_det(numerators), math.prod(scales))
+        numerators, scales = self._integer
+        return exact_div(integer_det(numerators), math.prod(scales))
 
     def integer_rows(self) -> tuple[list, list]:
         """Each row as integer numerators over a positive row scale, the lcm
@@ -806,27 +798,6 @@ class Matrix:
         ``_bareiss``, one Fraction per output entry. The form is unique, so
         it doubles as a canonical form for fixture comparisons."""
         m, _ = self.integer_rows()
-        pivots, _, scale = _bareiss(m, reduce=True)
+        pivots, scale = _bareiss(m)
         return (Matrix._canonical(self.rows, self.cols, [_ratio(e, scale) for row in m for e in row]),
                 tuple(pivots))
-
-    def right_null_space(self) -> list["Matrix"]:
-        """Basis of {v column : m v = 0}, canonicalized.
-
-        The basis is returned with the stacked coordinate rows in reduced
-        echelon form, so equal spaces always yield identical bases.
-        """
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivot_set]
-        basis_rows = []
-        for f in free:
-            v = [0] * self.cols
-            v[f] = 1
-            for r, c in enumerate(pivots):
-                v[c] = -reduced[r, f]
-            basis_rows.append(v)
-        if not basis_rows:
-            return []
-        canon, _ = Matrix.from_rows(basis_rows).rref()
-        return [Matrix(self.cols, 1, canon.row(i)) for i in range(len(basis_rows))]

@@ -253,10 +253,6 @@ class InvariantVectors:
     has_positive: bool
     distribution: Optional[Matrix]
 
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
 
 def invariant_distributions(a: StochasticMatrix) -> InvariantVectors:
     """The fixed space of v A = v: the closed classes' distributions, each
@@ -282,7 +278,7 @@ def _class_distributions(numerators: list, scales: list, structure: ChainStructu
         k = len(states)
         m = [[numerators[j - 1][i - 1] - (scales[i - 1] if i == j else 0) for j in states]
              for i in states]
-        pivots, _, scale = _bareiss(m, reduce=True)
+        pivots, scale = _bareiss(m)
         if pivots != list(range(k - 1)):
             raise RuntimeError("closed class must carry a unique invariant vector")
         mu = [-row[k - 1] for row in m[:k - 1]] + [scale]
@@ -336,7 +332,7 @@ def _limit(numerators: list, scales: list, structure: ChainStructure,
         t = len(transients)
         m = [[(scales[i - 1] if i == j else 0) - numerators[i - 1][j - 1] for j in transients]
              + [sum(numerators[i - 1][j - 1] for j in c) for c in closed] for i in transients]
-        _, _, scale = _bareiss(m, reduce=True)
+        _, scale = _bareiss(m)
         for i, row in zip(transients, m):
             for h, pi in zip(row[t:], pis):
                 if h:
@@ -562,7 +558,7 @@ def _nonnegative_fixed_vector(kernel: list, n: int) -> Optional[DegreeTwoVector]
     basis. Only its vectors are tried (each leads with 1, so no negation is
     nonnegative): None does not rule out a nonnegative combination.
     """
-    _, _, scale = _bareiss(kernel, reduce=True)
+    _, scale = _bareiss(kernel)
     for row in kernel:
         if all(e * scale >= 0 for e in row):
             return DegreeTwoVector(n, [_ratio(e, scale) for e in row])

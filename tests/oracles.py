@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from zeonmarkov.degree2 import DegreeTwoVector, left_action, mat_embed, right_action
-from zeonmarkov.linalg import Matrix, Scalar, _bareiss_det, _criterion_certificate, as_scalar
+from zeonmarkov.linalg import Matrix, Scalar, _criterion_certificate, as_scalar
 from zeonmarkov.markov import ChainStructure, _criterion_block
 
 
@@ -124,9 +124,26 @@ def rank_oracle(m: Matrix) -> int:
 
 
 def determinant_oracle(rows: list) -> int:
-    """Determinant of integer rows by fraction-free elimination alone,
-    with no modular stage: independent of ``integer_det``'s primes."""
-    return _bareiss_det([list(row) for row in rows])
+    """Determinant of square integer rows by fraction-free (Bareiss)
+    elimination alone, with no modular stage: independent of the package's
+    one determinant route, ``integer_det``'s LU mod p and its lift. Each
+    entry stays a minor of the input, so every division by the previous
+    pivot is exact."""
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for c in range(len(m)):
+        pivot_row = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            sign = -sign
+        pivot, tail = m[c][c], m[c][c:]
+        for mi in m[c + 1:]:
+            f = mi[c]
+            mi[c:] = [(a * pivot - f * b) // prev for a, b in zip(mi[c:], tail)]
+        prev = pivot
+    return sign * prev
 
 
 def certificate_oracle(rows: list, whole_kernel: bool, exact: bool = True, rhs=()) -> tuple:
@@ -178,8 +195,9 @@ def class_pair_determinant_oracle(m: Matrix, lump_transient: bool):
     classes, or, with ``lump_transient``, of each pair of closed classes and
     of the one block of all the pairs that meet a transient state. Each
     block is a principal submatrix of I - Psi2(A), its entries the Fraction
-    permanents A_ik A_jl + A_il A_jk, and its det ``Matrix.det``; the
-    classes are ``chain_structure_oracle``'s."""
+    permanents A_ik A_jl + A_il A_jk, and its det the ``determinant_oracle``
+    of its integer rows over their scales; the classes are
+    ``chain_structure_oracle``'s."""
     structure = chain_structure_oracle(m)
     owner = {s - 1: (c, closed) for c, closed in zip(structure.classes, structure.closed)
              for s in c}
@@ -190,8 +208,9 @@ def class_pair_determinant_oracle(m: Matrix, lump_transient: bool):
         groups.setdefault("transient" if lumped else tuple(sorted((a, b))), []).append((i, j))
     det = Fraction(1)
     for pairs in groups.values():
-        det *= Matrix.from_rows([[int((i, j) == (k, l)) - m[i, k] * m[j, l] - m[i, l] * m[j, k]
-                                  for k, l in pairs] for i, j in pairs]).det()
+        rows, scales = Matrix.from_rows([[int((i, j) == (k, l)) - m[i, k] * m[j, l] - m[i, l] * m[j, k]
+                                          for k, l in pairs] for i, j in pairs]).integer_rows()
+        det *= Fraction(determinant_oracle(rows), math.prod(scales))
     return as_scalar(det)
 
 

@@ -211,6 +211,16 @@ def test_product_over_a_zero_inner_dimension_is_the_zero_matrix():
     assert_same_entries(Matrix(0, 2, []) * Matrix(2, 3, [1] * 6), Matrix(0, 3, []))
 
 
+def test_row_and_column_refuse_an_index_out_of_range():
+    m = Matrix.from_rows([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    assert (m.row(2), m.column(0)) == ((7, 8, 9), (1, 4, 7))
+    for read, index in [(m.row, 3), (m.row, -1), (m.column, 5), (m.column, 3), (m.column, -1)]:
+        with pytest.raises(IndexError, match=f"{index} out of range for 3x3 matrix"):
+            read(index)
+    with pytest.raises(IndexError, match=r"index \(3, 0\) out of range for 3x3 matrix"):
+        m[3, 0]
+
+
 # -- determinant ----------------------------------------------------------
 
 
@@ -253,6 +263,53 @@ def test_det_singular():
     assert m.det() == 0
 
 
+def _det_cases(rng):
+    # seeded integer and Fraction matrices of 0 to 12 rows, every third
+    # singular, each with its determinant by fraction-free elimination of the
+    # rows over the lcm L of every denominator, det = det(L A) / L^n
+    for trial in range(78):
+        n = trial % 13
+        den = 1 if trial % 2 else rng.choice([2, 12, 10**6])
+        entries = [[F(rng.randint(-50, 50), rng.randint(1, den)) for _ in range(n)]
+                   for _ in range(n)]
+        if n >= 2 and trial % 3 == 0:
+            entries[-1] = [2 * a - b for a, b in zip(entries[0], entries[1])]
+        scale = math.lcm(*(e.denominator for row in entries for e in row))
+        expected = F(determinant_oracle([[int(e * scale) for e in row] for row in entries]),
+                     scale ** n)
+        yield Matrix(n, n, [e for row in entries for e in row]), as_scalar(expected)
+
+
+def test_det_takes_the_certificate_route(monkeypatch):
+    # Matrix.det is integer_det's LU mod p, lifted: one _criterion_certificate,
+    # at least one LU from 2 x 2 on, and no _bareiss elimination
+    calls = _count_routes(monkeypatch)
+    certificates = []
+    certificate = linalg._criterion_certificate
+
+    def counted_certificate(rows, *args, **kwargs):
+        certificates.append(len(rows))
+        return certificate(rows, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_criterion_certificate", counted_certificate)
+    zeros = 0
+    for m, expected in _det_cases(random.Random(83)):
+        if 1 <= m.rows <= 5:
+            assert cofactor_det(m) == expected
+        calls.update(bareiss=0, primes=[])
+        certificates.clear()
+        det = m.det()
+        assert det == expected and type(det) is type(expected)
+        assert certificates == [m.rows] and calls["bareiss"] == 0
+        assert bool(calls["primes"]) == (m.rows >= 2)
+        zeros += det == 0
+    assert zeros >= 20
+    p, q = PRIMES[:2]
+    calls.update(bareiss=0, primes=[])
+    assert Matrix.diagonal([p * q, 1]).det() == p * q
+    assert calls == {"bareiss": 0, "primes": list(PRIMES[:3])}
+
+
 # -- integer determinants ------------------------------------------------
 
 
@@ -264,7 +321,7 @@ def test_integer_det_matches_bareiss_on_seeded_matrices():
         rows = [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)]
         if n >= 2 and trial % 5 == 0:
             rows[-1] = [3 * e for e in rows[0]]  # singular
-        assert integer_det(rows) == Matrix(n, n, [e for row in rows for e in row]).det()
+        assert integer_det(rows) == determinant_oracle(rows)
     assert integer_det([]) == 1
     assert integer_det([[-7]]) == -7
     assert integer_det([[0]]) == 0
@@ -313,7 +370,7 @@ def test_lu_mod_factors_give_the_determinant_and_solve_mod_p():
         for p in PRIMES:
             width, bias = linalg._slots(rows, p)
             det_p, factors = linalg._lu_mod(_packed(rows, width, bias), p, width)
-            assert det_p == linalg._bareiss_det([row[:] for row in rows]) % p
+            assert det_p == determinant_oracle(rows) % p
             perm, _, _, _, pivot_cols = factors
             if skipped is not None:
                 assert pivot_cols == [k for k in range(n) if k != skipped]
@@ -390,14 +447,13 @@ def test_integer_det_rejects_non_square():
 
 
 def _count_routes(monkeypatch):
-    # the exact eliminations (_bareiss_det runs through _bareiss) and the
-    # primes of the LUs
+    # the exact eliminations (_bareiss) and the primes of the LUs
     calls = {"bareiss": 0, "primes": []}
     bareiss, lu_mod = linalg._bareiss, linalg._lu_mod
 
-    def counting_bareiss(m, reduce):
+    def counting_bareiss(m):
         calls["bareiss"] += 1
-        return bareiss(m, reduce)
+        return bareiss(m)
 
     def counting_lu_mod(rows, p, width):
         calls["primes"].append(p)
@@ -437,7 +493,7 @@ def test_integer_det_cofactor_beyond_the_first_primes_takes_further_primes(monke
     assert integer_det([[2 if i == j else 0 for j in range(150)] for i in range(150)]) == 2**150
     assert calls == {"bareiss": 0, "primes": list(PRIMES) + [1073741719, 1073741717]}
     big = (2**61 - 1) * (2**62 - 57) * (2**63 - 25)
-    expected = determinant_oracle([[big, 0], [0, big]])  # a Bareiss elimination, not counted
+    expected = determinant_oracle([[big, 0], [0, big]])  # outside the package, not counted
     calls.update(bareiss=0, primes=[])
     assert integer_det([[big, 0], [0, big]]) == expected == big**2
     assert calls["bareiss"] == 0 and len(calls["primes"]) == 7
@@ -510,20 +566,17 @@ def _kernel_cases():
     yield [row, [7 * e for e in row], other, [0, 1, 0, 1, 0, 1], row, [1, 2, 3, 4, 5, 6]]
 
 
-def test_certificate_kernel_matches_the_fraction_null_space(monkeypatch):
+def test_certificate_kernel_matches_the_fraction_null_space():
     nullities = set()
     for rows in _kernel_cases():
         n = len(rows)
-        m = Matrix(n, n, [e for row in rows for e in row])
-        with monkeypatch.context() as patch:
-            patch.setattr(Matrix, "rref", rref_oracle)
-            expected = m.right_null_space()
+        expected = null_space_oracle(Matrix(n, n, [e for row in rows for e in row]))
         det, kernel = linalg._criterion_certificate(rows, True)
         assert (det == 0) == bool(kernel)
         assert all(isinstance(e, int) for v in kernel for e in v)
         assert all(not any(sum(a * b for a, b in zip(row, v)) for row in rows) for v in kernel)
         canonical = Matrix.from_rows(kernel).rref()[0] if kernel else Matrix.zeros(1, n)
-        assert [Matrix(n, 1, canonical.row(i)) for i in range(len(kernel))] == expected
+        assert [canonical.row(i) for i in range(len(kernel))] == expected
         nullities.add(len(kernel))
     assert nullities >= {0, 1, 2, 3, 4}
 
@@ -557,9 +610,9 @@ def test_a_kernel_whose_rank_drops_mod_two_primes_comes_from_the_third(monkeypat
     calls = _count_routes(monkeypatch)
 
     def refuse(self):
-        raise AssertionError("Fraction null space built")
+        raise AssertionError("Fraction echelon form built")
 
-    monkeypatch.setattr(Matrix, "right_null_space", refuse)
+    monkeypatch.setattr(Matrix, "rref", refuse)
     rng = random.Random(61)
     found = 0
     while found < 30:
@@ -792,10 +845,10 @@ def test_right_null_space_contains_ones_for_stochastic():
     from zeonmarkov.markov import random_stochastic
     for _ in range(20):
         a = random_stochastic(rng, 4).matrix
-        basis = (a - Matrix.identity(4)).right_null_space()
+        basis = null_space_oracle(a - Matrix.identity(4))
         u = Matrix.column_vector([1, 1, 1, 1])
         assert (a - Matrix.identity(4)) * u == Matrix.zeros(4, 1)
-        stacked = Matrix.from_rows([v.T.row(0) for v in basis] + [[1, 1, 1, 1]])
+        stacked = Matrix.from_rows(basis + [[1, 1, 1, 1]])
         assert rank_oracle(stacked) == len(basis)
 
 
@@ -821,8 +874,7 @@ def test_scalar_str_beyond_the_int_str_digit_limit():
 
 def _elimination_results(m):
     reduced, pivots = m.rref()
-    return ([type(e) for e in reduced.data], reduced, pivots,
-            m.right_null_space(), m.T.right_null_space())
+    return [type(e) for e in reduced.data], reduced, pivots
 
 
 def _elimination_cases():
@@ -851,10 +903,11 @@ def test_elimination_matches_the_fraction_gauss_jordan(monkeypatch):
 def test_bareiss_reduce_leaves_the_last_pivot_times_the_rref():
     m = [[0, 2, 4, 1], [3, 1, 1, 0], [3, 3, 5, 1]]
     reduced, _ = rref_oracle(Matrix.from_rows(m))
-    pivots, _, scale = linalg._bareiss(m, reduce=True)
+    pivots, scale = linalg._bareiss(m)
     assert pivots == [0, 1]
     assert Matrix.from_rows(m) == reduced * scale
-    assert linalg._bareiss([[0, 1], [0, 2]], reduce=False) == ([], 1, 1)
+    m = [[0, 1], [0, 2]]  # a column with no pivot is skipped
+    assert linalg._bareiss(m) == ([1], 1) and m == [[0, 1], [0, 0]]
 
 
 # -- powers ---------------------------------------------------------------

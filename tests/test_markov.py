@@ -46,8 +46,8 @@ from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_p
 from zeonmarkov.documents import report_to_dict
 from oracles import (certificate_oracle, chain_structure_oracle, class_pair_determinant_oracle,
                      criterion_rows, dense_route, determinant_oracle, fixed_vector_oracle,
-                     left_null_space_oracle, positive_power_oracle, rank_oracle, rref_oracle,
-                     stationary_oracle, vector_from_pairs)
+                     left_null_space_oracle, null_space_oracle, positive_power_oracle, rank_oracle,
+                     rref_oracle, stationary_oracle, vector_from_pairs)
 
 F = Fraction
 
@@ -493,8 +493,9 @@ def test_criterion_determinant_matches_bareiss_on_the_compound():
     for n in range(2, 10):
         for density in (0.2, 0.5, 0.9):
             a = random_stochastic(rng, n, density)
-            psi = zeon_power(a.matrix, 2)
-            assert criterion_determinant(a) == (Matrix.identity(psi.rows) - psi).det()
+            rows, scales = (Matrix.identity(math.comb(n, 2)) - zeon_power(a.matrix, 2)).integer_rows()
+            expected = linalg.exact_div(determinant_oracle(rows), math.prod(scales))
+            assert criterion_determinant(a) == expected
 
 
 def _counting(monkeypatch, owner, name, *also_bound_in):
@@ -648,8 +649,8 @@ def _scan_fixed_space_of_the_compound(a):
     # reference: the first vector of the canonical basis of the fixed
     # space of the Fraction compound that is nonnegative up to sign
     psi = zeon_power(a.matrix, 2)
-    for col in (psi - Matrix.identity(psi.rows)).right_null_space():
-        x = DegreeTwoVector.from_column(col, a.n)
+    for v in null_space_oracle(psi - Matrix.identity(psi.rows)):
+        x = DegreeTwoVector(a.n, v)
         for candidate in (x, -1 * x):
             if any(x.coords) and candidate.is_nonnegative():
                 return candidate
@@ -759,7 +760,8 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
     # indicators; each other class-pair block is built once: one LU mod p per
     # block inside a closed class proves it nonsingular, and one LU per other
     # block, in order of height sum, extends each kernel vector by one lift; a
-    # 1 x 1 block takes no LU; no Bareiss determinant and no null space
+    # 1 x 1 block takes no LU; no elimination but the echelon forms of at most
+    # n rows, and no Fraction echelon form
     families = _bench_families()
     for family in (families.REDUCIBLE, families.PERIODIC, families.TRANSIENT):
         for n in range(6, 11):
@@ -768,8 +770,8 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
             nullity = len(rows) - rank_oracle(Matrix.from_rows(rows))
             with monkeypatch.context() as patch:
                 lu = _counting(patch, linalg, "_lu_mod")
-                bareiss = _counting(patch, linalg, "_bareiss_det")
-                null_spaces = _counting(patch, Matrix, "right_null_space")
+                bareiss = _counting(patch, linalg, "_bareiss", markov)
+                rrefs = _counting(patch, Matrix, "rref")
                 assert linalg.integer_det(rows) == 0
                 assert (len(lu), len(bareiss)) == (1, 0)
                 lu.clear()
@@ -795,7 +797,7 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
                 assert sizes == [len(pairs) for *_, pairs in built if len(pairs) > 1]
                 extended = sum(len(pairs) > 1 for *_, pairs in built[closed:])
                 assert len(lifts) == nullity * extended
-            assert bareiss == [] and null_spaces == []
+            assert all(len(m) <= a.n for m, in bareiss) and rrefs == []
             assert report.witness is not None
 
 
@@ -863,14 +865,11 @@ def _ergodic_class_with_transient_states(families, closed, transient, seed):
     return validate_stochastic(Matrix.from_rows(rows))
 
 
-def _no_exact_elimination(m):
-    raise AssertionError("exact elimination ran")
-
-
 def test_a_cofactor_beyond_the_first_primes_needs_no_exact_elimination(monkeypatch):
     # transient states split det != 0 over several invariant factors, so D
     # falls short of det and the cofactor det/D needs more primes than
-    # PRIMES[1:] hold; these chains once fell back to _bareiss_det
+    # PRIMES[1:] hold; no elimination but the echelon forms of at most n rows
+    # runs
     families = _bench_families()
     for closed, transient, seed in [(8, 4, 2), (11, 4, 2)]:
         a = _ergodic_class_with_transient_states(families, closed, transient, seed)
@@ -878,16 +877,18 @@ def test_a_cofactor_beyond_the_first_primes_needs_no_exact_elimination(monkeypat
             patch.setattr(markov, "_block_certificate", dense_route(certificate_oracle))
             expected = zeon_criterion(a)
         with monkeypatch.context() as patch:
-            patch.setattr(linalg, "_bareiss_det", _no_exact_elimination)
+            bareiss = _counting(patch, linalg, "_bareiss", markov)
             report = zeon_criterion(a)
+        assert bareiss and all(len(m) <= a.n for m, in bareiss)
         assert report.det_value != 0
         assert report == expected and report_to_dict(report) == report_to_dict(expected)
     # n = 22, N = 231: the exact route takes about 10 s, so its report is
     # recorded as the SHA-256 of its sorted JSON
     a = _ergodic_class_with_transient_states(families, 15, 7, 0)
     with monkeypatch.context() as patch:
-        patch.setattr(linalg, "_bareiss_det", _no_exact_elimination)
+        bareiss = _counting(patch, linalg, "_bareiss", markov)
         report = json.dumps(report_to_dict(zeon_criterion(a)), sort_keys=True)
+    assert bareiss and all(len(m) <= a.n for m, in bareiss)
     assert hashlib.sha256(report.encode()).hexdigest() == (
         "9b352531ea56c96636d22f3d9a2142e5096eb6470158e495f11070b5b2340e92")
 
@@ -1527,8 +1528,8 @@ def test_right_fixed_vectors_satisfy_row_sandwich(chains):
         a = chains[i].matrix
         n = a.rows
         psi = zeon_power(a, 2)
-        for col in (psi - Matrix.identity(psi.rows)).right_null_space():
-            x = DegreeTwoVector.from_column(col, n)
+        for v in null_space_oracle(psi - Matrix.identity(psi.rows)):
+            x = DegreeTwoVector(n, v)
             if not x.is_nonnegative():
                 continue
             xhat = mat_embed(x)
@@ -1595,7 +1596,7 @@ def test_ergodic_chain_admits_no_nonnegative_fixed_vector():
         found += 1
         psi = zeon_power(a.matrix, 2)
         assert criterion_determinant(a) != 0
-        assert (psi - Matrix.identity(psi.rows)).right_null_space() == []
+        assert null_space_oracle(psi - Matrix.identity(psi.rows)) == []
 
 
 def test_mass_bound_for_nonnegative_vectors():
