@@ -75,8 +75,10 @@ class ChainStructure:
     ordered by smallest member. A class is closed when no edge leaves it;
     states outside closed classes are transient. ``periods[c]`` is the
     gcd of cycle lengths inside class c (None when the class has no
-    cycle), and ``cyclic_classes[c]`` splits a closed class of period p
-    into its p cyclic classes, consecutive under the chain's step.
+    cycle), ``cyclic_classes[c]`` splits a closed class of period p into
+    its p cyclic classes, consecutive under the chain's step, and
+    ``reach[c]`` counts the states class c leads to, itself included: its
+    size when it is closed.
     """
 
     n: int
@@ -84,6 +86,7 @@ class ChainStructure:
     closed: tuple
     periods: tuple
     cyclic_classes: tuple
+    reach: tuple
 
     @property
     def closed_classes(self) -> tuple:
@@ -174,6 +177,7 @@ def chain_structure(a: StochasticMatrix) -> ChainStructure:
     closed_flags = []
     periods = []
     cyclics = []
+    reaches = []
     assigned = 0
     for i in range(n):
         if assigned >> i & 1:
@@ -201,12 +205,14 @@ def chain_structure(a: StochasticMatrix) -> ChainStructure:
         closed_flags.append(closed)
         periods.append(g or None)
         cyclics.append(cyclic)
+        reaches.append(reach.bit_count())
     return ChainStructure(
         n=n,
         classes=tuple(classes),
         closed=tuple(closed_flags),
         periods=tuple(periods),
         cyclic_classes=tuple(cyclics),
+        reach=tuple(reaches),
     )
 
 
@@ -425,15 +431,17 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
 
     A pair of states in classes a and b leads only to pairs in classes a'
     and b' that a and b lead to, so M is block triangular over the class
-    pairs {a, b}: det M = prod det M_ab. Give each class a height, 0 when it
-    is closed and else 1 + the largest height of the classes it steps into:
-    a block leads only to itself and to blocks of a smaller height sum. The
-    closed blocks (sum 0) lead to no other block, and a kernel vector of M
-    is one of a singular closed M_ab's, x_C, extended block by block in
-    order of height sum: each transient block's x_B solves
-    M_BB x_B = -M x on B's rows (one ``_criterion_product``), x being 0
-    there and on the blocks not yet solved. Each kernel vector is kept as
-    its n x n X^ while it is extended, and read out in pair order on return.
+    pairs {a, b}: det M = prod det M_ab. Let r(c) be 0 for a closed class c
+    and else its reach (``ChainStructure.reach``), the number of states it
+    leads to. A step from a class into another leaves the second's reach a
+    strict subset of the first's, so r falls, and a block leads only to
+    itself and to blocks of a smaller sum r(a) + r(b). The closed blocks
+    (sum 0) lead to no other block, and a kernel vector of M is one of a
+    singular closed M_ab's, x_C, extended block by block in order of that
+    sum: each transient block's x_B solves M_BB x_B = -M x on B's rows (one
+    ``_criterion_product``), x being 0 there and on the blocks not yet
+    solved. Each kernel vector is kept as its n x n X^ while it is
+    extended, and read out in pair order on return.
 
     The closed blocks go first, those across two classes before those inside
     one, periodic before aperiodic. The kernel of a block across two closed
@@ -460,9 +468,9 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
         a, b = owner[i], owner[j]  # M's entries of a pair do not depend on its order
         blocks.setdefault((a, b) if a < b else (b, a), []).append(
             (j, i) if (sizes[b], b) < (sizes[a], a) else (i, j))
-    height = _class_heights(numerators, owner, structure)
+    r = [0 if closed else reach for closed, reach in zip(structure.closed, structure.reach)]
     kernel, dets = [], []  # the kernel vectors as their X^
-    for a, b in sorted(blocks, key=lambda ab: (height[ab[0]] + height[ab[1]], ab[0] == ab[1],
+    for a, b in sorted(blocks, key=lambda ab: (r[ab[0]] + r[ab[1]], ab[0] == ab[1],
                                                structure.periods[ab[0]] == 1)):
         pairs = blocks[a, b]
         closed = structure.closed[a] and structure.closed[b]
@@ -532,22 +540,6 @@ def _cyclic_kernel(numerators: list, scales: list, structure: ChainStructure, a:
     kernel = [[int((phase[i] - phase[j]) % g in hit) for i, j in pairs] for hit in residues]
     return None if any(any(_criterion_product(numerators, scales, _hat(len(scales), pairs, v),
                                               pairs)) for v in kernel) else kernel
-
-
-def _class_heights(numerators: list, owner: list, structure: ChainStructure) -> list:
-    """Each class's height: 0 for a closed class, else 1 + the largest height
-    of the other classes it steps into, ``owner`` giving each 0-based state's
-    class. The steps between classes have no cycle, so each sweep sets the
-    height of a transient class whose steps all have theirs."""
-    height = [0] * len(structure.classes)
-    steps = {c: {owner[j] for i in states for j, e in enumerate(numerators[i - 1]) if e} - {c}
-             for c, states in enumerate(structure.classes) if not structure.closed[c]}
-    while steps:
-        for c, into in list(steps.items()):
-            if steps.keys().isdisjoint(into):
-                height[c] = 1 + max(height[k] for k in into)
-                del steps[c]
-    return height
 
 
 def _nonnegative_fixed_vector(kernel: list, n: int) -> Optional[DegreeTwoVector]:

@@ -16,6 +16,8 @@ settings.load_profile("suite")
 def cofactor_det(m: Matrix):
     """Independent determinant oracle: expansion along the first row."""
     n = m.rows
+    if n == 0:  # the empty product
+        return 1
     if n == 1:
         return m[0, 0]
     total = 0

@@ -262,10 +262,22 @@ def _bool_product(x: list, y: list) -> list:
             for i in range(size)]
 
 
+def reach_oracle(m: Matrix) -> list:
+    """The reflexive transitive closure of a chain's diagram by Warshall's
+    algorithm: entry [i][j] is True when 0-based state i leads to j."""
+    n = m.rows
+    reach = [[i == j or m[i, j] > 0 for j in range(n)] for i in range(n)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i][k]:
+                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    return reach
+
+
 def chain_structure_oracle(m: Matrix) -> ChainStructure:
-    """Classes, closedness, periods and cyclic classes of a chain's diagram
-    from boolean matrices alone. Reach is the reflexive transitive closure
-    by Warshall's algorithm. The period of a class of k states is the gcd
+    """Classes, closedness, periods, cyclic classes and reach of a chain's
+    diagram from boolean matrices alone. Reach is the reflexive transitive
+    closure (``reach_oracle``). The period of a class of k states is the gcd
     of the lengths t <= 3k of closed walks at its smallest state s, read
     off boolean powers of the class's own block: a walk from s to any
     simple cycle and back, with and without one turn round it, is at most
@@ -273,11 +285,7 @@ def chain_structure_oracle(m: Matrix) -> ChainStructure:
     t mod p, t the length of its shortest walk from s."""
     n = m.rows
     edge = [[m[i, j] > 0 for j in range(n)] for i in range(n)]
-    reach = [[i == j or edge[i][j] for j in range(n)] for i in range(n)]
-    for k in range(n):
-        for i in range(n):
-            if reach[i][k]:
-                reach[i] = [a or b for a, b in zip(reach[i], reach[k])]
+    reach = reach_oracle(m)
     classes = sorted({tuple(j for j in range(n) if reach[i][j] and reach[j][i])
                       for i in range(n)})
     closed_flags, periods, cyclics = [], [], []
@@ -306,7 +314,8 @@ def chain_structure_oracle(m: Matrix) -> ChainStructure:
         cyclics.append(cyclic)
     return ChainStructure(n=n, classes=tuple(tuple(s + 1 for s in c) for c in classes),
                           closed=tuple(closed_flags), periods=tuple(periods),
-                          cyclic_classes=tuple(cyclics))
+                          cyclic_classes=tuple(cyclics),
+                          reach=tuple(sum(reach[c[0]]) for c in classes))
 
 
 def identity_sides_oracle(x: DegreeTwoVector, a: Matrix) -> dict:

@@ -272,6 +272,28 @@ def test_analyze_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["analyze"], '{"label": "no rows"}', 'cannot parse matrix: JSON matrix needs a "rows" key'),
+    (["analyze"], '{"rows": []}', 'cannot parse matrix: "rows" must be a non-empty list of rows'),
+    (["analyze"], '{"label": 3, "rows": [["1"]]}', 'cannot parse matrix: "label" must be a string'),
+    (["zeon-power", "-k", "1"], "1,0", "matrix is 1x2, not square"),
+    (["verify", "--identity", "basic-relations"], "1,0", "matrix is 1x2, not square"),
+    (["verify", "--identity", "basic-relations"], '{"rows": [["1"]]}',
+     "need at least 2 states for degree-2 identities"),
+    (["witness", "--delta", "3", fixture_path("example4.json")], None,
+     "delta must be between 1 and 2 for period 4"),
+    (["harness", "-n", "9"], None, "harness supports 2 <= n <= 8"),
+], ids=["no-rows-key", "empty-rows", "label-not-a-string", "zeon-power-not-square",
+        "verify-not-square", "verify-one-state", "witness-delta", "harness-n"])
+def test_an_input_the_command_refuses_exits_3_with_one_line(tmp_path, capsys, argv, text,
+                                                            message):
+    if text is not None:
+        path = tmp_path / "matrix.txt"
+        path.write_text(text)
+        argv = argv + [str(path)]
+    assert run(capsys, *argv) == (3, "", f"zeonmarkov: error: {message}\n")
+
+
 BOM = b"\xef\xbb\xbf"
 CSV_CHAIN = b"1/2,1/2,0\n0,0,1\n1/4,3/4,0\n"
 

@@ -294,7 +294,7 @@ def test_det_takes_the_certificate_route(monkeypatch):
     monkeypatch.setattr(linalg, "_criterion_certificate", counted_certificate)
     zeros = 0
     for m, expected in _det_cases(random.Random(83)):
-        if 1 <= m.rows <= 5:
+        if m.rows <= 5:
             assert cofactor_det(m) == expected
         calls.update(bareiss=0, primes=[])
         certificates.clear()
@@ -682,7 +682,7 @@ def test_carry_adds_the_p_adic_digits_as_a_binary_counter():
                            p ** count)]
 
 
-def test_solve_checked_stops_at_the_first_reconstruction_that_passes(monkeypatch):
+def test_certificate_rhs_stops_at_the_first_reconstruction_that_passes(monkeypatch):
     # y = M^-1 b for M = 10 I plus small entries: the lift stops at the first
     # reconstruction with M (D y) = D b exactly
     rng = random.Random(67)
@@ -706,7 +706,7 @@ def test_solve_checked_stops_at_the_first_reconstruction_that_passes(monkeypatch
     assert linalg._criterion_certificate([[1, 2], [2, 4]], False, rhs=[[1, 1]]) == (0, [[-2, 1]])
 
 
-def test_solve_checked_retries_a_prime_that_divides_the_determinant(monkeypatch):
+def test_certificate_rhs_retries_a_prime_that_divides_the_determinant(monkeypatch):
     # det M = -p is 0 mod p, so the LU mod the next prime below gives the
     # solutions, each passing its exact check, and det M = -p q the one after
     # it; the exact determinant comes with the same solutions
@@ -725,6 +725,35 @@ def test_solve_checked_retries_a_prime_that_divides_the_determinant(monkeypatch)
         assert linalg._criterion_certificate(rows, False, rhs=rhs) == (2 - rows[0][1], solved)
 
 
+def test_a_failed_check_on_a_regular_lu_retries_the_next_prime(monkeypatch):
+    # a solution that fails its exact check, although M is regular mod p,
+    # starts again from the LU mod the next prime below, which solves it
+    p, q = PRIMES[:2]
+    calls = _count_routes(monkeypatch)
+    checked = linalg._checked_solution
+    tries = []
+
+    def fail_first(*args):
+        tries.append(args[5])
+        return None if len(tries) == 1 else checked(*args)
+
+    monkeypatch.setattr(linalg, "_checked_solution", fail_first)
+    assert linalg._criterion_certificate([[10**12 + 3, 7], [-2, 5]], False, exact=False,
+                                         rhs=[[1, 0]]) == (None, [(5000000000029, [5, 2])])
+    assert tries == [p, q] and calls == {"bareiss": 0, "primes": [p, q]}
+
+
+def test_the_primes_run_out_past_the_hadamard_bound(monkeypatch):
+    # checks that fail on every prime stop once the primes tried multiply past
+    # the Hadamard bound, here H = isqrt(5 * 20) = 10 < PRIMES[0]: a bound is
+    # wrong, ArithmeticError
+    calls = _count_routes(monkeypatch)
+    monkeypatch.setattr(linalg, "_checked_solution", lambda *args: None)
+    with pytest.raises(ArithmeticError, match="Hadamard bound"):
+        linalg._criterion_certificate([[1, 2], [2, 4]], True)
+    assert calls == {"bareiss": 0, "primes": [PRIMES[0]]}
+
+
 def test_a_singular_system_is_proven_by_one_kernel_vector(monkeypatch):
     # a right-hand side changes nothing for a singular M: the first LU's free
     # column gives a kernel vector that passes its exact check, even where
@@ -741,7 +770,7 @@ def test_a_singular_system_is_proven_by_one_kernel_vector(monkeypatch):
         assert calls == {"bareiss": 0, "primes": [p, p]}
 
 
-def test_solve_checked_solves_a_one_by_one_system_in_closed_form(monkeypatch):
+def test_certificate_rhs_solves_a_one_by_one_system_in_closed_form(monkeypatch):
     # [m] y = b: D = |m| / gcd(m, b) and D y = sign(m) b / gcd(m, b), with no LU
     monkeypatch.setattr(linalg, "_lu_mod", None)
     rhs = [[b] for b in (0, 1, -1, 6, -6, 35, 10**30 + 7, -(2**90))]
@@ -840,7 +869,7 @@ def test_left_null_space_vectors_annihilate():
             assert rank_oracle(stacked) == len(basis)
 
 
-def test_right_null_space_contains_ones_for_stochastic():
+def test_fixed_space_of_a_stochastic_matrix_contains_the_ones():
     rng = random.Random(8)
     from zeonmarkov.markov import random_stochastic
     for _ in range(20):

@@ -47,7 +47,7 @@ from zeonmarkov.documents import report_to_dict
 from oracles import (certificate_oracle, chain_structure_oracle, class_pair_determinant_oracle,
                      criterion_rows, dense_route, determinant_oracle, fixed_vector_oracle,
                      left_null_space_oracle, null_space_oracle, positive_power_oracle, rank_oracle,
-                     rref_oracle, stationary_oracle, vector_from_pairs)
+                     reach_oracle, rref_oracle, stationary_oracle, vector_from_pairs)
 
 F = Fraction
 
@@ -201,6 +201,8 @@ def test_structure_matches_the_boolean_closure_oracle():
         for a in samples:
             s = chain_structure(a)
             assert s == chain_structure_oracle(a.matrix)
+            # a class's reach is its size exactly when it is closed
+            assert [r == len(c) for c, r in zip(s.classes, s.reach)] == list(s.closed)
             seen["periodic"] += any(p is not None and p > 1 for p in s.periods)
             seen["open"] += not s.all_closed
             seen["reducible"] += not s.is_irreducible
@@ -211,6 +213,7 @@ def test_structure_matches_the_boolean_closure_oracle():
             a = _fed_cyclic_chain(rng, n)
             s = chain_structure(a)
             assert s == chain_structure_oracle(a.matrix)
+            assert [r == len(c) for c, r in zip(s.classes, s.reach)] == list(s.closed)
             assert s.transient_states
             fed_periods.update(p for p, flag in zip(s.periods, s.closed) if flag)
     assert fed_periods == {1, 2, 3, 4, 5}
@@ -730,27 +733,22 @@ def test_report_matches_the_bareiss_and_fraction_null_space_route(monkeypatch):
 
 
 def _class_pair_blocks(a):
-    # {(c, c'): (size, height sum)} over the pairs of classes c <= c' of
-    # chain_structure_oracle, size the number of pairs of states in them; a
-    # class's height is 0 when it is closed and else 1 + the largest height of
-    # the other classes it steps into
+    # {(c, c'): (size, reach sum)} over the pairs of classes c <= c' of
+    # chain_structure_oracle, size the number of pairs of states in them and
+    # the reach sum r(c) + r(c'), r 0 on a closed class and else its reach;
+    # each state's class; and {c: the classes c leads to, itself included}
     structure = chain_structure_oracle(a.matrix)
     owner = {s: c for c, states in enumerate(structure.classes) for s in states}
-    height = {}
-
-    def height_of(c):
-        if c not in height:
-            into = {owner[j] for i in structure.classes[c] for j in range(1, a.n + 1)
-                    if a.matrix[i - 1, j - 1]} - {c}
-            height[c] = 1 + max(map(height_of, into)) if into else 0
-        return height[c]
-
+    reach = reach_oracle(a.matrix)
+    leads = {c: {owner[j + 1] for j in range(a.n) if reach[states[0] - 1][j]}
+             for c, states in enumerate(structure.classes)}
+    r = [0 if closed else count for closed, count in zip(structure.closed, structure.reach)]
     blocks = {}
     for i, j in itertools.combinations(range(1, a.n + 1), 2):
         key = tuple(sorted((owner[i], owner[j])))
         size, _ = blocks.get(key, (0, 0))
-        blocks[key] = size + 1, height_of(key[0]) + height_of(key[1])
-    return blocks, owner
+        blocks[key] = size + 1, r[key[0]] + r[key[1]]
+    return blocks, owner, leads
 
 
 def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
@@ -759,9 +757,10 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
     # kernel (the bench family's whole kernel) is its checked cyclic
     # indicators; each other class-pair block is built once: one LU mod p per
     # block inside a closed class proves it nonsingular, and one LU per other
-    # block, in order of height sum, extends each kernel vector by one lift; a
-    # 1 x 1 block takes no LU; no elimination but the echelon forms of at most
-    # n rows, and no Fraction echelon form
+    # block, in order of reach sum and after every block it leads to, extends
+    # each kernel vector by one lift; a 1 x 1 block takes no LU; no
+    # elimination but the echelon forms of at most n rows, and no Fraction
+    # echelon form
     families = _bench_families()
     for family in (families.REDUCIBLE, families.PERIODIC, families.TRANSIENT):
         for n in range(6, 11):
@@ -782,18 +781,21 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
             if family != families.TRANSIENT:
                 assert (sizes, lifts, built) == ([], [], [])
             else:
-                blocks, owner = _class_pair_blocks(a)
+                blocks, owner, leads = _class_pair_blocks(a)
                 keys = []
                 for *_, pairs in built:  # each block's pairs meet one pair of classes
                     (key,) = {tuple(sorted((owner[i + 1], owner[j + 1]))) for i, j in pairs}
                     keys.append(key)
-                cross = [key for key, (_, height) in blocks.items() if height == 0
+                cross = [key for key, (_, total) in blocks.items() if total == 0
                          and key[0] != key[1]]
                 assert len(cross) == 1 and sorted(keys) == sorted(set(blocks) - set(cross))
                 assert [len(pairs) for *_, pairs in built] == [blocks[key][0] for key in keys]
                 sums = [blocks[key][1] for key in keys]
                 closed = sums.count(0)
                 assert sums[closed:] == sorted(sums[closed:]) and 0 not in sums[closed:]
+                for k, (c, d) in enumerate(keys):  # built after every block it leads to
+                    below = {tuple(sorted(key)) for key in itertools.product(leads[c], leads[d])}
+                    assert below & set(keys[k:]) == {(c, d)}
                 assert sizes == [len(pairs) for *_, pairs in built if len(pairs) > 1]
                 extended = sum(len(pairs) > 1 for *_, pairs in built[closed:])
                 assert len(lifts) == nullity * extended
@@ -935,7 +937,8 @@ def _layered_transient_chain(rng, periods, size, layers):
     transient class is a cycle through its states (one state with or without
     a loop); each of its states steps into a random state of the layer below
     (the closed states, under the first layer) and, each with chance 1/3, to
-    any state of a lower layer. So a class in layer k has height k."""
+    any state of a lower layer. So a class in layer k leads into a class of
+    each layer below it."""
     order, weights = _closed_classes(rng, periods, size, sum(map(sum, layers)))
     start = len(periods) * size
     below = [order[:start]]
@@ -998,7 +1001,7 @@ def test_the_block_route_gives_the_reports_of_the_dense_route(chains, monkeypatc
     # (_criterion_certificate, as each block takes) and the witness search on
     # its kernel; no block is larger than the largest class pair
     counts = {"transient": 0, "witness": 0, "nonzero": 0, "periodic": 0, "classes": 0,
-              "height 2": 0, "transient pairs": 0}
+              "layered": 0, "transient pairs": 0}
     for a, label in _transient_cases(chains):
         with monkeypatch.context() as patch:
             patch.setattr(markov, "_block_certificate", dense_route())
@@ -1015,12 +1018,49 @@ def test_the_block_route_gives_the_reports_of_the_dense_route(chains, monkeypatc
             counts["nonzero"] += report.det_value != 0
             counts["periodic"] += not structure.is_aperiodic
             counts["classes"] += len(structure.closed_classes) >= 3
-            blocks, _ = _class_pair_blocks(a)  # a sum of 3 or more needs a class of height 2
-            counts["height 2"] += max(height for _, height in blocks.values()) >= 3
+            _, _, leads = _class_pair_blocks(a)  # a transient class over another
+            counts["layered"] += any(not structure.closed[k] for c, into in leads.items()
+                                     for k in into - {c})
             counts["transient pairs"] += structure.closed.count(False) >= 2
     assert counts["transient"] >= 200 and counts["witness"] >= 90, counts
     assert counts["nonzero"] >= 40 and counts["periodic"] >= 10 and counts["classes"] >= 5, counts
-    assert counts["height 2"] >= 90 and counts["transient pairs"] >= 110, counts
+    assert counts["layered"] >= 90 and counts["transient pairs"] >= 110, counts
+
+
+def _digest_cases(chains):
+    # the fixtures, every bench family at n = 3..12 (seeds 0-1), 200 random
+    # chains at n = 2..9, closed classes of period 1-4 under transient states,
+    # and transient classes in layers over them
+    families = _bench_families()
+    yield from chains.values()
+    for n in range(3, 13):
+        for seed in range(2):
+            for family in families.FAMILIES:
+                yield _bench_chain(families, family, n, seed)
+    rng = random.Random(2029)
+    for _ in range(200):
+        yield random_stochastic(rng, rng.randint(2, 9), rng.uniform(0.1, 0.9))
+    for periods in [(1,), (2,), (3,), (4,), (1, 1), (2, 1), (2, 4), (3, 3), (1, 2, 4)]:
+        for size, transient in [(4, 1), (4, 3)]:
+            yield _closed_classes_with_transient_states(rng, periods, size, transient)
+        for layers in [[[1], [2]], [[2, 1], [1, 1]]]:
+            yield _layered_transient_chain(rng, periods, 4, layers)
+
+
+def test_the_reports_keep_their_digest(chains):
+    # the SHA-256 over the sorted JSON of each report, the check_equivalence
+    # repr and criterion_determinant of _digest_cases: a change that moves any
+    # of them, on purpose or not, has to change this digest
+    digest = hashlib.sha256()
+    count = 0
+    for a in _digest_cases(chains):
+        for text in (json.dumps(report_to_dict(zeon_criterion(a)), sort_keys=True),
+                     repr(check_equivalence(a)), str(criterion_determinant(a))):
+            digest.update(text.encode() + b"\n")
+        count += 1
+    assert count == 321
+    assert digest.hexdigest() == (
+        "77da4e3538069d9a5f13d647b3d855ec746c8ba222969b4563c5d9b25f96b895")
 
 
 def test_no_report_depends_on_the_first_prime(chains, monkeypatch):
