@@ -146,16 +146,17 @@ def _primes_below(p: int) -> Iterator[int]:
     return filter(_is_prime, range(p - 2, 2, -2))
 
 
-def _lu_primes(rows: Sequence[Sequence[int]]) -> Iterator[int]:
+def _lu_primes(norms: Callable[[], list]) -> Iterator[int]:
     """The primes of the LUs of the square integer M: PRIMES[0], then each
     prime below it while those tried multiply to at most the Hadamard bound
-    H = isqrt(prod max(1, |row|^2)) on M's minors, made once one has failed.
-    A prime fails only when it divides det M != 0, or every r x r minor when
-    M has rank r < N over Q (Abbott, Bronstein and Mulders, ISSAC 1999), so
-    the primes that fail multiply to at most H: they run out only once they
-    prove det M = 0."""
+    H = isqrt(prod max(1, |column|^2)) on M's minors, made from ``norms()``,
+    the squared norms of M's columns, once one has failed. A prime fails
+    only when it divides det M != 0, or every r x r minor when M has rank
+    r < N over Q (Abbott, Bronstein and Mulders, ISSAC 1999), so the primes
+    that fail multiply to at most H: they run out only once they prove
+    det M = 0."""
     yield PRIMES[0]
-    h = math.isqrt(math.prod(max(1, sum(map(mul, row, row))) for row in rows))
+    h = math.isqrt(math.prod(max(1, c) for c in norms()))
     tried = PRIMES[0]
     for q in _primes_below(PRIMES[0]):
         if tried > h:
@@ -182,34 +183,71 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
     return _criterion_certificate(rows, False)[0]
 
 
-def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
+class Packed:
+    """A square integer matrix M as ``_criterion_certificate`` reads it:
+    ``size``, its order; ``bound``, at least |M|'s row sums;
+    ``columns(width, bias)``, its columns packed (``_pack``), each entry plus
+    ``bias`` in a slot; ``bounds()``, (h, its squared column norms, signed)
+    with -h <= det M <= h, or 0 <= det M <= h unsigned; ``product(v)``, M v."""
+
+    __slots__ = ("size", "bound", "columns", "bounds", "product")
+
+    def __init__(self, size: int, bound: int, columns: Callable[[int, int], list],
+                 bounds: Callable[[], tuple], product: Callable[[Sequence[int]], list]):
+        self.size, self.bound, self.columns, self.bounds, self.product = (
+            size, bound, columns, bounds, product)
+
+
+def _dense(rows: Sequence[Sequence[int]]) -> Packed:
+    """The ``Packed`` of a square matrix given as its integer rows."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("determinant needs a square matrix")
+    cols = list(zip(*rows))
+    return Packed(n, max((sum(map(abs, row)) for row in rows), default=0),
+                  lambda width, bias: [_pack([e + bias for e in col], width) for col in cols],
+                  lambda: (*_hadamard(cols, range(n)), True),
+                  lambda v: [sum(map(mul, row, v)) for row in rows])
+
+
+def _hadamard(cols: Sequence[Sequence[int]], kept: Sequence[int]) -> tuple[int, list]:
+    """(h, norms) of the matrix of the columns ``kept`` of ``cols``: their
+    squared norms, and h above its |det| by Hadamard's inequality on them
+    and on the rows of all of ``cols``."""
+    norms = [sum(map(mul, cols[j], cols[j])) for j in kept]
+    rows_bound = math.prod(sum(map(mul, row, row)) for row in zip(*cols))
+    return math.isqrt(min(math.prod(norms), rows_bound)) + 1, norms
+
+
+def _criterion_certificate(m: Union[Packed, Sequence[Sequence[int]]], whole_kernel: bool,
                            exact: bool = True, rhs: Sequence[Sequence[int]] = ()
                            ) -> tuple[Optional[int], list]:
-    """The exact determinant of a square integer matrix M from one LU of M
-    mod p = PRIMES[0], and either vectors of M's right kernel that prove it
-    0, as (0, kernel), or, for each b in ``rhs``, (D, D * y) for the solution
-    y of M y = b, D the lcm of y's denominators (``_checked_solution``), as
-    (det, solutions). Without ``exact``, det M mod p != 0 proves the
-    determinant nonzero and None stands for it: nothing is lifted for it.
+    """The exact determinant of a square integer matrix M (its rows, or its
+    ``Packed``) from one LU of M mod p = PRIMES[0], and either vectors of
+    M's right kernel that prove it 0, as (0, kernel), or, for each b in
+    ``rhs``, (D, D * y) for the solution y of M y = b, D the lcm of y's
+    denominators (``_checked_solution``), as (det, solutions). Without
+    ``exact``, det M mod p != 0 proves the determinant nonzero and None
+    stands for it: nothing is lifted for it.
 
     Dixon's method, used for determinants as by Abbott, Bronstein and
     Mulders, gives a nonzero det M: lift the solution of M x = b for a fixed
     b p-adically (``_lift``) and reconstruct x rationally, accumulating D,
     the lcm of its denominators. D divides det M, so the cofactor det M / D
-    is recovered from det M mod p and, while 2H/D needs it (H the Hadamard
-    bound on |det M|), mod each next prime below p by CRT (``_primes_below``).
+    is recovered from det M mod p and, while its range (``Packed``) needs
+    it, mod each next prime below p by CRT (``_primes_below``).
 
     A matrix of rank r < N mod p has N - r free columns, the columns of M
-    outside the pivot columns C of the factors (see ``_lift``). For the
-    first one, f, the solution v of M v = -D M[:, f] (``_checked_solution``,
-    lifted from the same factors until it passes on every row), with
-    v[f] = D, is an integer kernel vector that proves det M = 0.
-    ``whole_kernel`` asks for the vectors of every free column: the rank mod
-    p is at most the rank over Q, so the kernel over Q has at most N - r
-    dimensions, and these checked vectors (each nonzero at its own free
-    column and zero at the others) are a basis of it. A 1 x 1 M = [m] takes
-    no LU: the kernel [[1]] when m = 0, else D = |m| / g and
-    D y = sign(m) b / g, g = gcd(m, b).
+    outside the pivot columns C of the factors (see ``_lift``), read back
+    from the packed columns. For the first one, f, the solution v of
+    M v = -D M[:, f] (``_checked_solution``, lifted from the same factors
+    until it passes on every row), with v[f] = D, is an integer kernel
+    vector that proves det M = 0. ``whole_kernel`` asks for the vectors of
+    every free column: the rank mod p is at most the rank over Q, so the
+    kernel over Q has at most N - r dimensions, and these checked vectors
+    (each nonzero at its own free column and zero at the others) are a basis
+    of it. A 1 x 1 M = [m] takes no LU: the kernel [[1]] when m = 0, else
+    D = |m| / g and D y = sign(m) b / g, g = gcd(m, b).
 
     Every step is exact and deterministic, and only a kernel vector proves a
     zero. A failed check (M has a larger rank over Q than mod p, as when p
@@ -218,110 +256,113 @@ def _criterion_certificate(rows: Sequence[Sequence[int]], whole_kernel: bool,
     fail multiply to at most the Hadamard bound, so running out of them
     means a bound is wrong: ArithmeticError.
     """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant needs a square matrix")
+    block = m if isinstance(m, Packed) else _dense(m)
+    n, product = block.size, block.product
     if n < 2:  # the determinant is the entry, and a zero proves itself
-        det = rows[0][0] if n else 1
+        det = product([1])[0] if n else 1
         if not det:
             return 0, [[1]]
         sign = 1 if det > 0 else -1
         return det, [(abs(det) // (g := math.gcd(det, *b)), [sign * e // g for e in b]) for b in rhs]
-    cols = list(zip(*rows))
-    for p in _lu_primes(rows):
-        width, bias = _slots(rows, p, rhs)
+    bound = max(block.bound, max((abs(e) for b in rhs for e in b), default=0))
+    for p in _lu_primes(lambda: block.bounds()[1]):
+        width, bias = _slots(bound, n, p)
         # M's columns, packed once for the LU and the lifts. LU of the
         # transpose: M = U^T L^T P, solved by two sweeps over rows.
-        packed = [_pack([e + bias for e in col], width) for col in cols]
+        packed = block.columns(width, bias)
         det_p, factors = _lu_mod(packed, p, width)
         if det_p == 0:
             perm, *_, pivot_rows = factors
             free = sorted(perm[len(pivot_rows):])
-            solved = [_checked_solution(rows, cols, packed, factors, [-e for e in cols[f]], p, width,
-                                        bias) for f in (free if whole_kernel else free[:1])]
+            cols = [_unpack(x, width, n, bias) for x in packed]
+            minor = _hadamard([[col[i] for i in pivot_rows] for col in cols], perm[:len(pivot_rows)])
+            solved = [_checked_solution(product, packed, factors, [-e for e in cols[f]], p, width,
+                                        bias, *minor) for f in (free if whole_kernel else free[:1])]
             if None not in solved:  # M v = -D M[:, f], so v + D e_f is in the kernel
                 return 0, [v[:f] + [d] + v[f + 1:] for f, (d, v) in zip(free, solved)]
             continue
-        solutions = [_checked_solution(rows, cols, packed, factors, b, p, width, bias) for b in rhs]
+        if not (rhs or exact):
+            return None, []
+        h, norms, signed = block.bounds()
+        solutions = [_checked_solution(product, packed, factors, b, p, width, bias, h, norms)
+                     for b in rhs]
         if None in solutions:
             continue
         if not exact:
             return None, solutions
         b = [(7 * i) % 11 - 5 for i in range(n)]
-        denom, _, h = next(_lift(rows, cols, packed, factors, b, p, width, bias, early=False))
-        # det = cofactor * denom with |cofactor| <= H / denom.
+        denom, _ = next(_lift(packed, factors, b, p, width, bias, h, norms, early=False))
+        # det = cofactor * denom, the cofactor within h / denom of 0, or in
+        # [0, h / denom] when not signed
         cofactor, base = det_p * pow(denom, -1, p) % p, p
         primes = _primes_below(p)
-        while base * denom <= 2 * h:
+        while base * denom <= (2 * h if signed else h):
             if denom % (q := next(primes)):
                 shift = _pack([-bias % q] * n, width)  # each slot e + a multiple of q
                 c_q = _lu_mod([x + shift for x in packed], q, width)[0] * pow(denom, -1, q) % q
                 cofactor += base * ((c_q - cofactor) * pow(base, -1, q) % q)
                 base *= q
-        return (cofactor - base if cofactor > base // 2 else cofactor) * denom, solutions
+        return (cofactor - base if signed and cofactor > base // 2 else cofactor) * denom, solutions
     raise ArithmeticError("primes beyond the Hadamard bound failed the rank: a bound is wrong")
 
 
-def _slots(rows: Sequence[Sequence[int]], p: int,
-           rhs: Sequence[Sequence[int]] = ()) -> tuple[int, int]:
+def _slots(bound: int, n: int, p: int) -> tuple[int, int]:
     """The slot width in bytes of the packed vectors of ``_lu_mod`` and
-    ``_lift`` for the square matrix ``rows``, and the bias of their packed
-    input for right-hand sides whose entries are at most those of ``rhs`` in
-    size.
+    ``_lift`` for an n x n matrix, and the bias of their packed input, for a
+    ``bound`` on the row sums of |M| and on the entries of the right-hand
+    sides.
 
-    Residuals of the lifting stay within the larger of the largest row sum
-    of |M| and the largest entry of the right-hand side; ``bias``, a
-    multiple of p above both, keeps packed slots nonnegative without
-    changing them mod p. A slot holds a biased entry or residual, below
-    2 * bias (plus less than p when it is moved to a multiple of another
-    prime), and fewer than N updates of less than p^2.
+    Residuals of the lifting stay within that bound; ``bias``, a multiple
+    of p above it, keeps packed slots nonnegative without changing them
+    mod p. A slot holds a biased entry or residual, below 2 * bias (plus
+    less than p when it is moved to a multiple of another prime), and fewer
+    than N updates of less than p^2.
     """
-    bias = p * (max(max(sum(map(abs, row)) for row in rows),
-                    max((abs(e) for b in rhs for e in b), default=0)) // p + 1)
-    return (max(len(rows) * p * p, 2 * bias).bit_length() + 9) // 8, bias
+    bias = p * (bound // p + 1)
+    return (max(n * p * p, 2 * bias).bit_length() + 9) // 8, bias
 
 
-def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], packed: Sequence[int],
-          factors: tuple, b: Sequence[int], p: int, width: int, bias: int,
-          early: bool) -> Iterator[tuple[int, Iterator, int]]:
-    """Solve M[R, C] y = b[R] exactly, where M has ``rows`` and ``cols``,
-    ``packed`` are its columns packed with each entry plus ``bias`` in a
-    slot, and ``factors`` are ``_lu_mod``'s of M's transpose: their pivot
-    columns are the rows R of M and their first r permuted rows the columns
-    C, so M[R, C] is invertible mod p (R and C are all of M when M is
-    regular mod p). Entries of b are at most ``bias`` in size.
+def _unpack(x: int, width: int, n: int, bias: int) -> list:
+    """The n slots of ``width`` bytes of the packed x, less ``bias``."""
+    data = x.to_bytes(n * width, "little")
+    return [int.from_bytes(data[k:k + width], "little") - bias for k in range(0, n * width, width)]
+
+
+def _lift(packed: Sequence[int], factors: tuple, b: Sequence[int], p: int, width: int,
+          bias: int, h: int, norms: Sequence[int], early: bool) -> Iterator[tuple[int, Iterator]]:
+    """Solve M[R, C] y = b[R] exactly, where ``packed`` are M's columns
+    packed with each entry plus ``bias`` in a slot, and ``factors`` are
+    ``_lu_mod``'s of M's transpose: their pivot columns are the rows R of M
+    and their first r permuted rows the columns C, so M[R, C] is invertible
+    mod p (R and C are all of M when M is regular mod p). Entries of b are
+    at most ``bias`` in size; h bounds |det M[R, C]|, and ``norms`` are the
+    squared norms of M[R, C]'s columns.
 
     Dixon lifting: each step solves for one p-adic digit of y mod p and
-    updates the residual exactly, until p^K > 2 * Nb * H. H bounds
-    |det M[R, C]| and Nb the numerators of y (by Cramer's rule), both by
-    Hadamard's inequality. Rational reconstruction of the entries of y
-    accumulates D, the lcm of their denominators, which divides
-    det M[R, C]. Yields D; the integers D * y (|D * y| <= Nb) in the
-    order of C, as an iterator, so that a caller that needs only D does
-    not pay for them; and H. With ``early``, it first yields each
-    reconstruction after 1, 2, 4, ... digits that succeeds with both parts
-    at most isqrt(p^k / 2), for an exact check to stop on (Chen &
+    updates the residual exactly, until p^K > 2 * Nb * h, Nb bounding the
+    numerators of y by Cramer's rule and Hadamard's inequality. Rational
+    reconstruction of the entries of y accumulates D, the lcm of their
+    denominators, which divides det M[R, C]. Yields D and the integers
+    D * y (|D * y| <= Nb) in the order of C, as an iterator, so that a
+    caller that needs only D does not pay for them. With ``early``, it first
+    yields each reconstruction after 1, 2, 4, ... digits that succeeds with
+    both parts at most isqrt(p^k / 2), for an exact check to stop on (Chen &
     Storjohann, ISSAC 2005; Monagan, ISSAC 2004). The digits are added up
     as a binary counter (``_carry``) and into y only where it is read.
     """
     perm, _, _, _, pivot_rows = factors
-    n, rank = len(rows), len(pivot_rows)
+    n, rank = len(packed), len(pivot_rows)
     offset = _pack([bias] * n, width)
     if rank < n:  # M[R, C] and b[R], zero in the rows outside R
         kept = set(pivot_rows)
         b = [e if i in kept else 0 for i, e in enumerate(b)]
-        cols = list(zip(*(row if i in kept else (0,) * n for i, row in enumerate(rows))))
         keep = _pack([(1 << 8 * width) - 1 if i in kept else 0 for i in range(n)], width)
         packed = [x & keep | offset & ~keep for x in packed]  # slots outside R hold 0 + bias
     m_cols = [packed[j] - offset for j in perm[:rank]]
 
-    col_norms = [sum(map(mul, cols[j], cols[j])) for j in perm[:rank]]  # those of M[R, C]
-    col_bound = math.prod(col_norms)
-    # the norms of whole rows of M bound those of the rows of M[R, C]
-    h = math.isqrt(min(col_bound, math.prod(sum(map(mul, rows[i], rows[i])) for i in pivot_rows))) + 1
     # Cramer: each numerator of y is a determinant with one column of
     # M[R, C] replaced by b, so Nb = |b| * (column Hadamard bound) / (shortest column).
-    nb = math.isqrt(col_bound * sum(map(mul, b, b)) // min(col_norms, default=1)) + 1
+    nb = math.isqrt(math.prod(norms) * sum(map(mul, b, b)) // min(norms, default=1)) + 1
     modulus, steps = p, 1
     while modulus <= 2 * nb * h:
         modulus *= p
@@ -353,7 +394,7 @@ def _lift(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]], packed: 
                 raise
         else:
             numerators = (denom * s % modulus for s in solution)
-            yield denom, (u - modulus if u > half else u for u in numerators), h
+            yield denom, (u - modulus if u > half else u for u in numerators)
 
 
 def _carry(digits: list, whole: bool) -> None:
@@ -366,19 +407,19 @@ def _carry(digits: list, whole: bool) -> None:
         digits[-2:] = [([a + b * power for a, b in zip(low, high)], power * high_power)]
 
 
-def _checked_solution(rows: Sequence[Sequence[int]], cols: Sequence[Sequence[int]],
-                      packed: Sequence[int], factors: tuple, b: Sequence[int], p: int,
-                      width: int, bias: int) -> Optional[tuple[int, list]]:
-    """(D, v) for the solution y of M[R, C] y = b[R] (``_lift``; D the lcm of
-    y's denominators): v[C] = D * y and 0 elsewhere, at the first of
-    ``_lift``'s reconstructions, after 1, 2, 4, ... digits, with M v = D b
-    exactly on every row of M; else None. ``cols`` are M's columns and
-    ``packed`` them packed as for ``_lift``."""
-    for d, numerators, _ in _lift(rows, cols, packed, factors, b, p, width, bias, early=True):
-        v = [0] * len(rows)
+def _checked_solution(product: Callable[[Sequence[int]], list], packed: Sequence[int],
+                      factors: tuple, b: Sequence[int], p: int, width: int, bias: int, h: int,
+                      norms: Sequence[int]) -> Optional[tuple[int, list]]:
+    """(D, v) for the solution y of M[R, C] y = b[R] (``_lift``, with its
+    ``packed``, h and ``norms``; D the lcm of y's denominators): v[C] = D * y
+    and 0 elsewhere, at the first of ``_lift``'s reconstructions, after 1,
+    2, 4, ... digits, with M v = D b exactly on every row of M, ``product(v)``;
+    else None."""
+    for d, numerators in _lift(packed, factors, b, p, width, bias, h, norms, early=True):
+        v = [0] * len(packed)
         for j, e in zip(factors[0], numerators):
             v[j] = e
-        if all(sum(map(mul, row, v)) == d * e for row, e in zip(rows, b)):
+        if product(v) == [d * e for e in b]:
             return d, v
     return None
 

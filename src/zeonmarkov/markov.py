@@ -22,13 +22,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from operator import mul, ne
+from itertools import chain, combinations, combinations_with_replacement, repeat
+from operator import itemgetter, mul, ne
 from typing import Optional
 
 from .degree2 import DegreeTwoVector
-from .linalg import Matrix, Scalar, _bareiss, _criterion_certificate, _ratio, exact_div, ratio_str
-from .zeon import _psi2_rows
+from .linalg import (Matrix, Packed, Scalar, _bareiss, _criterion_certificate, _ratio, exact_div,
+                     ratio_str)
 
 
 class NotStochasticError(ValueError):
@@ -380,26 +380,12 @@ class ErgodicityReport:
 
 def criterion_determinant(a: StochasticMatrix) -> Scalar:
     """det(I - Psi2(A)), exactly: det M over det D, M the criterion rows
-    (``_criterion_block``), from M's class-pair blocks with no kernel and no
-    witness (``_block_certificate`` without ``whole_kernel``). A 1-state
+    (``_class_pair_block``), from M's class-pair blocks with no kernel and
+    no witness (``_block_certificate`` without ``whole_kernel``). A 1-state
     chain has no pairs: the determinant is the empty one, 1."""
     numerators, scales = a.matrix.integer_rows()
     det = _block_certificate(numerators, scales, chain_structure(a), whole_kernel=False)[0]
     return exact_div(det, _det_d(scales))
-
-
-def _criterion_block(numerators: list, scales: list, pairs: list) -> list:
-    """The principal submatrix on the 0-based ``pairs`` of the criterion rows
-    M = D (I - Psi2(A)) of the integer rows N_i / d_i of A
-    (``Matrix.integer_rows``), D the diagonal of the d_i * d_j: det M is
-    det(I - Psi2(A)) times det D (``_det_d``), and M's right null space is
-    the fixed space of Psi2(A). Psi2 is homogeneous of degree 2, so row
-    (i, j) of M is d_i * d_j * e_(i,j) minus row (i, j) of ``_psi2_rows`` of
-    the N_i: integers, with no Fraction and no compound."""
-    block = [[-e for e in row] for row in _psi2_rows(numerators, 1, pairs)]
-    for r, (i, j) in enumerate(pairs):
-        block[r][r] += scales[i] * scales[j]
-    return block
 
 
 def _det_d(scales: list) -> int:
@@ -421,13 +407,86 @@ def _criterion_product(numerators: list, scales: list, hat: list, rows: list) ->
             for i, j in rows]
 
 
+def _class_pair_block(numerators: list, scales: list, first: list, second: list,
+                      pairs: list) -> Packed:
+    """M_B, the principal submatrix of the criterion rows M = D - Psi2(N) on
+    ``pairs``, the pairs of the classes ``first`` and ``second`` (0-based
+    states, one list for one class), as ``linalg._criterion_certificate``
+    reads it, with no row of it built.
+
+    Its columns: over the m states of the classes, u_k packing column k of
+    N at a stride of m slots and v_l at a stride of one, slot m r + c of
+    u_k v_l + u_l v_k is N_ik N_jl + N_il N_jk, i and j the r-th and c-th
+    states. Column (k, l) of Psi2(N) on the block is those slots of the
+    block's pairs, cut out and widened to the LU's slots by bytes slicing,
+    taken from the packed bias, d_k d_l added in its own slot.
+
+    M_B is a Z-matrix whose diagonal is d_i d_j - Psi2_(ij),(ij) >= 0 and
+    whose rows sum to at least d_i d_j minus Psi2(N)'s whole row,
+    (N N^T)_ij >= 0 (|M_B|'s to at most 2 d_i d_j). So M_B + eps I is a
+    nonsingular M-matrix for every eps > 0, and Fischer's inequality
+    (Berman and Plemmons, Nonnegative Matrices in the Mathematical
+    Sciences, ch. 6) gives 0 <= det M_B <= the product of its diagonal.
+    Column norms are Gram identities over N, G_kl = sum N_ik N_il over a
+    class's states i: column (k, l) of Psi2 squares to
+    Ga_kk Gb_ll + Ga_ll Gb_kk + 2 Ga_kl Gb_kl across classes a and b, and to
+    G_kk G_ll + G_kl^2 - 2 sum N_ik^2 N_il^2 inside one."""
+    one = first is second
+    order = first if one else first + second
+    m, split = len(order), len(first)
+    at, pick = dict(zip(order, range(m))), itemgetter(*order)
+    local = [(at[i], at[j]) for i, j in pairs]  # the pairs, numbered by ``order``
+    rows, d = [pick(numerators[i]) for i in order], pick(scales)  # N and the d_i on the states
+
+    def columns(width: int, bias: int) -> list:
+        narrow = (2 * max(map(max, rows)) ** 2).bit_length() // 8 + 1  # holds a product slot
+        size, grid = m * narrow, m * m * narrow
+        data = b"".join(map(int.to_bytes, chain.from_iterable(zip(*rows)), repeat(narrow),
+                            repeat("little")))  # the v_k, one after another
+        spread = bytearray(m * grid)  # the u_k
+        for t in range(narrow):
+            spread[t::size] = data[t::narrow]
+        u = [int.from_bytes(spread[c * grid:(c + 1) * grid], "little") for c in range(m)]
+        v = [int.from_bytes(data[c * size:(c + 1) * size], "little") for c in range(m)]
+        grids = b"".join((u[k] * v[l] + u[l] * v[k]).to_bytes(grid, "little") for k, l in local)
+        count, bits = len(local), 8 * width
+        step = count * width
+        wide = bytearray(count * step)  # slot s of every column, byte by byte
+        for s, (r, c) in enumerate(local):
+            for t in range(narrow):
+                wide[s * width + t::step] = grids[(r * m + c) * narrow + t::grid]
+        biased = bias * (((1 << step * 8) - 1) // ((1 << bits) - 1))
+        return [biased - int.from_bytes(wide[c * step:(c + 1) * step], "little")
+                + (d[k] * d[l] << bits * c) for c, (k, l) in enumerate(local)]
+
+    def bounds() -> tuple:
+        cols = list(zip(*rows))
+        ca = [col[:split] for col in cols]  # N's columns on each class's states
+        cb = ca if one else [col[split:] for col in cols]
+        na, nb = ([sum(map(mul, c, c)) for c in part] for part in (ca, cb))
+        h, norms = 1, []
+        for k, l in local:
+            dd, own = d[k] * d[l], rows[k][k] * rows[l][l] + rows[k][l] * rows[l][k]
+            kl = list(map(mul, ca[k], ca[l]))
+            g = sum(kl)
+            psi = (na[k] * na[l] + g * g - 2 * sum(map(mul, kl, kl)) if one
+                   else na[k] * nb[l] + na[l] * nb[k] + 2 * g * sum(map(mul, cb[k], cb[l])))
+            h *= dd - own
+            norms.append(psi - 2 * dd * own + dd * dd)
+        return h, norms, False
+
+    # 2 max d^2 is at least |M_B|'s row sums
+    return Packed(len(pairs), 2 * max(d) ** 2, columns, bounds,
+                  lambda x: _criterion_product(rows, d, _hat(m, local, x), local))
+
+
 def _block_certificate(numerators: list, scales: list, structure: ChainStructure,
                        whole_kernel: bool = True) -> tuple[int, list]:
-    """``_criterion_certificate(rows, True)`` of M, the criterion rows of a
-    chain (``_criterion_block``), by blocks over class pairs (the Frobenius
-    normal form; Seneta, Non-negative Matrices and Markov Chains): the exact
-    det M and, when it is 0, a basis of M's right kernel, each block built on
-    its own.
+    """``_criterion_certificate(M, True)`` of M = D - Psi2(N), the criterion
+    rows of a chain, by blocks over class pairs (the Frobenius normal form;
+    Seneta, Non-negative Matrices and Markov Chains): the exact det M and,
+    when it is 0, a basis of M's right kernel, each block packed on its own
+    (``_class_pair_block``), its pairs in lexicographic order.
 
     A pair of states in classes a and b leads only to pairs in classes a'
     and b' that a and b lead to, so M is block triangular over the class
@@ -461,26 +520,29 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
     vector proves det M = 0, and (0, []) is returned with no kernel built.
     """
     n = len(scales)
-    owner = _labels(structure.classes, n)
-    sizes = [len(states) for states in structure.classes]
-    blocks = {}  # per class pair: its pairs (i, j), i in its smaller class
-    for i, j in combinations(range(n), 2):
-        a, b = owner[i], owner[j]  # M's entries of a pair do not depend on its order
-        blocks.setdefault((a, b) if a < b else (b, a), []).append(
-            (j, i) if (sizes[b], b) < (sizes[a], a) else (i, j))
+    classes = [[s - 1 for s in states] for states in structure.classes]
     r = [0 if closed else reach for closed, reach in zip(structure.closed, structure.reach)]
+    # each class pair with pairs, in the order above, then by its first pair:
+    # the first states of its classes (the first two states of one class)
+    blocks = sorted((r[a] + r[b], a == b, structure.periods[a] == 1,
+                     classes[a][:2] if a == b else sorted((classes[a][0], classes[b][0])), a, b)
+                    for a, b in combinations_with_replacement(range(len(classes)), 2)
+                    if a != b or len(classes[a]) > 1)
     kernel, dets = [], []  # the kernel vectors as their X^
-    for a, b in sorted(blocks, key=lambda ab: (r[ab[0]] + r[ab[1]], ab[0] == ab[1],
-                                               structure.periods[ab[0]] == 1)):
-        pairs = blocks[a, b]
+    for *_, a, b in blocks:
+        # M's entries of a pair do not depend on its order: each leads with
+        # its state in the class of fewer states, of a on a tie
+        first, second = sorted((classes[a], classes[b]), key=len)
+        pairs = (list(combinations(first, 2)) if a == b
+                 else sorted(((i, j) for i in first for j in second), key=sorted))
         closed = structure.closed[a] and structure.closed[b]
         rhs = [] if closed else [[-e for e in _criterion_product(numerators, scales, hat, pairs)]
                                  for hat in kernel]
         found = (closed and (a != b or not whole_kernel and structure.periods[a] > 1)
                  and _cyclic_kernel(numerators, scales, structure, a, b, pairs))
         det, found = (0, found) if found else _criterion_certificate(
-            _criterion_block(numerators, scales, pairs), whole_kernel and closed,
-            exact=not kernel, rhs=rhs)
+            _class_pair_block(numerators, scales, first, second, pairs),
+            whole_kernel and closed, exact=not kernel, rhs=rhs)
         if det == 0 and rhs:
             raise RuntimeError("a block of pairs meeting a transient state is singular, not an "
                                "M-matrix as the classical oracles say: the two routes disagree")
@@ -569,9 +631,9 @@ def zeon_criterion(a: StochasticMatrix) -> ErgodicityReport:
     not ``is_regular``, or 0 on one that is, raises RuntimeError: it is a
     bug or a counterexample to the theorem, never a report. On a closed
     chain that is not ergodic, the oracles' witness w proves det = 0 by
-    M w = 0 (``_criterion_product``), M the criterion rows
-    (``_criterion_block``). Every other chain works on M's blocks over class
-    pairs (``_block_certificate``).
+    M w = 0 (``_criterion_product``), M the criterion rows D - Psi2(N).
+    Every other chain works on M's blocks over class pairs
+    (``_block_certificate``).
     """
     return _analysis(a)[0]
 

@@ -6,8 +6,10 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from zeonmarkov.degree2 import DegreeTwoVector, left_action, mat_embed, right_action
-from zeonmarkov.linalg import Matrix, Scalar, _criterion_certificate, as_scalar
-from zeonmarkov.markov import ChainStructure, _criterion_block
+from zeonmarkov.linalg import (PRIMES, Matrix, Packed, Scalar, _criterion_certificate, _slots,
+                               _unpack, as_scalar)
+from zeonmarkov.markov import ChainStructure
+from zeonmarkov.zeon import _psi2_rows
 
 
 def is_hollow_symmetric(m: Matrix) -> bool:
@@ -146,15 +148,26 @@ def determinant_oracle(rows: list) -> int:
     return sign * prev
 
 
-def certificate_oracle(rows: list, whole_kernel: bool, exact: bool = True, rhs=()) -> tuple:
+def packed_rows(block: Packed) -> list:
+    """The integer rows of a ``linalg.Packed``, read back from its columns
+    packed for PRIMES[0]."""
+    width, bias = _slots(block.bound, block.size, PRIMES[0])
+    cols = [_unpack(x, width, block.size, bias) for x in block.columns(width, bias)]
+    return [list(row) for row in zip(*cols)]
+
+
+def certificate_oracle(rows, whole_kernel: bool, exact: bool = True, rhs=()) -> tuple:
     """``_criterion_certificate`` with no modular stage, so no prime that can
-    be unlucky, as the analysis reads it: the ``determinant_oracle`` (None
+    be unlucky, as the analysis reads it, on integer rows or a ``Packed``
+    (``packed_rows``): the ``determinant_oracle`` (None
     for a nonzero one without ``exact``) and, when it is 0 and
     ``whole_kernel`` asks for it, the ``null_space_oracle`` basis of the
     rows' right kernel, else, for each b in ``rhs``, (D, D y) with y read
     off the ``rref_oracle`` of [M | b] and D the lcm of its denominators.
     Without ``whole_kernel`` (a chain with every class closed) the analysis
     reads no kernel, so none is computed."""
+    if isinstance(rows, Packed):
+        rows = packed_rows(rows)
     det = determinant_oracle(rows)
     size = len(rows)
     if det == 0:
@@ -169,13 +182,25 @@ def certificate_oracle(rows: list, whole_kernel: bool, exact: bool = True, rhs=(
     return det if exact else None, solutions
 
 
+def criterion_block(numerators: list, scales: list, pairs: list) -> list:
+    """The principal submatrix on the 0-based ``pairs`` of the criterion rows
+    M = D (I - Psi2(A)) of the integer rows N_i / d_i of A, as lists: row
+    (i, j) is d_i * d_j * e_(i,j) minus row (i, j) of ``zeon._psi2_rows`` of
+    the N_i. The reference for the packed blocks of
+    ``markov._class_pair_block``, which build no row."""
+    block = [[-e for e in row] for row in _psi2_rows(numerators, 1, pairs)]
+    for r, (i, j) in enumerate(pairs):
+        block[r][r] += scales[i] * scales[j]
+    return block
+
+
 def criterion_rows(numerators: list, scales: list) -> tuple:
     """The whole N x N criterion rows M = D (I - Psi2(A)) of the integer rows
-    N_i / d_i of A, ``markov._criterion_block`` on every pair, and det D, D
+    N_i / d_i of A, ``criterion_block`` on every pair, and det D, D
     the diagonal of the d_i d_j: each d_i scales the n - 1 pairs that hold
     state i. No analysis builds M whole; the tests compare against it."""
     pairs = list(combinations(range(len(scales)), 2))
-    return _criterion_block(numerators, scales, pairs), math.prod(scales) ** (len(scales) - 1)
+    return criterion_block(numerators, scales, pairs), math.prod(scales) ** (len(scales) - 1)
 
 
 def dense_route(certificate=_criterion_certificate):

@@ -671,8 +671,7 @@ def test_witness_checks_its_vector_without_the_compound(monkeypatch, capsys):
             with monkeypatch.context() as patch:
                 for module in (zeon, degree2, cli):
                     patch.setattr(module, "zeon_power", refuse)
-                for module in (zeon, markov):
-                    patch.setattr(module, "_psi2_rows", refuse)
+                patch.setattr(zeon, "_psi2_rows", refuse)
                 assert run(capsys, *argv) == expected, (k, delta)
             assert expected[0] == (0 if delta == "1" or k == 4 else 3), (k, delta)
 

@@ -368,7 +368,7 @@ def test_lu_mod_factors_give_the_determinant_and_solve_mod_p():
     for rows, skipped, swap_prime in _factor_cases(rng):
         n = len(rows)
         for p in PRIMES:
-            width, bias = linalg._slots(rows, p)
+            width, bias = linalg._slots(linalg._dense(rows).bound, len(rows), p)
             det_p, factors = linalg._lu_mod(_packed(rows, width, bias), p, width)
             assert det_p == determinant_oracle(rows) % p
             perm, _, _, _, pivot_cols = factors
@@ -394,7 +394,7 @@ def test_slot_reducer_reduces_every_slot_mod_p():
     # length up to the n the masks were built for
     rng = random.Random(79)
     primes = list(PRIMES) + list(itertools.islice(linalg._primes_below(PRIMES[-1]), 4))
-    widths = {linalg._slots([[s] + [0] * (size - 1)] * size, PRIMES[0])[0]
+    widths = {linalg._slots(s, size, PRIMES[0])[0]
               for size in (1, 2, 3, 4, 5, 45, 153, 1225) for s in (1, 2**64, 2**200)}
     assert widths == {8, 9, 10, 26}
     for p in primes:
@@ -433,7 +433,7 @@ def test_lu_mod_packs_no_pivot_row(monkeypatch):
                         pack(values, width))
     for rows, _, _ in _factor_cases(rng):
         p = PRIMES[0]
-        width, bias = linalg._slots(rows, p)
+        width, bias = linalg._slots(linalg._dense(rows).bound, len(rows), p)
         packed = _packed(rows, width, bias)
         calls.clear()
         _, factors = linalg._lu_mod(packed, p, width)
@@ -734,7 +734,7 @@ def test_a_failed_check_on_a_regular_lu_retries_the_next_prime(monkeypatch):
     tries = []
 
     def fail_first(*args):
-        tries.append(args[5])
+        tries.append(args[4])
         return None if len(tries) == 1 else checked(*args)
 
     monkeypatch.setattr(linalg, "_checked_solution", fail_first)

@@ -45,7 +45,7 @@ from zeonmarkov.markov import (
 from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_power
 from zeonmarkov.documents import report_to_dict
 from oracles import (certificate_oracle, chain_structure_oracle, class_pair_determinant_oracle,
-                     criterion_rows, dense_route, determinant_oracle, fixed_vector_oracle,
+                     criterion_block, criterion_rows, dense_route, determinant_oracle, fixed_vector_oracle,
                      left_null_space_oracle, null_space_oracle, positive_power_oracle, rank_oracle,
                      reach_oracle, rref_oracle, stationary_oracle, vector_from_pairs)
 
@@ -526,25 +526,58 @@ def _largest_class_pair_block(a):
 
 
 def _refuse_blocks_past_the_largest_class_pair(monkeypatch, a):
-    """Make ``markov._criterion_block`` refuse more pairs than a's largest
+    """Make ``markov._class_pair_block`` refuse more pairs than a's largest
     class-pair block holds: no route then builds the criterion rows whole,
     unless they are that block (one class)."""
     largest = _largest_class_pair_block(a)
-    block = markov._criterion_block
+    block = markov._class_pair_block
 
-    def bounded(numerators, scales, pairs):
+    def bounded(numerators, scales, first, second, pairs):
         if len(pairs) > largest:
             raise AssertionError(f"a block of {len(pairs)} pairs built, past the largest {largest}")
-        return block(numerators, scales, pairs)
+        return block(numerators, scales, first, second, pairs)
 
-    monkeypatch.setattr(markov, "_criterion_block", bounded)
+    monkeypatch.setattr(markov, "_class_pair_block", bounded)
+
+
+def _class_pairs(first, second):
+    # the pairs of two classes' block (one class: first is second), in
+    # lexicographic order of the unordered pair, each led by its state in first
+    expected = sorted({tuple(sorted((i, j))) for i in first for j in second if i != j})
+    return [(i, j) if i in first else (j, i) for i, j in expected]
+
+
+def _blocks_built(monkeypatch):
+    """The pairs of each class-pair block that a certificate reads (its packed
+    columns, or the entry of a 1 x 1 block), in the order they are first read:
+    a block whose kernel is its checked cyclic indicators is never built.
+    Each block's pairs are those of its two classes in lexicographic order,
+    led by the class of fewer states."""
+    built = []
+    block = markov._class_pair_block
+
+    def tracked(numerators, scales, first, second, pairs):
+        assert len(first) <= len(second) and pairs == _class_pairs(first, second)
+        packed = block(numerators, scales, first, second, pairs)
+
+        def read(method):
+            def first_read(*call):
+                if not any(seen is pairs for seen in built):
+                    built.append(pairs)
+                return method(*call)
+            return first_read
+        return linalg.Packed(packed.size, packed.bound, read(packed.columns), packed.bounds,
+                             read(packed.product))
+
+    monkeypatch.setattr(markov, "_class_pair_block", tracked)
+    return built
 
 
 def test_criterion_is_one_pass(chains, monkeypatch):
-    # a closed not-ergodic chain checks its witness on the n x n sandwich
-    # (_criterion_product) and builds no Psi2 rows; a chain with transient states
-    # builds them only on the pairs of its class-pair blocks; an ergodic chain
-    # builds them once, on every pair
+    # no chain builds Psi2 rows: a closed not-ergodic chain checks its witness
+    # on the n x n sandwich (_criterion_product) and builds no block; a chain
+    # with transient states packs the columns of its class-pair blocks only; an
+    # ergodic chain packs them once, on every pair
     ergodic = random_stochastic(random.Random(35), 6, density=1.0)
     cases = [(ergodic, Verdict.ERGODIC), (chains[3], Verdict.NOT_ERGODIC),
              (chains[4], Verdict.NOT_ERGODIC), (chains[2], Verdict.INAPPLICABLE)]
@@ -552,15 +585,17 @@ def test_criterion_is_one_pass(chains, monkeypatch):
         with monkeypatch.context() as patch:
             structures = _counting(patch, markov, "chain_structure")
             compounds = _counting(patch, zeon, "zeon_power", degree2)
-            psi2_rows = _counting(patch, zeon, "_psi2_rows", markov)
+            psi2_rows = _counting(patch, zeon, "_psi2_rows")
+            built = _blocks_built(patch)
             integer_rows = _counting(patch, Matrix, "integer_rows")
             report = zeon_criterion(a)
         assert report.criterion_verdict is verdict
-        assert len(structures) == 1
+        assert len(structures) == 1 and psi2_rows == []
         if verdict is Verdict.INAPPLICABLE:
-            assert psi2_rows and all(len(pairs) < math.comb(a.n, 2) for *_, pairs in psi2_rows)
+            assert built and all(len(pairs) < math.comb(a.n, 2) for pairs in built)
         else:
-            assert [len(args) for args in psi2_rows] == ([3] if verdict is Verdict.ERGODIC else [])
+            assert [len(pairs) for pairs in built] == (
+                [math.comb(a.n, 2)] if verdict is Verdict.ERGODIC else [])
         assert [m for m, in integer_rows if m is a.matrix] == [a.matrix]
         assert compounds == []
 
@@ -576,7 +611,6 @@ def test_a_closed_not_ergodic_chain_builds_no_psi2_rows(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(zeon, "_psi2_rows", refuse)
-            patch.setattr(markov, "_psi2_rows", refuse)
             certificates = _counting(patch, markov, "_criterion_certificate")
             report = zeon_criterion(a)
         assert report.criterion_verdict is Verdict.NOT_ERGODIC and report.det_value == 0
@@ -775,7 +809,7 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
                 assert (len(lu), len(bareiss)) == (1, 0)
                 lu.clear()
                 lifts = _counting(patch, linalg, "_lift")
-                built = _counting(patch, markov, "_criterion_block")
+                built = _blocks_built(patch)
                 report = zeon_criterion(a)
             sizes = [len(m) for m, *_ in lu]
             if family != families.TRANSIENT:
@@ -783,33 +817,37 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
             else:
                 blocks, owner, leads = _class_pair_blocks(a)
                 keys = []
-                for *_, pairs in built:  # each block's pairs meet one pair of classes
+                for pairs in built:  # each block's pairs meet one pair of classes
                     (key,) = {tuple(sorted((owner[i + 1], owner[j + 1]))) for i, j in pairs}
                     keys.append(key)
                 cross = [key for key, (_, total) in blocks.items() if total == 0
                          and key[0] != key[1]]
                 assert len(cross) == 1 and sorted(keys) == sorted(set(blocks) - set(cross))
-                assert [len(pairs) for *_, pairs in built] == [blocks[key][0] for key in keys]
+                assert [len(pairs) for pairs in built] == [blocks[key][0] for key in keys]
                 sums = [blocks[key][1] for key in keys]
                 closed = sums.count(0)
                 assert sums[closed:] == sorted(sums[closed:]) and 0 not in sums[closed:]
                 for k, (c, d) in enumerate(keys):  # built after every block it leads to
                     below = {tuple(sorted(key)) for key in itertools.product(leads[c], leads[d])}
                     assert below & set(keys[k:]) == {(c, d)}
-                assert sizes == [len(pairs) for *_, pairs in built if len(pairs) > 1]
-                extended = sum(len(pairs) > 1 for *_, pairs in built[closed:])
+                assert sizes == [len(pairs) for pairs in built if len(pairs) > 1]
+                extended = sum(len(pairs) > 1 for pairs in built[closed:])
                 assert len(lifts) == nullity * extended
             assert all(len(m) <= a.n for m, in bareiss) and rrefs == []
             assert report.witness is not None
 
 
-def _hadamard_steps(rows, p):
+def _dixon_steps(rows, p, hadamard=False):
     # the digits Dixon lifting takes for M x = b, b as in _criterion_certificate:
-    # the least K with p^K > 2 * Nb * H, H and Nb the Hadamard bounds
+    # the least K with p^K > 2 * Nb * h, Nb the Cramer bound by Hadamard's
+    # inequality on M's columns, and h the product of M's diagonal (the bound
+    # of an M-matrix, each class-pair block) or, with ``hadamard``, Hadamard's
+    # bound on |det M|
     b = [(7 * i) % 11 - 5 for i in range(len(rows))]
     col_norms = [sum(e * e for e in col) for col in zip(*rows)]
     col_bound = math.prod(col_norms)
-    h = math.isqrt(min(col_bound, math.prod(sum(e * e for e in row) for row in rows))) + 1
+    h = (math.isqrt(min(col_bound, math.prod(sum(e * e for e in row) for row in rows))) + 1
+         if hadamard else math.prod(rows[i][i] for i in range(len(rows))))
     nb = math.isqrt(col_bound * sum(e * e for e in b) // min(col_norms)) + 1
     steps = 1
     while p ** steps <= 2 * nb * h:
@@ -832,7 +870,7 @@ def test_the_kernel_lift_stops_early_and_the_dixon_lift_does_not(monkeypatch):
               for seed, last in enumerate((13, 13, 14))]
     a = _bench_chain(families, families.ERGODIC, 18, 0)
     rows, _ = criterion_rows(*a.matrix.integer_rows())
-    cases.append((families.ERGODIC, 18, 0, [_hadamard_steps(rows, linalg.PRIMES[0])]))
+    cases.append((families.ERGODIC, 18, 0, [_dixon_steps(rows, linalg.PRIMES[0])]))
     for family, n, seed, expected in cases:
         a = _bench_chain(families, family, n, seed)
         solves = []
@@ -1171,8 +1209,8 @@ def test_a_transient_block_proven_singular_is_an_error(chains, monkeypatch, caps
     expected = check_equivalence(chains[2])
     certificate = markov._criterion_certificate
     monkeypatch.setattr(markov, "_criterion_certificate",
-                        lambda rows, whole_kernel, exact, rhs: (0, [[1] * len(rows)]) if rhs
-                        else certificate(rows, whole_kernel, exact, rhs))
+                        lambda block, whole_kernel, exact, rhs: (0, [[1] * block.size]) if rhs
+                        else certificate(block, whole_kernel, exact, rhs))
     _refuse_blocks_past_the_largest_class_pair(monkeypatch, chains[2])
     with pytest.raises(RuntimeError, match="disagree"):
         zeon_criterion(chains[2])
@@ -1257,8 +1295,8 @@ def test_a_closed_zero_determinant_takes_no_lu(chains, monkeypatch):
         for determinant in _determinant_callers():
             with monkeypatch.context() as patch:
                 lu = _counting(patch, linalg, "_lu_mod")
-                psi2_rows = _counting(patch, zeon, "_psi2_rows", markov)
-                blocks = _counting(patch, markov, "_criterion_block")
+                psi2_rows = _counting(patch, zeon, "_psi2_rows")
+                blocks = _blocks_built(patch)
                 products = _counting(patch, markov, "_criterion_product")
                 assert determinant(a) == 0
             assert (lu, psi2_rows, blocks) == ([], [], [])
@@ -1321,7 +1359,7 @@ def test_the_kernel_of_a_closed_class_pair_block_has_the_predicted_size(chains):
                 continue
             size = period // 2 if x == y else math.gcd(period, other_period)
             det, kernel = linalg._criterion_certificate(
-                markov._criterion_block(numerators, scales, pairs), True)
+                criterion_block(numerators, scales, pairs), True)
             assert len(kernel) == size and (det == 0) == (size > 0), label
             found += 1
     assert found >= 700, found
@@ -1347,7 +1385,7 @@ def test_the_cyclic_indicators_span_the_kernel_of_the_lu(chains):
         for x, y, pairs in _closed_class_pairs(a):
             indicators = markov._cyclic_kernel(numerators, scales, structure, x, y, pairs)
             det, kernel = linalg._criterion_certificate(
-                markov._criterion_block(numerators, scales, pairs), True)
+                criterion_block(numerators, scales, pairs), True)
             assert det == 0 and indicators is not None, label
             assert len(indicators) == math.gcd(structure.periods[x], structure.periods[y]), label
             assert (rref_oracle(Matrix.from_rows(indicators))
@@ -1355,6 +1393,129 @@ def test_the_cyclic_indicators_span_the_kernel_of_the_lu(chains):
             found += 1
             wider += len(indicators) > 1
     assert found >= 200 and wider >= 15, (found, wider)
+
+
+def _wide(rng, a):
+    # a's support with weights past 2^64, so that products of numerators, and
+    # the slots of the packed products, are wider than 8 bytes
+    numerators, _ = a.matrix.integer_rows()
+    return _chain_of_weights([[rng.randint(2**64, 2**80) if e else 0 for e in row]
+                              for row in numerators])
+
+
+def _packed_block_cases(chains):
+    # (chain, label): _transient_cases up to 10 states (closed classes of
+    # periods 1-4 and more under transient states), every chain of 2 and 3
+    # states on a random support, and literals past 2^64 on the supports of
+    # the random ones
+    rng = random.Random(73)
+    for a, label in _transient_cases(chains):
+        if a.n <= 10:
+            yield a, label
+    for n in (2, 3):
+        for _ in range(20):
+            yield random_stochastic(rng, n, rng.uniform(0.2, 1.0)), f"random n={n}"
+    for periods in [(1,), (2,), (3, 1), (2, 4), (1, 1)]:
+        a = _closed_classes_with_transient_states(rng, periods, 4, 2)
+        yield _wide(rng, a), f"wide periods {periods}"
+    for n in range(2, 8):
+        yield _wide(rng, random_stochastic(rng, n, 0.6)), f"wide random n={n}"
+
+
+def test_the_packed_blocks_are_the_packed_reference_rows(chains):
+    # every class-pair block, packed from N with no row built, is _pack of the
+    # reference rows (oracles.criterion_block) over the same slots, on the
+    # class pair's pairs as the analysis lists them (_class_pairs); its
+    # bounds are the product of the reference diagonal and its column norms,
+    # its product the reference M_B v, and its row bound holds |M_B|'s rows
+    p = linalg.PRIMES[0]
+    counts = {"blocks": 0, "wide": 0, "cross": 0, "small chains": 0}
+    for a, label in _packed_block_cases(chains):
+        numerators, scales = a.matrix.integer_rows()
+        classes = [[s - 1 for s in states] for states in chain_structure_oracle(a.matrix).classes]
+        rng = random.Random(a.n)
+        for x, y in itertools.combinations_with_replacement(range(len(classes)), 2):
+            first, second = sorted((classes[x], classes[y]), key=len)
+            pairs = _class_pairs(first, second)
+            if not pairs:  # a class of one state has no block
+                continue
+            block = markov._class_pair_block(numerators, scales, first,
+                                             first if x == y else second, pairs)
+            rows = criterion_block(numerators, scales, pairs)
+            assert block.size == len(rows)
+            assert block.bound >= max(sum(map(abs, row)) for row in rows), label
+            width, bias = linalg._slots(block.bound, block.size, p)
+            assert block.columns(width, bias) == [linalg._pack([e + bias for e in col], width)
+                                                  for col in zip(*rows)], label
+            h, norms, signed = block.bounds()
+            assert h == math.prod(rows[r][r] for r in range(len(rows))) and not signed, label
+            assert norms == [sum(e * e for e in col) for col in zip(*rows)], label
+            v = [rng.randint(-9, 9) for _ in pairs]
+            assert block.product(v) == [sum(map(operator.mul, row, v)) for row in rows], label
+            counts["blocks"] += 1
+            counts["cross"] += x != y
+            counts["wide"] += 2 * max(max(row) for row in numerators) ** 2 >= 2**64
+        counts["small chains"] += a.n <= 3
+    assert counts["blocks"] >= 1100 and counts["cross"] >= 750, counts
+    assert counts["wide"] >= 30 and counts["small chains"] >= 60, counts
+
+
+def test_every_principal_block_of_the_criterion_rows_has_a_det_within_its_diagonal():
+    # M = D - Psi2(N) is a Z-matrix whose principal blocks have rows summing to
+    # at least (N N^T)_ij >= 0, so each is an M-matrix (the limit of nonsingular
+    # ones) and 0 <= det <= the product of its diagonal (Fischer's inequality):
+    # every class-pair block and a random principal submatrix of M, against
+    # the determinant_oracle, on 400 random chains; criterion_determinant is
+    # never negative
+    rng = random.Random(79)
+    counts = {"chains": 0, "blocks": 0, "positive": 0}
+    for _ in range(400):
+        n = rng.randint(2, 8)
+        a = random_stochastic(rng, n, rng.uniform(0.1, 1.0))
+        numerators, scales = a.matrix.integer_rows()
+        rows, _ = criterion_rows(numerators, scales)
+        structure = chain_structure_oracle(a.matrix)
+        owner = {s - 1: c for c, states in enumerate(structure.classes) for s in states}
+        pairs = list(itertools.combinations(range(n), 2))
+        blocks = {}
+        for r, (i, j) in enumerate(pairs):
+            blocks.setdefault(frozenset((owner[i], owner[j])), []).append(r)
+        chosen = sorted(rng.sample(range(len(pairs)), rng.randint(1, len(pairs))))
+        for kept in [*blocks.values(), chosen]:
+            sub = [[rows[r][c] for c in kept] for r in kept]
+            det = determinant_oracle(sub)
+            assert 0 <= det <= math.prod(sub[k][k] for k in range(len(kept))), (n, kept)
+            counts["blocks"] += 1
+            counts["positive"] += det > 0
+        assert criterion_determinant(a) >= 0
+        counts["chains"] += 1
+    assert counts["chains"] == 400 and counts["blocks"] >= 1200 and counts["positive"] >= 600, counts
+
+
+def test_an_ergodic_chain_builds_no_list_rows_of_the_criterion(monkeypatch):
+    # bench ergodic chains at n = 10..18: the analysis and check_equivalence pack
+    # M's one class-pair block straight from N, with no Psi2 row, no row list
+    # (linalg._dense) and no slot read back (linalg._unpack), and lift the digits
+    # that h = the product of M's diagonal asks for, none more than Hadamard's
+    families = _bench_families()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("list rows of M built")
+
+    for n in range(10, 19, 2):
+        a = _bench_chain(families, families.ERGODIC, n, n)
+        rows, _ = criterion_rows(*a.matrix.integer_rows())
+        solves = []
+        with monkeypatch.context() as patch:
+            for module, name in [(zeon, "_psi2_rows"), (linalg, "_dense"), (linalg, "_unpack")]:
+                patch.setattr(module, name, refuse)
+            lifts = _counting(patch, linalg, "_lift")
+            solve_mod = linalg._solve_mod
+            patch.setattr(linalg, "_solve_mod", lambda *args: solves.append(0) or solve_mod(*args))
+            report = zeon_criterion(a)
+            assert (len(lifts), len(solves)) == (1, _dixon_steps(rows, linalg.PRIMES[0]))
+            assert check_equivalence(a).det_value == report.det_value != 0
+        assert _dixon_steps(rows, linalg.PRIMES[0]) <= _dixon_steps(rows, linalg.PRIMES[0], True)
 
 
 def _closed_classes_and_transient_states(chains, largest):
@@ -1386,11 +1547,11 @@ def test_a_cyclic_indicator_that_fails_its_check_falls_through_to_the_lu(chains,
             expected = zeon_criterion(a)
         with monkeypatch.context() as patch:
             patch.setattr(markov, "_cyclic_kernel", failing)
-            built = _counting(patch, markov, "_criterion_block")
+            built = _blocks_built(patch)
             report = zeon_criterion(a)
             assert check_equivalence(a).det_value == criterion_determinant(a) == 0, label
         assert report == expected and report_to_dict(report) == report_to_dict(expected), label
-        blocks = [{tuple(sorted(pair)) for pair in pairs} for *_, pairs in built]
+        blocks = [{tuple(sorted(pair)) for pair in pairs} for pairs in built]
         assert all({tuple(sorted(pair)) for pair in pairs} in blocks
                    for *_, pairs in _closed_class_pairs(a)), label
         cases += 1
@@ -1407,13 +1568,13 @@ def test_no_lu_takes_a_block_of_two_closed_classes(chains, monkeypatch):
         a = _bench_chain(families, families.TRANSIENT, n, 0)
         (_, _, cross), = _closed_class_pairs(a)
         with monkeypatch.context() as patch:
-            built = _counting(patch, markov, "_criterion_block")
+            built = _blocks_built(patch)
             certificates = _counting(patch, markov, "_criterion_certificate")
             report = zeon_criterion(a)
         assert report.det_value == 0 and report.witness is not None
         assert len(certificates) == len(built) and built
         cross = {tuple(sorted(pair)) for pair in cross}
-        assert all({tuple(sorted(pair)) for pair in pairs} != cross for *_, pairs in built)
+        assert all({tuple(sorted(pair)) for pair in pairs} != cross for pairs in built)
     counts = {"cases": 0, "transient": 0, "one periodic class": 0}
     for a, label in _transient_cases(chains):
         structure = chain_structure_oracle(a.matrix)
@@ -1424,7 +1585,7 @@ def test_no_lu_takes_a_block_of_two_closed_classes(chains, monkeypatch):
             with monkeypatch.context() as patch:
                 lu = _counting(patch, linalg, "_lu_mod")
                 certificates = _counting(patch, markov, "_criterion_certificate")
-                built = _counting(patch, markov, "_criterion_block")
+                built = _blocks_built(patch)
                 assert determinant(a) == 0, label
             assert lu == certificates == built == [], label
         counts["cases"] += 1
