@@ -15,8 +15,8 @@ run on those rows and build a ``Fraction`` only for an output entry.
 ``A * B`` brings B's rows to one common scale s, so entry (i, j) is one
 integer dot product over A's row scale times s.
 Reduced row-echelon forms come from one fraction-free (Bareiss) routine,
-``_bareiss``. Every determinant (``Matrix.det`` too), with either the right
-kernel vectors that prove it 0 or the solutions of a regular system, comes
+``_bareiss``. Every determinant (``Matrix.det`` too), with either a right
+kernel vector that proves it 0 or the solutions of a regular system, comes
 from one LU mod p, lifted p-adically (``_criterion_certificate``, and
 ``integer_det`` for the determinant alone): each lifts through
 ``_checked_solution`` until its exact check passes, mod each next prime
@@ -180,7 +180,7 @@ def _is_prime(q: int) -> bool:
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix: the determinant of
     ``_criterion_certificate``, whose one LU mod p also proves a zero."""
-    return _criterion_certificate(rows, False)[0]
+    return _criterion_certificate(rows)[0]
 
 
 class Packed:
@@ -219,16 +219,14 @@ def _hadamard(cols: Sequence[Sequence[int]], kept: Sequence[int]) -> tuple[int, 
     return math.isqrt(min(math.prod(norms), rows_bound)) + 1, norms
 
 
-def _criterion_certificate(m: Union[Packed, Sequence[Sequence[int]]], whole_kernel: bool,
-                           exact: bool = True, rhs: Sequence[Sequence[int]] = ()
-                           ) -> tuple[Optional[int], list]:
-    """The exact determinant of a square integer matrix M (its rows, or its
-    ``Packed``) from one LU of M mod p = PRIMES[0], and either vectors of
-    M's right kernel that prove it 0, as (0, kernel), or, for each b in
-    ``rhs``, (D, D * y) for the solution y of M y = b, D the lcm of y's
-    denominators (``_checked_solution``), as (det, solutions). Without
-    ``exact``, det M mod p != 0 proves the determinant nonzero and None
-    stands for it: nothing is lifted for it.
+def _criterion_certificate(m: Union[Packed, Sequence[Sequence[int]]],
+                           rhs: Sequence[Sequence[int]] = ()) -> tuple[Optional[int], list]:
+    """The determinant of a square integer matrix M (its rows, or its
+    ``Packed``) from one LU of M mod p = PRIMES[0]: (0, [v]), v a right
+    kernel vector of M that proves it 0; else (det M, []) with no ``rhs``,
+    or (None, solutions), det M mod p != 0 proving it nonzero, with for each
+    b in ``rhs`` (D, D * y), y the solution of M y = b and D the lcm of its
+    denominators (``_checked_solution``).
 
     Dixon's method, used for determinants as by Abbott, Bronstein and
     Mulders, gives a nonzero det M: lift the solution of M x = b for a fixed
@@ -242,12 +240,9 @@ def _criterion_certificate(m: Union[Packed, Sequence[Sequence[int]]], whole_kern
     from the packed columns. For the first one, f, the solution v of
     M v = -D M[:, f] (``_checked_solution``, lifted from the same factors
     until it passes on every row), with v[f] = D, is an integer kernel
-    vector that proves det M = 0. ``whole_kernel`` asks for the vectors of
-    every free column: the rank mod p is at most the rank over Q, so the
-    kernel over Q has at most N - r dimensions, and these checked vectors
-    (each nonzero at its own free column and zero at the others) are a basis
-    of it. A 1 x 1 M = [m] takes no LU: the kernel [[1]] when m = 0, else
-    D = |m| / g and D y = sign(m) b / g, g = gcd(m, b).
+    vector that proves det M = 0. A 1 x 1 M = [m] takes no LU: the kernel
+    [[1]] when m = 0, else det m, D = |m| / g and D y = sign(m) b / g,
+    g = gcd(m, b).
 
     Every step is exact and deterministic, and only a kernel vector proves a
     zero. A failed check (M has a larger rank over Q than mod p, as when p
@@ -273,22 +268,21 @@ def _criterion_certificate(m: Union[Packed, Sequence[Sequence[int]]], whole_kern
         det_p, factors = _lu_mod(packed, p, width)
         if det_p == 0:
             perm, *_, pivot_rows = factors
-            free = sorted(perm[len(pivot_rows):])
+            f = min(perm[len(pivot_rows):])
             cols = [_unpack(x, width, n, bias) for x in packed]
             minor = _hadamard([[col[i] for i in pivot_rows] for col in cols], perm[:len(pivot_rows)])
-            solved = [_checked_solution(product, packed, factors, [-e for e in cols[f]], p, width,
-                                        bias, *minor) for f in (free if whole_kernel else free[:1])]
-            if None not in solved:  # M v = -D M[:, f], so v + D e_f is in the kernel
-                return 0, [v[:f] + [d] + v[f + 1:] for f, (d, v) in zip(free, solved)]
+            solved = _checked_solution(product, packed, factors, [-e for e in cols[f]], p, width,
+                                       bias, *minor)
+            if solved:  # M v = -D M[:, f], so v + D e_f is in the kernel
+                d, v = solved
+                return 0, [v[:f] + [d] + v[f + 1:]]
             continue
-        if not (rhs or exact):
-            return None, []
         h, norms, signed = block.bounds()
         solutions = [_checked_solution(product, packed, factors, b, p, width, bias, h, norms)
                      for b in rhs]
         if None in solutions:
             continue
-        if not exact:
+        if rhs:
             return None, solutions
         b = [(7 * i) % 11 - 5 for i in range(n)]
         denom, _ = next(_lift(packed, factors, b, p, width, bias, h, norms, early=False))
@@ -302,7 +296,7 @@ def _criterion_certificate(m: Union[Packed, Sequence[Sequence[int]]], whole_kern
                 c_q = _lu_mod([x + shift for x in packed], q, width)[0] * pow(denom, -1, q) % q
                 cofactor += base * ((c_q - cofactor) * pow(base, -1, q) % q)
                 base *= q
-        return (cofactor - base if signed and cofactor > base // 2 else cofactor) * denom, solutions
+        return (cofactor - base if signed and cofactor > base // 2 else cofactor) * denom, []
     raise ArithmeticError("primes beyond the Hadamard bound failed the rank: a bound is wrong")
 
 

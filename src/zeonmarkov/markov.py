@@ -6,9 +6,8 @@ state diagram (irreducible), unit gcd of cycle lengths (aperiodic), or
 equivalently some strictly positive power (quasi-positive). The new
 route computes det(I - Psi2(A)) exactly: it is nonzero exactly when the
 chain has one closed class, aperiodic (``is_regular``), so ergodic when
-every class is closed. A checked cyclic indicator proves a zero with no
-LU: the kernel of a block on two closed classes, or a fixed vector of one
-inside a periodic class (Perron-Frobenius). The analysis certifies a zero
+every class is closed. Checked cyclic indicators span the kernel of each
+closed block of the pair chain, with no LU. The analysis certifies a zero
 with a nonnegative fixed vector of Psi2(A) (a cross-class indicator for
 reducible chains, a cyclic-distance one for periodic ones).
 
@@ -51,15 +50,21 @@ class StochasticMatrix:
         for i, (row, d) in enumerate(zip(numerators, scales)):
             for j, e in enumerate(row):
                 if e < 0:
-                    raise NotStochasticError(
-                        f"entry ({i + 1},{j + 1}) is negative: {ratio_str(e, d)}")
+                    raise NotStochasticError(f"entry ({i + 1},{j + 1}) is negative: {_quote(e, d)}")
         for i, (row, d) in enumerate(zip(numerators, scales)):
             if sum(row) != d:
-                raise NotStochasticError(f"row {i + 1} sums to {ratio_str(sum(row), d)}, expected 1")
+                raise NotStochasticError(f"row {i + 1} sums to {_quote(sum(row), d)}, expected 1")
 
     @property
     def n(self) -> int:
         return self.matrix.rows
+
+
+def _quote(numerator: int, denominator: int) -> str:
+    """``ratio_str`` of numerator/denominator, or past 40 characters its
+    first 20 and its digit count."""
+    text = ratio_str(numerator, denominator)
+    return text if len(text) <= 40 else f"{text[:20]}... ({sum(map(str.isdigit, text))} digits)"
 
 
 def validate_stochastic(m: Matrix) -> StochasticMatrix:
@@ -383,14 +388,7 @@ def criterion_determinant(a: StochasticMatrix) -> Scalar:
     (``_class_pair_block``), from M's class-pair blocks with no kernel and
     no witness (``_block_certificate`` without ``whole_kernel``). A 1-state
     chain has no pairs: the determinant is the empty one, 1."""
-    numerators, scales = a.matrix.integer_rows()
-    det = _block_certificate(numerators, scales, chain_structure(a), whole_kernel=False)[0]
-    return exact_div(det, _det_d(scales))
-
-
-def _det_d(scales: list) -> int:
-    """det D: each d_i scales the n - 1 rows whose pair holds state i."""
-    return math.prod(scales) ** (len(scales) - 1)
+    return _block_certificate(*a.matrix.integer_rows(), chain_structure(a), whole_kernel=False)[0]
 
 
 def _criterion_product(numerators: list, scales: list, hat: list, rows: list) -> list:
@@ -481,84 +479,85 @@ def _class_pair_block(numerators: list, scales: list, first: list, second: list,
 
 
 def _block_certificate(numerators: list, scales: list, structure: ChainStructure,
-                       whole_kernel: bool = True) -> tuple[int, list]:
-    """``_criterion_certificate(M, True)`` of M = D - Psi2(N), the criterion
-    rows of a chain, by blocks over class pairs (the Frobenius normal form;
-    Seneta, Non-negative Matrices and Markov Chains): the exact det M and,
-    when it is 0, a basis of M's right kernel, each block packed on its own
-    (``_class_pair_block``), its pairs in lexicographic order.
+                       whole_kernel: bool = True) -> tuple[Scalar, list]:
+    """det(I - Psi2(A)) = det M / det D, M = D - Psi2(N) the criterion rows of
+    a chain (each d_i scales the n - 1 rows whose pair holds state i, so
+    det D = (prod d_i)^(n - 1)), and, when it is 0, a basis of M's right
+    kernel, by blocks over class pairs (the Frobenius normal form; Seneta,
+    Non-negative Matrices and Markov Chains), each packed on its own
+    (``_class_pair_block``), its pairs in lexicographic order. Without
+    ``whole_kernel`` (the determinant-only callers) the first block proven
+    singular gives (0, []).
 
     A pair of states in classes a and b leads only to pairs in classes a'
     and b' that a and b lead to, so M is block triangular over the class
     pairs {a, b}: det M = prod det M_ab. Let r(c) be 0 for a closed class c
-    and else its reach (``ChainStructure.reach``), the number of states it
-    leads to. A step from a class into another leaves the second's reach a
-    strict subset of the first's, so r falls, and a block leads only to
-    itself and to blocks of a smaller sum r(a) + r(b). The closed blocks
-    (sum 0) lead to no other block, and a kernel vector of M is one of a
-    singular closed M_ab's, x_C, extended block by block in order of that
-    sum: each transient block's x_B solves M_BB x_B = -M x on B's rows (one
-    ``_criterion_product``), x being 0 there and on the blocks not yet
-    solved. Each kernel vector is kept as its n x n X^ while it is
-    extended, and read out in pair order on return.
+    and else its reach (``ChainStructure.reach``). A step from a class into
+    another leaves the second's reach a strict subset of the first's, so a
+    block leads only to itself and to blocks of a smaller sum r(a) + r(b).
+    A kernel vector of M is one of a singular closed M_ab's (sum 0), x_C,
+    extended block by block in order of that sum: each transient block's
+    x_B solves M_BB x_B = -M x on B's rows (one ``_criterion_product``), x
+    being 0 there and on the blocks not yet solved, kept as its n x n X^.
 
     The closed blocks go first, those across two classes before those inside
-    one, periodic before aperiodic. The kernel of a block across two closed
-    classes is its checked cyclic indicators (``_cyclic_kernel``), with no
-    LU; without ``whole_kernel``, a block inside one periodic class is
-    proven singular the same way. Every other block, and one whose check
-    fails, takes one ``_criterion_certificate``: a det is lifted only while
-    no kernel vector is found, each singular closed M_ab gives its whole
-    kernel, and each transient M_BB the x_B of every kernel vector, X^
-    scaled by the solution's denominator: block by block, the checks prove
-    M x = 0. With no kernel, det M is the product of the blocks' dets (an
-    irreducible chain: one closed block, all of M). A transient M_BB proven
-    singular while a kernel is extended contradicts ``is_regular``'s
-    M-matrix fact: RuntimeError, the routes disagree; otherwise it makes
-    det M = 0, with no kernel. No block is larger than the largest class
-    pair's. Without ``whole_kernel`` the first block with a checked kernel
-    vector proves det M = 0, and (0, []) is returned with no kernel built.
+    one. The kernel of each that is across two classes or periodic is its
+    checked cyclic indicators (``_cyclic_kernel``), with no LU; by the same
+    count one inside an aperiodic class is nonsingular, and skipped once a
+    kernel proves det M = 0. An indicator that fails its check is a
+    counterexample: RuntimeError, the routes disagree, or without
+    ``whole_kernel`` the block's own certificate. Every other block takes a
+    ``_criterion_certificate``: with no kernel, its exact det (an
+    irreducible chain has one block, all of M); with one, for a transient
+    M_BB, the x_B of every kernel vector, X^ scaled by the solution's
+    denominator, so that block by block the checks prove M x = 0. A
+    transient M_BB proven singular while a kernel is extended contradicts
+    ``is_regular``'s M-matrix fact: RuntimeError; with no kernel a singular
+    block makes det M = 0. No block is larger than the largest class pair's.
     """
     n = len(scales)
     classes = [[s - 1 for s in states] for states in structure.classes]
     r = [0 if closed else reach for closed, reach in zip(structure.closed, structure.reach)]
     # each class pair with pairs, in the order above, then by its first pair:
     # the first states of its classes (the first two states of one class)
-    blocks = sorted((r[a] + r[b], a == b, structure.periods[a] == 1,
+    blocks = sorted((r[a] + r[b], a == b,
                      classes[a][:2] if a == b else sorted((classes[a][0], classes[b][0])), a, b)
                     for a, b in combinations_with_replacement(range(len(classes)), 2)
                     if a != b or len(classes[a]) > 1)
     kernel, dets = [], []  # the kernel vectors as their X^
     for *_, a, b in blocks:
+        closed = structure.closed[a] and structure.closed[b]
+        cyclic = closed and (a != b or structure.periods[a] > 1)
+        if closed and kernel and not cyclic:
+            continue
         # M's entries of a pair do not depend on its order: each leads with
         # its state in the class of fewer states, of a on a tie
         first, second = sorted((classes[a], classes[b]), key=len)
         pairs = (list(combinations(first, 2)) if a == b
                  else sorted(((i, j) for i in first for j in second), key=sorted))
-        closed = structure.closed[a] and structure.closed[b]
-        rhs = [] if closed else [[-e for e in _criterion_product(numerators, scales, hat, pairs)]
-                                 for hat in kernel]
-        found = (closed and (a != b or not whole_kernel and structure.periods[a] > 1)
-                 and _cyclic_kernel(numerators, scales, structure, a, b, pairs))
-        det, found = (0, found) if found else _criterion_certificate(
-            _class_pair_block(numerators, scales, first, second, pairs),
-            whole_kernel and closed, exact=not kernel, rhs=rhs)
+        found = cyclic and _cyclic_kernel(numerators, scales, structure, a, b, pairs)
+        if found is None and whole_kernel:
+            raise RuntimeError("the cyclic indicators of a block of closed classes fail their "
+                               "check, against the pair chain's count: the two routes disagree")
+        if found and whole_kernel:
+            kernel += [_hat(n, pairs, v) for v in found]
+            continue
+        rhs = [[-e for e in _criterion_product(numerators, scales, hat, pairs)] for hat in kernel]
+        det, solved = (0, []) if found else _criterion_certificate(
+            _class_pair_block(numerators, scales, first, second, pairs), rhs)
         if det == 0 and rhs:
             raise RuntimeError("a block of pairs meeting a transient state is singular, not an "
                                "M-matrix as the classical oracles say: the two routes disagree")
-        if det == 0 and not (whole_kernel and closed):
+        if det == 0:
             return 0, []
         dets.append(det)
-        if closed:  # M_ab's kernel vectors, 0 off the block, to extend
-            kernel += [_hat(n, pairs, v) for v in found]
-        else:
-            for hat, (d, y) in zip(kernel, found):  # M_BB y = -d M x on B's rows
-                if d != 1:
-                    hat[:] = [[d * e for e in row] for row in hat]
-                for (i, j), e in zip(pairs, y):
-                    hat[i][j] = hat[j][i] = e
+        for hat, (d, y) in zip(kernel, solved):  # M_BB y = -d M x on B's rows
+            if d != 1:
+                hat[:] = [[d * e for e in row] for row in hat]
+            for (i, j), e in zip(pairs, y):
+                hat[i][j] = hat[j][i] = e
     return ((0, [[hat[i][j] for i, j in combinations(range(n), 2)] for hat in kernel]) if kernel
-            else (math.prod(dets), []))
+            else (exact_div(math.prod(dets), math.prod(scales) ** (n - 1)), []))
 
 
 def _labels(groups: tuple, n: int) -> list:
@@ -581,24 +580,29 @@ def _hat(n: int, pairs: list, coords) -> list:
 
 def _cyclic_kernel(numerators: list, scales: list, structure: ChainStructure, a: int, b: int,
                    pairs: list) -> Optional[list]:
-    """Kernel vectors of M_ab, the block on ``pairs`` of closed classes a and
-    b, phi the cyclic class, when each passes M x = 0 on the block's rows
-    (``_criterion_product``), else None. For a != b, ker M_ab: the
-    g = gcd(p_a, p_b) indicators x_ij = [phi(i) - phi(j) = r mod g], r in Z_g.
-    The rank needs no LU: a closed class steps only into itself, so
-    M_ab = (D_a x D_b)(I - A_aa x A_bb). A_aa's eigenvalues of modulus 1 are
-    its p_a-th roots of unity, each simple (Seneta, Non-negative Matrices
-    and Markov Chains, ch. 1), and A_aa x A_bb's are the products, of modulus
-    at most 1 (Horn and Johnson, Topics in Matrix Analysis, Thm 4.2.12): just
-    g of them are 1. So dim ker M_ab <= g, and the g checked indicators,
-    disjoint and nonzero, span it. For a == b of period p >= 2, the
-    cyclic-distance-1 indicator [phi(i) - phi(j) = +-1 mod p]
-    (``witness_periodic`` of the class) proves det M_aa = 0; it is not
-    claimed to span the kernel."""
+    """A basis of ker M_ab, the block on ``pairs`` of closed classes a and b
+    (a == b: one class of period p >= 2), when each vector passes M x = 0 on
+    the block's rows (``_criterion_product``), else None. With phi the cyclic
+    class: the g = gcd(p_a, p_b) indicators [phi(i) - phi(j) = r mod g],
+    r in Z_g, or for a == b the floor(p/2) ones [phi(i) - phi(j) = +-delta
+    mod p], delta = 1..p/2 (``witness_periodic``'s).
+
+    They span it: M_ab = D (I - B), D the diagonal of the d_i d_j, and
+    B = Psi2(A) on the block is the pair chain, two independent copies of
+    the chain killed when they meet. Its rows sum to at most 1, so its
+    powers are bounded and its eigenvalue 1 semisimple: dim ker M_ab counts
+    B's classes C whose pairs never meet, the irreducible substochastic B_CC
+    with rho(B_CC) = 1, each simple (Seneta, Non-negative Matrices and Markov
+    Chains, ch. 1; Berman and Plemmons, Nonnegative Matrices in the
+    Mathematical Sciences, ch. 6). Both copies step one cyclic class on, and
+    A^p is primitive on a cyclic class, so each offset phi(i) - phi(j) mod g
+    (up to sign for a == b) is a class of B, whose pairs never meet but at
+    offset 0 inside one class: g classes, or floor(p/2), spanned by the
+    checked indicators, disjoint and nonzero."""
     g = math.gcd(structure.periods[a], structure.periods[b])
     # b's cyclic classes are labelled from p_a on, and g divides p_a
     phase = _labels(structure.cyclic_classes[a] + structure.cyclic_classes[b], len(scales))
-    residues = [{1, g - 1}] if a == b else [{r} for r in range(g)]
+    residues = [{d, g - d} for d in range(1, g // 2 + 1)] if a == b else [{r} for r in range(g)]
     kernel = [[int((phase[i] - phase[j]) % g in hit) for i, j in pairs] for hit in residues]
     return None if any(any(_criterion_product(numerators, scales, _hat(len(scales), pairs, v),
                                               pairs)) for v in kernel) else kernel
@@ -653,8 +657,7 @@ def _analysis(a: StochasticMatrix) -> tuple[ErgodicityReport, ChainStructure]:
                                "fixed by Psi2(A); ergodic is not refuted: the two routes disagree")
         det_value, verdict = 0, Verdict.NOT_ERGODIC
     else:
-        det, kernel = _block_certificate(numerators, scales, structure)
-        det_value = exact_div(det, _det_d(scales))
+        det_value, kernel = _block_certificate(numerators, scales, structure)
         if (det_value != 0) != structure.is_regular:
             raise RuntimeError(f"the determinant is {'nonzero' if det_value else '0'}, but the "
                                f"classical oracles say the chain is {'not ' if det_value else ''}"
@@ -733,8 +736,10 @@ class EquivalenceCheck:
     """One matrix, three routes to the same dichotomy: quasi-positivity,
     irreducible + aperiodic, and det(I - Psi2(A)), whose exact value comes
     from M's class-pair blocks (``_block_certificate`` without
-    ``whole_kernel``), with no classical witness: a determinant that breaks
-    the classical verdict shows up as a counterexample, not as an error."""
+    ``whole_kernel``), with no classical witness, and a cyclic indicator that
+    fails its check sends its block on to its certificate: a determinant that
+    breaks the classical verdict shows up as a counterexample, not as an
+    error."""
 
     matrix: Matrix
     all_closed: bool
@@ -770,12 +775,11 @@ def check_equivalence(a: StochasticMatrix) -> EquivalenceCheck:
     """The classical routes and ``criterion_determinant`` of a chain, from one structure."""
     structure = chain_structure(a)
     numerators, scales = a.matrix.integer_rows()
-    det = _block_certificate(numerators, scales, structure, whole_kernel=False)[0]
     return EquivalenceCheck(
         matrix=a.matrix,
         all_closed=structure.all_closed,
         is_regular=structure.is_regular,
-        det_value=exact_div(det, _det_d(scales)),
+        det_value=_block_certificate(numerators, scales, structure, whole_kernel=False)[0],
         quasi_positive_exponent=is_quasi_positive(a),
         is_irreducible=structure.is_irreducible,
         is_aperiodic=structure.is_aperiodic,

@@ -6,8 +6,9 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from zeonmarkov.degree2 import DegreeTwoVector, left_action, mat_embed, right_action
-from zeonmarkov.linalg import (PRIMES, Matrix, Packed, Scalar, _criterion_certificate, _slots,
-                               _unpack, as_scalar)
+from zeonmarkov import linalg
+from zeonmarkov.linalg import (PRIMES, Matrix, Packed, Scalar, _dense, _hadamard, _lu_primes,
+                               _slots, _unpack, as_scalar, exact_div, integer_det)
 from zeonmarkov.markov import ChainStructure
 from zeonmarkov.zeon import _psi2_rows
 
@@ -156,30 +157,84 @@ def packed_rows(block: Packed) -> list:
     return [list(row) for row in zip(*cols)]
 
 
-def certificate_oracle(rows, whole_kernel: bool, exact: bool = True, rhs=()) -> tuple:
+def certificate_oracle(rows, rhs=()) -> tuple:
     """``_criterion_certificate`` with no modular stage, so no prime that can
     be unlucky, as the analysis reads it, on integer rows or a ``Packed``
-    (``packed_rows``): the ``determinant_oracle`` (None
-    for a nonzero one without ``exact``) and, when it is 0 and
-    ``whole_kernel`` asks for it, the ``null_space_oracle`` basis of the
-    rows' right kernel, else, for each b in ``rhs``, (D, D y) with y read
-    off the ``rref_oracle`` of [M | b] and D the lcm of its denominators.
-    Without ``whole_kernel`` (a chain with every class closed) the analysis
-    reads no kernel, so none is computed."""
+    (``packed_rows``): (0, []) when the ``determinant_oracle`` is 0, since
+    the analysis reads no kernel vector of a certificate; else (det, []) with
+    no ``rhs``, and (None, solutions) with one, for each b in ``rhs`` (D, D y)
+    with y read off the ``rref_oracle`` of [M | b] and D the lcm of its
+    denominators."""
     if isinstance(rows, Packed):
         rows = packed_rows(rows)
     det = determinant_oracle(rows)
-    size = len(rows)
     if det == 0:
-        return 0, (null_space_oracle(Matrix(size, size, [e for row in rows for e in row]))
-                   if whole_kernel else [])
-    solutions = []
+        return 0, []
+    size, solutions = len(rows), []
     for b in rhs:
         reduced, _ = rref_oracle(Matrix.from_rows([list(row) + [e] for row, e in zip(rows, b)]))
         y = [Fraction(reduced[i, size]) for i in range(size)]
         d = math.lcm(*(e.denominator for e in y))
         solutions.append((d, [int(e * d) for e in y]))
-    return det if exact else None, solutions
+    return None if rhs else det, solutions
+
+
+def lu_kernel(rows) -> list:
+    """A basis of the right kernel of square integer rows M, by the route the
+    analysis took for closed blocks before their cyclic indicators: one LU
+    mod p (``linalg._lu_mod``) and, for every free column f, the checked
+    vector (``_checked_solution``) v of M v = -D M[:, f], with v[f] = D. The
+    rank mod p is at most the rank over Q, so the kernel over Q has at most
+    N - r dimensions, and these vectors, each nonzero at its own free column
+    and 0 at the others, are a basis of it. A vector that fails its check
+    starts again mod the next prime below (``_lu_primes``); [] when M is
+    regular mod p, which proves det M != 0. A fast reference: the Fraction
+    ``null_space_oracle`` takes minutes where this takes a second."""
+    n = len(rows)
+    if n < 2:
+        return [[1]] if n and rows[0][0] == 0 else []
+    block = _dense(rows)
+    for p in _lu_primes(lambda: block.bounds()[1]):
+        width, bias = _slots(block.bound, n, p)
+        packed = block.columns(width, bias)
+        det_p, factors = linalg._lu_mod(packed, p, width)
+        if det_p:
+            return []
+        perm, *_, pivot_rows = factors
+        cols = [_unpack(x, width, n, bias) for x in packed]
+        minor = _hadamard([[col[i] for i in pivot_rows] for col in cols], perm[:len(pivot_rows)])
+        kernel = []
+        for f in sorted(perm[len(pivot_rows):]):
+            solved = linalg._checked_solution(block.product, packed, factors,
+                                              [-e for e in cols[f]], p, width, bias, *minor)
+            if solved is None:
+                break
+            d, v = solved
+            kernel.append(v[:f] + [d] + v[f + 1:])
+        else:
+            return kernel
+    raise ArithmeticError("primes beyond the Hadamard bound failed the rank: a bound is wrong")
+
+
+def rank_mod(rows, q: int = (1 << 61) - 1) -> int:
+    """The rank of integer rows mod the prime q, the Mersenne prime 2^61 - 1
+    by default, by plain Gaussian elimination on lists, with nothing from
+    ``linalg``: each step drops the first column, eliminated by a row with a
+    nonzero entry there, if any. A minor that is nonzero mod q is nonzero,
+    so it is at most the rank over Q."""
+    m = [[e % q for e in row] for row in rows]
+    rank = 0
+    while m and m[0]:
+        pivot = next((row for row in m if row[0]), None)
+        if pivot is None:
+            m = [row[1:] for row in m]
+            continue
+        m.remove(pivot)
+        inverse, tail = q - pow(pivot[0], -1, q), pivot[1:]
+        m = [[(a + f * b) % q for a, b in zip(row[1:], tail)] if (f := row[0] * inverse % q)
+             else row[1:] for row in m]
+        rank += 1
+    return rank
 
 
 def criterion_block(numerators: list, scales: list, pairs: list) -> list:
@@ -203,14 +258,23 @@ def criterion_rows(numerators: list, scales: list) -> tuple:
     return criterion_block(numerators, scales, pairs), math.prod(scales) ** (len(scales) - 1)
 
 
-def dense_route(certificate=_criterion_certificate):
+def dense_route(oracle: bool = False):
     """A stand-in for ``markov._block_certificate`` that works on the whole
-    N x N matrix: ``certificate(rows, True)`` of ``criterion_rows``, by
-    default the production ``_criterion_certificate`` that each block takes.
-    With ``_nonnegative_fixed_vector`` it is the analysis of a chain with
-    transient states as it was before the block route."""
+    N x N criterion rows M (``criterion_rows``): det M over det D and, when
+    it is 0, a basis of M's right kernel, by default ``lu_kernel`` and the
+    production ``integer_det``, the one LU mod p that each block takes; with
+    ``oracle``, with no modular stage, the ``null_space_oracle`` and the
+    ``determinant_oracle``. With ``_nonnegative_fixed_vector`` it is the
+    analysis of a chain with transient states as it was before the block
+    route."""
     def dense(numerators, scales, structure):
-        return certificate(criterion_rows(numerators, scales)[0], True)
+        rows, det_d = criterion_rows(numerators, scales)
+        if oracle:
+            det = determinant_oracle(rows)
+            return ((exact_div(det, det_d), []) if det
+                    else (0, null_space_oracle(Matrix.from_rows(rows))))
+        kernel = lu_kernel(rows)
+        return (0, kernel) if kernel else (exact_div(integer_det(rows), det_d), [])
     return dense
 
 

@@ -447,11 +447,31 @@ def test_analyze_prints_numbers_beyond_the_digit_limit(tmp_path, capsys):
 
 
 def test_analyze_formats_an_oversized_row_sum(tmp_path, capsys):
+    # a sum past the int/str digit limit is quoted by its first 20 digits and
+    # its digit count
     path = tmp_path / "long.csv"
     path.write_text("1e4300,0\n0,1\n")
     code, out, err = run(capsys, "analyze", str(path))
     assert code == 3 and out == ""
-    assert f"row 1 sums to 1{'0' * 4300}, expected 1" in err
+    assert f"row 1 sums to 1{'0' * 19}... (4301 digits), expected 1" in err
+
+
+@pytest.mark.parametrize("entries, message", [
+    ("1/{d},2/{d},{d}/{d}", "row 1 sums to 10000000000000000000... (3002 digits), expected 1"),
+    ("-1/{d},2/{d},{d}/{d}", "entry (1,1) is negative: -1/10000000000000000... (1502 digits)"),
+    ("1/3,1/3,2/3", "row 1 sums to 4/3, expected 1"),
+])
+def test_a_long_value_in_a_not_stochastic_message_is_quoted_by_its_first_digits(
+        tmp_path, capsys, entries, message):
+    # a 3-state row with 1500-digit denominators: the error names the value
+    # by its first 20 characters and its digit count, not by its 3000 digits;
+    # a value of at most 40 characters is quoted whole
+    d = 10**1500 + 7
+    path = tmp_path / "long.csv"
+    path.write_text(entries.format(d=d) + "\n0,1,0\n0,0,1\n")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"zeonmarkov: error: matrix is not stochastic: {message}\n"
 
 
 def test_a_determinant_contradicting_the_classical_verdict_exits_four(monkeypatch, capsys):

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import assert_same_entries, cofactor_det
-from oracles import (determinant_oracle, left_null_space_oracle, null_space_oracle,
+from oracles import (determinant_oracle, left_null_space_oracle, lu_kernel, null_space_oracle,
                      product_oracle, rank_oracle, rref_oracle)
 from zeonmarkov import linalg
 from zeonmarkov.linalg import Matrix, PRIMES, as_scalar, exact_div, integer_det, scalar_str
@@ -567,12 +567,16 @@ def _kernel_cases():
 
 
 def test_certificate_kernel_matches_the_fraction_null_space():
+    # a zero determinant comes with one kernel vector, that of the first free
+    # column of the LU mod p, the first vector of the basis that every free
+    # column gives (oracles.lu_kernel), whose span is the Fraction null space
     nullities = set()
     for rows in _kernel_cases():
         n = len(rows)
         expected = null_space_oracle(Matrix(n, n, [e for row in rows for e in row]))
-        det, kernel = linalg._criterion_certificate(rows, True)
-        assert (det == 0) == bool(kernel)
+        det, found = linalg._criterion_certificate(rows)
+        kernel = lu_kernel(rows)
+        assert (det == 0) == bool(kernel) and found == kernel[:1]
         assert all(isinstance(e, int) for v in kernel for e in v)
         assert all(not any(sum(a * b for a, b in zip(row, v)) for row in rows) for v in kernel)
         canonical = Matrix.from_rows(kernel).rref()[0] if kernel else Matrix.zeros(1, n)
@@ -592,11 +596,9 @@ def test_certificate_check_fails_when_the_rank_drops_mod_p(monkeypatch):
             singular = [[d] + [0] * (size - 1)] + [[0] * size for _ in range(size - 1)]
             expected = [list(v) for v in null_space_oracle(Matrix.from_rows(singular))]
             assert len(expected) == size - 1
-            for whole_kernel in (True, False):
-                calls.update(bareiss=0, primes=[])
-                assert linalg._criterion_certificate(singular, whole_kernel) == (
-                    0, expected if whole_kernel else expected[:1])
-                assert calls == {"bareiss": 0, "primes": primes}
+            calls.update(bareiss=0, primes=[])
+            assert linalg._criterion_certificate(singular) == (0, expected[:1])
+            assert calls == {"bareiss": 0, "primes": primes}
     calls.update(bareiss=0, primes=[])
     assert integer_det([[p * q, 0], [0, 0]]) == 0
     assert calls == {"bareiss": 0, "primes": [p, q, r]}
@@ -604,8 +606,10 @@ def test_certificate_check_fails_when_the_rank_drops_mod_p(monkeypatch):
 
 def test_a_kernel_whose_rank_drops_mod_two_primes_comes_from_the_third(monkeypatch):
     # a row that is 0 mod p and mod q drops the rank mod both primes, so the
-    # whole kernel comes from the LU mod the third prime, checked on integer
-    # rows: it spans the Fraction null space, with no exact elimination
+    # whole kernel (oracles.lu_kernel, every free column's vector) comes from
+    # the LU mod the third prime, checked on integer rows: it spans the
+    # Fraction null space, with no exact elimination; the certificate's one
+    # kernel vector lies in it
     p, q = PRIMES[:2]
     calls = _count_routes(monkeypatch)
 
@@ -626,11 +630,13 @@ def test_a_kernel_whose_rank_drops_mod_two_primes_comes_from_the_third(monkeypat
         if rank_oracle(Matrix.from_rows(rows)) != r or rank_oracle(Matrix.from_rows(rows[1:])) != r - 1:
             continue
         calls.update(bareiss=0, primes=[])
-        det, kernel = linalg._criterion_certificate(rows, True)
+        kernel = lu_kernel(rows)
         assert calls == {"bareiss": 0, "primes": [p, q, PRIMES[2]]}
-        assert det == 0 and len(kernel) == n - r
+        assert len(kernel) == n - r
         assert all(isinstance(e, int) for v in kernel for e in v)
         assert _echelon_rows(kernel) == null_space_oracle(Matrix.from_rows(rows))
+        det, (v,) = linalg._criterion_certificate(rows)
+        assert det == 0 and any(v) and all(sum(map(operator.mul, row, v)) == 0 for row in rows)
         found += 1
 
 
@@ -641,10 +647,11 @@ def _echelon_rows(vectors):
     return [reduced.row(i) for i in range(reduced.rows)]
 
 
-def test_certificate_without_exact_proves_a_nonzero_determinant_and_lifts_nothing(monkeypatch):
-    # det M mod p != 0 proves det M != 0 (None), with no lift; a zero gives the
-    # kernel as with exact; a prime that divides det != 0 retries the next
-    # prime below, and the next, until one proves det M != 0
+def test_certificate_with_rhs_proves_a_nonzero_determinant_and_lifts_no_determinant(monkeypatch):
+    # with a right-hand side, det M mod p != 0 proves det M != 0 (None), and
+    # only the solution is lifted; a zero gives the kernel vector as with no
+    # rhs; a prime that divides det != 0 retries the next prime below, and the
+    # next, until one proves det M != 0
     p, q = PRIMES[:2]
     calls = _count_routes(monkeypatch)
     lifts = []
@@ -659,10 +666,12 @@ def test_certificate_without_exact_proves_a_nonzero_determinant_and_lifts_nothin
                          ([[p * q, 0], [0, 1]], list(PRIMES[:3]))]:
         lifts.clear()
         calls["primes"].clear()
-        assert linalg._criterion_certificate(rows, True, exact=False) == (None, [])
+        det, ((d, y),) = linalg._criterion_certificate(rows, rhs=[[row[0] for row in rows]])
+        assert (det, d, y) == (None, 1, [1, 0])
         assert calls == {"bareiss": 0, "primes": primes}
-        assert lifts == [True] * (len(primes) - 1)  # the failed kernel vectors, one per prime
-    assert linalg._criterion_certificate([[1, 2], [2, 4]], True, exact=False) == (0, [[-2, 1]])
+        # the failed kernel vectors, one per prime, then the solution
+        assert lifts == [True] * len(primes)
+    assert linalg._criterion_certificate([[1, 2], [2, 4]], rhs=[[1, 0]]) == (0, [[-2, 1]])
 
 
 def test_carry_adds_the_p_adic_digits_as_a_binary_counter():
@@ -696,33 +705,35 @@ def test_certificate_rhs_stops_at_the_first_reconstruction_that_passes(monkeypat
     inverse = _inverse(Matrix(n, n, [e for row in rows for e in row]))
     for b in rhs:
         digits.clear()
-        det, ((d, y),) = linalg._criterion_certificate(rows, False, exact=False, rhs=[b])
+        det, ((d, y),) = linalg._criterion_certificate(rows, rhs=[b])
         assert det is None
         assert [Fraction(e, d) for e in y] == [
             sum(Fraction(x) * c for x, c in zip(row, b)) for row in inverse]
         # one digit for the integer solution, a power of two for the others
         assert len(digits) == 1 if b is rhs[-1] else len(digits) in (2, 4, 8)
-    assert len(linalg._criterion_certificate(rows, False, exact=False, rhs=rhs)[1]) == len(rhs)
-    assert linalg._criterion_certificate([[1, 2], [2, 4]], False, rhs=[[1, 1]]) == (0, [[-2, 1]])
+    assert len(linalg._criterion_certificate(rows, rhs=rhs)[1]) == len(rhs)
+    assert linalg._criterion_certificate([[1, 2], [2, 4]], rhs=[[1, 1]]) == (0, [[-2, 1]])
 
 
 def test_certificate_rhs_retries_a_prime_that_divides_the_determinant(monkeypatch):
     # det M = -p is 0 mod p, so the LU mod the next prime below gives the
     # solutions, each passing its exact check, and det M = -p q the one after
-    # it; the exact determinant comes with the same solutions
+    # it; with no rhs the exact determinant starts from the same primes
     p, q, r = PRIMES[:3]
     calls = _count_routes(monkeypatch)
     rhs = [[1, 0], [0, 1], [p + 2, 1], [-(10**30), 7]]
     for rows, primes in [([[2, p + 2], [1, 1]], [p, q]), ([[2, p * q + 2], [1, 1]], [p, q, r])]:
         calls["primes"].clear()
-        det, solved = linalg._criterion_certificate(rows, False, exact=False, rhs=rhs)
+        det, solved = linalg._criterion_certificate(rows, rhs=rhs)
         assert det is None and calls == {"bareiss": 0, "primes": primes}
         inverse = _inverse(Matrix.from_rows(rows))
         for (d, y), b in zip(solved, rhs, strict=True):
             expected = [sum(Fraction(x) * c for x, c in zip(row, b)) for row in inverse]
             assert [Fraction(e, d) for e in y] == expected
             assert d == math.lcm(*(e.denominator for e in expected))
-        assert linalg._criterion_certificate(rows, False, rhs=rhs) == (2 - rows[0][1], solved)
+        calls["primes"].clear()
+        assert linalg._criterion_certificate(rows) == (2 - rows[0][1], [])
+        assert calls["primes"][:len(primes)] == primes
 
 
 def test_a_failed_check_on_a_regular_lu_retries_the_next_prime(monkeypatch):
@@ -738,7 +749,7 @@ def test_a_failed_check_on_a_regular_lu_retries_the_next_prime(monkeypatch):
         return None if len(tries) == 1 else checked(*args)
 
     monkeypatch.setattr(linalg, "_checked_solution", fail_first)
-    assert linalg._criterion_certificate([[10**12 + 3, 7], [-2, 5]], False, exact=False,
+    assert linalg._criterion_certificate([[10**12 + 3, 7], [-2, 5]],
                                          rhs=[[1, 0]]) == (None, [(5000000000029, [5, 2])])
     assert tries == [p, q] and calls == {"bareiss": 0, "primes": [p, q]}
 
@@ -750,7 +761,7 @@ def test_the_primes_run_out_past_the_hadamard_bound(monkeypatch):
     calls = _count_routes(monkeypatch)
     monkeypatch.setattr(linalg, "_checked_solution", lambda *args: None)
     with pytest.raises(ArithmeticError, match="Hadamard bound"):
-        linalg._criterion_certificate([[1, 2], [2, 4]], True)
+        linalg._criterion_certificate([[1, 2], [2, 4]])
     assert calls == {"bareiss": 0, "primes": [PRIMES[0]]}
 
 
@@ -763,8 +774,8 @@ def test_a_singular_system_is_proven_by_one_kernel_vector(monkeypatch):
     rhs = [[1, 0], [0, 1], [p + 2, 1], [-(10**30), 7]]
     for singular in ([[1, 2], [2, 4]], [[10**40, 2 * 10**40], [1, 2]]):
         calls["primes"].clear()
-        for exact in (True, False):
-            det, (v,) = linalg._criterion_certificate(singular, False, exact=exact, rhs=rhs)
+        for b in (rhs, ()):
+            det, (v,) = linalg._criterion_certificate(singular, b)
             assert det == 0 and any(v)
             assert all(sum(map(operator.mul, row, v)) == 0 for row in singular)
         assert calls == {"bareiss": 0, "primes": [p, p]}
@@ -775,12 +786,12 @@ def test_certificate_rhs_solves_a_one_by_one_system_in_closed_form(monkeypatch):
     monkeypatch.setattr(linalg, "_lu_mod", None)
     rhs = [[b] for b in (0, 1, -1, 6, -6, 35, 10**30 + 7, -(2**90))]
     for m in (1, -1, 2, -6, 7, 14, -(10**30 + 7), 3**60):
-        det, solved = linalg._criterion_certificate([[m]], False, exact=False, rhs=rhs)
+        det, solved = linalg._criterion_certificate([[m]], rhs=rhs)
         assert det == m and len(solved) == len(rhs)
         for (d, (y,)), (b,) in zip(solved, rhs):
             assert d > 0 and Fraction(y, d) == Fraction(b, m)
             assert d == Fraction(b, m).denominator  # D is the lcm of y's denominators
-    assert linalg._criterion_certificate([[0]], False, rhs=rhs) == (0, [[1]])
+    assert linalg._criterion_certificate([[0]], rhs=rhs) == (0, [[1]])
 
 
 def _inverse(m):
@@ -800,7 +811,7 @@ def test_integer_det_proves_a_zero_with_a_checked_kernel_vector(monkeypatch):
     assert integer_det([[1, 2], [2, 4]]) == 0
     assert calls == {"bareiss": 0, "primes": [PRIMES[0]] * 4}
     assert integer_det([[0]]) == 0 and integer_det([[-7]]) == -7  # the entry: no LU
-    assert linalg._criterion_certificate([[0]], True) == (0, [[1]])
+    assert linalg._criterion_certificate([[0]]) == (0, [[1]])
     assert calls == {"bareiss": 0, "primes": [PRIMES[0]] * 4}
 
 
@@ -828,20 +839,21 @@ def _no_exact_elimination(*args, **kwargs):
 
 @given(_matrices_with_unlucky_primes())
 def test_the_prime_routes_keep_their_contracts(case):
-    # _criterion_certificate gives det M and, when it is 0, a kernel that
-    # spans the null space, else for each b a (D, v) with M v = D b, D the lcm
-    # of the solution's denominators; the same det and kernel with no rhs; no
-    # exact elimination runs, whichever primes divide det M
+    # _criterion_certificate gives, when det M is 0, a vector of the null
+    # space, the same with an rhs or none, else det M with no rhs, and with
+    # one, for each b, a (D, v) with M v = D b, D the lcm of the solution's
+    # denominators; no exact elimination runs, whichever primes divide det M
     rows, rhs = case
     det = determinant_oracle(rows)
     null_space = null_space_oracle(Matrix.from_rows(rows))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(linalg, "_bareiss", _no_exact_elimination)
-        certificate, found = linalg._criterion_certificate(rows, True, rhs=rhs)
-        assert linalg._criterion_certificate(rows, True) == (det, found if det == 0 else [])
-    assert certificate == det
+        certificate, found = linalg._criterion_certificate(rows, rhs=rhs)
+        assert linalg._criterion_certificate(rows) == (det, found if det == 0 else [])
+    assert certificate == (0 if det == 0 else None if len(rows) > 1 else det)
     if det == 0:
-        assert _echelon_rows(found) == null_space
+        (v,) = found
+        assert any(v) and rank_oracle(Matrix.from_rows(null_space + [v])) == len(null_space)
     else:
         assert len(found) == len(rhs)
         for (d, v), b in zip(found, rhs):

@@ -46,8 +46,9 @@ from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_p
 from zeonmarkov.documents import report_to_dict
 from oracles import (certificate_oracle, chain_structure_oracle, class_pair_determinant_oracle,
                      criterion_block, criterion_rows, dense_route, determinant_oracle, fixed_vector_oracle,
-                     left_null_space_oracle, null_space_oracle, positive_power_oracle, rank_oracle,
-                     reach_oracle, rref_oracle, stationary_oracle, vector_from_pairs)
+                     left_null_space_oracle, lu_kernel, null_space_oracle, positive_power_oracle,
+                     rank_mod, rank_oracle, reach_oracle, rref_oracle, stationary_oracle,
+                     vector_from_pairs)
 
 F = Fraction
 
@@ -267,7 +268,7 @@ def test_every_support_pattern_up_to_three_states_matches_the_oracles(monkeypatc
             assert is_quasi_positive(a) == positive_power_oracle(a.matrix)
             with monkeypatch.context() as patch:
                 patch.setattr(markov, "_criterion_certificate", certificate_oracle)
-                patch.setattr(markov, "_block_certificate", dense_route(certificate_oracle))
+                patch.setattr(markov, "_block_certificate", dense_route(oracle=True))
                 patch.setattr(markov, "_nonnegative_fixed_vector", fixed_vector_oracle)
                 expected = zeon_criterion(a)
             assert zeon_criterion(a) == expected
@@ -749,7 +750,7 @@ def test_report_matches_the_bareiss_and_fraction_null_space_route(monkeypatch):
                 a = _bench_chain(families, family, n, seed)
                 with monkeypatch.context() as patch:
                     patch.setattr(markov, "_criterion_certificate", certificate_oracle)
-                    patch.setattr(markov, "_block_certificate", dense_route(certificate_oracle))
+                    patch.setattr(markov, "_block_certificate", dense_route(oracle=True))
                     patch.setattr(markov, "_nonnegative_fixed_vector", fixed_vector_oracle)
                     lu = _counting(patch, linalg, "_lu_mod")
                     expected = zeon_criterion(a)
@@ -787,14 +788,14 @@ def _class_pair_blocks(a):
 
 def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
     # a closed chain's witness proves det = 0 with no LU and no lift; on a
-    # transient chain the block of the two closed classes is not built: its
-    # kernel (the bench family's whole kernel) is its checked cyclic
-    # indicators; each other class-pair block is built once: one LU mod p per
-    # block inside a closed class proves it nonsingular, and one LU per other
-    # block, in order of reach sum and after every block it leads to, extends
-    # each kernel vector by one lift; a 1 x 1 block takes no LU; no
-    # elimination but the echelon forms of at most n rows, and no Fraction
-    # echelon form
+    # transient chain no closed block is built: the kernel of the block of the
+    # two closed classes (the bench family's whole kernel) is its checked
+    # cyclic indicators, and the blocks inside its two aperiodic closed
+    # classes are nonsingular; each transient class-pair block is built once,
+    # in order of reach sum and after every block it leads to, and its one
+    # LU mod p extends each kernel vector by one lift; a 1 x 1 block takes no
+    # LU; no elimination but the echelon forms of at most n rows, and no
+    # Fraction echelon form
     families = _bench_families()
     for family in (families.REDUCIBLE, families.PERIODIC, families.TRANSIENT):
         for n in range(6, 11):
@@ -820,19 +821,16 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
                 for pairs in built:  # each block's pairs meet one pair of classes
                     (key,) = {tuple(sorted((owner[i + 1], owner[j + 1]))) for i, j in pairs}
                     keys.append(key)
-                cross = [key for key, (_, total) in blocks.items() if total == 0
-                         and key[0] != key[1]]
-                assert len(cross) == 1 and sorted(keys) == sorted(set(blocks) - set(cross))
+                closed = [key for key, (_, total) in blocks.items() if total == 0]
+                assert sum(c != d for c, d in closed) == 1 and sorted(keys) == sorted(set(blocks) - set(closed))
                 assert [len(pairs) for pairs in built] == [blocks[key][0] for key in keys]
                 sums = [blocks[key][1] for key in keys]
-                closed = sums.count(0)
-                assert sums[closed:] == sorted(sums[closed:]) and 0 not in sums[closed:]
+                assert sums == sorted(sums) and 0 not in sums
                 for k, (c, d) in enumerate(keys):  # built after every block it leads to
                     below = {tuple(sorted(key)) for key in itertools.product(leads[c], leads[d])}
                     assert below & set(keys[k:]) == {(c, d)}
                 assert sizes == [len(pairs) for pairs in built if len(pairs) > 1]
-                extended = sum(len(pairs) > 1 for pairs in built[closed:])
-                assert len(lifts) == nullity * extended
+                assert len(lifts) == nullity * len(sizes) and nullity == 1
             assert all(len(m) <= a.n for m, in bareiss) and rrefs == []
             assert report.witness is not None
 
@@ -914,7 +912,7 @@ def test_a_cofactor_beyond_the_first_primes_needs_no_exact_elimination(monkeypat
     for closed, transient, seed in [(8, 4, 2), (11, 4, 2)]:
         a = _ergodic_class_with_transient_states(families, closed, transient, seed)
         with monkeypatch.context() as patch:
-            patch.setattr(markov, "_block_certificate", dense_route(certificate_oracle))
+            patch.setattr(markov, "_block_certificate", dense_route(oracle=True))
             expected = zeon_criterion(a)
         with monkeypatch.context() as patch:
             bareiss = _counting(patch, linalg, "_bareiss", markov)
@@ -1185,8 +1183,7 @@ def test_a_determinant_that_contradicts_the_classical_verdict_is_an_error(
                             lambda numerators, scales, hat, rows: [det * hat[i][j] for i, j in rows])
     else:
         a = validate_stochastic(UNIFORM2)
-        monkeypatch.setattr(markov, "_criterion_certificate",
-                            lambda rows, whole_kernel, exact, rhs: (det, []))
+        monkeypatch.setattr(markov, "_criterion_certificate", lambda rows, rhs=(): (det, []))
     with pytest.raises(RuntimeError, match="disagree"):
         zeon_criterion(a)
 
@@ -1209,8 +1206,8 @@ def test_a_transient_block_proven_singular_is_an_error(chains, monkeypatch, caps
     expected = check_equivalence(chains[2])
     certificate = markov._criterion_certificate
     monkeypatch.setattr(markov, "_criterion_certificate",
-                        lambda block, whole_kernel, exact, rhs: (0, [[1] * block.size]) if rhs
-                        else certificate(block, whole_kernel, exact, rhs))
+                        lambda block, rhs=(): (0, [[1] * block.size]) if rhs
+                        else certificate(block, rhs))
     _refuse_blocks_past_the_largest_class_pair(monkeypatch, chains[2])
     with pytest.raises(RuntimeError, match="disagree"):
         zeon_criterion(chains[2])
@@ -1283,7 +1280,8 @@ def test_a_closed_zero_determinant_takes_no_lu(chains, monkeypatch):
     # one closed block prove det = 0: no LU, no Psi2 rows and no criterion
     # block, which at n = 30 could be 435 x 435. A reducible chain checks the
     # g = gcd(p, p') indicators of one block of two closed classes, an
-    # irreducible periodic one its cyclic-distance-1 indicator on every pair
+    # irreducible periodic one its floor(p / 2) cyclic-distance indicators on
+    # every pair
     families = _bench_families()
     cases = [chains[3], chains[4], chains[5]] + [_bench_chain(families, family, 30, 0)
                                                   for family in (families.REDUCIBLE, families.PERIODIC)]
@@ -1302,7 +1300,8 @@ def test_a_closed_zero_determinant_takes_no_lu(chains, monkeypatch):
             assert (lu, psi2_rows, blocks) == ([], [], [])
             (block,) = {frozenset(map(frozenset, rows)) for *_, rows in products}
             if structure.is_irreducible:
-                assert len(products) == 1 and len(block) == math.comb(a.n, 2)
+                assert len(products) == structure.periods[0] // 2
+                assert len(block) == math.comb(a.n, 2)
             else:
                 assert len(products) == blocks_of_two[block]
 
@@ -1330,69 +1329,79 @@ def test_a_transient_determinant_solves_no_transient_block(monkeypatch):
     certificate = markov._criterion_certificate
     for a, singular in cases:
         for determinant in _determinant_callers():
-            calls = []  # each certificate's whole_kernel and rhs
+            calls = []  # each certificate's rhs
             with monkeypatch.context() as patch:
                 _refuse_blocks_past_the_largest_class_pair(patch, a)
                 patch.setattr(markov, "_criterion_certificate",
-                              lambda rows, whole_kernel, exact, rhs: calls.append(
-                                  (whole_kernel, rhs)) or certificate(rows, whole_kernel, exact, rhs))
+                              lambda rows, rhs=(): calls.append(rhs) or certificate(rows, rhs))
                 assert (determinant(a) == 0) == singular
-            assert (calls == []) == singular
-            assert all(whole_kernel is False and not rhs for whole_kernel, rhs in calls)
+            assert len(calls) == (0 if singular else len(_class_pair_blocks(a)[0]))
+            assert not any(calls)
 
 
 def test_the_kernel_of_a_closed_class_pair_block_has_the_predicted_size(chains):
-    # the block of two closed classes of periods p and p' has a kernel of
-    # gcd(p, p') dimensions, proven (markov._cyclic_kernel); the block inside a
-    # class of period p one of floor(p / 2), observed on every such block of
-    # these chains, not proven
-    found = 0
+    # every closed block has a kernel of gcd(p, p') dimensions across two
+    # classes of periods p and p', and of floor(p / 2) inside one, proven with
+    # no LU: the cyclic indicators (markov._cyclic_kernel, none for an
+    # aperiodic class), kernel vectors of the reference rows that are
+    # independent mod q, bound it from below, and N_B less the rank mod q of
+    # those rows (oracles.rank_mod, q = 2^61 - 1, no linalg) from above
+    counts = {"across": 0, "periodic": 0, "aperiodic": 0}
     for a, label in _transient_cases(chains):
         structure = chain_structure_oracle(a.matrix)
         numerators, scales = a.matrix.integer_rows()
-        closed = [(states, period) for states, period, flag
-                  in zip(structure.classes, structure.periods, structure.closed) if flag]
-        for (x, (states, period)), (y, (others, other_period)) in (
-                itertools.combinations_with_replacement(enumerate(closed), 2)):
-            pairs = sorted({tuple(sorted((i - 1, j - 1))) for i in states for j in others if i != j})
-            if not pairs:
-                continue
-            size = period // 2 if x == y else math.gcd(period, other_period)
-            det, kernel = linalg._criterion_certificate(
-                criterion_block(numerators, scales, pairs), True)
-            assert len(kernel) == size and (det == 0) == (size > 0), label
-            found += 1
-    assert found >= 700, found
+        for x, y, pairs in _closed_class_pairs(a, inside=True):
+            period = structure.periods[x]
+            size = period // 2 if x == y else math.gcd(period, structure.periods[y])
+            rows = criterion_block(numerators, scales, pairs)
+            indicators = (markov._cyclic_kernel(numerators, scales, structure, x, y, pairs)
+                          if size else [])
+            assert indicators is not None and len(indicators) == size, label
+            assert all(not any(sum(map(operator.mul, row, v)) for row in rows)
+                       for v in indicators), label
+            assert rank_mod(indicators) == size == len(pairs) - rank_mod(rows), label
+            counts["across" if x != y else "periodic" if size else "aperiodic"] += 1
+    assert sum(counts.values()) >= 700 and min(counts.values()) >= 30, counts
 
 
-def _closed_class_pairs(a):
+def _closed_class_pairs(a, inside=False):
     # (x, y, pairs) for each two distinct closed classes x < y of
-    # chain_structure_oracle, pairs the block's 0-based pairs of states
+    # chain_structure_oracle and, with ``inside``, for each closed class x = y
+    # of two or more states, pairs the block's 0-based pairs of states
     structure = chain_structure_oracle(a.matrix)
     closed = [c for c, flag in enumerate(structure.closed) if flag]
-    for x, y in itertools.combinations(closed, 2):
-        yield x, y, [(i - 1, j - 1) for i in structure.classes[x] for j in structure.classes[y]]
+    for x, y in itertools.combinations_with_replacement(closed, 2):
+        states = [s - 1 for s in structure.classes[x]]
+        if x != y:
+            yield x, y, [(i, j - 1) for i in states for j in structure.classes[y]]
+        elif inside and len(states) > 1:
+            yield x, y, list(itertools.combinations(states, 2))
 
 
 def test_the_cyclic_indicators_span_the_kernel_of_the_lu(chains):
-    # on every block of two distinct closed classes, the checked cyclic
-    # indicators and the kernel of one LU mod p (_criterion_certificate) have
-    # the same reduced echelon basis: the same space, of gcd(p, p') dimensions
-    found = wider = 0
+    # on every block of two distinct closed classes, and inside every periodic
+    # closed class, the checked cyclic indicators and the kernel of one LU mod
+    # p (oracles.lu_kernel) have the same reduced echelon basis: the same
+    # space, of gcd(p, p') or floor(p / 2) dimensions
+    found = wider = inside = 0
     for a, label in _transient_cases(chains):
         structure = chain_structure_oracle(a.matrix)
         numerators, scales = a.matrix.integer_rows()
-        for x, y, pairs in _closed_class_pairs(a):
+        for x, y, pairs in _closed_class_pairs(a, inside=True):
+            period = structure.periods[x]
+            if x == y and period == 1:
+                continue
             indicators = markov._cyclic_kernel(numerators, scales, structure, x, y, pairs)
-            det, kernel = linalg._criterion_certificate(
-                criterion_block(numerators, scales, pairs), True)
-            assert det == 0 and indicators is not None, label
-            assert len(indicators) == math.gcd(structure.periods[x], structure.periods[y]), label
+            kernel = lu_kernel(criterion_block(numerators, scales, pairs))
+            assert kernel and indicators is not None, label
+            assert len(indicators) == (period // 2 if x == y
+                                       else math.gcd(period, structure.periods[y])), label
             assert (rref_oracle(Matrix.from_rows(indicators))
                     == rref_oracle(Matrix.from_rows(kernel))), label
             found += 1
             wider += len(indicators) > 1
-    assert found >= 200 and wider >= 15, (found, wider)
+            inside += x == y
+    assert found >= 350 and wider >= 25 and inside >= 140, (found, wider, inside)
 
 
 def _wide(rng, a):
@@ -1527,10 +1536,13 @@ def _closed_classes_and_transient_states(chains, largest):
             yield a, label
 
 
-def test_a_cyclic_indicator_that_fails_its_check_falls_through_to_the_lu(chains, monkeypatch):
+def test_a_cyclic_indicator_that_fails_its_check_falls_through_to_the_lu(chains, monkeypatch,
+                                                                         capsys, tmp_path):
     # _cyclic_kernel run on doubled scales, so that D_a x D_b is 4 times too
-    # large and every check fails: each block of two closed classes then takes
-    # its LU, and the reports stay the dense route's
+    # large and every check fails, a counterexample to the pair chain's count:
+    # the analysis raises, with no block built, and analyze exits 4, the
+    # routes disagree; check_equivalence and criterion_determinant send the
+    # first block of two closed classes on to its LU, which proves det = 0
     cyclic_kernel = markov._cyclic_kernel
     results = []
 
@@ -1540,29 +1552,51 @@ def test_a_cyclic_indicator_that_fails_its_check_falls_through_to_the_lu(chains,
 
     cases = 0
     for a, label in _closed_classes_and_transient_states(chains, 10):
-        with monkeypatch.context() as patch:
-            patch.setattr(markov, "_criterion_certificate", certificate_oracle)
-            patch.setattr(markov, "_block_certificate", dense_route(certificate_oracle))
-            patch.setattr(markov, "_nonnegative_fixed_vector", fixed_vector_oracle)
-            expected = zeon_criterion(a)
+        across = [{tuple(sorted(pair)) for pair in pairs} for *_, pairs in _closed_class_pairs(a)]
         with monkeypatch.context() as patch:
             patch.setattr(markov, "_cyclic_kernel", failing)
             built = _blocks_built(patch)
-            report = zeon_criterion(a)
+            with pytest.raises(RuntimeError, match="the two routes disagree"):
+                zeon_criterion(a)
+            assert built == [], label
             assert check_equivalence(a).det_value == criterion_determinant(a) == 0, label
-        assert report == expected and report_to_dict(report) == report_to_dict(expected), label
-        blocks = [{tuple(sorted(pair)) for pair in pairs} for pairs in built]
-        assert all({tuple(sorted(pair)) for pair in pairs} in blocks
-                   for *_, pairs in _closed_class_pairs(a)), label
+            if not cases:
+                path = tmp_path / "chain.json"
+                path.write_text(json.dumps({"rows": [[str(e) for e in row]
+                                                     for row in a.matrix.to_lists()]}))
+                capsys.readouterr()
+                assert main(["analyze", str(path)]) == 4
+                out, err = capsys.readouterr()
+                assert out == "" and err.startswith("zeonmarkov: internal error: RuntimeError: "
+                                                    "the cyclic indicators")
+                assert "the two routes disagree" in err
+        assert len(built) == 2 and all({tuple(sorted(pair)) for pair in pairs} == across[0]
+                                       for pairs in built), label
         cases += 1
     assert cases >= 50 and results and not any(results), (cases, len(results))
+
+
+def _refuse_closed_blocks(monkeypatch, a):
+    """Make ``markov._class_pair_block`` refuse a block of closed classes (two,
+    or inside one): no route then hands one to a certificate."""
+    closed = [[s - 1 for s in states] for states in chain_structure_oracle(a.matrix).closed_classes]
+    block = markov._class_pair_block
+
+    def refusing(numerators, scales, first, second, pairs):
+        if first in closed and second in closed:
+            raise AssertionError(f"a block of closed classes built: {first}, {second}")
+        return block(numerators, scales, first, second, pairs)
+
+    monkeypatch.setattr(markov, "_class_pair_block", refusing)
 
 
 def test_no_lu_takes_a_block_of_two_closed_classes(chains, monkeypatch):
     # the bench transient chains at n = 14 and 22 build no block of their two
     # closed classes, so no _criterion_certificate gets one; on every chain
     # that is not regular, one periodic closed class with transient states
-    # among them, the determinant-only callers take no LU and build no block
+    # among them, the determinant-only callers take no LU and build no block,
+    # and the analysis packs no closed block (markov._class_pair_block) for a
+    # _criterion_certificate
     families = _bench_families()
     for n in (14, 22):
         a = _bench_chain(families, families.TRANSIENT, n, 0)
@@ -1588,6 +1622,9 @@ def test_no_lu_takes_a_block_of_two_closed_classes(chains, monkeypatch):
                 built = _blocks_built(patch)
                 assert determinant(a) == 0, label
             assert lu == certificates == built == [], label
+        with monkeypatch.context() as patch:
+            _refuse_closed_blocks(patch, a)
+            assert zeon_criterion(a).det_value == 0, label
         counts["cases"] += 1
         counts["transient"] += not structure.all_closed
         counts["one periodic class"] += len(closed) == 1 and not structure.all_closed
