@@ -184,8 +184,8 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
 
 
 class Packed:
-    """A square integer matrix M as ``_criterion_certificate`` reads it:
-    ``size``, its order; ``bound``, at least |M|'s row sums;
+    """A square integer matrix M as ``_criterion_certificate`` reads it, and
+    only so: ``size``, its order; ``bound``, at least |M|'s row sums;
     ``columns(width, bias)``, its columns packed (``_pack``), each entry plus
     ``bias`` in a slot; ``bounds()``, (h, its squared column norms, signed)
     with -h <= det M <= h, or 0 <= det M <= h unsigned; ``product(v)``, M v."""
@@ -206,15 +206,15 @@ def _dense(rows: Sequence[Sequence[int]]) -> Packed:
     cols = list(zip(*rows))
     return Packed(n, max((sum(map(abs, row)) for row in rows), default=0),
                   lambda width, bias: [_pack([e + bias for e in col], width) for col in cols],
-                  lambda: (*_hadamard(cols, range(n)), True),
+                  lambda: (*_hadamard(cols), True),
                   lambda v: [sum(map(mul, row, v)) for row in rows])
 
 
-def _hadamard(cols: Sequence[Sequence[int]], kept: Sequence[int]) -> tuple[int, list]:
-    """(h, norms) of the matrix of the columns ``kept`` of ``cols``: their
-    squared norms, and h above its |det| by Hadamard's inequality on them
-    and on the rows of all of ``cols``."""
-    norms = [sum(map(mul, cols[j], cols[j])) for j in kept]
+def _hadamard(cols: Sequence[Sequence[int]]) -> tuple[int, list]:
+    """(h, norms) of the square matrix of the columns ``cols``: their squared
+    norms, and h above its |det| by Hadamard's inequality on them and on its
+    rows."""
+    norms = [sum(map(mul, col, col)) for col in cols]
     rows_bound = math.prod(sum(map(mul, row, row)) for row in zip(*cols))
     return math.isqrt(min(math.prod(norms), rows_bound)) + 1, norms
 
@@ -236,10 +236,10 @@ def _criterion_certificate(m: Union[Packed, Sequence[Sequence[int]]],
     it, mod each next prime below p by CRT (``_primes_below``).
 
     A matrix of rank r < N mod p has N - r free columns, the columns of M
-    outside the pivot columns C of the factors (see ``_lift``), read back
-    from the packed columns. For the first one, f, the solution v of
-    M v = -D M[:, f] (``_checked_solution``, lifted from the same factors
-    until it passes on every row), with v[f] = D, is an integer kernel
+    outside the pivot columns C of the factors (see ``_lift``). For the
+    first one, f, the solution v of M v = -D M e_f (``_checked_solution``,
+    lifted from the same factors until it passes on every row, h from the
+    norms of M[:, C], cut to M[R, C]), with v[f] = D, is an integer kernel
     vector that proves det M = 0. A 1 x 1 M = [m] takes no LU: the kernel
     [[1]] when m = 0, else det m, D = |m| / g and D y = sign(m) b / g,
     g = gcd(m, b).
@@ -268,11 +268,12 @@ def _criterion_certificate(m: Union[Packed, Sequence[Sequence[int]]],
         det_p, factors = _lu_mod(packed, p, width)
         if det_p == 0:
             perm, *_, pivot_rows = factors
-            f = min(perm[len(pivot_rows):])
-            cols = [_unpack(x, width, n, bias) for x in packed]
-            minor = _hadamard([[col[i] for i in pivot_rows] for col in cols], perm[:len(pivot_rows)])
-            solved = _checked_solution(product, packed, factors, [-e for e in cols[f]], p, width,
-                                       bias, *minor)
+            rank, column_norms = len(pivot_rows), block.bounds()[1]
+            norms = [column_norms[j] for j in perm[:rank]]  # none is 0: M[R, C] is regular mod p
+            f = min(perm[rank:])
+            column = product([int(j == f) for j in range(n)])
+            solved = _checked_solution(product, packed, factors, [-e for e in column], p, width,
+                                       bias, math.isqrt(math.prod(norms)) + 1, norms)
             if solved:  # M v = -D M[:, f], so v + D e_f is in the kernel
                 d, v = solved
                 return 0, [v[:f] + [d] + v[f + 1:]]
@@ -314,12 +315,6 @@ def _slots(bound: int, n: int, p: int) -> tuple[int, int]:
     """
     bias = p * (bound // p + 1)
     return (max(n * p * p, 2 * bias).bit_length() + 9) // 8, bias
-
-
-def _unpack(x: int, width: int, n: int, bias: int) -> list:
-    """The n slots of ``width`` bytes of the packed x, less ``bias``."""
-    data = x.to_bytes(n * width, "little")
-    return [int.from_bytes(data[k:k + width], "little") - bias for k in range(0, n * width, width)]
 
 
 def _lift(packed: Sequence[int], factors: tuple, b: Sequence[int], p: int, width: int,

@@ -502,11 +502,13 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
 
     The closed blocks go first, those across two classes before those inside
     one. The kernel of each that is across two classes or periodic is its
-    checked cyclic indicators (``_cyclic_kernel``), with no LU; by the same
-    count one inside an aperiodic class is nonsingular, and skipped once a
-    kernel proves det M = 0. An indicator that fails its check is a
-    counterexample: RuntimeError, the routes disagree, or without
-    ``whole_kernel`` the block's own certificate. Every other block takes a
+    cyclic indicators (``_cyclic_kernel``), each checked by one
+    ``_criterion_product``, with no LU; without ``whole_kernel`` the first
+    alone, as one kernel vector proves det M = 0. By the same count one
+    inside an aperiodic class is nonsingular, and skipped once a kernel
+    proves det M = 0. An indicator that fails its check is a counterexample:
+    RuntimeError, the routes disagree, or without ``whole_kernel`` the
+    block's own certificate. Every other block takes a
     ``_criterion_certificate``: with no kernel, its exact det (an
     irreducible chain has one block, all of M); with one, for a transient
     M_BB, the x_B of every kernel vector, X^ scaled by the solution's
@@ -535,15 +537,19 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
         first, second = sorted((classes[a], classes[b]), key=len)
         pairs = (list(combinations(first, 2)) if a == b
                  else sorted(((i, j) for i in first for j in second), key=sorted))
-        found = cyclic and _cyclic_kernel(numerators, scales, structure, a, b, pairs)
-        if found is None and whole_kernel:
-            raise RuntimeError("the cyclic indicators of a block of closed classes fail their "
-                               "check, against the pair chain's count: the two routes disagree")
-        if found and whole_kernel:
-            kernel += [_hat(n, pairs, v) for v in found]
-            continue
+        if cyclic:
+            found = _cyclic_kernel(structure, a, b, pairs, n)
+            if whole_kernel:
+                if any(any(_criterion_product(numerators, scales, hat, pairs)) for hat in found):
+                    raise RuntimeError("the cyclic indicators of a block of closed classes fail "
+                                       "their check, against the pair chain's count: the two "
+                                       "routes disagree")
+                kernel += found
+                continue
+            if not any(_criterion_product(numerators, scales, found[0], pairs)):
+                return 0, []
         rhs = [[-e for e in _criterion_product(numerators, scales, hat, pairs)] for hat in kernel]
-        det, solved = (0, []) if found else _criterion_certificate(
+        det, solved = _criterion_certificate(
             _class_pair_block(numerators, scales, first, second, pairs), rhs)
         if det == 0 and rhs:
             raise RuntimeError("a block of pairs meeting a transient state is singular, not an "
@@ -578,12 +584,11 @@ def _hat(n: int, pairs: list, coords) -> list:
     return hat
 
 
-def _cyclic_kernel(numerators: list, scales: list, structure: ChainStructure, a: int, b: int,
-                   pairs: list) -> Optional[list]:
-    """A basis of ker M_ab, the block on ``pairs`` of closed classes a and b
-    (a == b: one class of period p >= 2), when each vector passes M x = 0 on
-    the block's rows (``_criterion_product``), else None. With phi the cyclic
-    class: the g = gcd(p_a, p_b) indicators [phi(i) - phi(j) = r mod g],
+def _cyclic_kernel(structure: ChainStructure, a: int, b: int, pairs: list, n: int) -> list:
+    """The cyclic indicators of M_ab, the block on ``pairs`` of closed classes
+    a and b (a == b: one class of period p >= 2) of an n-state chain, each as
+    its n x n X^, unchecked (``_block_certificate`` checks them). With phi the
+    cyclic class: the g = gcd(p_a, p_b) indicators [phi(i) - phi(j) = r mod g],
     r in Z_g, or for a == b the floor(p/2) ones [phi(i) - phi(j) = +-delta
     mod p], delta = 1..p/2 (``witness_periodic``'s).
 
@@ -601,11 +606,10 @@ def _cyclic_kernel(numerators: list, scales: list, structure: ChainStructure, a:
     checked indicators, disjoint and nonzero."""
     g = math.gcd(structure.periods[a], structure.periods[b])
     # b's cyclic classes are labelled from p_a on, and g divides p_a
-    phase = _labels(structure.cyclic_classes[a] + structure.cyclic_classes[b], len(scales))
+    phase = _labels(structure.cyclic_classes[a] + structure.cyclic_classes[b], n)
     residues = [{d, g - d} for d in range(1, g // 2 + 1)] if a == b else [{r} for r in range(g)]
-    kernel = [[int((phase[i] - phase[j]) % g in hit) for i, j in pairs] for hit in residues]
-    return None if any(any(_criterion_product(numerators, scales, _hat(len(scales), pairs, v),
-                                              pairs)) for v in kernel) else kernel
+    return [_hat(n, pairs, [int((phase[i] - phase[j]) % g in hit) for i, j in pairs])
+            for hit in residues]
 
 
 def _nonnegative_fixed_vector(kernel: list, n: int) -> Optional[DegreeTwoVector]:
@@ -736,8 +740,9 @@ class EquivalenceCheck:
     """One matrix, three routes to the same dichotomy: quasi-positivity,
     irreducible + aperiodic, and det(I - Psi2(A)), whose exact value comes
     from M's class-pair blocks (``_block_certificate`` without
-    ``whole_kernel``), with no classical witness, and a cyclic indicator that
-    fails its check sends its block on to its certificate: a determinant that
+    ``whole_kernel``), with no classical witness: on a chain that is not
+    regular one checked cyclic indicator proves it 0, and one that fails its
+    check sends its block on to its certificate, so a determinant that
     breaks the classical verdict shows up as a counterexample, not as an
     error."""
 

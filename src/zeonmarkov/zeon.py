@@ -223,14 +223,11 @@ def _compound_rows(numerators: Sequence[Sequence[int]], k: int, sign: int) -> li
     return rows
 
 
-def _psi2_rows(numerators: Sequence[Sequence[int]], sign: int = 1,
-               pairs: Optional[list] = None) -> list:
-    """Psi2 of integer rows N_i over the lexicographic 0-based pairs, or its
-    principal submatrix on ``pairs``: entry ((i1, i2), (j1, j2)) is the
-    permanent N_i1[j1] N_i2[j2] + N_i1[j2] N_i2[j1], or, for sign -1, the
-    minor N_i1[j1] N_i2[j2] - N_i1[j2] N_i2[j1]."""
-    if pairs is None:
-        pairs = list(combinations(range(len(numerators)), 2))
+def _psi2_rows(numerators: Sequence[Sequence[int]], sign: int = 1) -> list:
+    """Psi2 of integer rows N_i over the lexicographic 0-based pairs: entry
+    ((i1, i2), (j1, j2)) is the permanent N_i1[j1] N_i2[j2] + N_i1[j2] N_i2[j1],
+    or, for sign -1, the minor N_i1[j1] N_i2[j2] - N_i1[j2] N_i2[j1]."""
+    pairs = list(combinations(range(len(numerators)), 2))
     return [[n1[j1] * n2[j2] + sign * n1[j2] * n2[j1] for j1, j2 in pairs]
             for n1, n2 in ((numerators[i1], numerators[i2]) for i1, i2 in pairs)]
 

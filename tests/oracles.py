@@ -7,10 +7,9 @@ from itertools import combinations, permutations
 
 from zeonmarkov.degree2 import DegreeTwoVector, left_action, mat_embed, right_action
 from zeonmarkov import linalg
-from zeonmarkov.linalg import (PRIMES, Matrix, Packed, Scalar, _dense, _hadamard, _lu_primes,
-                               _slots, _unpack, as_scalar, exact_div, integer_det)
+from zeonmarkov.linalg import (PRIMES, Matrix, Packed, Scalar, _dense, _lu_primes, _slots,
+                               as_scalar, exact_div, integer_det)
 from zeonmarkov.markov import ChainStructure
-from zeonmarkov.zeon import _psi2_rows
 
 
 def is_hollow_symmetric(m: Matrix) -> bool:
@@ -149,11 +148,18 @@ def determinant_oracle(rows: list) -> int:
     return sign * prev
 
 
+def unpack(x: int, width: int, n: int, bias: int) -> list:
+    """The n slots of ``width`` bytes of the packed x, less ``bias``: a
+    packed column read back, which the library never does."""
+    data = x.to_bytes(n * width, "little")
+    return [int.from_bytes(data[k:k + width], "little") - bias for k in range(0, n * width, width)]
+
+
 def packed_rows(block: Packed) -> list:
     """The integer rows of a ``linalg.Packed``, read back from its columns
     packed for PRIMES[0]."""
     width, bias = _slots(block.bound, block.size, PRIMES[0])
-    cols = [_unpack(x, width, block.size, bias) for x in block.columns(width, bias)]
+    cols = [unpack(x, width, block.size, bias) for x in block.columns(width, bias)]
     return [list(row) for row in zip(*cols)]
 
 
@@ -183,7 +189,9 @@ def lu_kernel(rows) -> list:
     """A basis of the right kernel of square integer rows M, by the route the
     analysis took for closed blocks before their cyclic indicators: one LU
     mod p (``linalg._lu_mod``) and, for every free column f, the checked
-    vector (``_checked_solution``) v of M v = -D M[:, f], with v[f] = D. The
+    vector (``_checked_solution``) v of M v = -D M[:, f], with v[f] = D,
+    M[:, f] read back from the packed columns (``unpack``) and the minor
+    M[R, C] bounded by Hadamard's inequality on its own columns and rows. The
     rank mod p is at most the rank over Q, so the kernel over Q has at most
     N - r dimensions, and these vectors, each nonzero at its own free column
     and 0 at the others, are a basis of it. A vector that fails its check
@@ -201,8 +209,11 @@ def lu_kernel(rows) -> list:
         if det_p:
             return []
         perm, *_, pivot_rows = factors
-        cols = [_unpack(x, width, n, bias) for x in packed]
-        minor = _hadamard([[col[i] for i in pivot_rows] for col in cols], perm[:len(pivot_rows)])
+        cols = [unpack(x, width, n, bias) for x in packed]
+        cut = [[col[i] for i in pivot_rows] for col in cols]  # the columns of M[R, :]
+        norms = [sum(e * e for e in cut[j]) for j in perm[:len(pivot_rows)]]
+        rows_bound = math.prod(sum(e * e for e in row) for row in zip(*cut))
+        minor = math.isqrt(min(math.prod(norms), rows_bound)) + 1, norms
         kernel = []
         for f in sorted(perm[len(pivot_rows):]):
             solved = linalg._checked_solution(block.product, packed, factors,
@@ -240,13 +251,13 @@ def rank_mod(rows, q: int = (1 << 61) - 1) -> int:
 def criterion_block(numerators: list, scales: list, pairs: list) -> list:
     """The principal submatrix on the 0-based ``pairs`` of the criterion rows
     M = D (I - Psi2(A)) of the integer rows N_i / d_i of A, as lists: row
-    (i, j) is d_i * d_j * e_(i,j) minus row (i, j) of ``zeon._psi2_rows`` of
-    the N_i. The reference for the packed blocks of
-    ``markov._class_pair_block``, which build no row."""
-    block = [[-e for e in row] for row in _psi2_rows(numerators, 1, pairs)]
-    for r, (i, j) in enumerate(pairs):
-        block[r][r] += scales[i] * scales[j]
-    return block
+    (i, j) is d_i * d_j * e_(i,j) minus the pair products
+    N_i[k] N_j[l] + N_i[l] N_j[k] on the pairs (k, l), row (i, j) of Psi2(N).
+    The reference for the packed blocks of ``markov._class_pair_block``,
+    which build no row."""
+    return [[(scales[i] * scales[j] if (k, l) == (i, j) else 0)
+             - numerators[i][k] * numerators[j][l] - numerators[i][l] * numerators[j][k]
+             for k, l in pairs] for i, j in pairs]
 
 
 def criterion_rows(numerators: list, scales: list) -> tuple:

@@ -1276,20 +1276,17 @@ def _determinant_callers():
 
 
 def test_a_closed_zero_determinant_takes_no_lu(chains, monkeypatch):
-    # on a closed chain that is not regular, the checked cyclic indicators of
-    # one closed block prove det = 0: no LU, no Psi2 rows and no criterion
-    # block, which at n = 30 could be 435 x 435. A reducible chain checks the
-    # g = gcd(p, p') indicators of one block of two closed classes, an
-    # irreducible periodic one its floor(p / 2) cyclic-distance indicators on
-    # every pair
+    # on a closed chain that is not regular, one checked cyclic indicator of
+    # one closed block proves det = 0: no LU, no Psi2 rows and no criterion
+    # block, which at n = 30 could be 435 x 435, and one _criterion_product:
+    # on the block of two closed classes of a reducible chain, on every pair
+    # of an irreducible periodic one
     families = _bench_families()
     cases = [chains[3], chains[4], chains[5]] + [_bench_chain(families, family, 30, 0)
                                                   for family in (families.REDUCIBLE, families.PERIODIC)]
     for a in cases:
         structure = chain_structure_oracle(a.matrix)
-        blocks_of_two = {frozenset(map(frozenset, pairs)): math.gcd(structure.periods[x],
-                                                                   structure.periods[y])
-                         for x, y, pairs in _closed_class_pairs(a)}
+        blocks_of_two = [frozenset(map(frozenset, pairs)) for *_, pairs in _closed_class_pairs(a)]
         for determinant in _determinant_callers():
             with monkeypatch.context() as patch:
                 lu = _counting(patch, linalg, "_lu_mod")
@@ -1298,12 +1295,12 @@ def test_a_closed_zero_determinant_takes_no_lu(chains, monkeypatch):
                 products = _counting(patch, markov, "_criterion_product")
                 assert determinant(a) == 0
             assert (lu, psi2_rows, blocks) == ([], [], [])
-            (block,) = {frozenset(map(frozenset, rows)) for *_, rows in products}
+            ((*_, rows),) = products
+            block = frozenset(map(frozenset, rows))
             if structure.is_irreducible:
-                assert len(products) == structure.periods[0] // 2
                 assert len(block) == math.comb(a.n, 2)
             else:
-                assert len(products) == blocks_of_two[block]
+                assert block in blocks_of_two
 
 
 def test_check_equivalence_reads_the_chain_once(chains, monkeypatch):
@@ -1354,14 +1351,23 @@ def test_the_kernel_of_a_closed_class_pair_block_has_the_predicted_size(chains):
             period = structure.periods[x]
             size = period // 2 if x == y else math.gcd(period, structure.periods[y])
             rows = criterion_block(numerators, scales, pairs)
-            indicators = (markov._cyclic_kernel(numerators, scales, structure, x, y, pairs)
-                          if size else [])
-            assert indicators is not None and len(indicators) == size, label
+            indicators = _indicators(structure, x, y, pairs, a.n) if size else []
+            assert len(indicators) == size, label
             assert all(not any(sum(map(operator.mul, row, v)) for row in rows)
                        for v in indicators), label
             assert rank_mod(indicators) == size == len(pairs) - rank_mod(rows), label
             counts["across" if x != y else "periodic" if size else "aperiodic"] += 1
     assert sum(counts.values()) >= 700 and min(counts.values()) >= 30, counts
+
+
+def _indicators(structure, x, y, pairs, n):
+    # markov._cyclic_kernel's indicators as pair vectors on ``pairs``, read
+    # off their X^, which is 0 off those pairs
+    hats = markov._cyclic_kernel(structure, x, y, pairs, n)
+    on = {frozenset(pair) for pair in pairs}
+    assert all(hat[i][j] == hat[j][i] and (hat[i][j] == 0 or {i, j} in on)
+               for hat in hats for i in range(n) for j in range(n))
+    return [[hat[i][j] for i, j in pairs] for hat in hats]
 
 
 def _closed_class_pairs(a, inside=False):
@@ -1391,9 +1397,11 @@ def test_the_cyclic_indicators_span_the_kernel_of_the_lu(chains):
             period = structure.periods[x]
             if x == y and period == 1:
                 continue
-            indicators = markov._cyclic_kernel(numerators, scales, structure, x, y, pairs)
-            kernel = lu_kernel(criterion_block(numerators, scales, pairs))
-            assert kernel and indicators is not None, label
+            rows = criterion_block(numerators, scales, pairs)
+            indicators = _indicators(structure, x, y, pairs, a.n)
+            kernel = lu_kernel(rows)
+            assert kernel and all(not any(sum(map(operator.mul, row, v)) for row in rows)
+                                  for v in indicators), label
             assert len(indicators) == (period // 2 if x == y
                                        else math.gcd(period, structure.periods[y])), label
             assert (rref_oracle(Matrix.from_rows(indicators))
@@ -1503,9 +1511,9 @@ def test_every_principal_block_of_the_criterion_rows_has_a_det_within_its_diagon
 
 def test_an_ergodic_chain_builds_no_list_rows_of_the_criterion(monkeypatch):
     # bench ergodic chains at n = 10..18: the analysis and check_equivalence pack
-    # M's one class-pair block straight from N, with no Psi2 row, no row list
-    # (linalg._dense) and no slot read back (linalg._unpack), and lift the digits
-    # that h = the product of M's diagonal asks for, none more than Hadamard's
+    # M's one class-pair block straight from N, with no Psi2 row and no row list
+    # (linalg._dense), and lift the digits that h = the product of M's diagonal
+    # asks for, none more than Hadamard's
     families = _bench_families()
 
     def refuse(*args, **kwargs):
@@ -1516,7 +1524,7 @@ def test_an_ergodic_chain_builds_no_list_rows_of_the_criterion(monkeypatch):
         rows, _ = criterion_rows(*a.matrix.integer_rows())
         solves = []
         with monkeypatch.context() as patch:
-            for module, name in [(zeon, "_psi2_rows"), (linalg, "_dense"), (linalg, "_unpack")]:
+            for module, name in [(zeon, "_psi2_rows"), (linalg, "_dense")]:
                 patch.setattr(module, name, refuse)
             lifts = _counting(patch, linalg, "_lift")
             solve_mod = linalg._solve_mod
@@ -1538,23 +1546,31 @@ def _closed_classes_and_transient_states(chains, largest):
 
 def test_a_cyclic_indicator_that_fails_its_check_falls_through_to_the_lu(chains, monkeypatch,
                                                                          capsys, tmp_path):
-    # _cyclic_kernel run on doubled scales, so that D_a x D_b is 4 times too
-    # large and every check fails, a counterexample to the pair chain's count:
-    # the analysis raises, with no block built, and analyze exits 4, the
-    # routes disagree; check_equivalence and criterion_determinant send the
-    # first block of two closed classes on to its LU, which proves det = 0
-    cyclic_kernel = markov._cyclic_kernel
-    results = []
+    # the cyclic indicators checked on doubled scales, so that D_a x D_b is 4
+    # times too large and every check fails, a counterexample to the pair
+    # chain's count: the analysis raises, with no block built, and analyze
+    # exits 4, the routes disagree; check_equivalence and criterion_determinant
+    # send the first block of two closed classes on to its LU, which proves
+    # det = 0
+    cyclic_kernel, product = markov._cyclic_kernel, markov._criterion_product
+    indicators, results = [], []
 
-    def failing(numerators, scales, *args):
-        results.append(cyclic_kernel(numerators, [2 * d for d in scales], *args))
+    def recorded(*args):
+        indicators[:] = cyclic_kernel(*args)
+        return indicators
+
+    def doubled(numerators, scales, hat, rows):
+        if not any(hat is x for x in indicators):
+            return product(numerators, scales, hat, rows)
+        results.append(product(numerators, [2 * d for d in scales], hat, rows))
         return results[-1]
 
     cases = 0
     for a, label in _closed_classes_and_transient_states(chains, 10):
         across = [{tuple(sorted(pair)) for pair in pairs} for *_, pairs in _closed_class_pairs(a)]
         with monkeypatch.context() as patch:
-            patch.setattr(markov, "_cyclic_kernel", failing)
+            patch.setattr(markov, "_cyclic_kernel", recorded)
+            patch.setattr(markov, "_criterion_product", doubled)
             built = _blocks_built(patch)
             with pytest.raises(RuntimeError, match="the two routes disagree"):
                 zeon_criterion(a)
@@ -1573,7 +1589,108 @@ def test_a_cyclic_indicator_that_fails_its_check_falls_through_to_the_lu(chains,
         assert len(built) == 2 and all({tuple(sorted(pair)) for pair in pairs} == across[0]
                                        for pairs in built), label
         cases += 1
-    assert cases >= 50 and results and not any(results), (cases, len(results))
+    # one check per call, the first one failed: each analysis, each
+    # determinant-only call and the one analyze
+    assert cases >= 50 and len(results) == 3 * cases + 1 and all(map(any, results)), (
+        cases, len(results))
+
+
+def test_the_determinant_alone_checks_one_cyclic_indicator(monkeypatch):
+    # one closed class of period 4 or 6 under transient states, and two closed
+    # classes with g = gcd(p, p') = 2: check_equivalence and
+    # criterion_determinant make one _criterion_product, on the first closed
+    # block's first indicator, where the analysis checks every indicator of
+    # every closed block once, floor(p / 2) inside a class and g across two
+    rng = random.Random(83)
+    cases = [((4,), 8, 3, 2), ((6,), 12, 2, 3), ((2, 2), 4, 2, 2 + 1 + 1),
+             ((2, 4), 8, 3, 2 + 1 + 2), ((4, 6), 12, 2, 2 + 2 + 3)]
+    for periods, size, transient, checks in cases:
+        a = _closed_classes_with_transient_states(rng, periods, size, transient)
+        structure = chain_structure_oracle(a.matrix)
+        assert not structure.is_regular and not structure.all_closed, periods
+        for determinant in _determinant_callers():
+            with monkeypatch.context() as patch:
+                products = _counting(patch, markov, "_criterion_product")
+                assert determinant(a) == 0
+            assert len(products) == 1, periods
+        blocks, indicators, checked = [], [], []
+        cyclic_kernel, product = markov._cyclic_kernel, markov._criterion_product
+
+        def recorded(structure, x, y, pairs, n):
+            blocks.append(pairs)
+            found = cyclic_kernel(structure, x, y, pairs, n)
+            indicators.extend(found)
+            return found
+
+        def counted(numerators, scales, hat, rows):
+            if any(rows is pairs for pairs in blocks):
+                checked.append(hat)
+            return product(numerators, scales, hat, rows)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(markov, "_cyclic_kernel", recorded)
+            patch.setattr(markov, "_criterion_product", counted)
+            assert zeon_criterion(a).det_value == 0
+        assert len(blocks) == len(periods) * (len(periods) + 1) // 2, periods
+        assert len(checked) == len(indicators) == checks, periods
+        assert all(hat is x for hat, x in zip(checked, indicators)), periods
+
+
+def test_a_rank_drop_mod_p_lifts_on_the_column_norms(chains, monkeypatch):
+    # a singular block of closed classes (packed, read only through its
+    # Packed) and singular dense matrices: the certificate's kernel vector is
+    # annihilated by the reference rows, and the minor M[R, C] it lifts on
+    # is bounded by h = isqrt(prod of M[:, C]'s squared column norms) + 1
+    # (Hadamard's inequality; the determinant_oracle of the minor)
+    cases = []
+    for a, label in _transient_cases(chains):
+        if a.n <= 10 and len(cases) < 200:
+            numerators, scales = a.matrix.integer_rows()
+            structure = chain_structure_oracle(a.matrix)
+            classes = [[s - 1 for s in states] for states in structure.classes]
+            for x, y, pairs in _closed_class_pairs(a, inside=True):
+                if x == y and structure.periods[x] == 1:  # nonsingular
+                    continue
+                first, second = sorted((classes[x], classes[y]), key=len)
+                block = markov._class_pair_block(numerators, scales, first,
+                                                 first if x == y else second, pairs)
+                if block.size > 1:  # a 1 x 1 block takes no LU
+                    cases.append((block, criterion_block(numerators, scales, pairs), label))
+    packed = len(cases)
+    rng = random.Random(89)
+    for trial in range(60):
+        n, size = rng.randint(2, 9), rng.choice([1, 7, 10**6, 10**30])
+        rank = rng.randint(0, n - 1)
+        left = [[rng.randint(-size, size) for _ in range(rank)] for _ in range(n)]
+        right = [[rng.randint(-size, size) for _ in range(n)] for _ in range(rank)]
+        rows = [[sum(map(operator.mul, row, col)) for col in zip(*right)] if right else [0] * n
+                for row in left]
+        cases.append((rows, rows, f"dense n={n} rank<={rank}"))
+    lifts = []
+    checked_solution = linalg._checked_solution
+
+    def recorded(product, packed_cols, factors, b, p, width, bias, h, norms):
+        lifts.append((factors, h, norms))
+        return checked_solution(product, packed_cols, factors, b, p, width, bias, h, norms)
+
+    monkeypatch.setattr(linalg, "_checked_solution", recorded)
+    counts = {"minors": 0, "below n - 1": 0}
+    for m, rows, label in cases:
+        lifts.clear()
+        det, (v,) = linalg._criterion_certificate(m)
+        assert det == 0 and any(v), label
+        assert all(sum(map(operator.mul, row, v)) == 0 for row in rows), label
+        assert lifts, label
+        for (perm, *_, pivot_rows), h, norms in lifts:
+            kept = perm[:len(pivot_rows)]
+            assert norms == [sum(row[j] ** 2 for row in rows) for j in kept], label
+            assert h == math.isqrt(math.prod(norms)) + 1, label
+            minor = [[rows[i][j] for j in kept] for i in pivot_rows]
+            assert abs(determinant_oracle(minor)) < h, label
+            counts["minors"] += 1
+            counts["below n - 1"] += len(kept) < len(rows) - 1
+    assert packed >= 150 and len(cases) - packed == 60, (packed, len(cases))
+    assert counts["minors"] >= len(cases) and counts["below n - 1"] >= 20, counts
 
 
 def _refuse_closed_blocks(monkeypatch, a):
