@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, repeat
 from operator import itemgetter, mul, ne
-from typing import Optional
+from typing import Iterator, Optional
 
 from .degree2 import DegreeTwoVector
 from .linalg import (Matrix, Packed, Scalar, _bareiss, _criterion_certificate, _ratio, exact_div,
@@ -520,10 +520,9 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
     n = len(scales)
     classes = [[s - 1 for s in states] for states in structure.classes]
     r = [0 if closed else reach for closed, reach in zip(structure.closed, structure.reach)]
-    # each class pair with pairs, in the order above, then by its first pair:
-    # the first states of its classes (the first two states of one class)
-    blocks = sorted((r[a] + r[b], a == b,
-                     classes[a][:2] if a == b else sorted((classes[a][0], classes[b][0])), a, b)
+    # each class pair with pairs, in the order above, then by its classes,
+    # which are numbered by their smallest states
+    blocks = sorted((r[a] + r[b], a == b, a, b)
                     for a, b in combinations_with_replacement(range(len(classes)), 2)
                     if a != b or len(classes[a]) > 1)
     kernel, dets = [], []  # the kernel vectors as their X^
@@ -540,13 +539,14 @@ def _block_certificate(numerators: list, scales: list, structure: ChainStructure
         if cyclic:
             found = _cyclic_kernel(structure, a, b, pairs, n)
             if whole_kernel:
+                found = list(found)
                 if any(any(_criterion_product(numerators, scales, hat, pairs)) for hat in found):
                     raise RuntimeError("the cyclic indicators of a block of closed classes fail "
                                        "their check, against the pair chain's count: the two "
                                        "routes disagree")
                 kernel += found
                 continue
-            if not any(_criterion_product(numerators, scales, found[0], pairs)):
+            if not any(_criterion_product(numerators, scales, next(found), pairs)):
                 return 0, []
         rhs = [[-e for e in _criterion_product(numerators, scales, hat, pairs)] for hat in kernel]
         det, solved = _criterion_certificate(
@@ -584,10 +584,12 @@ def _hat(n: int, pairs: list, coords) -> list:
     return hat
 
 
-def _cyclic_kernel(structure: ChainStructure, a: int, b: int, pairs: list, n: int) -> list:
+def _cyclic_kernel(structure: ChainStructure, a: int, b: int, pairs: list,
+                   n: int) -> Iterator[list]:
     """The cyclic indicators of M_ab, the block on ``pairs`` of closed classes
     a and b (a == b: one class of period p >= 2) of an n-state chain, each as
-    its n x n X^, unchecked (``_block_certificate`` checks them). With phi the
+    its n x n X^, built one at a time and unchecked (``_block_certificate``
+    checks them: all of them, or the first alone). With phi the
     cyclic class: the g = gcd(p_a, p_b) indicators [phi(i) - phi(j) = r mod g],
     r in Z_g, or for a == b the floor(p/2) ones [phi(i) - phi(j) = +-delta
     mod p], delta = 1..p/2 (``witness_periodic``'s).
@@ -608,8 +610,8 @@ def _cyclic_kernel(structure: ChainStructure, a: int, b: int, pairs: list, n: in
     # b's cyclic classes are labelled from p_a on, and g divides p_a
     phase = _labels(structure.cyclic_classes[a] + structure.cyclic_classes[b], n)
     residues = [{d, g - d} for d in range(1, g // 2 + 1)] if a == b else [{r} for r in range(g)]
-    return [_hat(n, pairs, [int((phase[i] - phase[j]) % g in hit) for i, j in pairs])
-            for hit in residues]
+    return (_hat(n, pairs, [int((phase[i] - phase[j]) % g in hit) for i, j in pairs])
+            for hit in residues)
 
 
 def _nonnegative_fixed_vector(kernel: list, n: int) -> Optional[DegreeTwoVector]:

@@ -248,6 +248,25 @@ def rank_mod(rows, q: int = (1 << 61) - 1) -> int:
     return rank
 
 
+def determinant_mod(rows, q: int = (1 << 61) - 1) -> int:
+    """The determinant of square integer rows mod the prime q, by the
+    elimination of ``rank_mod``: the pivot of each first column is moved to
+    the top, a sign for each row it passes, and a column with no pivot
+    makes it 0."""
+    m = [[e % q for e in row] for row in rows]
+    det = 1
+    while m:
+        k = next((k for k, row in enumerate(m) if row[0]), None)
+        if k is None:
+            return 0
+        pivot = m.pop(k)
+        det = det * (-1) ** k * pivot[0] % q
+        inverse, tail = q - pow(pivot[0], -1, q), pivot[1:]
+        m = [[(a + f * b) % q for a, b in zip(row[1:], tail)] if (f := row[0] * inverse % q)
+             else row[1:] for row in m]
+    return det
+
+
 def criterion_block(numerators: list, scales: list, pairs: list) -> list:
     """The principal submatrix on the 0-based ``pairs`` of the criterion rows
     M = D (I - Psi2(A)) of the integer rows N_i / d_i of A, as lists: row

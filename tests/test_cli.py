@@ -13,6 +13,8 @@ from zeonmarkov.cli import main
 from zeonmarkov.documents import (
     AnalysisReportDocument,
     MatrixFormatError,
+    load_matrix,
+    matrix_to_rows,
     matrix_digest,
     parse_matrix_text,
     report_from_dict,
@@ -71,20 +73,40 @@ def test_parse_rejects_empty():
 
 @pytest.mark.parametrize("text, row", [('{"rows": [1, 2]}', 1), ('{"rows": [null]}', 1),
                                        ('{"rows": [["1"], 2]}', 2)])
-def test_a_json_row_that_is_not_a_list_is_a_parse_error(tmp_path, capsys, text, row):
+def test_a_json_row_that_is_not_a_list_is_a_parse_error(tmp_path, monkeypatch, capsys, text, row):
     with pytest.raises(MatrixFormatError, match=f"^row {row} is not a list$"):
         parse_matrix_text(text)
     path = tmp_path / "rows.json"
     path.write_text(text)
-    code, out, err = run(capsys, "analyze", str(path))
-    assert code == 3 and out == ""
-    assert err == f"zeonmarkov: error: cannot parse matrix: row {row} is not a list\n"
+    message = f"zeonmarkov: error: cannot parse matrix: row {row} is not a list\n"
+    assert run(capsys, "analyze", str(path)) == (3, "", message)
+    _stdin(monkeypatch, text.encode())
+    assert run(capsys, "analyze", "-") == (3, "", message)
 
 
-def test_digest_is_format_independent():
+def test_digest_is_format_independent(tmp_path, capsys):
     a = parse_matrix_text('{"rows": [["1/2", "1/2"], ["0.5", "0.5"]]}').matrix
     b = parse_matrix_text("0.5,1/2\n1/2,0.5").matrix
     assert matrix_digest(a) == matrix_digest(b)
+    # one chain written four ways, as canonical, decimal and unreduced JSON
+    # and as CSV: analyze gives the same digest and the same report
+    spellings = {
+        "canonical.json": ('{"rows": [["1/2", "1/4", "1/4"], ["0", "1/5", "4/5"], '
+                           '["0", "2/5", "3/5"]]}'),
+        "decimal.json": ('{"rows": [["0.5", "0.25", "0.25"], ["0", "0.2", "0.8"], '
+                         '["0", "0.4", "0.6"]]}'),
+        "unreduced.json": ('{"rows": [["2/4", "2/8", "3/12"], ["0/3", "2/10", "8/10"], '
+                           '["0/9", "4/10", "6/10"]]}'),
+        "chain.csv": "1/2,1/4,1/4\n0,1/5,4/5\n0,2/5,3/5\n",
+    }
+    analyses = []
+    for name, text in spellings.items():
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, _ = run(capsys, "analyze", str(path))
+        payload = json.loads(out)
+        analyses.append((code, payload["input"]["digest"], payload["report"]))
+    assert analyses == [analyses[0]] * 4 and analyses[0][0] == 2
 
 
 @pytest.mark.parametrize("number, code, err", [
@@ -313,10 +335,12 @@ def _analysis(out: str) -> dict:
 def test_analyze_reads_a_byte_order_mark_as_if_it_were_absent(
         tmp_path, monkeypatch, capsys, source, suffix):
     if suffix == "json":
-        with open(fixture_path("example4.json"), "rb") as handle:
-            data = handle.read()
+        cases = []
+        for name, code in [("example4.json", 1), ("example1.json", 2)]:
+            with open(fixture_path(name), "rb") as handle:
+                cases.append((handle.read(), code))
     else:
-        data = CSV_CHAIN
+        cases = [(CSV_CHAIN, 0)]
 
     def analyze(raw: bytes, *flags):
         if source == "stdin":
@@ -326,11 +350,12 @@ def test_analyze_reads_a_byte_order_mark_as_if_it_were_absent(
         path.write_bytes(raw)
         return run(capsys, "analyze", str(path), *flags)
 
-    plain, marked = analyze(data), analyze(BOM + data)
-    assert plain[0] == marked[0] == (1 if suffix == "json" else 0)
-    assert plain[2] == marked[2] == ""
-    assert _analysis(marked[1]) == _analysis(plain[1])
-    assert analyze(BOM + data, "--pretty") == analyze(data, "--pretty")
+    for data, code in cases:
+        plain, marked = analyze(data), analyze(BOM + data)
+        assert plain[0] == marked[0] == code
+        assert plain[2] == marked[2] == ""
+        assert _analysis(marked[1]) == _analysis(plain[1])
+        assert analyze(BOM + data, "--pretty") == analyze(data, "--pretty")
 
 
 def test_analyze_rejects_stdin_that_is_not_utf8(monkeypatch, capsys):
@@ -341,10 +366,11 @@ def test_analyze_rejects_stdin_that_is_not_utf8(monkeypatch, capsys):
 
 
 def _console(args, env=(), **kwargs):
-    """Run the CLI in a fresh interpreter on this checkout's sources."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    """Run the CLI in a fresh interpreter on the package this suite imports:
+    the source tree's or an installed one."""
+    parent = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, **dict(env),
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+               PYTHONPATH=os.pathsep.join(filter(None, [parent, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "zeonmarkov.cli", *args],
                           stderr=subprocess.PIPE, env=env, timeout=60, **kwargs)
 
@@ -516,11 +542,35 @@ def test_analyze_pretty(capsys):
     assert "{1,2}, {3,4,5}" in out
 
 
-def test_exit_code_depends_only_on_verdict(capsys):
-    for args in [("analyze", fixture_path("example1.json")),
-                 ("analyze", fixture_path("example1.json"), "--pretty")]:
-        code, _, _ = run(capsys, *args)
-        assert code == 2
+# closed classes of periods 2 and 4 under two transient states: g = 2 cyclic
+# indicators span the kernel of the block of the two classes
+PERIODS_2_AND_4 = [
+    ["0", "1/2", "1/2", "0", "0", "0", "0", "0", "0", "0"],
+    ["1", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
+    ["1", "0", "0", "0", "0", "0", "0", "0", "0", "0"],
+    ["0", "0", "0", "0", "1", "0", "0", "0", "0", "0"],
+    ["0", "0", "0", "0", "0", "1/3", "2/3", "0", "0", "0"],
+    ["0", "0", "0", "0", "0", "0", "0", "1", "0", "0"],
+    ["0", "0", "0", "0", "0", "0", "0", "1", "0", "0"],
+    ["0", "0", "0", "1", "0", "0", "0", "0", "0", "0"],
+    ["1/4", "0", "0", "1/4", "0", "0", "0", "0", "0", "1/2"],
+    ["0", "0", "0", "0", "0", "1/5", "0", "0", "4/5", "0"],
+]
+
+
+def test_exit_code_depends_only_on_verdict(tmp_path, capsys):
+    # with and without --pretty; det_value is nonzero on example1 alone, the
+    # one chain of one closed class, aperiodic (the regular rule), and
+    # check_equivalence agrees
+    periods = tmp_path / "periods24.json"
+    periods.write_text(json.dumps({"rows": PERIODS_2_AND_4}))
+    cases = [(fixture_path(f"example{i}.json"), code) for i, code in enumerate((2, 2, 1, 1, 1), 1)]
+    for path, want in cases + [(str(periods), 2)]:
+        code, out, _ = run(capsys, "analyze", path)
+        assert code == run(capsys, "analyze", path, "--pretty")[0] == want, path
+        assert (json.loads(out)["report"]["det_value"] != "0") == (path == cases[0][0]), path
+        chk = markov.check_equivalence(markov.validate_stochastic(load_matrix(path).matrix))
+        assert chk.consistent and (chk.det_value != 0) == (path == cases[0][0]), path
 
 
 def test_no_decimal_leaks_in_report(capsys):
@@ -569,6 +619,10 @@ def test_zeon_power_fixture_one(capsys):
 def test_zeon_power_out_of_range(capsys):
     code, _, err = run(capsys, "zeon-power", fixture_path("example1.json"), "-k", "9")
     assert code == 3 and "between 1 and 3" in err
+    # six states: k = 3 is in range, k = 7 past it
+    assert run(capsys, "zeon-power", fixture_path("example5.json"), "-k", "3")[0] == 0
+    code, _, err = run(capsys, "zeon-power", fixture_path("example5.json"), "-k", "7")
+    assert code == 3 and "between 1 and 6" in err
 
 
 # -- verify --------------------------------------------------------------------
@@ -581,6 +635,9 @@ def test_verify_integration_by_parts(capsys):
     payload = json.loads(out)
     assert payload["passed"] and payload["failures"] == []
     assert payload["trials"] == 100
+    for identity in ("basic-relations", "trace-identities", "mass-left", "mass-right"):
+        code, out, _ = run(capsys, "verify", fixture_path("example1.json"), "--identity", identity)
+        assert code == 0 and json.loads(out)["passed"], identity
 
 
 def test_verify_basic_relations_random_stochastic(tmp_path, capsys):
@@ -603,6 +660,15 @@ def test_verify_general_identities_on_non_stochastic(tmp_path, capsys):
         code, out, _ = run(capsys, "verify", str(path), "--identity", identity,
                            "--trials", "30")
         assert code == 0 and json.loads(out)["passed"]
+    # signed entries with 13-digit denominators: the mass identities hold, and
+    # integration by parts refuses a matrix that is not stochastic
+    signed = tmp_path / "signed.json"
+    signed.write_text(json.dumps({"rows": [
+        ["-7/1000000000039", "3/2000000000003", "1/1000000000000"],
+        ["5/3000000000017", "-11/1000000000061", "2"],
+        ["1/2", "-1/7000000000001", "-13/1000000000007"]]}))
+    for identity, want in [("mass-left", 0), ("mass-right", 0), ("integration-by-parts", 3)]:
+        assert run(capsys, "verify", str(signed), "--identity", identity)[0] == want, identity
 
 
 @pytest.mark.parametrize("identity", ["mass-left", "mass-right"])
@@ -620,6 +686,17 @@ def test_verify_a_mass_identity_builds_one_compound_per_trial(tmp_path, capsys, 
     code, out, _ = run(capsys, "verify", str(path), "--identity", identity, "--trials", "10")
     assert code == 0 and json.loads(out)["passed"]
     assert builds == [8] * 10 and matrices == []
+
+
+def test_verify_reports_a_failing_trial_and_exits_one(monkeypatch, capsys):
+    # an identity check that fails on trial 2 alone
+    check, trials = cli.IDENTITY_CHECKS["mass-left"], []
+    monkeypatch.setitem(cli.IDENTITY_CHECKS, "mass-left",
+                        lambda m, x: trials.append(x) is None and len(trials) != 3 and check(m, x))
+    code, out, _ = run(capsys, "verify", fixture_path("example1.json"), "--identity", "mass-left",
+                       "--trials", "5")
+    payload = json.loads(out)
+    assert (code, payload["failures"], payload["passed"], len(trials)) == (1, [2], False, 5)
 
 
 def test_verify_integration_by_parts_requires_stochastic(tmp_path, capsys):
@@ -704,19 +781,44 @@ def test_witness_rejects_ergodic_chain(tmp_path, capsys):
 
 
 def test_witness_rejects_transients(capsys):
-    code, _, err = run(capsys, "witness", fixture_path("example1.json"))
-    assert code == 3 and "transient" in err
+    for k in (1, 2):
+        code, _, err = run(capsys, "witness", fixture_path(f"example{k}.json"))
+        assert code == 3 and "transient" in err, k
 
 
 # -- harness -------------------------------------------------------------------
 
 
 def test_harness_command(capsys):
-    code, out, _ = run(capsys, "harness", "-n", "3", "--samples", "40", "--seed", "11")
-    assert code == 0
+    for n, seed in [("3", "11"), ("5", "1")]:
+        code, out, _ = run(capsys, "harness", "-n", n, "--samples", "40", "--seed", seed)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["all_consistent"] is True and payload["counterexamples"] == []
+        assert payload["counts"]["checked"] == 40
+
+
+def test_harness_prints_a_counterexample_and_exits_one(monkeypatch, capsys):
+    # a wrong determinant on the third sample, 0 for nonzero or 1 for 0: the
+    # harness records that chain, and the command prints it and exits 1
+    certificate, samples = markov._block_certificate, []
+
+    def wrong_third(numerators, scales, structure, whole_kernel=True):
+        det, kernel = certificate(numerators, scales, structure, whole_kernel)
+        samples.append(([[F(e, d) for e in row] for row, d in zip(numerators, scales)], det))
+        return (int(det == 0), kernel) if len(samples) == 3 else (det, kernel)
+
+    monkeypatch.setattr(markov, "_block_certificate", wrong_third)
+    code, out, _ = run(capsys, "harness", "-n", "4", "--samples", "5", "--seed", "2")
     payload = json.loads(out)
-    assert payload["all_consistent"] and payload["counterexamples"] == []
-    assert payload["counts"]["checked"] == 40
+    assert (code, payload["all_consistent"], payload["counts"]["checked"]) == (1, False, 5)
+    rows, det = samples[2]
+    a = markov.validate_stochastic(Matrix.from_rows(rows))
+    structure = markov.chain_structure(a)
+    assert len(samples) == 5 and payload["counterexamples"] == [{
+        "matrix": matrix_to_rows(a.matrix), "det_value": "1" if det == 0 else "0",
+        "quasi_positive_exponent": markov.is_quasi_positive(a),
+        "is_irreducible": structure.is_irreducible, "is_aperiodic": structure.is_aperiodic}]
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -81,6 +81,18 @@ def test_pair_order_matches_compound_basis():
         assert x.pairs() == subset_basis(n, 2).subsets
 
 
+def test_vector_sums_differences_hashes_and_repr():
+    x = DegreeTwoVector(3, [1, F(1, 2), -2])
+    y = DegreeTwoVector(3, [0, F(1, 2), 5])
+    assert (x + y).coords == (1, 1, 3) and (x - y).coords == (1, 0, -7)
+    assert x - y + y == x and hash(x - y + y) == hash(x) != hash(y)
+    assert hash(DegreeTwoVector(3, ["1", "0.5", "-2"])) == hash(x)
+    assert repr(x) == "DegreeTwoVector(n=3, [1, Fraction(1, 2), -2])"
+    for op in (lambda u, v: u + v, lambda u, v: u - v):
+        with pytest.raises(ValueError, match="dimension mismatch: n=3 vs n=2"):
+            op(x, DegreeTwoVector(2, [1]))
+
+
 # -- inner product and total mass ----------------------------------------------
 
 

@@ -43,12 +43,12 @@ from zeonmarkov.markov import (
     zeon_criterion,
 )
 from zeonmarkov.zeon import all_functions, function_matrix, subset_basis, zeon_power
-from zeonmarkov.documents import report_to_dict
+from zeonmarkov.documents import matrix_to_rows, report_to_dict
 from oracles import (certificate_oracle, chain_structure_oracle, class_pair_determinant_oracle,
-                     criterion_block, criterion_rows, dense_route, determinant_oracle, fixed_vector_oracle,
-                     left_null_space_oracle, lu_kernel, null_space_oracle, positive_power_oracle,
-                     rank_mod, rank_oracle, reach_oracle, rref_oracle, stationary_oracle,
-                     vector_from_pairs)
+                     criterion_block, criterion_rows, dense_route, determinant_mod, determinant_oracle,
+                     fixed_vector_oracle, left_null_space_oracle, lu_kernel, null_space_oracle,
+                     positive_power_oracle, rank_mod, rank_oracle, reach_oracle, rref_oracle,
+                     stationary_oracle, vector_from_pairs)
 
 F = Fraction
 
@@ -492,7 +492,18 @@ def test_criterion_one_state_chain_is_ergodic():
     assert chk.det_value == 1 and chk.consistent and chk.classical_ergodic
 
 
-def test_criterion_determinant_matches_bareiss_on_the_compound():
+def _wide_denominators(rng, n):
+    # an n-state chain whose literals have 25-digit denominators: the products
+    # of numerators that pack the criterion block are wider than 8 bytes a slot
+    rows = []
+    for _ in range(n):
+        d = rng.randrange(10**24, 10**25)
+        weights = [rng.randrange(1, d // n) for _ in range(n - 1)]
+        rows.append([F(w, d) for w in weights + [d - sum(weights)]])
+    return validate_stochastic(Matrix.from_rows(rows))
+
+
+def test_criterion_determinant_matches_bareiss_on_the_compound(tmp_path, capsys):
     rng = random.Random(33)
     for n in range(2, 10):
         for density in (0.2, 0.5, 0.9):
@@ -500,6 +511,28 @@ def test_criterion_determinant_matches_bareiss_on_the_compound():
             rows, scales = (Matrix.identity(math.comb(n, 2)) - zeon_power(a.matrix, 2)).integer_rows()
             expected = linalg.exact_div(determinant_oracle(rows), math.prod(scales))
             assert criterion_determinant(a) == expected
+    # the bench ergodic chain at n = 18, and 6 states with 25-digit
+    # denominators: analyze exits 0, every route gives one nonzero
+    # determinant, the oracle's mod q (the exact one at N = 153 takes
+    # seconds), and check_equivalence agrees with the classical verdict
+    families = _bench_families()
+    q = (1 << 61) - 1
+    for a in (_bench_chain(families, families.ERGODIC, 18, 0), _wide_denominators(random.Random(25), 6)):
+        rows, det_d = criterion_rows(*a.matrix.integer_rows())
+        code, report = _analyze(tmp_path, capsys, a)
+        chk = check_equivalence(a)
+        det = Fraction(report["det_value"])
+        assert code == 0 and chk.consistent and chk.classical_ergodic
+        assert det == criterion_determinant(a) == chk.det_value != 0
+        assert det.numerator * det_d % q == determinant_mod(rows) * det.denominator % q
+
+
+def _analyze(tmp_path, capsys, a):
+    # the analyze command's exit code and report on the chain a
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"rows": matrix_to_rows(a.matrix)}))
+    code = main(["analyze", str(path)])
+    return code, json.loads(capsys.readouterr().out)["report"]
 
 
 def _counting(monkeypatch, owner, name, *also_bound_in):
@@ -739,6 +772,12 @@ def test_transient_witness_is_unchanged_on_the_bench_family(monkeypatch):
 def _bench_chain(families, family, n, seed):
     chain = families.make(random.Random(seed), family, n)
     return validate_stochastic(Matrix.from_rows([list(row) for row in chain.rows]))
+
+
+def _assert_is_a_witness(a, w):
+    # w is nonzero, nonnegative and fixed by Psi2(A), through the compound
+    assert any(w.coords) and w.is_nonnegative()
+    assert right_action(a.matrix, w) == w
 
 
 def test_report_matches_the_bareiss_and_fraction_null_space_route(monkeypatch):
@@ -1166,6 +1205,8 @@ def test_a_chain_with_transient_states_builds_no_criterion_rows(monkeypatch):
             report = zeon_criterion(a)
         assert report.criterion_verdict is Verdict.INAPPLICABLE
         assert (report.det_value == 0) == singular and (report.witness is not None) == singular
+        if singular:
+            _assert_is_a_witness(a, report.witness)
         # no LU is larger than the largest class-pair block: 100 of 435 pairs for
         # the bench chain of three classes of 10 states, 72 of 153 for 12 + 6 states
         largest = _largest_class_pair_block(a)
@@ -1254,7 +1295,9 @@ def test_the_determinant_only_callers_call_no_witness_builder(chains, monkeypatc
 
 def test_witness_gives_the_vector_that_analyze_reports(tmp_path, capsys):
     # the witness command and the analysis choose and check the witness on one
-    # path: the same coordinates, and a vector the command finds fixed
+    # path: the same coordinates, and a vector the command finds fixed, on the
+    # fixtures and the bench reducible and periodic chains at n = 4..12 and
+    # the periodic one at n = 30
     families = _bench_families()
     paths = [fixture_path(f"example{k}.json") for k in (3, 4, 5)]
     for family in (families.REDUCIBLE, families.PERIODIC):
@@ -1262,6 +1305,9 @@ def test_witness_gives_the_vector_that_analyze_reports(tmp_path, capsys):
             path = tmp_path / f"{family}{n}.json"
             path.write_text(json.dumps(families.to_json(families.make(random.Random(n), family, n))))
             paths.append(str(path))
+    path = tmp_path / "periodic30.json"
+    path.write_text(json.dumps(families.to_json(families.make(random.Random(0), families.PERIODIC, 30))))
+    paths.append(str(path))
     for path in paths:
         assert main(["analyze", path]) == 1
         reported = json.loads(capsys.readouterr().out)["report"]["witness"]
@@ -1295,6 +1341,7 @@ def test_a_closed_zero_determinant_takes_no_lu(chains, monkeypatch):
                 products = _counting(patch, markov, "_criterion_product")
                 assert determinant(a) == 0
             assert (lu, psi2_rows, blocks) == ([], [], [])
+            assert check_equivalence(a).consistent
             ((*_, rows),) = products
             block = frozenset(map(frozenset, rows))
             if structure.is_irreducible:
@@ -1317,9 +1364,10 @@ def test_check_equivalence_reads_the_chain_once(chains, monkeypatch):
 def test_a_transient_determinant_solves_no_transient_block(monkeypatch):
     # with transient states, the determinant-only callers work on the class-pair
     # blocks: the bench chain stops at the block of its two closed classes, its
-    # cyclic indicator checked with no certificate and no transient block
-    # solved; one aperiodic closed class with transient states takes the det of
-    # every block
+    # cyclic indicator checked by one _criterion_product, with no LU, no
+    # certificate and no transient block solved; one aperiodic closed class
+    # with transient states takes the det of every block; check_equivalence
+    # agrees with the classical verdict
     families = _bench_families()
     cases = [(_bench_chain(families, families.TRANSIENT, 30, 0), True),
              (_ergodic_class_with_transient_states(families, 12, 6, 0), False)]
@@ -1331,9 +1379,14 @@ def test_a_transient_determinant_solves_no_transient_block(monkeypatch):
                 _refuse_blocks_past_the_largest_class_pair(patch, a)
                 patch.setattr(markov, "_criterion_certificate",
                               lambda rows, rhs=(): calls.append(rhs) or certificate(rows, rhs))
+                products = _counting(patch, markov, "_criterion_product")
+                lu = _counting(patch, linalg, "_lu_mod")
                 assert (determinant(a) == 0) == singular
             assert len(calls) == (0 if singular else len(_class_pair_blocks(a)[0]))
             assert not any(calls)
+            if singular:  # one checked indicator, no LU
+                assert (len(products), lu) == (1, [])
+        assert check_equivalence(a).consistent
 
 
 def test_the_kernel_of_a_closed_class_pair_block_has_the_predicted_size(chains):
@@ -1363,7 +1416,7 @@ def test_the_kernel_of_a_closed_class_pair_block_has_the_predicted_size(chains):
 def _indicators(structure, x, y, pairs, n):
     # markov._cyclic_kernel's indicators as pair vectors on ``pairs``, read
     # off their X^, which is 0 off those pairs
-    hats = markov._cyclic_kernel(structure, x, y, pairs, n)
+    hats = list(markov._cyclic_kernel(structure, x, y, pairs, n))
     on = {frozenset(pair) for pair in pairs}
     assert all(hat[i][j] == hat[j][i] and (hat[i][j] == 0 or {i, j} in on)
                for hat in hats for i in range(n) for j in range(n))
@@ -1557,7 +1610,7 @@ def test_a_cyclic_indicator_that_fails_its_check_falls_through_to_the_lu(chains,
 
     def recorded(*args):
         indicators[:] = cyclic_kernel(*args)
-        return indicators
+        return iter(indicators)
 
     def doubled(numerators, scales, hat, rows):
         if not any(hat is x for x in indicators):
@@ -1595,32 +1648,48 @@ def test_a_cyclic_indicator_that_fails_its_check_falls_through_to_the_lu(chains,
         cases, len(results))
 
 
+def _periodic24_transient6(families):
+    # the bench periodic chain of 24 states and period 4 under 6 transient
+    # states, each stepping with 1/2 to its own state of the class and to the
+    # next transient state
+    rows = [list(row) + [0] * 6 for row in families.periodic_chain(random.Random(0), 24, 4).rows]
+    rows += [[F(1, 2) if j in (k, 24 + (k + 1) % 6) else 0 for j in range(30)] for k in range(6)]
+    return validate_stochastic(Matrix.from_rows(rows))
+
+
 def test_the_determinant_alone_checks_one_cyclic_indicator(monkeypatch):
-    # one closed class of period 4 or 6 under transient states, and two closed
-    # classes with g = gcd(p, p') = 2: check_equivalence and
-    # criterion_determinant make one _criterion_product, on the first closed
-    # block's first indicator, where the analysis checks every indicator of
-    # every closed block once, floor(p / 2) inside a class and g across two
+    # one closed class of period 4 or 6 under transient states, 24 states of
+    # period 4 under 6 among them, and two closed classes with
+    # g = gcd(p, p') = 2: check_equivalence and criterion_determinant build
+    # one indicator, the first closed block's first, and make one
+    # _criterion_product, on it, and no LU, where the analysis checks every
+    # indicator of every closed block once, floor(p / 2) inside a class and g
+    # across two
     rng = random.Random(83)
-    cases = [((4,), 8, 3, 2), ((6,), 12, 2, 3), ((2, 2), 4, 2, 2 + 1 + 1),
-             ((2, 4), 8, 3, 2 + 1 + 2), ((4, 6), 12, 2, 2 + 2 + 3)]
-    for periods, size, transient, checks in cases:
-        a = _closed_classes_with_transient_states(rng, periods, size, transient)
+    cases = [(_closed_classes_with_transient_states(rng, periods, size, transient), periods, checks)
+             for periods, size, transient, checks in [
+                 ((4,), 8, 3, 2), ((6,), 12, 2, 3), ((2, 2), 4, 2, 2 + 1 + 1),
+                 ((2, 4), 8, 3, 2 + 1 + 2), ((4, 6), 12, 2, 2 + 2 + 3)]]
+    cases.append((_periodic24_transient6(_bench_families()), (4,), 2))
+    for a, periods, checks in cases:
         structure = chain_structure_oracle(a.matrix)
         assert not structure.is_regular and not structure.all_closed, periods
         for determinant in _determinant_callers():
             with monkeypatch.context() as patch:
                 products = _counting(patch, markov, "_criterion_product")
+                hats = _counting(patch, markov, "_hat")
+                lu = _counting(patch, linalg, "_lu_mod")
                 assert determinant(a) == 0
-            assert len(products) == 1, periods
+            assert (len(products), len(hats), lu) == (1, 1, []), periods
+        assert check_equivalence(a).consistent, periods
         blocks, indicators, checked = [], [], []
         cyclic_kernel, product = markov._cyclic_kernel, markov._criterion_product
 
         def recorded(structure, x, y, pairs, n):
             blocks.append(pairs)
-            found = cyclic_kernel(structure, x, y, pairs, n)
+            found = list(cyclic_kernel(structure, x, y, pairs, n))
             indicators.extend(found)
-            return found
+            return iter(found)
 
         def counted(numerators, scales, hat, rows):
             if any(rows is pairs for pairs in blocks):
@@ -1707,7 +1776,7 @@ def _refuse_closed_blocks(monkeypatch, a):
     monkeypatch.setattr(markov, "_class_pair_block", refusing)
 
 
-def test_no_lu_takes_a_block_of_two_closed_classes(chains, monkeypatch):
+def test_no_lu_takes_a_block_of_two_closed_classes(chains, monkeypatch, tmp_path, capsys):
     # the bench transient chains at n = 14 and 22 build no block of their two
     # closed classes, so no _criterion_certificate gets one; on every chain
     # that is not regular, one periodic closed class with transient states
@@ -1726,6 +1795,15 @@ def test_no_lu_takes_a_block_of_two_closed_classes(chains, monkeypatch):
         assert len(certificates) == len(built) and built
         cross = {tuple(sorted(pair)) for pair in cross}
         assert all({tuple(sorted(pair)) for pair in pairs} != cross for pairs in built)
+    # at n = 30, the bench transient chain and 24 states of period 4 under 6
+    # transient ones: analyze packs no closed block, exits 2 and reports a
+    # witness
+    for a in (_bench_chain(families, families.TRANSIENT, 30, 0), _periodic24_transient6(families)):
+        with monkeypatch.context() as patch:
+            _refuse_closed_blocks(patch, a)
+            code, report = _analyze(tmp_path, capsys, a)
+        assert code == 2 and report["det_value"] == "0"
+        _assert_is_a_witness(a, DegreeTwoVector(a.n, report["witness"]["coords"]))
     counts = {"cases": 0, "transient": 0, "one periodic class": 0}
     for a, label in _transient_cases(chains):
         structure = chain_structure_oracle(a.matrix)
