@@ -18,9 +18,11 @@ Reduced row-echelon forms come from one fraction-free (Bareiss) routine,
 ``_bareiss``. Every determinant (``Matrix.det`` too), with either a right
 kernel vector that proves it 0 or the solutions of a regular system, comes
 from one LU mod p, lifted p-adically (``_criterion_certificate``, and
-``integer_det`` for the determinant alone): each lifts through
-``_checked_solution`` until its exact check passes, mod each next prime
-below PRIMES[0] that a failure calls for (``_lu_primes``).
+``integer_det`` for the determinant alone): a kernel vector or a solution
+lifts through ``_checked_solution`` until its exact check passes, mod each
+next prime below PRIMES[0] that a failure calls for (``_lu_primes``), and
+a nonzero determinant lifts two integer forms of one solution
+(``_det_divisor``).
 The matrix's columns are packed once, a slot per entry, into one int each,
 and the LU reduces its pivot rows mod p on those ints (``_slot_reducer``):
 it never unpacks a row.
@@ -32,7 +34,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import repeat
+from itertools import islice, repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -229,11 +231,12 @@ def _criterion_certificate(m: Union[Packed, Sequence[Sequence[int]]],
     denominators (``_checked_solution``).
 
     Dixon's method, used for determinants as by Abbott, Bronstein and
-    Mulders, gives a nonzero det M: lift the solution of M x = b for a fixed
-    b p-adically (``_lift``) and reconstruct x rationally, accumulating D,
-    the lcm of its denominators. D divides det M, so the cofactor det M / D
-    is recovered from det M mod p and, while its range (``Packed``) needs
-    it, mod each next prime below p by CRT (``_primes_below``).
+    Mulders, gives a nonzero det M: lift two integer forms of the solution
+    of M x = b for a fixed b p-adically and reconstruct them rationally
+    (``_det_divisor``), D the lcm of their denominators. D divides det M, so
+    the cofactor det M / D is recovered from det M mod p and, while its
+    range (``Packed``) needs it, mod each next prime below p by CRT
+    (``_primes_below``).
 
     A matrix of rank r < N mod p has N - r free columns, the columns of M
     outside the pivot columns C of the factors (see ``_lift``). For the
@@ -285,8 +288,7 @@ def _criterion_certificate(m: Union[Packed, Sequence[Sequence[int]]],
             continue
         if rhs:
             return None, solutions
-        b = [(7 * i) % 11 - 5 for i in range(n)]
-        denom, _ = next(_lift(packed, factors, b, p, width, bias, h, norms, early=False))
+        denom = _det_divisor(packed, factors, p, width, bias, h, norms)
         # det = cofactor * denom, the cofactor within h / denom of 0, or in
         # [0, h / denom] when not signed
         cofactor, base = det_p * pow(denom, -1, p) % p, p
@@ -317,8 +319,78 @@ def _slots(bound: int, n: int, p: int) -> tuple[int, int]:
     return (max(n * p * p, 2 * bias).bit_length() + 9) // 8, bias
 
 
+def _digits(packed: Sequence[int], factors: tuple, b: Sequence[int], p: int, width: int,
+            bias: int) -> Iterator[list]:
+    """The p-adic digits of the solution y of M[R, C] y = b[R], lowest
+    first, each the vector of y's next digit mod p in the order of C, for
+    ``packed`` and ``factors`` as in ``_lift``, with M's slots outside R at
+    0 + ``bias`` and b 0 there. Dixon's step: solve the residual, b at
+    first, for one digit mod p (``_solve_mod``), then subtract M[R, C]
+    times it exactly and divide by p."""
+    perm, *_, pivot_rows = factors
+    offset = _pack([bias] * len(packed), width)
+    m_cols = [packed[j] - offset for j in perm[:len(pivot_rows)]]
+    residual = _pack([e + bias for e in b], width) - offset
+    while True:
+        y = _solve_mod(factors, residual + offset, p, width)
+        yield y
+        residual = (residual - sum(map(mul, y, m_cols))) // p
+
+
+def _digit_count(p: int, bound: int) -> int:
+    """The least K with p^K > bound."""
+    modulus, steps = p, 1
+    while modulus <= bound:
+        modulus *= p
+        steps += 1
+    return steps
+
+
+def _cramer_bound(norms: Sequence[int], b: Sequence[int]) -> int:
+    """Nb, above each numerator of the solution y = M^-1 b over det M, for
+    M the columns of squared ``norms``: by Cramer's rule each is a
+    determinant with one column of M replaced by b, so Nb = |b| * (column
+    Hadamard bound) / (shortest column)."""
+    return math.isqrt(math.prod(norms) * sum(map(mul, b, b)) // min(norms, default=1)) + 1
+
+
+def _det_divisor(packed: Sequence[int], factors: tuple, p: int, width: int, bias: int, h: int,
+                 norms: Sequence[int]) -> int:
+    """D, a divisor of det M for M regular mod p (``packed`` and ``factors``
+    as in ``_lift``, h above |det M|, ``norms`` the squared norms of M's
+    columns): the lcm of the denominators of two integer forms z_k = c_k . y
+    of the solution y of M y = b, for c_1 = b = ((7 i mod 11) - 5)_i and
+    c_2 = ((3 j mod 7) + 1)_j.
+
+    By Cramer's rule z_k = (c_k . det M y) / det M, with a numerator at most
+    |c_k|_1 * Nb (``_cramer_bound``), so its denominator divides det M and
+    so does their lcm. The forms are lifted together (``_digits``) until
+    p^K > 2 * max_k(|c_k|_1 * Nb) * h, and each is reconstructed with those
+    bounds: only the two scalars are carried, not the whole of y. D misses
+    a factor q of the lcm of y's denominators only when q divides both
+    numerators (a projection of y, as by Eberly, Giesbrecht and Villard,
+    FOCS 2000), and the cofactor det M / D takes what D misses."""
+    n, perm = len(packed), factors[0]
+    b = [(7 * i) % 11 - 5 for i in range(n)]
+    forms = [[b[j] for j in perm], [(3 * j) % 7 + 1 for j in perm]]  # in the order of y, of C
+    nb = _cramer_bound(norms, b)
+    bounds = [sum(map(abs, c)) * nb for c in forms]
+    digits, steps = [], _digit_count(p, 2 * max(bounds) * h)
+    for y in islice(_digits(packed, factors, b, p, width, bias), steps):
+        digits.append(([sum(map(mul, c, y)) for c in forms], p))
+        _carry(digits, False)
+    _carry(digits, True)
+    ((values, modulus),) = digits
+    denom = 1
+    for z, bound in zip(values, bounds):
+        u = denom * z % modulus  # the same numerator over det M / denom: what denom lacks
+        if min(u, modulus - u) > bound:
+            denom *= _reconstruct_denominator(u, modulus, bound, h)
+    return denom
+
+
 def _lift(packed: Sequence[int], factors: tuple, b: Sequence[int], p: int, width: int,
-          bias: int, h: int, norms: Sequence[int], early: bool) -> Iterator[tuple[int, Iterator]]:
+          bias: int, h: int, norms: Sequence[int]) -> Iterator[tuple[int, list]]:
     """Solve M[R, C] y = b[R] exactly, where ``packed`` are M's columns
     packed with each entry plus ``bias`` in a slot, and ``factors`` are
     ``_lu_mod``'s of M's transpose: their pivot columns are the rows R of M
@@ -327,45 +399,32 @@ def _lift(packed: Sequence[int], factors: tuple, b: Sequence[int], p: int, width
     at most ``bias`` in size; h bounds |det M[R, C]|, and ``norms`` are the
     squared norms of M[R, C]'s columns.
 
-    Dixon lifting: each step solves for one p-adic digit of y mod p and
-    updates the residual exactly, until p^K > 2 * Nb * h, Nb bounding the
-    numerators of y by Cramer's rule and Hadamard's inequality. Rational
-    reconstruction of the entries of y accumulates D, the lcm of their
-    denominators, which divides det M[R, C]. Yields D and the integers
-    D * y (|D * y| <= Nb) in the order of C, as an iterator, so that a
-    caller that needs only D does not pay for them. With ``early``, it first
-    yields each reconstruction after 1, 2, 4, ... digits that succeeds with
-    both parts at most isqrt(p^k / 2), for an exact check to stop on (Chen &
-    Storjohann, ISSAC 2005; Monagan, ISSAC 2004). The digits are added up
-    as a binary counter (``_carry``) and into y only where it is read.
+    Dixon lifting (``_digits``) until p^K > 2 * Nb * h, Nb bounding the
+    numerators of y (``_cramer_bound``). After 1, 2, 4, ... digits, and
+    after the last, it yields each rational reconstruction of y that
+    succeeds, with both parts at most isqrt(p^k / 2), and at the last with
+    Nb and h, for an exact check to stop on (Chen & Storjohann, ISSAC 2005;
+    Monagan, ISSAC 2004): D, the lcm of the denominators of y, which
+    divides det M[R, C], and the integers D * y (|D * y| <= Nb) in the
+    order of C. The digits are added up as a binary counter (``_carry``)
+    and into y only where it is read.
     """
     perm, _, _, _, pivot_rows = factors
     n, rank = len(packed), len(pivot_rows)
-    offset = _pack([bias] * n, width)
     if rank < n:  # M[R, C] and b[R], zero in the rows outside R
         kept = set(pivot_rows)
         b = [e if i in kept else 0 for i, e in enumerate(b)]
         keep = _pack([(1 << 8 * width) - 1 if i in kept else 0 for i in range(n)], width)
+        offset = _pack([bias] * n, width)
         packed = [x & keep | offset & ~keep for x in packed]  # slots outside R hold 0 + bias
-    m_cols = [packed[j] - offset for j in perm[:rank]]
-
-    # Cramer: each numerator of y is a determinant with one column of
-    # M[R, C] replaced by b, so Nb = |b| * (column Hadamard bound) / (shortest column).
-    nb = math.isqrt(math.prod(norms) * sum(map(mul, b, b)) // min(norms, default=1)) + 1
-    modulus, steps = p, 1
-    while modulus <= 2 * nb * h:
-        modulus *= p
-        steps += 1
-
-    residual = _pack([e + bias for e in b], width) - offset
+    nb = _cramer_bound(norms, b)
+    steps = _digit_count(p, 2 * nb * h)
     solution, digits, modulus, read = [0] * rank, [], 1, 1  # y mod read, and the digits since
-    for k in range(1, steps + 1):
-        y = _solve_mod(factors, residual + offset, p, width)
+    for k, y in enumerate(islice(_digits(packed, factors, b, p, width, bias), steps), 1):
         digits.append((y, p))
         _carry(digits, False)
         modulus *= p
-        residual = (residual - sum(map(mul, y, m_cols))) // p
-        if k < steps and (not early or k & k - 1):
+        if k < steps and k & k - 1:
             continue
         _carry(digits, True)
         solution = [s + c * read for s, c in zip(solution, digits.pop()[0])]
@@ -382,8 +441,8 @@ def _lift(packed: Sequence[int], factors: tuple, b: Sequence[int], p: int, width
             if k == steps:
                 raise
         else:
-            numerators = (denom * s % modulus for s in solution)
-            yield denom, (u - modulus if u > half else u for u in numerators)
+            numerators = [denom * s % modulus for s in solution]
+            yield denom, [u - modulus if u > half else u for u in numerators]
 
 
 def _carry(digits: list, whole: bool) -> None:
@@ -404,7 +463,7 @@ def _checked_solution(product: Callable[[Sequence[int]], list], packed: Sequence
     and 0 elsewhere, at the first of ``_lift``'s reconstructions, after 1,
     2, 4, ... digits, with M v = D b exactly on every row of M, ``product(v)``;
     else None."""
-    for d, numerators in _lift(packed, factors, b, p, width, bias, h, norms, early=True):
+    for d, numerators in _lift(packed, factors, b, p, width, bias, h, norms):
         v = [0] * len(packed)
         for j, e in zip(factors[0], numerators):
             v[j] = e

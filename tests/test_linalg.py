@@ -327,6 +327,48 @@ def test_integer_det_matches_bareiss_on_seeded_matrices():
     assert integer_det([[0]]) == 0
 
 
+def _form_denominators(rows):
+    # the denominators of the two forms c_1 . y and c_2 . y that the
+    # determinant lifts, y = M^-1 b (b = c_1 = (7i mod 11) - 5, c_2 = (3j mod 7)
+    # + 1), read off the rref_oracle of [M | b], and the lcm of y's
+    n = len(rows)
+    b = [(7 * i) % 11 - 5 for i in range(n)]
+    reduced, _ = rref_oracle(Matrix.from_rows([list(row) + [e] for row, e in zip(rows, b)]))
+    y = [F(reduced[i, n]) for i in range(n)]
+    forms = [sum(map(operator.mul, c, y)).denominator
+             for c in (b, [(3 * j) % 7 + 1 for j in range(n)])]
+    return forms, math.lcm(*(e.denominator for e in y))
+
+
+def test_integer_det_matches_the_oracle_when_the_forms_miss_a_factor(monkeypatch):
+    # the determinant reads D off two forms of y, not off y: on seeded
+    # matrices where a form's denominator, or the lcm of both, misses a factor
+    # of the lcm of y's denominators, the cofactor det / D still comes out;
+    # diag(p q r, 1) takes four LUs; dense signed entries up to 10^60, singular
+    # and not
+    rng = random.Random(83)
+    one = both = 0
+    for _ in range(100):
+        n = rng.randint(3, 6)
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        det = determinant_oracle(rows)
+        assert integer_det(rows) == det
+        if det:
+            forms, whole = _form_denominators(rows)
+            one += min(forms) < whole
+            both += math.lcm(*forms) < whole
+    assert one >= 40 and both >= 5, (one, both)
+    calls = _count_routes(monkeypatch)
+    assert integer_det([[math.prod(PRIMES[:3]), 0], [0, 1]]) == math.prod(PRIMES[:3])
+    assert calls == {"bareiss": 0, "primes": list(PRIMES)}
+    for n in range(2, 8):
+        rows = [[rng.randint(-10**60, 10**60) for _ in range(n)] for _ in range(n)]
+        assert integer_det(rows) == determinant_oracle(rows) != 0
+        combination = [rng.randint(-3, 3) for _ in range(n - 1)]
+        rows[-1] = [sum(map(operator.mul, combination, col)) for col in zip(*rows[:-1])]
+        assert integer_det(rows) == determinant_oracle(rows) == 0
+
+
 def test_primes_are_distinct_descending_and_cover_a_120_bit_cofactor():
     assert len(set(PRIMES)) == len(PRIMES) == 4
     assert list(PRIMES) == sorted(PRIMES, reverse=True)
@@ -656,12 +698,8 @@ def test_certificate_with_rhs_proves_a_nonzero_determinant_and_lifts_no_determin
     calls = _count_routes(monkeypatch)
     lifts = []
     lift = linalg._lift
-
-    def counted_lift(*args, early):
-        lifts.append(early)
-        return lift(*args, early=early)
-
-    monkeypatch.setattr(linalg, "_lift", counted_lift)
+    monkeypatch.setattr(linalg, "_lift", lambda *args: lifts.append(args) or lift(*args))
+    monkeypatch.setattr(linalg, "_det_divisor", None)  # the determinant's forms are not lifted
     for rows, primes in [([[3, 7], [-2, 5]], [p]), ([[p, 0], [0, 1]], [p, q]),
                          ([[p * q, 0], [0, 1]], list(PRIMES[:3]))]:
         lifts.clear()
@@ -670,7 +708,7 @@ def test_certificate_with_rhs_proves_a_nonzero_determinant_and_lifts_no_determin
         assert (det, d, y) == (None, 1, [1, 0])
         assert calls == {"bareiss": 0, "primes": primes}
         # the failed kernel vectors, one per prime, then the solution
-        assert lifts == [True] * len(primes)
+        assert len(lifts) == len(primes)
     assert linalg._criterion_certificate([[1, 2], [2, 4]], rhs=[[1, 0]]) == (0, [[-2, 1]])
 
 

@@ -875,19 +875,23 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
 
 
 def _dixon_steps(rows, p, hadamard=False):
-    # the digits Dixon lifting takes for M x = b, b as in _criterion_certificate:
-    # the least K with p^K > 2 * Nb * h, Nb the Cramer bound by Hadamard's
+    # the digits the determinant's Dixon lifting takes for the forms c_1 . y
+    # and c_2 . y of y = M^-1 b, as in linalg._det_divisor (b = c_1 =
+    # (7i mod 11) - 5, c_2 = (3j mod 7) + 1): the least K with
+    # p^K > 2 * max_k(|c_k|_1 * Nb) * h, Nb the Cramer bound by Hadamard's
     # inequality on M's columns, and h the product of M's diagonal (the bound
     # of an M-matrix, each class-pair block) or, with ``hadamard``, Hadamard's
     # bound on |det M|
-    b = [(7 * i) % 11 - 5 for i in range(len(rows))]
+    n = len(rows)
+    b = [(7 * i) % 11 - 5 for i in range(n)]
+    form_norm = max(sum(map(abs, b)), sum((3 * j) % 7 + 1 for j in range(n)))
     col_norms = [sum(e * e for e in col) for col in zip(*rows)]
     col_bound = math.prod(col_norms)
     h = (math.isqrt(min(col_bound, math.prod(sum(e * e for e in row) for row in rows))) + 1
-         if hadamard else math.prod(rows[i][i] for i in range(len(rows))))
+         if hadamard else math.prod(rows[i][i] for i in range(n)))
     nb = math.isqrt(col_bound * sum(e * e for e in b) // min(col_norms)) + 1
     steps = 1
-    while p ** steps <= 2 * nb * h:
+    while p ** steps <= 2 * form_norm * nb * h:
         steps += 1
     return steps
 
@@ -899,8 +903,8 @@ def test_the_kernel_lift_stops_early_and_the_dixon_lift_does_not(monkeypatch):
     # the exact check after one or two; the
     # block of pairs inside the transient class stops at 4 digits at n = 14,
     # and at n = 22 fails the tries at 1, 2, 4 and 8 digits and ends at its
-    # Hadamard bound, 13 or 14 digits; a nonzero determinant lifts every
-    # Hadamard digit
+    # Hadamard bound, 13 or 14 digits; a nonzero determinant lifts no vector
+    # (_lift) but two forms of one, every digit of their bound
     families = _bench_families()
     cases = [(families.TRANSIENT, 14, seed, [1, 1, 4]) for seed in range(3)]
     cases += [(families.TRANSIENT, 22, seed, [2, 2, last])
@@ -910,23 +914,25 @@ def test_the_kernel_lift_stops_early_and_the_dixon_lift_does_not(monkeypatch):
     cases.append((families.ERGODIC, 18, 0, [_dixon_steps(rows, linalg.PRIMES[0])]))
     for family, n, seed, expected in cases:
         a = _bench_chain(families, family, n, seed)
-        solves = []
-        lift, solve_mod = linalg._lift, linalg._solve_mod
+        solves = []  # per lift of a vector or of the forms, each one run of _digits
+        digits, solve_mod = linalg._digits, linalg._solve_mod
 
-        def counted_lift(*args, **kwargs):
+        def counted_digits(*args):
             solves.append(0)
-            return lift(*args, **kwargs)
+            return digits(*args)
 
         def counted_solve_mod(*args):
             solves[-1] += 1
             return solve_mod(*args)
 
         with monkeypatch.context() as patch:
-            patch.setattr(linalg, "_lift", counted_lift)
+            lifts = _counting(patch, linalg, "_lift")
+            patch.setattr(linalg, "_digits", counted_digits)
             patch.setattr(linalg, "_solve_mod", counted_solve_mod)
             report = zeon_criterion(a)
         assert (report.det_value == 0) == (family == families.TRANSIENT)
         assert solves == expected, (family, n, seed)
+        assert len(lifts) == (len(expected) if family == families.TRANSIENT else 0)
 
 
 def _ergodic_class_with_transient_states(families, closed, transient, seed):
@@ -940,6 +946,22 @@ def _ergodic_class_with_transient_states(families, closed, transient, seed):
         weights[rng.randrange(closed)] = rng.randint(1, 6)
         rows.append([F(w, sum(weights)) for w in weights])
     return validate_stochastic(Matrix.from_rows(rows))
+
+
+def test_the_ergodic_determinant_takes_the_crt_primes_that_all_of_y_took(monkeypatch):
+    # D, the lcm of the denominators of the determinant's two forms of y,
+    # leaves the cofactor det / D as many CRT primes as the lcm of all of y's
+    # denominators did: on 30 bench ergodic chains each at n = 10 and 14, one
+    # LU mod PRIMES[0], and one mod PRIMES[1] at n = 14 on seeds 1, 14, 15 and 24
+    families = _bench_families()
+    for n, extra in [(10, set()), (14, {1, 14, 15, 24})]:
+        for seed in range(30):
+            chain = families.make(random.Random(f"C{n}:{seed}"), families.ERGODIC, n)
+            a = validate_stochastic(Matrix.from_rows([list(row) for row in chain.rows]))
+            with monkeypatch.context() as patch:
+                lu = _counting(patch, linalg, "_lu_mod")
+                assert zeon_criterion(a).det_value != 0
+            assert [p for _, p, _ in lu] == list(linalg.PRIMES[:1 + (seed in extra)]), (n, seed)
 
 
 def test_a_cofactor_beyond_the_first_primes_needs_no_exact_elimination(monkeypatch):
@@ -1565,8 +1587,9 @@ def test_every_principal_block_of_the_criterion_rows_has_a_det_within_its_diagon
 def test_an_ergodic_chain_builds_no_list_rows_of_the_criterion(monkeypatch):
     # bench ergodic chains at n = 10..18: the analysis and check_equivalence pack
     # M's one class-pair block straight from N, with no Psi2 row and no row list
-    # (linalg._dense), and lift the digits that h = the product of M's diagonal
-    # asks for, none more than Hadamard's
+    # (linalg._dense), and lift no vector but the determinant's two forms, the
+    # digits that h = the product of M's diagonal asks for, none more than
+    # Hadamard's
     families = _bench_families()
 
     def refuse(*args, **kwargs):
@@ -1583,7 +1606,7 @@ def test_an_ergodic_chain_builds_no_list_rows_of_the_criterion(monkeypatch):
             solve_mod = linalg._solve_mod
             patch.setattr(linalg, "_solve_mod", lambda *args: solves.append(0) or solve_mod(*args))
             report = zeon_criterion(a)
-            assert (len(lifts), len(solves)) == (1, _dixon_steps(rows, linalg.PRIMES[0]))
+            assert (len(lifts), len(solves)) == (0, _dixon_steps(rows, linalg.PRIMES[0]))
             assert check_equivalence(a).det_value == report.det_value != 0
         assert _dixon_steps(rows, linalg.PRIMES[0]) <= _dixon_steps(rows, linalg.PRIMES[0], True)
 
