@@ -34,7 +34,7 @@ import math
 import re
 import sys
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import repeat
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -239,13 +239,12 @@ def _criterion_certificate(m: Union[Packed, Sequence[Sequence[int]]],
     (``_primes_below``).
 
     A matrix of rank r < N mod p has N - r free columns, the columns of M
-    outside the pivot columns C of the factors (see ``_lift``). For the
-    first one, f, the solution v of M v = -D M e_f (``_checked_solution``,
-    lifted from the same factors until it passes on every row, h from the
-    norms of M[:, C], cut to M[R, C]), with v[f] = D, is an integer kernel
-    vector that proves det M = 0. A 1 x 1 M = [m] takes no LU: the kernel
-    [[1]] when m = 0, else det m, D = |m| / g and D y = sign(m) b / g,
-    g = gcd(m, b).
+    outside the pivot columns C of the factors. For the first one, f, the
+    solution v of M v = -D M e_f (``_checked_solution``, lifted from the
+    same factors until it passes on every row, h from the norms of M[:, C],
+    cut to M[R, C]), with v[f] = D, is an integer kernel vector that proves
+    det M = 0. A 1 x 1 M = [m] takes no LU: the kernel [[1]] when m = 0,
+    else det m, D = |m| / g and D y = sign(m) b / g, g = gcd(m, b).
 
     Every step is exact and deterministic, and only a kernel vector proves a
     zero. A failed check (M has a larger rank over Q than mod p, as when p
@@ -305,8 +304,8 @@ def _criterion_certificate(m: Union[Packed, Sequence[Sequence[int]]],
 
 def _slots(bound: int, n: int, p: int) -> tuple[int, int]:
     """The slot width in bytes of the packed vectors of ``_lu_mod`` and
-    ``_lift`` for an n x n matrix, and the bias of their packed input, for a
-    ``bound`` on the row sums of |M| and on the entries of the right-hand
+    the lifts for an n x n matrix, and the bias of their packed input, for
+    a ``bound`` on the row sums of |M| and on the entries of the right-hand
     sides.
 
     Residuals of the lifting stay within that bound; ``bias``, a multiple
@@ -323,10 +322,10 @@ def _digits(packed: Sequence[int], factors: tuple, b: Sequence[int], p: int, wid
             bias: int) -> Iterator[list]:
     """The p-adic digits of the solution y of M[R, C] y = b[R], lowest
     first, each the vector of y's next digit mod p in the order of C, for
-    ``packed`` and ``factors`` as in ``_lift``, with M's slots outside R at
-    0 + ``bias`` and b 0 there. Dixon's step: solve the residual, b at
-    first, for one digit mod p (``_solve_mod``), then subtract M[R, C]
-    times it exactly and divide by p."""
+    ``packed`` and ``factors`` as in ``_checked_solution``, with M's slots
+    outside R at 0 + ``bias`` and b 0 there. Dixon's step: solve the
+    residual, b at first, for one digit mod p (``_solve_mod``), then
+    subtract M[R, C] times it exactly and divide by p."""
     perm, *_, pivot_rows = factors
     offset = _pack([bias] * len(packed), width)
     m_cols = [packed[j] - offset for j in perm[:len(pivot_rows)]]
@@ -335,15 +334,6 @@ def _digits(packed: Sequence[int], factors: tuple, b: Sequence[int], p: int, wid
         y = _solve_mod(factors, residual + offset, p, width)
         yield y
         residual = (residual - sum(map(mul, y, m_cols))) // p
-
-
-def _digit_count(p: int, bound: int) -> int:
-    """The least K with p^K > bound."""
-    modulus, steps = p, 1
-    while modulus <= bound:
-        modulus *= p
-        steps += 1
-    return steps
 
 
 def _cramer_bound(norms: Sequence[int], b: Sequence[int]) -> int:
@@ -357,41 +347,39 @@ def _cramer_bound(norms: Sequence[int], b: Sequence[int]) -> int:
 def _det_divisor(packed: Sequence[int], factors: tuple, p: int, width: int, bias: int, h: int,
                  norms: Sequence[int]) -> int:
     """D, a divisor of det M for M regular mod p (``packed`` and ``factors``
-    as in ``_lift``, h above |det M|, ``norms`` the squared norms of M's
-    columns): the lcm of the denominators of two integer forms z_k = c_k . y
-    of the solution y of M y = b, for c_1 = b = ((7 i mod 11) - 5)_i and
-    c_2 = ((3 j mod 7) + 1)_j.
+    as in ``_checked_solution``, h above |det M|, ``norms`` the squared
+    norms of M's columns): the lcm of the denominators of two integer forms
+    z_k = c_k . y of the solution y of M y = b, for c_1 = b =
+    ((7 i mod 11) - 5)_i and c_2 = ((3 j mod 7) + 1)_j.
 
     By Cramer's rule z_k = (c_k . det M y) / det M, with a numerator at most
     |c_k|_1 * Nb (``_cramer_bound``), so its denominator divides det M and
-    so does their lcm. The forms are lifted together (``_digits``) until
-    p^K > 2 * max_k(|c_k|_1 * Nb) * h, and each is reconstructed with those
-    bounds: only the two scalars are carried, not the whole of y. D misses
-    a factor q of the lcm of y's denominators only when q divides both
-    numerators (a projection of y, as by Eberly, Giesbrecht and Villard,
-    FOCS 2000), and the cofactor det M / D takes what D misses."""
+    so does their lcm. The forms of the digits (``_digits``) are added into
+    z_k mod p^k in place until p^K > 2 * max_k(|c_k|_1 * Nb) * h, and both
+    are reconstructed with those bounds (``_denominator``): only the two
+    scalars are carried, not the whole of y. D misses a factor q of the lcm
+    of y's denominators only when q divides both numerators (a projection
+    of y, as by Eberly, Giesbrecht and Villard, FOCS 2000), and the cofactor
+    det M / D takes what D misses."""
     n, perm = len(packed), factors[0]
     b = [(7 * i) % 11 - 5 for i in range(n)]
     forms = [[b[j] for j in perm], [(3 * j) % 7 + 1 for j in perm]]  # in the order of y, of C
     nb = _cramer_bound(norms, b)
     bounds = [sum(map(abs, c)) * nb for c in forms]
-    digits, steps = [], _digit_count(p, 2 * max(bounds) * h)
-    for y in islice(_digits(packed, factors, b, p, width, bias), steps):
-        digits.append(([sum(map(mul, c, y)) for c in forms], p))
-        _carry(digits, False)
-    _carry(digits, True)
-    ((values, modulus),) = digits
-    denom = 1
-    for z, bound in zip(values, bounds):
-        u = denom * z % modulus  # the same numerator over det M / denom: what denom lacks
-        if min(u, modulus - u) > bound:
-            denom *= _reconstruct_denominator(u, modulus, bound, h)
-    return denom
+    values, modulus = [0, 0], 1
+    for y in _digits(packed, factors, b, p, width, bias):
+        values = [z + modulus * sum(map(mul, c, y)) for z, c in zip(values, forms)]
+        modulus *= p
+        if modulus > 2 * max(bounds) * h:
+            return _denominator(values, modulus, bounds, h)
 
 
-def _lift(packed: Sequence[int], factors: tuple, b: Sequence[int], p: int, width: int,
-          bias: int, h: int, norms: Sequence[int]) -> Iterator[tuple[int, list]]:
-    """Solve M[R, C] y = b[R] exactly, where ``packed`` are M's columns
+def _checked_solution(product: Callable[[Sequence[int]], list], packed: Sequence[int],
+                      factors: tuple, b: Sequence[int], p: int, width: int, bias: int, h: int,
+                      norms: Sequence[int]) -> Optional[tuple[int, list]]:
+    """(D, v) for the solution y of M[R, C] y = b[R], D the lcm of y's
+    denominators: v[C] = D * y and 0 elsewhere, with M v = D b exactly on
+    every row of M, ``product(v)``; else None. ``packed`` are M's columns
     packed with each entry plus ``bias`` in a slot, and ``factors`` are
     ``_lu_mod``'s of M's transpose: their pivot columns are the rows R of M
     and their first r permuted rows the columns C, so M[R, C] is invertible
@@ -399,77 +387,68 @@ def _lift(packed: Sequence[int], factors: tuple, b: Sequence[int], p: int, width
     at most ``bias`` in size; h bounds |det M[R, C]|, and ``norms`` are the
     squared norms of M[R, C]'s columns.
 
-    Dixon lifting (``_digits``) until p^K > 2 * Nb * h, Nb bounding the
-    numerators of y (``_cramer_bound``). After 1, 2, 4, ... digits, and
-    after the last, it yields each rational reconstruction of y that
-    succeeds, with both parts at most isqrt(p^k / 2), and at the last with
-    Nb and h, for an exact check to stop on (Chen & Storjohann, ISSAC 2005;
-    Monagan, ISSAC 2004): D, the lcm of the denominators of y, which
-    divides det M[R, C], and the integers D * y (|D * y| <= Nb) in the
-    order of C. The digits are added up as a binary counter (``_carry``)
-    and into y only where it is read.
+    Dixon lifting (``_digits``) adds each digit vector into y mod p^k in
+    place until p^K > 2 * Nb * h, Nb bounding the numerators of y
+    (``_cramer_bound``). After 1, 2, 4, ... digits, and after the last, it
+    reconstructs y rationally (``_denominator``), with both parts at most
+    isqrt(p^k / 2), and at the last with Nb and h, and stops at the first
+    reconstruction whose exact check passes (Chen & Storjohann, ISSAC 2005;
+    Monagan, ISSAC 2004): D divides det M[R, C], and |D * y| <= Nb.
     """
     perm, _, _, _, pivot_rows = factors
     n, rank = len(packed), len(pivot_rows)
+    lifted = b
     if rank < n:  # M[R, C] and b[R], zero in the rows outside R
         kept = set(pivot_rows)
-        b = [e if i in kept else 0 for i, e in enumerate(b)]
+        lifted = [e if i in kept else 0 for i, e in enumerate(b)]
         keep = _pack([(1 << 8 * width) - 1 if i in kept else 0 for i in range(n)], width)
         offset = _pack([bias] * n, width)
         packed = [x & keep | offset & ~keep for x in packed]  # slots outside R hold 0 + bias
-    nb = _cramer_bound(norms, b)
-    steps = _digit_count(p, 2 * nb * h)
-    solution, digits, modulus, read = [0] * rank, [], 1, 1  # y mod read, and the digits since
-    for k, y in enumerate(islice(_digits(packed, factors, b, p, width, bias), steps), 1):
-        digits.append((y, p))
-        _carry(digits, False)
+    nb = _cramer_bound(norms, lifted)
+    solution, modulus = [0] * rank, 1  # y mod p^k
+    for k, y in enumerate(_digits(packed, factors, lifted, p, width, bias), 1):
+        solution = [s + modulus * e for s, e in zip(solution, y)]
         modulus *= p
-        if k < steps and k & k - 1:
+        last = modulus > 2 * nb * h
+        if not last and k & k - 1:
             continue
-        _carry(digits, True)
-        solution = [s + c * read for s, c in zip(solution, digits.pop()[0])]
-        read = modulus
         half = modulus // 2
-        num_bound, den_bound = (nb, h) if k == steps else (math.isqrt(half),) * 2
-        denom = 1
+        num_bound, den_bound = (nb, h) if last else (math.isqrt(half),) * 2
         try:
-            for s in solution:
-                u = denom * s % modulus
-                if min(u, modulus - u) > num_bound:
-                    denom *= _reconstruct_denominator(u, modulus, num_bound, den_bound)
+            d = _denominator(solution, modulus, repeat(num_bound), den_bound)
         except ArithmeticError:
-            if k == steps:
+            if last:
                 raise
         else:
-            numerators = [denom * s % modulus for s in solution]
-            yield denom, [u - modulus if u > half else u for u in numerators]
+            v = [0] * n
+            for j, s in zip(perm, solution):
+                v[j] = (d * s + half) % modulus - half  # in (-modulus / 2, modulus / 2)
+            if product(v) == [d * e for e in b]:
+                return d, v
+        if last:
+            return None
 
 
-def _carry(digits: list, whole: bool) -> None:
-    """Add up the top two of ``digits``, pairs (v, p^k) of the vectors v of k
-    p-adic digits, lowest first, while they hold as many digits or, when
-    ``whole``, until one is left: as in a binary counter, each addition has
-    operands of equal length, and the digits are held in a few long ints."""
-    while len(digits) > 1 and (whole or digits[-1][1] == digits[-2][1]):
-        (low, power), (high, high_power) = digits[-2:]
-        digits[-2:] = [([a + b * power for a, b in zip(low, high)], power * high_power)]
-
-
-def _checked_solution(product: Callable[[Sequence[int]], list], packed: Sequence[int],
-                      factors: tuple, b: Sequence[int], p: int, width: int, bias: int, h: int,
-                      norms: Sequence[int]) -> Optional[tuple[int, list]]:
-    """(D, v) for the solution y of M[R, C] y = b[R] (``_lift``, with its
-    ``packed``, h and ``norms``; D the lcm of y's denominators): v[C] = D * y
-    and 0 elsewhere, at the first of ``_lift``'s reconstructions, after 1,
-    2, 4, ... digits, with M v = D b exactly on every row of M, ``product(v)``;
-    else None."""
-    for d, numerators in _lift(packed, factors, b, p, width, bias, h, norms):
-        v = [0] * len(packed)
-        for j, e in zip(factors[0], numerators):
-            v[j] = e
-        if product(v) == [d * e for e in b]:
-            return d, v
-    return None
+def _denominator(values: Iterable[int], modulus: int, num_bounds: Iterable[int],
+                 den_bound: int) -> int:
+    """D, the lcm of the denominators of the rationals n/d = u mod ``modulus``
+    for u in ``values``, each with |n| at most its bound in ``num_bounds``
+    and 0 < d <= ``den_bound``, for modulus > 2 * num_bound * den_bound and
+    numerators over one common denominator, as by Cramer's rule: Wang's
+    rational reconstruction of D times each, whose denominator is what D
+    lacks. ArithmeticError when one has no n/d within the bounds."""
+    denom = 1
+    for u, num_bound in zip(values, num_bounds):
+        r0, r1, t0, t1 = modulus, denom * u % modulus, 0, 1
+        while r1 > num_bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            t0, t1 = t1, t0 - q * t1
+        d = abs(t1)
+        if not 0 < d <= den_bound or math.gcd(r1, d) != 1:
+            raise ArithmeticError("rational reconstruction failed: a lifting bound is wrong")
+        denom *= d
+    return denom
 
 
 def _pack(values: Sequence[int], width: int) -> int:
@@ -569,7 +548,7 @@ def _lu_mod(rows: Sequence[int], p: int, width: int) -> tuple:
 
 def _solve_mod(factors: tuple, rhs: int, p: int, width: int) -> list:
     """Solve M[R, C] y = r[R] mod p from ``_lu_mod``'s factors of M's
-    transpose (see ``_lift``), P M^T = L U, that is M = U^T L^T P, and
+    transpose (see ``_checked_solution``), P M^T = L U, that is M = U^T L^T P, and
     return y in the order of C. ``rhs`` packs r with slots that are
     nonnegative, congruent to r mod p and below 256**width - n * p^2; its
     slots outside R are never read. Both sweeps, over the tails of U and the
@@ -590,21 +569,6 @@ def _solve_mod(factors: tuple, rhs: int, p: int, width: int) -> list:
         w[j] = zj = (v & mask) % p
         v = (v >> bits) + (p - zj) * l_rows[j] if zj else v >> bits
     return w
-
-
-def _reconstruct_denominator(u: int, modulus: int, num_bound: int, den_bound: int) -> int:
-    """Denominator d of the unique n/d = u mod modulus with |n| <= num_bound
-    and 0 < d <= den_bound (Wang's rational reconstruction; the caller
-    guarantees modulus > 2 * num_bound * den_bound)."""
-    r0, r1, t0, t1 = modulus, u, 0, 1
-    while r1 > num_bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    d = abs(t1)
-    if not 0 < d <= den_bound or math.gcd(r1, d) != 1:
-        raise ArithmeticError("rational reconstruction failed: a lifting bound is wrong")
-    return d
 
 
 def _common_scale(numerators: Sequence[Sequence[int]], scales: Sequence[int]) -> tuple[list, int]:

@@ -697,8 +697,9 @@ def test_certificate_with_rhs_proves_a_nonzero_determinant_and_lifts_no_determin
     p, q = PRIMES[:2]
     calls = _count_routes(monkeypatch)
     lifts = []
-    lift = linalg._lift
-    monkeypatch.setattr(linalg, "_lift", lambda *args: lifts.append(args) or lift(*args))
+    checked = linalg._checked_solution
+    monkeypatch.setattr(linalg, "_checked_solution",
+                        lambda *args: lifts.append(args) or checked(*args))
     monkeypatch.setattr(linalg, "_det_divisor", None)  # the determinant's forms are not lifted
     for rows, primes in [([[3, 7], [-2, 5]], [p]), ([[p, 0], [0, 1]], [p, q]),
                          ([[p * q, 0], [0, 1]], list(PRIMES[:3]))]:
@@ -712,21 +713,59 @@ def test_certificate_with_rhs_proves_a_nonzero_determinant_and_lifts_no_determin
     assert linalg._criterion_certificate([[1, 2], [2, 4]], rhs=[[1, 0]]) == (0, [[-2, 1]])
 
 
-def test_carry_adds_the_p_adic_digits_as_a_binary_counter():
-    rng = random.Random(61)
+def test_denominator_is_the_lcm_of_the_reconstructed_denominators():
+    # seeded rationals N_i / delta, |N_i| <= B_i and delta <= H, encoded mod
+    # p^k > 2 B H for B = max B_i: _denominator gives the lcm of their
+    # reduced denominators (the Fraction oracle), with zeros, negative
+    # numerators, integers and denominators that share factors among them
+    rng = random.Random(71)
     p = PRIMES[0]
-    for count in range(1, 20):
-        vectors = [[rng.randrange(p) for _ in range(3)] for _ in range(count)]
-        digits = []
-        for k, v in enumerate(vectors, start=1):
-            digits.append((v, p))
-            linalg._carry(digits, False)
-            # one entry per set bit of k, the most digits first
-            assert [power for _, power in digits] == [
-                p ** (1 << b) for b in reversed(range(k.bit_length())) if k >> b & 1]
-        linalg._carry(digits, True)
-        assert digits == [([sum(v[i] * p ** k for k, v in enumerate(vectors)) for i in range(3)],
-                           p ** count)]
+    cases = [[F(1, 6), F(1, 4)], [F(0), F(-5), F(3)], [F(-1, 6), F(0), F(1, 4), F(7)]]
+    for _ in range(300):
+        scale = math.prod(rng.choice([2, 3, 4, 5, 6, 9, 11, 1009]) for _ in range(rng.randint(0, 5)))
+        top = 10 ** rng.randint(0, 25)
+        cases.append([F(rng.randint(-top, top) * rng.choice([1, 1, scale]), scale)
+                      for _ in range(rng.randint(1, 8))])
+    shared = 0
+    for values in cases:
+        delta = math.lcm(*(v.denominator for v in values)) * rng.randint(1, 3)
+        numerators = [int(v * delta) for v in values]
+        bounds = [abs(e) + rng.randint(0, 2) for e in numerators]
+        h = delta + rng.randint(0, 5)
+        k = 1
+        while p ** k <= 2 * max(bounds) * h:
+            k += 1
+        modulus = p ** (k + rng.randint(0, 1))
+        inverse = pow(delta, -1, modulus)
+        encoded = [e * inverse % modulus for e in numerators]
+        expected = math.lcm(*(v.denominator for v in values))
+        assert linalg._denominator(encoded, modulus, bounds, h) == expected, values
+        shared += expected < math.prod(v.denominator for v in values)
+    assert shared >= 150
+    twelfth = pow(12, -1, p)
+    assert linalg._denominator([2 * twelfth % p, 3 * twelfth % p], p, [3, 3], 12) == 12  # 1/6, 1/4
+
+
+def test_denominator_refuses_a_residue_with_no_rational_within_its_bounds():
+    # u mod p is n/d with |n| <= B, 0 < d <= H, p > 2 B H, just when some
+    # d <= H takes u d to within B of a multiple of p: then _denominator gives
+    # the least such d, else ArithmeticError, a bound being wrong
+    rng = random.Random(73)
+    p, b, h = PRIMES[0], 40, 60
+    residues = [5, p - 5, rng.randrange(p)] + [rng.randrange(p) for _ in range(200)]
+    residues += [rng.randint(-b, b) * pow(rng.randint(1, h), -1, p) % p for _ in range(200)]
+    refused = 0
+    for u in residues:
+        ds = [d for d in range(1, h + 1) if min(u * d % p, -u * d % p) <= b]
+        if ds:
+            assert linalg._denominator([u], p, [b], h) == ds[0]
+        else:
+            refused += 1
+            with pytest.raises(ArithmeticError, match="a lifting bound is wrong"):
+                linalg._denominator([u], p, [b], h)
+    assert refused >= 150
+    with pytest.raises(ArithmeticError, match="a lifting bound is wrong"):
+        linalg._denominator([5], p ** 2, [1], 1)
 
 
 def test_certificate_rhs_stops_at_the_first_reconstruction_that_passes(monkeypatch):

@@ -848,7 +848,7 @@ def test_a_zero_criterion_determinant_needs_no_exact_elimination(monkeypatch):
                 assert linalg.integer_det(rows) == 0
                 assert (len(lu), len(bareiss)) == (1, 0)
                 lu.clear()
-                lifts = _counting(patch, linalg, "_lift")
+                lifts = _counting(patch, linalg, "_checked_solution")
                 built = _blocks_built(patch)
                 report = zeon_criterion(a)
             sizes = [len(m) for m, *_ in lu]
@@ -904,7 +904,7 @@ def test_the_kernel_lift_stops_early_and_the_dixon_lift_does_not(monkeypatch):
     # block of pairs inside the transient class stops at 4 digits at n = 14,
     # and at n = 22 fails the tries at 1, 2, 4 and 8 digits and ends at its
     # Hadamard bound, 13 or 14 digits; a nonzero determinant lifts no vector
-    # (_lift) but two forms of one, every digit of their bound
+    # (_checked_solution) but two forms of one, every digit of their bound
     families = _bench_families()
     cases = [(families.TRANSIENT, 14, seed, [1, 1, 4]) for seed in range(3)]
     cases += [(families.TRANSIENT, 22, seed, [2, 2, last])
@@ -926,7 +926,7 @@ def test_the_kernel_lift_stops_early_and_the_dixon_lift_does_not(monkeypatch):
             return solve_mod(*args)
 
         with monkeypatch.context() as patch:
-            lifts = _counting(patch, linalg, "_lift")
+            lifts = _counting(patch, linalg, "_checked_solution")
             patch.setattr(linalg, "_digits", counted_digits)
             patch.setattr(linalg, "_solve_mod", counted_solve_mod)
             report = zeon_criterion(a)
@@ -1602,7 +1602,7 @@ def test_an_ergodic_chain_builds_no_list_rows_of_the_criterion(monkeypatch):
         with monkeypatch.context() as patch:
             for module, name in [(zeon, "_psi2_rows"), (linalg, "_dense")]:
                 patch.setattr(module, name, refuse)
-            lifts = _counting(patch, linalg, "_lift")
+            lifts = _counting(patch, linalg, "_checked_solution")
             solve_mod = linalg._solve_mod
             patch.setattr(linalg, "_solve_mod", lambda *args: solves.append(0) or solve_mod(*args))
             report = zeon_criterion(a)
